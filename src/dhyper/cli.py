@@ -556,6 +556,9 @@ def _digest(args: argparse.Namespace) -> str:
 def run(argv=None) -> CommandReport:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    for flag in ("cap", "monomial_cap"):
+        if getattr(args, flag, 0) < 0:
+            raise InputFormatError(f"--{flag.replace('_', '-')} must be nonnegative")
     handler = _HANDLERS[args.command]
     digest = _digest(args)
     verdicts, payload = handler(args)

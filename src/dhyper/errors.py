@@ -68,3 +68,8 @@ class LatticeCollisionError(DhyperError):
 
 class InconsistentCoefficientsError(DhyperError):
     """Polynomial-solution propagation met contradictory cycle constraints."""
+
+
+class InvariantError(DhyperError):
+    """An internal consistency check failed: a bug, not a property of the
+    input.  An explicit raise, so the check also runs under python -O."""

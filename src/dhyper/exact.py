@@ -22,18 +22,10 @@ from math import gcd, lcm
 from .errors import (
     DimensionMismatchError,
     InputFormatError,
+    InvariantError,
     NotFullRankError,
     ZeroColumnError,
 )
-
-
-def _parse_int(s) -> int:
-    if isinstance(s, int):
-        return s
-    try:
-        return int(str(s), 10)
-    except ValueError as e:
-        raise InputFormatError(f"not an integer literal: {s!r}") from e
 
 
 def parse_fraction(s) -> Fraction:
@@ -68,10 +60,6 @@ class IntMatrix:
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def zeros(cls, r: int, c: int) -> "IntMatrix":
-        return cls(tuple((0,) * c for _ in range(r)))
 
     @property
     def rows(self) -> int:
@@ -156,17 +144,6 @@ class IntMatrix:
             "entries": [[str(x) for x in r] for r in self.entries],
         }
 
-    @classmethod
-    def from_json(cls, obj) -> "IntMatrix":
-        try:
-            ent = obj["entries"]
-            m = cls.from_rows([[_parse_int(x) for x in r] for r in ent])
-        except (KeyError, TypeError) as e:
-            raise InputFormatError(f"bad matrix object: {e}") from e
-        if m.rows != obj.get("rows", m.rows) or m.cols != obj.get("cols", m.cols):
-            raise DimensionMismatchError("matrix shape disagrees with declared rows/cols")
-        return m
-
     def __str__(self) -> str:
         return "[" + "; ".join(" ".join(str(x) for x in r) for r in self.entries) + "]"
 
@@ -184,10 +161,6 @@ class RatVector:
     @classmethod
     def from_strings(cls, xs) -> "RatVector":
         return cls(tuple(parse_fraction(x) for x in xs))
-
-    @classmethod
-    def zeros(cls, n: int) -> "RatVector":
-        return cls((Fraction(0),) * n)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -208,15 +181,8 @@ class RatVector:
         c = Fraction(c)
         return RatVector(tuple(c * a for a in self.entries))
 
-    def is_integral(self) -> bool:
-        return all(a.denominator == 1 for a in self.entries)
-
     def to_json(self) -> list[str]:
         return [str(a) for a in self.entries]
-
-    @classmethod
-    def from_json(cls, obj) -> "RatVector":
-        return cls.from_strings(obj)
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(a) for a in self.entries) + ")"
@@ -713,9 +679,10 @@ def span_mixedness(b: IntMatrix) -> MixednessCertificate:
     a = kernel_basis(b.transpose()).transpose()
     w = positive_functional(a.columns(), a.rows)
     if w is None:
-        raise AssertionError("mixedness duality violated; this is a bug")
+        raise InvariantError("mixedness duality violated: no positive functional")
     c = RatVector(tuple(w))
-    assert all(c.dot(col) > 0 for col in a.columns())
+    if not all(c.dot(col) > 0 for col in a.columns()):
+        raise InvariantError("mixedness witness is not positive on every column")
     return MixednessCertificate(True, c, None)
 
 

@@ -1,12 +1,16 @@
 """Exact Groebner engines.
 
-Two Buchberger implementations share the monomial-order machinery: a
-commutative one for ideals in the d-variables (toric ideals, saturation by
-elimination) and a left-ideal one for the Weyl algebra.  The Weyl engine
-runs without S-pair skip criteria: the product criterion is unsound there
-(d1 and x1 have disjoint leading monomials yet their S-pair reduces to a
-unit), so every pair is processed.  Membership answers always carry
-cofactors that re-multiply to the queried operator.
+One Buchberger core serves two callers: ideals in the commutative
+d-variables (toric ideals, saturation by elimination) and left ideals in
+the Weyl algebra.  Following Kandri-Rody and Weispfenning (algebras of
+solvable type), the left-ideal algorithm is the commutative one with a
+different monomial multiplication, so the core works on operators in
+normal order and the commutative engine feeds it x-free operators, for
+which left multiplication is a plain shift.  Only the commutative caller
+turns on the product criterion: it is unsound in the Weyl algebra (d1 and
+x1 have disjoint leading monomials yet their S-pair reduces to a unit),
+so the Weyl engine processes every pair.  Membership answers always
+carry cofactors that re-multiply to the queried operator.
 """
 
 from __future__ import annotations
@@ -14,11 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd, lcm
+from heapq import heappop, heappush
+from itertools import combinations
+from math import gcd, lcm
 from typing import Iterable, Mapping
 
 from .errors import DimensionMismatchError, InputFormatError
-from .weyl import WeylOperator, normal_product
+from .weyl import WeylOperator, _format_terms, _sub, _term_product, normal_product
 
 Expo = tuple[int, ...]
 
@@ -132,132 +138,166 @@ class CommPoly:
         return max(self.terms, key=lambda t: order.key(t[0]))
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
         drl = DegRevLex(self.nvars)
-        for e, c in sorted(self.terms, key=lambda t: drl.key(t[0]), reverse=True):
-            body = " ".join(
-                f"d{j + 1}" + (f"^{x}" if x > 1 else "") for j, x in enumerate(e) if x
-            )
-            if not body:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(body)
-            elif c == -1:
-                parts.append(f"-{body}")
+        ordered = sorted(self.terms, key=lambda t: drl.key(t[0]), reverse=True)
+        return _format_terms(((), e, c) for e, c in ordered)
+
+
+# ---------------------------------------------------------------------------
+# Buchberger core
+#
+# An element is an operator dict {(mu, nu): coeff} for x^mu d^nu, paired
+# with its cofactor list over the original generators.  A divisor is the
+# triple (lead monomial, lead coefficient, operator).  key maps a monomial
+# (mu, nu) to its term-order key.
+
+
+def _lmul(acc: dict, coeff: Fraction, a: Expo, b: Expo, g: dict) -> None:
+    """acc += coeff * x^a d^b . g, dropping coefficients that cancel."""
+    for (mu, nu), c in g.items():
+        for k, w in _term_product(a, b, mu, nu):
+            v = acc.get(k, 0) + coeff * c * w
+            if v:
+                acc[k] = v
             else:
-                parts.append(f"{c} {body}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+                acc.pop(k, None)
 
 
-def _comm_divide(f: dict, divisors, order):
-    """Multivariate division: returns (quotients, remainder) over dicts."""
-    quots = [dict() for _ in divisors]
-    rem: dict[Expo, Fraction] = {}
+def _divisor(g: dict, key) -> tuple:
+    lead = max(g, key=key)
+    return lead, g[lead], g
+
+
+def _primitive(g: dict, rep: list[dict], lead) -> tuple[dict, list[dict]]:
+    """Scale g to coprime integer coefficients with a positive lead, and its
+    cofactors by the same factor."""
+    num, den = 0, 1
+    for c in g.values():
+        num = gcd(num, c.numerator)
+        den = lcm(den, c.denominator)
+    factor = Fraction(den, num) if g[lead] > 0 else Fraction(-den, num)
+    return (
+        {k: c * factor for k, c in g.items()},
+        [{k: c * factor for k, c in r.items()} for r in rep],
+    )
+
+
+def _divide(f: dict, divisors, key) -> tuple[list[dict], dict]:
+    """Left division: f = sum quotients[i] . divisor i + remainder, with no
+    remainder monomial divisible by a divisor lead."""
+    quots: list[dict] = [{} for _ in divisors]
+    rem: dict = {}
     work = dict(f)
     while work:
-        le = max(work, key=order.key)
-        lc = work[le]
-        hit = None
-        for i, (ge, gc, gd) in enumerate(divisors):
-            if _divides(ge, le):
-                hit = (i, ge, gc, gd)
+        le = max(work, key=key)
+        for i, (gl, gc, g) in enumerate(divisors):
+            if _divides(gl[0], le[0]) and _divides(gl[1], le[1]):
                 break
-        if hit is None:
-            rem[le] = lc
-            del work[le]
+        else:
+            rem[le] = work.pop(le)
             continue
-        i, ge, gc, gd = hit
-        shift = tuple(a - b for a, b in zip(le, ge))
-        factor = lc / gc
-        quots[i][shift] = quots[i].get(shift, Fraction(0)) + factor
-        for e, c in gd.items():
-            te = tuple(a + b for a, b in zip(e, shift))
-            v = work.get(te, Fraction(0)) - factor * c
-            if v:
-                work[te] = v
-            else:
-                work.pop(te, None)
+        shift = (_sub(le[0], gl[0]), _sub(le[1], gl[1]))
+        factor = work[le] / gc
+        quots[i][shift] = quots[i].get(shift, 0) + factor
+        _lmul(work, -factor, *shift, g)
     return quots, rem
 
 
-def _prep(g: dict, order):
-    le = max(g, key=order.key)
-    return (le, g[le], g)
+def _spair(di, dj) -> tuple[dict, tuple, tuple]:
+    """S-operator of two divisors, with the left multipliers (coeff, a, b),
+    standing for coeff * x^a d^b, applied to each."""
+    (li, ci, gi), (lj, cj, gj) = di, dj
+    mu, nu = _expo_lcm(li[0], lj[0]), _expo_lcm(li[1], lj[1])
+    mi = (Fraction(1) / ci, _sub(mu, li[0]), _sub(nu, li[1]))
+    mj = (Fraction(-1) / cj, _sub(mu, lj[0]), _sub(nu, lj[1]))
+    s: dict = {}
+    _lmul(s, *mi, gi)
+    _lmul(s, *mj, gj)
+    return s, mi, mj
 
 
-def _comm_buchberger(gens: list[dict], order) -> list[dict]:
-    basis = [dict(g) for g in gens if g]
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
-    while pairs:
-        def pair_key(p):
-            i, j = p
-            li = max(basis[i], key=order.key)
-            lj = max(basis[j], key=order.key)
-            return (order.key(_expo_lcm(li, lj)), i, j)
-
-        pairs.sort(key=pair_key)
-        i, j = pairs.pop(0)
-        li = max(basis[i], key=order.key)
-        lj = max(basis[j], key=order.key)
-        if all(a == 0 or b == 0 for a, b in zip(li, lj)):
-            continue  # coprime leads: S-pair reduces to zero commutatively
-        l = _expo_lcm(li, lj)
-        si = tuple(a - b for a, b in zip(l, li))
-        sj = tuple(a - b for a, b in zip(l, lj))
-        s: dict[Expo, Fraction] = {}
-        for e, c in basis[i].items():
-            te = tuple(a + b for a, b in zip(e, si))
-            s[te] = s.get(te, Fraction(0)) + c / basis[i][li]
-        for e, c in basis[j].items():
-            te = tuple(a + b for a, b in zip(e, sj))
-            v = s.get(te, Fraction(0)) - c / basis[j][lj]
-            if v:
-                s[te] = v
-            else:
-                s.pop(te, None)
-        _, rem = _comm_divide(s, [_prep(g, order) for g in basis], order)
-        if rem:
-            basis.append(rem)
-            pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
-    return basis
+def _add_cofactors(acc: list[dict], quots: list[dict], reps, sign: int) -> None:
+    """acc[t] += sign * sum over k of quots[k] . reps[k][t]."""
+    for q, rep in zip(quots, reps):
+        for (a, b), c in q.items():
+            for t, r in enumerate(rep):
+                _lmul(acc[t], sign * c, a, b, r)
 
 
-def _comm_reduce_basis(basis: list[dict], order) -> list[dict]:
-    # minimal: drop any element whose lead is divisible by another lead
-    keep: list[dict] = []
-    leads = [max(g, key=order.key) for g in basis]
-    for i, g in enumerate(basis):
-        if any(
-            j != i and _divides(leads[j], leads[i])
-            and (order.key(leads[j]) < order.key(leads[i]) or j < i)
-            for j in range(len(basis))
-        ):
+def _buchberger(gens, key, cap: int | None = None, coprime_skip: bool = False):
+    """Complete nonzero (operator, cofactors) pairs to a Groebner basis.
+
+    Pairs are processed in order of (key of the lcm of the leads, i, j).
+    coprime_skip turns on the product criterion, which is sound only
+    commutatively.  A nonzero remainder of total degree above cap is
+    dropped.  Returns (basis, whether a remainder was dropped).
+    """
+    divisors: list[tuple] = []
+    reps: list[list[dict]] = []
+    heap: list[tuple] = []
+
+    def admit(g, rep):
+        lead = max(g, key=key)
+        g, rep = _primitive(g, rep, lead)
+        for i, (li, _, _) in enumerate(divisors):
+            l = (_expo_lcm(li[0], lead[0]), _expo_lcm(li[1], lead[1]))
+            heappush(heap, (key(l), i, len(divisors)))
+        divisors.append((lead, g[lead], g))
+        reps.append(rep)
+
+    for g, rep in gens:
+        admit(g, rep)
+    capped = False
+    while heap:
+        _, i, j = heappop(heap)
+        li, lj = divisors[i][0], divisors[j][0]
+        if coprime_skip and all(not (a and b) for a, b in zip(li[0] + li[1], lj[0] + lj[1])):
             continue
-        keep.append(dict(g))
-    # fully reduce tails against the rest, until stable
+        s, mi, mj = _spair(divisors[i], divisors[j])
+        quots, rem = _divide(s, divisors, key)
+        if not rem:
+            continue
+        if cap is not None and max(sum(mu) + sum(nu) for mu, nu in rem) > cap:
+            capped = True
+            continue
+        srep: list[dict] = [{} for _ in reps[i]]
+        for acc, ri, rj in zip(srep, reps[i], reps[j]):
+            _lmul(acc, *mi, ri)
+            _lmul(acc, *mj, rj)
+        _add_cofactors(srep, quots, reps, -1)
+        admit(rem, srep)
+    return [(g, rep) for (_, _, g), rep in zip(divisors, reps)], capped
+
+
+def _interreduce(basis, key) -> list[tuple[dict, list[dict]]]:
+    """Reduced basis: drop elements whose lead another lead divides, reduce
+    each tail by the rest until nothing changes, then make every element
+    primitive and sort by lead."""
+    leads = [max(g, key=key) for g, _ in basis]
+    kept = [
+        (leads[i], g, rep)
+        for i, (g, rep) in enumerate(basis)
+        if not any(
+            j != i and _divides(lj[0], leads[i][0]) and _divides(lj[1], leads[i][1])
+            and (lj != leads[i] or j < i)
+            for j, lj in enumerate(leads)
+        )
+    ]
+    # no kept lead divides another, so reduction keeps every lead term
+    divisors = [(lead, g[lead], g) for lead, g, _ in kept]
     changed = True
     while changed:
         changed = False
-        for i in range(len(keep)):
-            others = [_prep(g, order) for j, g in enumerate(keep) if j != i and g]
-            _, rem = _comm_divide(keep[i], others, order)
-            if rem != keep[i]:
-                keep[i] = rem
+        for i, (lead, g, rep) in enumerate(kept):
+            others = divisors[:i] + divisors[i + 1 :]
+            quots, rem = _divide(g, others, key)
+            if rem != g:
                 changed = True
-    keep = [g for g in keep if g]
-    # monic, sorted by lead
-    out = []
-    for g in keep:
-        le = max(g, key=order.key)
-        lc = g[le]
-        out.append({e: c / lc for e, c in g.items()})
-    out.sort(key=lambda g: order.key(max(g, key=order.key)))
-    return out
+                _add_cofactors(rep, quots, [r for t, (_, _, r) in enumerate(kept) if t != i], -1)
+                kept[i] = (lead, rem, rep)
+                divisors[i] = (lead, rem[lead], rem)
+    kept.sort(key=lambda t: key(t[0]))
+    return [_primitive(g, rep, lead) for lead, g, rep in kept]
 
 
 @dataclass(frozen=True)
@@ -283,24 +323,39 @@ class CommIdeal:
         order = order or DegRevLex(self.nvars)
         if p.nvars != self.nvars:
             raise DimensionMismatchError("polynomial variable count mismatch")
-        gb = self.groebner(order)
-        _, rem = _comm_divide(
-            p.as_dict(), [_prep(g.as_dict(), order) for g in gb if not g.is_zero()], order
-        )
-        return CommPoly.make(self.nvars, rem)
+        key = _comm_key(order)
+        divisors = [_divisor(_xfree(g), key) for g in self.groebner(order)]
+        _, rem = _divide(_xfree(p), divisors, key)
+        return CommPoly.make(self.nvars, {nu: c for (_, nu), c in rem.items()})
 
     def contains(self, p: CommPoly, order=None) -> bool:
         return self.normal_form(p, order).is_zero()
 
 
+def _comm_key(order):
+    return lambda m: order.key(m[1])
+
+
+def _weyl_key(order):
+    return lambda m: order.key(m[0] + m[1])
+
+
+def _xfree(p: CommPoly) -> dict:
+    """p as an operator dict with no x-part."""
+    zero = (0,) * p.nvars
+    return {(zero, e): c for e, c in p.terms}
+
+
 @lru_cache(maxsize=None)
 def _groebner_cached(ideal: CommIdeal, order) -> tuple[CommPoly, ...]:
-    gens = [g.as_dict() for g in ideal.gens if not g.is_zero()]
-    if not gens:
-        return ()
-    gb = _comm_buchberger(gens, order)
-    gb = _comm_reduce_basis(gb, order)
-    return tuple(CommPoly.make(ideal.nvars, g) for g in gb)
+    key = _comm_key(order)
+    gens = [(_xfree(g), []) for g in ideal.gens if not g.is_zero()]
+    basis, _ = _buchberger(gens, key, coprime_skip=True)
+    out = []
+    for g, _ in _interreduce(basis, key):
+        lc = g[max(g, key=key)]
+        out.append(CommPoly.make(ideal.nvars, {nu: c / lc for (_, nu), c in g.items()}))
+    return tuple(out)
 
 
 def groebner_comm(ideal: CommIdeal, order=None) -> tuple[CommPoly, ...]:
@@ -331,99 +386,6 @@ def saturate(ideal: CommIdeal, f: CommPoly) -> CommIdeal:
         if all(e[0] == 0 for e, _ in g.terms):
             kept.append(CommPoly.make(n, {e[1:]: c for e, c in g.terms}))
     return CommIdeal.make(n, kept)
-
-
-# ---------------------------------------------------------------------------
-# Weyl engine
-
-
-def _wlead(g: dict, order):
-    return max(g, key=lambda k: order.key(k[0] + k[1]))
-
-
-def _lmul(coeff: Fraction, a: Expo, b: Expo, g: dict) -> dict:
-    """Left-multiply the operator dict g by coeff * x^a d^b."""
-    out: dict[tuple[Expo, Expo], Fraction] = {}
-    for (mu, nu), c in g.items():
-        bound = tuple(min(p, q) for p, q in zip(b, mu))
-        for k in _kbox(bound):
-            w = coeff * c
-            for p, q, kk in zip(b, mu, k):
-                if kk:
-                    w *= comb(p, kk) * comb(q, kk) * factorial(kk)
-            key = (
-                tuple(x + y - z for x, y, z in zip(a, mu, k)),
-                tuple(x + y - z for x, y, z in zip(b, nu, k)),
-            )
-            v = out.get(key, Fraction(0)) + w
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
-    return out
-
-
-def _kbox(bound: Expo):
-    if not bound:
-        yield ()
-        return
-    for head in range(bound[0] + 1):
-        for tail in _kbox(bound[1:]):
-            yield (head,) + tail
-
-
-def _wadd_into(acc: dict, g: dict, scale: Fraction = Fraction(1)) -> None:
-    for k, c in g.items():
-        v = acc.get(k, Fraction(0)) + scale * c
-        if v:
-            acc[k] = v
-        else:
-            acc.pop(k, None)
-
-
-def _wstrip(g: dict, order) -> tuple[dict, Fraction]:
-    """Scale to primitive integer coefficients with positive lead; returns
-    (stripped, factor) with stripped = factor * g."""
-    if not g:
-        return g, Fraction(1)
-    num = 0
-    den = 1
-    for c in g.values():
-        num = gcd(num, abs(c.numerator))
-        den = lcm(den, c.denominator)
-    factor = Fraction(den, num)
-    le = _wlead(g, order)
-    if g[le] < 0:
-        factor = -factor
-    return {k: c * factor for k, c in g.items()}, factor
-
-
-def _wdivide(f: dict, basis, order):
-    """Left division: f = sum quotients[i] . basis[i] + remainder, with no
-    remainder monomial divisible by a basis lead."""
-    quots = [dict() for _ in basis]
-    rem: dict[tuple[Expo, Expo], Fraction] = {}
-    work = dict(f)
-    while work:
-        le = _wlead(work, order)
-        lc = work[le]
-        hit = None
-        for i, (ge, gc, gd) in enumerate(basis):
-            if _divides(ge[0], le[0]) and _divides(ge[1], le[1]):
-                hit = (i, ge, gc, gd)
-                break
-        if hit is None:
-            rem[le] = lc
-            del work[le]
-            continue
-        i, ge, gc, gd = hit
-        a = tuple(x - y for x, y in zip(le[0], ge[0]))
-        b = tuple(x - y for x, y in zip(le[1], ge[1]))
-        factor = lc / gc
-        k = (a, b)
-        quots[i][k] = quots[i].get(k, Fraction(0)) + factor
-        _wadd_into(work, _lmul(factor, a, b, gd), Fraction(-1))
-    return quots, rem
 
 
 @dataclass(frozen=True)
@@ -476,138 +438,18 @@ class WeylGroebner:
         self.gens = tuple(gens)
         self.order = order
         self.cap = cap
-        self._complete(cap)
-
-    def _complete(self, cap: int) -> None:
-        order = self.order
-        ngens = len(self.gens)
-
-        def unit_rep(i):
-            rep = [dict() for _ in range(ngens)]
-            rep[i] = {((0,) * self.nvars, (0,) * self.nvars): Fraction(1)}
-            return rep
-
-        basis: list[tuple[dict, list[dict]]] = []
+        self._key = key = _weyl_key(order)
+        unit = ((0,) * n, (0,) * n)
+        seeds = []
         for i, g in enumerate(self.gens):
-            d = {(mu, nu): c for mu, nu, c in g.terms}
-            if d:
-                stripped, factor = _wstrip(d, order)
-                rep = unit_rep(i)
-                rep[i] = {k: c * factor for k, c in rep[i].items()}
-                basis.append((stripped, rep))
-
-        pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
-        truncated = False
-
-        def lcm_of(i, j):
-            li = _wlead(basis[i][0], order)
-            lj = _wlead(basis[j][0], order)
-            return (
-                _expo_lcm(li[0], lj[0]),
-                _expo_lcm(li[1], lj[1]),
-            )
-
-        while pairs:
-            pairs.sort(
-                key=lambda p: (order.key(lcm_of(*p)[0] + lcm_of(*p)[1]), p[0], p[1])
-            )
-            i, j = pairs.pop(0)
-            l = lcm_of(i, j)
-            gi, repi = basis[i]
-            gj, repj = basis[j]
-            li, lj = _wlead(gi, order), _wlead(gj, order)
-            ai = (
-                tuple(x - y for x, y in zip(l[0], li[0])),
-                tuple(x - y for x, y in zip(l[1], li[1])),
-            )
-            aj = (
-                tuple(x - y for x, y in zip(l[0], lj[0])),
-                tuple(x - y for x, y in zip(l[1], lj[1])),
-            )
-            ci, cj = gi[li], gj[lj]
-            s: dict = {}
-            _wadd_into(s, _lmul(Fraction(1, 1) / ci, ai[0], ai[1], gi))
-            _wadd_into(s, _lmul(Fraction(-1, 1) / cj, aj[0], aj[1], gj))
-            srep = [dict() for _ in range(ngens)]
-            for t in range(ngens):
-                _wadd_into(srep[t], _lmul(Fraction(1, 1) / ci, ai[0], ai[1], repi[t]))
-                _wadd_into(srep[t], _lmul(Fraction(-1, 1) / cj, aj[0], aj[1], repj[t]))
-            prepped = [
-                (_wlead(g, order), g[_wlead(g, order)], g) for g, _ in basis
-            ]
-            quots, rem = _wdivide(s, prepped, order)
-            for k, q in enumerate(quots):
-                if not q:
-                    continue
-                for (a, b), c in q.items():
-                    for t in range(ngens):
-                        _wadd_into(srep[t], _lmul(-c, a, b, basis[k][1][t]))
-            if rem:
-                deg = max(sum(mu) + sum(nu) for mu, nu in rem)
-                if deg > cap:
-                    truncated = True
-                    continue
-                stripped, factor = _wstrip(rem, order)
-                rep = [
-                    {k: c * factor for k, c in srep[t].items()} for t in range(ngens)
-                ]
-                basis.append((stripped, rep))
-                pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
-
-        basis = self._interreduce(basis)
-        self._basis = basis
-        self.status = "capped" if truncated else "complete"
-
-    def _interreduce(self, basis):
-        order = self.order
-        leads = [_wlead(g, order) for g, _ in basis]
-        kept = []
-        for i, (g, rep) in enumerate(basis):
-            li = leads[i]
-            covered = False
-            for j in range(len(basis)):
-                if j == i:
-                    continue
-                lj = leads[j]
-                if _divides(lj[0], li[0]) and _divides(lj[1], li[1]):
-                    if lj != li or j < i:
-                        covered = True
-                        break
-            if not covered:
-                kept.append((dict(g), [dict(r) for r in rep]))
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(kept)):
-                g, rep = kept[i]
-                others = []
-                omap = []
-                for j, (h, _) in enumerate(kept):
-                    if j != i and h:
-                        others.append((_wlead(h, order), h[_wlead(h, order)], h))
-                        omap.append(j)
-                quots, rem = _wdivide(g, others, order)
-                if rem == g:
-                    continue
-                changed = True
-                for qi, q in enumerate(quots):
-                    if not q:
-                        continue
-                    j = omap[qi]
-                    for (a, b), c in q.items():
-                        for t in range(len(rep)):
-                            _wadd_into(rep[t], _lmul(-c, a, b, kept[j][1][t]))
-                kept[i] = (rem, rep)
-        out = []
-        for g, rep in kept:
-            if not g:
-                continue
-            stripped, factor = _wstrip(g, order)
-            out.append(
-                (stripped, [{k: c * factor for k, c in r.items()} for r in rep])
-            )
-        out.sort(key=lambda t: self.order.key(_wlead(t[0], self.order)[0] + _wlead(t[0], self.order)[1]))
-        return out
+            if g.terms:
+                rep = [{} for _ in self.gens]
+                rep[i] = {unit: Fraction(1)}
+                seeds.append(({(mu, nu): c for mu, nu, c in g.terms}, rep))
+        basis, capped = _buchberger(seeds, key, cap=cap)
+        self._basis = _interreduce(basis, key)
+        self._divisors = [_divisor(g, key) for g, _ in self._basis]
+        self.status = "capped" if capped else "complete"
 
     @property
     def basis(self) -> tuple[WeylOperator, ...]:
@@ -624,17 +466,9 @@ class WeylGroebner:
         if p.nvars != self.nvars:
             raise DimensionMismatchError("query variable count mismatch")
         work = {(mu, nu): c for mu, nu, c in p.terms}
-        prepped = [
-            (_wlead(g, self.order), g[_wlead(g, self.order)], g) for g, _ in self._basis
-        ]
-        quots, rem = _wdivide(work, prepped, self.order)
-        cof = [dict() for _ in self.gens]
-        for k, q in enumerate(quots):
-            if not q:
-                continue
-            for (a, b), c in q.items():
-                for t in range(len(self.gens)):
-                    _wadd_into(cof[t], _lmul(c, a, b, self._basis[k][1][t]))
+        quots, rem = _divide(work, self._divisors, self._key)
+        cof: list[dict] = [{} for _ in self.gens]
+        _add_cofactors(cof, quots, [rep for _, rep in self._basis], 1)
         return (
             WeylOperator.make(self.nvars, rem),
             tuple(WeylOperator.make(self.nvars, c) for c in cof),
@@ -661,28 +495,11 @@ class WeylGroebner:
 
     def spair_remainders_vanish(self) -> bool:
         """Recheck the Buchberger criterion on the finished basis."""
-        order = self.order
-        items = [g for g, _ in self._basis]
-        prepped = [(_wlead(g, order), g[_wlead(g, order)], g) for g in items]
-        for i in range(len(items)):
-            for j in range(i + 1, len(items)):
-                li, lj = prepped[i][0], prepped[j][0]
-                l = (_expo_lcm(li[0], lj[0]), _expo_lcm(li[1], lj[1]))
-                ai = (
-                    tuple(x - y for x, y in zip(l[0], li[0])),
-                    tuple(x - y for x, y in zip(l[1], li[1])),
-                )
-                aj = (
-                    tuple(x - y for x, y in zip(l[0], lj[0])),
-                    tuple(x - y for x, y in zip(l[1], lj[1])),
-                )
-                s: dict = {}
-                _wadd_into(s, _lmul(Fraction(1) / prepped[i][1], ai[0], ai[1], items[i]))
-                _wadd_into(s, _lmul(Fraction(-1) / prepped[j][1], aj[0], aj[1], items[j]))
-                _, rem = _wdivide(s, prepped, order)
-                if rem:
-                    return False
-        return True
+        d = self._divisors
+        return all(
+            not _divide(_spair(d[i], d[j])[0], d, self._key)[1]
+            for i, j in combinations(range(len(d)), 2)
+        )
 
 
 def groebner_weyl(gens: Iterable[WeylOperator], cap: int = 10, order=None) -> WeylGroebner:

@@ -20,6 +20,7 @@ from .errors import (
     DimensionMismatchError,
     InconsistentCoefficientsError,
     InputFormatError,
+    InvariantError,
 )
 from .exact import IntMatrix
 from .weyl import term_action_factor
@@ -116,7 +117,8 @@ def component(m: IntMatrix, u, cap: int) -> MGraphComponent:
             break
     if not escaped:
         # a finite closed component cannot contain a comparable pair
-        assert certificate is None
+        if certificate is not None:
+            raise InvariantError("closed component contains a translation certificate")
         verdict = BOUNDED
     elif certificate is not None:
         verdict = UNBOUNDED_CERTIFIED
@@ -133,6 +135,8 @@ def component(m: IntMatrix, u, cap: int) -> MGraphComponent:
 
 
 def bounded_representatives(m: IntMatrix, cap: int) -> ComponentSurvey:
+    if cap < 0:
+        raise InputFormatError("cap must be nonnegative")
     q = m.rows
     visited: set[Point] = set()
     explored = []
@@ -179,17 +183,20 @@ def lattice_polynomial_solutions(m: IntMatrix, comp: MGraphComponent) -> dict[Po
             if w in vertices and w not in coeffs:
                 num = term_action_factor(neg, tuple(Fraction(x) for x in v))
                 den = term_action_factor(pos, tuple(Fraction(x) for x in w))
-                assert den != 0
+                if not den:
+                    raise InvariantError(f"falling factorial vanishes at vertex {w}")
                 coeffs[w] = coeffs[v] * num / den
                 frontier.append(w)
             w = tuple(a - x for a, x in zip(v, b))
             if w in vertices and w not in coeffs:
                 num = term_action_factor(pos, tuple(Fraction(x) for x in v))
                 den = term_action_factor(neg, tuple(Fraction(x) for x in w))
-                assert den != 0
+                if not den:
+                    raise InvariantError(f"falling factorial vanishes at vertex {w}")
                 coeffs[w] = coeffs[v] * num / den
                 frontier.append(w)
-    assert set(coeffs) == vertices
+    if set(coeffs) != vertices:
+        raise InvariantError("propagation did not reach every vertex of the component")
     for v in comp.vertices:
         for b in cols:
             pos = tuple(max(x, 0) for x in b)

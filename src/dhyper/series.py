@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -19,6 +20,7 @@ from .errors import (
     DimensionMismatchError,
     IncompatibleRecurrencesError,
     InputFormatError,
+    InvariantError,
     LatticeCollisionError,
     ZeroFactorialError,
 )
@@ -207,7 +209,7 @@ def shift(f: PuiseuxSeries, alpha: tuple[int, ...], direction: str) -> PuiseuxSe
     base_out = tuple(b + a for b, a in zip(f.base, alpha))
     divisors: dict[tuple[int, ...], Fraction] = {}
     m = f.lattice.cols
-    for w in _ball_points(m, f.window):
+    for w in product(range(-f.window, f.window + 1), repeat=m):
         u = _ambient(f.lattice, w)
         expo = tuple(b + x for b, x in zip(base_out, u))
         factor = term_action_factor(alpha, expo)
@@ -222,15 +224,6 @@ def shift(f: PuiseuxSeries, alpha: tuple[int, ...], direction: str) -> PuiseuxSe
         window=f.window, reliable=f.reliable,
         window_exhausted=f.window_exhausted,
     )
-
-
-def _ball_points(m: int, r: int):
-    if m == 0:
-        yield ()
-        return
-    for head in range(-r, r + 1):
-        for tail in _ball_points(m - 1, r):
-            yield (head,) + tail
 
 
 def _ambient(lat: IntMatrix, w: tuple[int, ...]) -> tuple[int, ...]:
@@ -338,7 +331,7 @@ def recurrence_series(ratios, window: int) -> PuiseuxSeries:
         return Fraction(r)
 
     coeffs: dict[tuple[int, ...], Fraction] = {(0,) * m: Fraction(1)}
-    grid = sorted(_grid_points(m, window), key=lambda k: (sum(k), k))
+    grid = sorted(product(range(window + 1), repeat=m), key=lambda k: (sum(k), k))
     for k in grid:
         if k in coeffs:
             continue
@@ -364,15 +357,6 @@ def recurrence_series(ratios, window: int) -> PuiseuxSeries:
     return PuiseuxSeries.make(
         m, (Fraction(0),) * m, lat, kept, window=window, reliable=window
     )
-
-
-def _grid_points(m: int, r: int):
-    if m == 0:
-        yield ()
-        return
-    for head in range(r + 1):
-        for tail in _grid_points(m - 1, r):
-            yield (head,) + tail
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +436,7 @@ def gamma_series(
     v0 = solve_rational(a, beta)
     candidates = [tuple(v0.entries)]
     m = lat.cols
-    for z in sorted(_ball_points(m, 2), key=lambda t: (_sup(t), t))[:16]:
+    for z in sorted(product(range(-2, 3), repeat=m), key=lambda t: (_sup(t), t))[:16]:
         if any(z):
             u = _ambient(lat, z)
             candidates.append(tuple(q + x for q, x in zip(v0.entries, u)))
@@ -516,7 +500,7 @@ def _gamma_fill(
         return tuple(q + x for q, x in zip(v, u))
 
     lam: dict[tuple[int, ...], Fraction] = {(0,) * m: Fraction(1)}
-    order = sorted(_ball_points(m, window), key=lambda t: (_sup(t), t))
+    order = sorted(product(range(-window, window + 1), repeat=m), key=lambda t: (_sup(t), t))
     pending = [z for z in order if z not in lam]
     # repeated sweeps: a point is filled once any already-known neighbor
     # reaches it through a nonvanishing multiplier
@@ -668,7 +652,8 @@ def toral_solution_basis(b, dec, beta, window: int = 8, a=None, graph_cap=None):
         for w in comp.vertices:
             rhs = RatVector.make([Fraction(x - y) for x, y in zip(w, u)])
             v = solve_rational(dec.m, rhs)
-            assert all(q.denominator == 1 for q in v.entries)
+            if any(q.denominator != 1 for q in v.entries):
+                raise InvariantError(f"vertex {w} is not an integer move away from {u}")
             v_int = tuple(int(q) for q in v.entries)
             nv = dec.n_block.mul_int_vector(v_int)
             g = f

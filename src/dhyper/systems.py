@@ -101,25 +101,15 @@ def toric_ideal(a: IntMatrix) -> CommIdeal:
     return saturate(ideal, CommPoly.make(n, {(1,) * n: 1}))
 
 
-def _binomials_to_weyl(ideal: CommIdeal) -> list[WeylOperator]:
-    n = ideal.nvars
-    out = []
-    for g in ideal.groebner():
-        out.append(WeylOperator.make(n, {((0,) * n, e): c for e, c in g.terms}))
-    return out
-
-
-def _gens_to_weyl(ideal: CommIdeal) -> list[WeylOperator]:
-    n = ideal.nvars
-    return [
-        WeylOperator.make(n, {((0,) * n, e): c for e, c in g.terms})
-        for g in ideal.gens
-    ]
+def _d_operators(nvars: int, polys) -> list[WeylOperator]:
+    """Polynomials in the d-variables as x-free Weyl operators."""
+    zero = (0,) * nvars
+    return [WeylOperator.make(nvars, {(zero, e): c for e, c in g.terms}) for g in polys]
 
 
 def hypergeometric_system(a: IntMatrix, beta) -> SystemSpec:
     beta = _as_beta(beta, a.rows)
-    gens = _binomials_to_weyl(toric_ideal(a)) + euler_generators(
+    gens = _d_operators(a.cols, toric_ideal(a).groebner()) + euler_generators(
         a, RatVector.make(beta)
     )
     return SystemSpec(
@@ -160,7 +150,7 @@ def horn_system(b: IntMatrix, beta, a: IntMatrix | None = None) -> SystemSpec:
         raise NotMixedError("kernel matrix is not mixed")
     a = _dual_matrix(b, a)
     beta = _as_beta(beta, a.rows)
-    gens = _gens_to_weyl(lattice_basis_ideal(b)) + euler_generators(
+    gens = _d_operators(b.rows, lattice_basis_ideal(b).gens) + euler_generators(
         a, RatVector.make(beta)
     )
     return SystemSpec(
@@ -340,7 +330,7 @@ def toral_component_ideal(
     a = _dual_matrix(b, a)
     beta = _as_beta(beta, a.rows)
     n = b.rows
-    gens = _gens_to_weyl(lattice_basis_ideal(b))
+    gens = _d_operators(n, lattice_basis_ideal(b).gens)
 
     if dec.j:
         a_j = IntMatrix.from_rows(

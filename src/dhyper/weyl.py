@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial
 from typing import Iterable, Mapping
 
@@ -143,62 +144,61 @@ class WeylOperator:
         return WeylOperator.make(nvars, mapping)
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for mu, nu, c in self.terms:
-            syms = []
-            for j, e in enumerate(mu):
-                if e:
-                    syms.append(f"x{j + 1}" + (f"^{e}" if e > 1 else ""))
-            for j, e in enumerate(nu):
-                if e:
-                    syms.append(f"d{j + 1}" + (f"^{e}" if e > 1 else ""))
-            body = " ".join(syms)
-            if not body:
-                parts.append(format_fraction(c))
-            elif c == 1:
-                parts.append(body)
-            elif c == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{format_fraction(c)} {body}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        return _format_terms(self.terms)
+
+
+def _format_terms(terms) -> str:
+    """Print (mu, nu, coeff) terms in the given order, e.g. "x1 d2^2 - 3/2 d1 + 1"."""
+    out = ""
+    for mu, nu, c in terms:
+        body = " ".join(
+            f"{sym}{j + 1}" + (f"^{e}" if e > 1 else "")
+            for sym, expo in (("x", mu), ("d", nu))
+            for j, e in enumerate(expo)
+            if e
+        )
+        if not body:
+            part = format_fraction(c)
+        elif abs(c) == 1:
+            part = body if c > 0 else f"-{body}"
+        else:
+            part = f"{format_fraction(c)} {body}"
+        if not out:
+            out = part
+        elif part.startswith("-"):
+            out += " - " + part[1:]
+        else:
+            out += " + " + part
+    return out or "0"
 
 
 def normal_product(p: WeylOperator, q: WeylOperator) -> WeylOperator:
-    """Product in the Weyl algebra, renormal-ordered.
-
-    d^nu x^mu = sum_k (nu choose k)(mu choose k) k! x^(mu-k) d^(nu-k),
-    componentwise over 0 <= k <= min(nu, mu).
-    """
+    """Product in the Weyl algebra, renormal-ordered."""
     p._check(q)
-    n = p.nvars
     acc: dict[tuple[Expo, Expo], Fraction] = {}
     for mu1, nu1, c1 in p.terms:
         for mu2, nu2, c2 in q.terms:
-            bound = tuple(min(a, b) for a, b in zip(nu1, mu2))
-            for k in _boxed(bound):
-                w = c1 * c2
-                for a, b, kk in zip(nu1, mu2, k):
-                    if kk:
-                        w *= comb(a, kk) * comb(b, kk) * factorial(kk)
-                key = (_add(mu1, _sub(mu2, k)), _add(nu2, _sub(nu1, k)))
-                acc[key] = acc.get(key, Fraction(0)) + w
-    return WeylOperator.make(n, acc)
+            for key, w in _term_product(mu1, nu1, mu2, nu2):
+                acc[key] = acc.get(key, Fraction(0)) + c1 * c2 * w
+    return WeylOperator.make(p.nvars, acc)
 
 
-def _boxed(bound: Expo):
-    """All integer tuples 0 <= k <= bound componentwise."""
-    if not bound:
-        yield ()
-        return
-    for head in range(bound[0] + 1):
-        for tail in _boxed(bound[1:]):
-            yield (head,) + tail
+def _term_product(mu1: Expo, nu1: Expo, mu2: Expo, nu2: Expo):
+    """x^mu1 d^nu1 . x^mu2 d^nu2 in normal order, as ((mu, nu), weight) pairs.
+
+    d^nu x^mu = sum_k (nu choose k)(mu choose k) k! x^(mu-k) d^(nu-k),
+    componentwise over 0 <= k <= min(nu, mu).  The weights are integers.
+    """
+    mu, nu = _add(mu1, mu2), _add(nu1, nu2)
+    for k in product(*[range(min(a, b) + 1) for a, b in zip(nu1, mu2)]):
+        if not any(k):
+            yield (mu, nu), 1
+            continue
+        w = 1
+        for a, b, kk in zip(nu1, mu2, k):
+            if kk:
+                w *= comb(a, kk) * comb(b, kk) * factorial(kk)
+        yield (_sub(mu, k), _sub(nu, k)), w
 
 
 def a_degree_components(a: IntMatrix, p: WeylOperator) -> list[tuple[Expo, WeylOperator]]:
@@ -364,7 +364,7 @@ def apply_to_series(p: WeylOperator, f):
 def _apply_single_class(p: WeylOperator, f, delta0: Expo):
     """All term shifts agree modulo the series lattice: the output lives on
     a translate of the same lattice and convolution is direct."""
-    from .series import PuiseuxSeries, lattice_coordinates
+    from .series import PuiseuxSeries, _sup, lattice_coordinates
 
     offsets: dict[tuple[Expo, Expo], Expo] = {}
     max_shift = 0
@@ -372,7 +372,7 @@ def _apply_single_class(p: WeylOperator, f, delta0: Expo):
         o = _sub(_sub(mu, nu), delta0)
         offsets[(mu, nu)] = o
         co = lattice_coordinates(f.lattice, o)
-        max_shift = max(max_shift, max((abs(z) for z in co), default=0))
+        max_shift = max(max_shift, _sup(co))
 
     base_out = tuple(b + d for b, d in zip(f.base, delta0))
     reliable = f.reliable - max_shift
@@ -389,7 +389,7 @@ def _apply_single_class(p: WeylOperator, f, delta0: Expo):
     coeffs: dict[Expo, Fraction] = {}
     for w in candidates:
         co = lattice_coordinates(f.lattice, w)
-        if max((abs(z) for z in co), default=0) > reliable:
+        if _sup(co) > reliable:
             continue
         total = Fraction(0)
         for mu, nu, c in p.terms:
@@ -410,7 +410,7 @@ def _apply_refined(p: WeylOperator, f, delta0: Expo):
     refine to the lattice generated by the old one plus all shift
     differences, then certify exactness point by point outward."""
     from .exact import hermite_column_basis
-    from .series import PuiseuxSeries, lattice_coordinates
+    from .series import PuiseuxSeries, _sup, lattice_coordinates
 
     n = f.nvars
     gens = [f.lattice.col(j) for j in range(f.lattice.cols)]
@@ -439,24 +439,18 @@ def _apply_refined(p: WeylOperator, f, delta0: Expo):
                 continue
             lam = f.coeffs.get(src)
             if lam is None:
-                if max((abs(z) for z in co), default=0) > f.window:
+                if _sup(co) > f.window:
                     return None
                 continue
             total += c * lam * factor
         return total
 
-    stencil = max(
-        (
-            max((abs(z) for z in lattice_coordinates(lat, o)), default=0)
-            for o in offsets.values()
-        ),
-        default=0,
-    )
+    stencil = max((_sup(lattice_coordinates(lat, o)) for o in offsets.values()), default=0)
     cap = f.window + stencil
     coeffs: dict[Expo, Fraction] = {}
     reliable = -1
     for r in range(cap + 1):
-        ring = [w for w in _sup_ball(mm, r) if _sup_norm(w) == r]
+        ring = [w for w in product(range(-r, r + 1), repeat=mm) if _sup(w) == r]
         vals = []
         for w in ring:
             u = tuple(
@@ -476,15 +470,3 @@ def _apply_refined(p: WeylOperator, f, delta0: Expo):
         window_exhausted=exhausted,
     )
 
-
-def _sup_norm(t) -> int:
-    return max((abs(x) for x in t), default=0)
-
-
-def _sup_ball(m: int, r: int):
-    if m == 0:
-        yield ()
-        return
-    for head in range(-r, r + 1):
-        for tail in _sup_ball(m - 1, r):
-            yield (head,) + tail

@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from dhyper import cli
 from dhyper.series import PuiseuxSeries
 
@@ -150,3 +152,19 @@ def test_gamma_subcommand_full_density(capsys):
     )
     assert code == 0
     assert rep["verdicts"][0]["detail"]["density"] == "1"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mgraph", "--m", "[[1],[-2]]", "--cap", "-1"],
+        ["membership", "--gens", "[]", "--query", "{}", "--cap", "-1"],
+        ["example-erdelyi", "--cap", "-1"],
+        ["components", "--b", B_JSON, "--monomial-cap", "-1"],
+    ],
+)
+def test_negative_caps_exit_bad_input(capsys, argv):
+    code, rep = run_main(capsys, argv)
+    assert code == 2
+    assert rep["exit_code"] == 2
+    assert "must be nonnegative" in rep["error"]

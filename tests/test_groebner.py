@@ -1,7 +1,8 @@
-import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dhyper.errors import DimensionMismatchError, InputFormatError
 from dhyper.groebner import (
@@ -227,38 +228,48 @@ def test_buchberger_recheck_on_complete_bases():
     assert agb.spair_remainders_vanish()
 
 
-def test_engines_agree_on_d_only_ideals():
-    rng = random.Random(11)
-    for _ in range(5):
-        n = 3
-        gens = []
-        for _ in range(2):
-            terms = {}
-            for _ in range(2):
-                e = tuple(rng.randrange(3) for _ in range(n))
-                terms[e] = terms.get(e, 0) + rng.choice([-2, -1, 1, 2])
-            p = CommPoly.make(n, terms)
-            if not p.is_zero():
-                gens.append(p)
-        if not gens:
-            continue
-        ideal = CommIdeal.make(n, gens)
-        cgb = ideal.groebner()
-        wgens = [
-            dop(n, {((0,) * n, e): c for e, c in g.terms}) for g in gens
-        ]
-        wgb = groebner_weyl(wgens, cap=30)
-        assert wgb.status == "complete"
-        order = DegRevLex(n)
-        wpolys = []
-        for b in wgb.basis:
-            assert all(mu == (0,) * n for mu, _, _ in b.terms)
-            d = {nu: c for _, nu, c in b.terms}
-            le = max(d, key=order.key)
-            lc = d[le]
-            wpolys.append(tuple(sorted((e, c / lc) for e, c in d.items())))
-        cpolys = [tuple(sorted(g.terms)) for g in cgb]
-        assert sorted(wpolys) == sorted(cpolys)
+@st.composite
+def d_only_ideals(draw):
+    n = draw(st.integers(2, 4))
+    expo = st.tuples(*[st.integers(0, 2)] * n)
+    poly = st.dictionaries(expo, st.sampled_from([-2, -1, 1, 2]), min_size=1, max_size=2)
+    return n, [dpoly(n, p) for p in draw(st.lists(poly, min_size=1, max_size=3))]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(d_only_ideals())
+def test_engines_agree_on_d_only_ideals(case):
+    # the commutative engine (product criterion on) and the Weyl engine
+    # (criterion off) run the same core on x-free input: same reduced basis
+    n, gens = case
+    cgb = CommIdeal.make(n, gens).groebner()
+    wgb = groebner_weyl([dop(n, {((0,) * n, e): c for e, c in g.terms}) for g in gens], cap=30)
+    assert wgb.status == "complete"
+    assert wgb.spair_remainders_vanish()
+    order = DegRevLex(n)
+    wpolys = []
+    for b in wgb.basis:
+        assert all(mu == (0,) * n for mu, _, _ in b.terms)
+        d = {nu: c for _, nu, c in b.terms}
+        lc = d[max(d, key=order.key)]
+        wpolys.append(tuple(sorted((e, c / lc) for e, c in d.items())))
+    assert wpolys == [tuple(sorted(g.terms)) for g in cgb]
+
+
+def test_spair_recheck_fails_on_capped_bases():
+    for cap in range(2, 7):
+        gb = groebner_weyl(horn_demo_gens(), cap=cap)
+        assert gb.status == "capped"
+        assert not gb.spair_remainders_vanish()
+
+
+def test_printers_join_signed_terms():
+    p = dpoly(3, {(2, 0, 0): 1, (0, 1, 1): Fraction(-3, 2), (0, 0, 0): -1, (1, 0, 0): Fraction(1, 3)})
+    assert str(p) == "d1^2 - 3/2 d2 d3 + 1/3 d1 - 1"
+    op = dop(2, {((1, 0), (0, 2)): 1, ((0, 0), (1, 0)): Fraction(-3, 2),
+                 ((0, 0), (0, 0)): 1, ((2, 1), (0, 0)): -1})
+    assert str(op) == "1 - 3/2 d1 + x1 d2^2 - x1^2 x2"
+    assert str(CommPoly.zero(2)) == str(WeylOperator.zero(2)) == "0"
 
 
 def test_lattice_ideal_inside_toric_ideal():

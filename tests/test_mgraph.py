@@ -78,6 +78,12 @@ def test_survey_demo_has_one_bounded_class():
         assert survey.bounded[0].vertices == ((0, 0),)
 
 
+def test_survey_rejects_negative_cap():
+    # an empty box would otherwise be reported as a complete survey
+    with pytest.raises(InputFormatError):
+        bounded_representatives(IntMatrix.from_rows([[1], [-2]]), -1)
+
+
 def test_survey_partitions_the_box():
     cap = 6
     survey = bounded_representatives(M_DEMO, cap)
