@@ -120,11 +120,14 @@ def _no_floats(obj) -> None:
 
 
 def _load_json(text: str):
+    text = _read_flag_text(text)
     try:
-        obj = json.loads(_read_flag_text(text))
+        obj = json.loads(text)
+        _no_floats(obj)
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"malformed JSON: {exc}") from exc
-    _no_floats(obj)
+    except RecursionError as exc:
+        raise InputFormatError("malformed JSON: nested too deeply") from exc
     return obj
 
 

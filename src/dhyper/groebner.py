@@ -23,7 +23,7 @@ from itertools import combinations
 from math import gcd, lcm
 from typing import Iterable, Mapping
 
-from .errors import DimensionMismatchError, InputFormatError
+from .errors import DimensionMismatchError, InputFormatError, InvariantError
 from .weyl import WeylOperator, _format_terms, _sub, _term_product, normal_product
 
 Expo = tuple[int, ...]
@@ -346,7 +346,7 @@ def _xfree(p: CommPoly) -> dict:
     return {(zero, e): c for e, c in p.terms}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _groebner_cached(ideal: CommIdeal, order) -> tuple[CommPoly, ...]:
     key = _comm_key(order)
     gens = [(_xfree(g), []) for g in ideal.gens if not g.is_zero()]
@@ -490,7 +490,7 @@ class WeylGroebner:
             basis_status=self.status,
         )
         if not cert.verify(self.gens):
-            raise InputFormatError("internal cofactor replay failed")
+            raise InvariantError("internal cofactor replay failed")
         return cert
 
     def spair_remainders_vanish(self) -> bool:

@@ -4,6 +4,12 @@ A series is x^v times a finite rational combination of x^u for u in a
 lattice L of Z^n.  Coefficients are trusted on a sup-norm window in
 lattice-basis coordinates; operations that consume coefficients near the
 window edge shrink the reliable radius instead of inventing zeros.
+
+Coordinates z in the lattice basis (u = L z) are the internal key: the
+gamma recurrence, the window tests and the operator action all work on
+them.  Ambient points u appear only at the boundary: the public coeffs
+dict, JSON, and the ambient input that PuiseuxSeries.make validates with
+one Smith-form solve per point.
 """
 
 from __future__ import annotations
@@ -26,14 +32,14 @@ from .errors import (
 )
 from .exact import IntMatrix, RatVector, format_fraction, parse_fraction, smith_form
 
-_smith = lru_cache(maxsize=None)(smith_form)
+_smith = lru_cache(maxsize=256)(smith_form)
 
 DERIVE = "DERIVE"
 ANTIDERIVE = "ANTIDERIVE"
 
 
 def _sup(t: Iterable[int]) -> int:
-    return max((abs(x) for x in t), default=0)
+    return max(map(abs, t), default=0)
 
 
 def lattice_coordinates(lat: IntMatrix, vec: tuple[int, ...]) -> tuple[int, ...] | None:
@@ -43,22 +49,42 @@ def lattice_coordinates(lat: IntMatrix, vec: tuple[int, ...]) -> tuple[int, ...]
     if lat.cols == 0:
         return () if all(x == 0 for x in vec) else None
     sf = _smith(lat)
+    diag = sf.diagonal
     y = sf.u.mul_int_vector(vec)
     t = [0] * lat.cols
-    r = len(sf.diagonal)
+    r = len(diag)
     for i in range(lat.rows):
-        if i < r and sf.diagonal[i]:
-            if y[i] % sf.diagonal[i]:
+        if i < r and diag[i]:
+            if y[i] % diag[i]:
                 return None
-            t[i] = y[i] // sf.diagonal[i]
+            t[i] = y[i] // diag[i]
         elif y[i]:
             return None
     return sf.v.mul_int_vector(tuple(t))
 
 
+def _check_frame(nvars, base, lattice, window, reliable):
+    """Validated (base, reliable) for a series frame; reliable defaults to window."""
+    base_t = tuple(Fraction(q) for q in base)
+    if len(base_t) != nvars or lattice.rows != nvars:
+        raise DimensionMismatchError("base exponent or lattice does not match nvars")
+    if reliable is None:
+        reliable = window
+    if window < 0 or reliable > window or reliable < -1:
+        raise InputFormatError("bad window bounds")
+    return base_t, reliable
+
+
 @dataclass(frozen=True)
 class PuiseuxSeries:
-    """Window-truncated series supported on base + (column lattice)."""
+    """Window-truncated series supported on base + (column lattice).
+
+    coeffs is keyed by ambient points u.  The private _index maps the
+    lattice coordinates z of each point to u (u = L z); it is what the
+    series pipeline walks, and it takes no part in equality or repr.
+    Build series with make (ambient points, each validated by a Smith-form
+    solve) or, inside the package, _from_coords (coordinates, no solve).
+    """
 
     nvars: int
     base: tuple[Fraction, ...]
@@ -67,6 +93,14 @@ class PuiseuxSeries:
     window: int = 0
     reliable: int = 0
     window_exhausted: bool = False
+    _index: dict[tuple[int, ...], tuple[int, ...]] | None = field(
+        default=None, compare=False, repr=False
+    )
+
+    def __post_init__(self):
+        # a series built by the plain constructor indexes its points here
+        if self._index is None:
+            object.__setattr__(self, "_index", {self.coord(u): u for u in self.coeffs})
 
     @staticmethod
     def make(
@@ -78,26 +112,54 @@ class PuiseuxSeries:
         reliable: int | None = None,
         window_exhausted: bool = False,
     ) -> "PuiseuxSeries":
-        base_t = tuple(Fraction(q) for q in base)
-        if len(base_t) != nvars or lattice.rows != nvars:
-            raise DimensionMismatchError("base exponent or lattice does not match nvars")
-        if reliable is None:
-            reliable = window
-        if window < 0 or reliable > window or reliable < -1:
-            raise InputFormatError("bad window bounds")
-        clean: dict[tuple[int, ...], Fraction] = {}
+        """Series from coefficients keyed by ambient points u; a Smith-form
+        solve checks that each u lies in the lattice and gives its coordinates."""
+        base_t, _ = _check_frame(nvars, base, lattice, window, reliable)
+        coords: dict[tuple[int, ...], Fraction] = {}
         for u, c in coeffs.items():
             q = Fraction(c)
             if not q:
                 continue
-            u = tuple(int(x) for x in u)
-            co = lattice_coordinates(lattice, u)
+            co = lattice_coordinates(lattice, tuple(int(x) for x in u))
             if co is None:
                 raise InputFormatError("support point outside the series lattice")
-            if _sup(co) > window:
+            coords[co] = q
+        return PuiseuxSeries._from_coords(
+            nvars, base_t, lattice, coords, window, reliable, window_exhausted
+        )
+
+    @staticmethod
+    def _from_coords(
+        nvars: int,
+        base: Iterable[Fraction],
+        lattice: IntMatrix,
+        coeffs: Mapping[tuple[int, ...], Fraction],
+        window: int,
+        reliable: int | None = None,
+        window_exhausted: bool = False,
+    ) -> "PuiseuxSeries":
+        """make for coefficients keyed by lattice coordinates z.
+
+        The ambient point L z lies in the lattice by construction, so no
+        Smith-form solve is needed; the frame and window checks are make's.
+        """
+        base_t, reliable = _check_frame(nvars, base, lattice, window, reliable)
+        clean: dict[tuple[int, ...], Fraction] = {}
+        index: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for z, c in coeffs.items():
+            q = Fraction(c)
+            if not q:
+                continue
+            if len(z) != lattice.cols:
+                raise DimensionMismatchError("coordinate length does not match lattice rank")
+            if _sup(z) > window:
                 raise InputFormatError("support point outside the window")
+            u = _ambient(lattice, z)
             clean[u] = q
-        return PuiseuxSeries(nvars, base_t, lattice, clean, window, reliable, window_exhausted)
+            index[z] = u
+        return PuiseuxSeries(
+            nvars, base_t, lattice, clean, window, reliable, window_exhausted, index
+        )
 
     @staticmethod
     def monomial(exponent: Iterable[Fraction], coeff=1) -> "PuiseuxSeries":
@@ -227,9 +289,8 @@ def shift(f: PuiseuxSeries, alpha: tuple[int, ...], direction: str) -> PuiseuxSe
 
 
 def _ambient(lat: IntMatrix, w: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(
-        sum(lat.entries[i][j] * w[j] for j in range(lat.cols)) for i in range(lat.rows)
-    )
+    """The ambient point L w of lattice coordinates w."""
+    return tuple(sum(e * x for e, x in zip(row, w)) for row in lat.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -488,19 +549,17 @@ def _gamma_fill(
     a: IntMatrix, lat: IntMatrix, v: tuple[Fraction, ...], window: int
 ) -> PuiseuxSeries:
     """Propagate coefficients outward from the origin and verify every edge."""
-    from .weyl import term_action_factor
+    from .weyl import _memo_action
 
     m = lat.cols
-    moves = [lat.col(j) for j in range(m)]
+    moves = lat.columns()
     pos = [tuple(max(x, 0) for x in b) for b in moves]
     neg = [tuple(max(-x, 0) for x in b) for b in moves]
-
-    def expo(z):
-        u = _ambient(lat, z)
-        return tuple(q + x for q, x in zip(v, u))
+    order = sorted(product(range(-window, window + 1), repeat=m), key=lambda t: (_sup(t), t))
+    amb = {z: _ambient(lat, z) for z in order}
+    action = _memo_action(v)
 
     lam: dict[tuple[int, ...], Fraction] = {(0,) * m: Fraction(1)}
-    order = sorted(product(range(-window, window + 1), repeat=m), key=lambda t: (_sup(t), t))
     pending = [z for z in order if z not in lam]
     # repeated sweeps: a point is filled once any already-known neighbor
     # reaches it through a nonvanishing multiplier
@@ -513,18 +572,13 @@ def _gamma_fill(
             for i in range(m):
                 for sgn in (1, -1):
                     src = tuple(x - sgn if j == i else x for j, x in enumerate(z))
-                    if _sup(src) > window or src not in lam:
+                    if src not in lam:
                         continue
-                    if sgn == 1:
-                        mult = term_action_factor(pos[i], expo(z))
-                        if not mult:
-                            continue
-                        got = lam[src] * term_action_factor(neg[i], expo(src)) / mult
-                    else:
-                        mult = term_action_factor(neg[i], expo(z))
-                        if not mult:
-                            continue
-                        got = lam[src] * term_action_factor(pos[i], expo(src)) / mult
+                    into, outof = (pos[i], neg[i]) if sgn == 1 else (neg[i], pos[i])
+                    mult = action(into, amb[z])
+                    if not mult:
+                        continue
+                    got = lam[src] * action(outof, amb[src]) / mult
                     break
                 if got is not None:
                     break
@@ -545,17 +599,14 @@ def _gamma_fill(
             znext = tuple(x + 1 if j == i else x for j, x in enumerate(z))
             if _sup(znext) > window:
                 continue
-            lhs = lam[znext] * term_action_factor(pos[i], expo(znext))
-            rhs = lam[z] * term_action_factor(neg[i], expo(z))
+            lhs = lam[znext] * action(pos[i], amb[znext])
+            rhs = lam[z] * action(neg[i], amb[z])
             if lhs != rhs:
                 raise CycleInconsistentError(
                     f"edge {z} -> {znext} violates the recurrence"
                 )
 
-    coeffs = {_ambient(lat, z): c for z, c in lam.items() if c}
-    return PuiseuxSeries.make(
-        a.cols, v, lat, coeffs, window=window, reliable=window
-    )
+    return PuiseuxSeries._from_coords(a.cols, v, lat, lam, window=window, reliable=window)
 
 
 # ---------------------------------------------------------------------------

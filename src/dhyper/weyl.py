@@ -336,6 +336,30 @@ def term_action_factor(nu: Expo, exponent: Iterable[Fraction]) -> Fraction:
     return v
 
 
+def _memo_action(base: tuple[Fraction, ...]):
+    """term_action_factor(nu, base + u) as a function of (nu, u).
+
+    Each falling factorial is memoised under (coordinate j, u_j, order k)
+    in a dict that lives as long as the returned function.
+    """
+    memo: dict[tuple[int, int, int], Fraction] = {}
+
+    def action(nu: Expo, u: Expo) -> Fraction:
+        v = None
+        for j, k in enumerate(nu):
+            if k:
+                key = (j, u[j], k)
+                ff = memo.get(key)
+                if ff is None:
+                    ff = memo[key] = falling_factorial(base[j] + u[j], k)
+                if not ff:
+                    return ff
+                v = ff if v is None else v * ff
+        return Fraction(1) if v is None else v
+
+    return action
+
+
 def apply_to_series(p: WeylOperator, f):
     """Apply an operator to a lattice-supported Puiseux series.
 
@@ -356,24 +380,26 @@ def apply_to_series(p: WeylOperator, f):
 
     shifts = p.shifts()
     delta0 = shifts[0]
-    if all(lattice_coordinates(f.lattice, _sub(s, delta0)) is not None for s in shifts):
-        return _apply_single_class(p, f, delta0)
+    coords = {s: lattice_coordinates(f.lattice, _sub(s, delta0)) for s in shifts}
+    if all(co is not None for co in coords.values()):
+        return _apply_single_class(p, f, delta0, coords)
     return _apply_refined(p, f, delta0)
 
 
-def _apply_single_class(p: WeylOperator, f, delta0: Expo):
+def _apply_single_class(p: WeylOperator, f, delta0: Expo, coords: Mapping[Expo, Expo]):
     """All term shifts agree modulo the series lattice: the output lives on
-    a translate of the same lattice and convolution is direct."""
-    from .series import PuiseuxSeries, _sup, lattice_coordinates
+    a translate of the same lattice and convolution is direct.
 
-    offsets: dict[tuple[Expo, Expo], Expo] = {}
-    max_shift = 0
-    for mu, nu, _ in p.terms:
-        o = _sub(_sub(mu, nu), delta0)
-        offsets[(mu, nu)] = o
-        co = lattice_coordinates(f.lattice, o)
-        max_shift = max(max_shift, _sup(co))
+    coords maps each term shift mu - nu to the lattice coordinates of
+    mu - nu - delta0.  Terms are grouped into a stencil by that coordinate
+    offset, and the walk over the input index stays in coordinates.
+    """
+    from .series import PuiseuxSeries, _sup
 
+    stencil: dict[Expo, list[tuple[Expo, Fraction]]] = {}
+    for mu, nu, c in p.terms:
+        stencil.setdefault(coords[_sub(mu, nu)], []).append((nu, c))
+    max_shift = max(map(_sup, stencil))
     base_out = tuple(b + d for b, d in zip(f.base, delta0))
     reliable = f.reliable - max_shift
     if reliable < 0:
@@ -382,26 +408,23 @@ def _apply_single_class(p: WeylOperator, f, delta0: Expo):
             window_exhausted=True,
         )
 
-    candidates = set()
-    for u in f.coeffs:
-        for o in offsets.values():
-            candidates.add(_add(u, o))
-    coeffs: dict[Expo, Fraction] = {}
-    for w in candidates:
-        co = lattice_coordinates(f.lattice, w)
-        if _sup(co) > reliable:
-            continue
-        total = Fraction(0)
-        for mu, nu, c in p.terms:
-            src = _sub(w, offsets[(mu, nu)])
-            lam = f.coeffs.get(src)
-            if lam is None:
+    action = _memo_action(f.base)
+    acc: dict[Expo, Fraction] = {}
+    for z, u in f._index.items():
+        lam = f.coeffs[u]
+        for co, group in stencil.items():
+            w = _add(z, co)
+            if _sup(w) > reliable:
                 continue
-            total += c * lam * term_action_factor(nu, f.exponent(src))
-        if total:
-            coeffs[w] = total
-    return PuiseuxSeries.make(
-        f.nvars, base_out, f.lattice, coeffs, window=reliable, reliable=reliable,
+            # sum of c [base + u]_nu over the offset's terms: lam multiplies once
+            nu, c = group[0]
+            weight = c * action(nu, u)
+            for nu, c in group[1:]:
+                weight += c * action(nu, u)
+            if weight:
+                acc[w] = acc.get(w, 0) + lam * weight
+    return PuiseuxSeries._from_coords(
+        f.nvars, base_out, f.lattice, acc, window=reliable, reliable=reliable,
     )
 
 

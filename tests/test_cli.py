@@ -168,3 +168,15 @@ def test_negative_caps_exit_bad_input(capsys, argv):
     assert code == 2
     assert rep["exit_code"] == 2
     assert "must be nonnegative" in rep["error"]
+
+
+@pytest.mark.parametrize("depth", [900, 5000])
+def test_deeply_nested_json_exits_bad_input(tmp_path, capsys, depth):
+    # 5000 levels overflow the JSON parser; 900 parse but overflow the float
+    # screen or reach the matrix check: either way the input is malformed
+    path = tmp_path / "deep.json"
+    path.write_text("[" * depth + "]" * depth)
+    code, rep = run_main(capsys, ["facets", "--a", f"@{path}"])
+    assert code == 2
+    assert isinstance(rep, dict)
+    assert rep["exit_code"] == 2

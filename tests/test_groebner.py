@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dhyper.errors import DimensionMismatchError, InputFormatError
+from dhyper.errors import DimensionMismatchError, InputFormatError, InvariantError
 from dhyper.groebner import (
     BlockElim,
     CommIdeal,
     CommPoly,
     DegRevLex,
+    MembershipCertificate,
     groebner_comm,
     groebner_weyl,
     saturate,
@@ -194,6 +195,14 @@ def test_horn_membership_dichotomy():
     assert data["member"] is False
     assert data["basis_status"] == "complete"
     assert data["normal_form"]["terms"]
+
+
+def test_failed_cofactor_replay_is_an_invariant_error(monkeypatch):
+    gb = groebner_weyl(horn_demo_gens(), cap=10)
+    query = dop(4, {((0,) * 4, (0, 1, 1, 0)): 1, ((0,) * 4, (1, 0, 0, 1)): -1})
+    monkeypatch.setattr(MembershipCertificate, "verify", lambda self, gens: False)
+    with pytest.raises(InvariantError, match="replay"):
+        gb.membership(query)
 
 
 def test_ahyp_contains_the_missing_binomial():

@@ -5,17 +5,21 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dhyper.errors import (
     DenominatorVanishedError,
+    DimensionMismatchError,
     IncompatibleRecurrencesError,
     InputFormatError,
     LatticeCollisionError,
     ZeroFactorialError,
 )
-from dhyper.exact import IntMatrix, RatVector
+from dhyper.exact import IntMatrix, RatVector, is_nonresonant, kernel_basis
 from dhyper.series import (
     ANTIDERIVE,
     DERIVE,
@@ -32,7 +36,7 @@ from dhyper.series import (
     recurrence_series,
     shift,
 )
-from dhyper.weyl import WeylOperator, apply_to_series, euler_generators
+from dhyper.weyl import WeylOperator, apply_to_series, euler_generators, term_action_factor
 
 A_DEMO = IntMatrix.from_rows([[3, 2, 1, 0], [0, 1, 2, 3]])
 B_DEMO = IntMatrix.from_rows([[1, 0], [-2, 1], [1, -2], [0, 1]])
@@ -450,3 +454,123 @@ def test_toral_basis_rejects_bad_blocks():
     dec = [d for d, _ in block_decompositions(torsion) if d.jbar == ()][0]
     with pytest.raises(UnsupportedCharacterError):
         toral_solution_basis(torsion, dec, (Fraction(1),), window=3)
+
+
+# ---------------------------------------------------------------------------
+# Coordinate path against a naive ambient reference
+
+A_QUARTIC = IntMatrix.from_rows([[1, 1, 1, 1, 1], [0, 1, 2, 3, 4]])
+
+
+def _sup(t):
+    return max((abs(x) for x in t), default=0)
+
+
+def _ambient(lat, z):
+    return tuple(sum(lat.entries[i][j] * z[j] for j in range(lat.cols)) for i in range(lat.rows))
+
+
+def naive_gamma_holds(a, beta, f, window):
+    """f is the gamma series for (a, beta) on the full window, checked point by
+    point in ambient exponents with term_action_factor."""
+    lat = f.lattice
+    assert a.mul_vector(RatVector.make(f.base)).entries == beta.entries
+    grid = list(product(range(-window, window + 1), repeat=lat.cols))
+    assert set(f.coeffs) == {_ambient(lat, z) for z in grid}
+    assert f.coeffs[(0,) * f.nvars] == 1
+    for z in grid:
+        u = _ambient(lat, z)
+        for i in range(lat.cols):
+            znext = tuple(x + 1 if j == i else x for j, x in enumerate(z))
+            if _sup(znext) > window:
+                continue
+            b = lat.col(i)
+            unext = tuple(x + y for x, y in zip(u, b))
+            pos = tuple(max(x, 0) for x in b)
+            neg = tuple(max(-x, 0) for x in b)
+            lhs = f.coeffs[unext] * term_action_factor(pos, f.exponent(unext))
+            rhs = f.coeffs[u] * term_action_factor(neg, f.exponent(u))
+            assert lhs == rhs
+
+
+def naive_apply(p, f):
+    """(coeffs, reliable) of p applied to f when all term shifts share one
+    lattice class: every candidate point solved for its coordinates, every
+    factor recomputed from the exponent."""
+    delta0 = p.shifts()[0]
+    offsets = {
+        (mu, nu): tuple(m - n - d for m, n, d in zip(mu, nu, delta0)) for mu, nu, _ in p.terms
+    }
+    reliable = f.reliable - max(_sup(lattice_coordinates(f.lattice, o)) for o in offsets.values())
+    coeffs = {}
+    for w in {tuple(x + y for x, y in zip(u, o)) for u in f.coeffs for o in offsets.values()}:
+        if _sup(lattice_coordinates(f.lattice, w)) > reliable:
+            continue
+        total = Fraction(0)
+        for mu, nu, c in p.terms:
+            src = tuple(x - y for x, y in zip(w, offsets[(mu, nu)]))
+            lam = f.coeffs.get(src)
+            if lam is not None:
+                total += c * lam * term_action_factor(nu, f.exponent(src))
+        if total:
+            coeffs[w] = total
+    return coeffs, reliable
+
+
+@st.composite
+def lattice_cases(draw):
+    name = draw(st.sampled_from(["demo", "quartic"]))
+    a = A_DEMO if name == "demo" else A_QUARTIC
+    window = draw(st.integers(2, 6))
+    frac = st.builds(Fraction, st.integers(-20, 20), st.sampled_from([2, 3, 5, 7]))
+    beta = RatVector.make(draw(st.lists(frac, min_size=a.rows, max_size=a.rows)))
+    assume(all(q.denominator != 1 for q in beta.entries))
+    assume(is_nonresonant(a, beta).nonresonant)
+    # terms x^mu d^nu whose shifts mu - nu = delta + L k share one lattice class
+    lat = kernel_basis(a)
+    n = a.cols
+    small = st.integers(-1, 1)
+    delta = draw(st.lists(small, min_size=n, max_size=n))
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        k = draw(st.lists(small, min_size=lat.cols, max_size=lat.cols))
+        s = [d + x for d, x in zip(delta, _ambient(lat, k))]
+        extra = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        nu = tuple(max(-x, 0) + e for x, e in zip(s, extra))
+        mu = tuple(v + x for v, x in zip(nu, s))
+        terms[(mu, nu)] = draw(frac.filter(bool))
+    return a, beta, window, WeylOperator.make(n, terms)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(lattice_cases())
+def test_coordinate_path_matches_ambient_reference(case):
+    a, beta, window, p = case
+    f = gamma_series(a, beta, window=window)
+    assert (f.window, f.reliable) == (window, window)
+    naive_gamma_holds(a, beta, f, window)
+    # the coordinate index agrees with the Smith-form coordinates that make
+    # computes from ambient points
+    again = PuiseuxSeries.from_json(f.to_json())
+    assert again == f and again._index == f._index
+    image = apply_to_series(p, f)
+    coeffs, reliable = naive_apply(p, f)
+    if reliable < 0:
+        assert image.window_exhausted and image.reliable == -1
+        return
+    assert image.coeffs == coeffs
+    assert (image.window, image.reliable) == (reliable, reliable)
+    assert image.base == tuple(b + d for b, d in zip(f.base, p.shifts()[0]))
+
+
+def test_coordinate_constructor_checks_window_and_rank():
+    base = (Fraction(0),) * 4
+    f = PuiseuxSeries._from_coords(4, base, B_DEMO, {(1, -2): Fraction(3)}, window=2)
+    assert f.coeffs == {(1, -4, 5, -2): Fraction(3)}
+    assert f == PuiseuxSeries.make(4, base, B_DEMO, f.coeffs, window=2)
+    with pytest.raises(InputFormatError, match="window"):
+        PuiseuxSeries._from_coords(4, base, B_DEMO, {(3, 0): Fraction(1)}, window=2)
+    with pytest.raises(DimensionMismatchError):
+        PuiseuxSeries._from_coords(4, base, B_DEMO, {(1, 0, 0): Fraction(1)}, window=2)
+    with pytest.raises(InputFormatError, match="window bounds"):
+        PuiseuxSeries._from_coords(4, base, B_DEMO, {}, window=2, reliable=3)
