@@ -7,7 +7,8 @@ sorted keys, making identical invocations byte-identical.
 
 Exit codes: 0 every check passed, 1 at least one check failed, 2
 malformed input, 3 shape mismatch, 4 unsupported lattice character, 5
-other domain errors.
+other domain errors, 6 internal error (an exception that is not a
+DhyperError, which is a bug in dhyper).  Every exit prints one JSON object.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ EXIT_BAD_INPUT = 2
 EXIT_BAD_SHAPE = 3
 EXIT_BAD_CHARACTER = 4
 EXIT_DOMAIN = 5
+EXIT_INTERNAL = 6
 
 
 @dataclass(frozen=True)
@@ -131,14 +133,22 @@ def _load_json(text: str):
     return obj
 
 
+def _is_int(x) -> bool:
+    # JSON true/false decode to bool, a subclass of int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _as_matrix(obj) -> IntMatrix:
     if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
         raise InputFormatError("matrix must be a JSON array of rows")
     for r in obj:
         for x in r:
-            if not isinstance(x, int):
+            if not _is_int(x):
                 raise InputFormatError("matrix entries must be integers")
-    return IntMatrix.from_rows(obj)
+    m = IntMatrix.from_rows(obj)
+    if m.rows == 0 or m.cols == 0:
+        raise InputFormatError("matrix must have at least one row and one column")
+    return m
 
 
 def _as_vector(obj) -> RatVector:
@@ -146,7 +156,7 @@ def _as_vector(obj) -> RatVector:
         raise InputFormatError("vector must be a JSON array")
     vals = []
     for x in obj:
-        if isinstance(x, int):
+        if _is_int(x):
             vals.append(Fraction(x))
         elif isinstance(x, str):
             vals.append(parse_fraction(x))
@@ -600,6 +610,11 @@ def main(argv=None) -> int:
     except DhyperError as exc:
         print(json.dumps({"error": str(exc), "exit_code": EXIT_DOMAIN}))
         return EXIT_DOMAIN
+    except Exception as exc:
+        # anything else is a bug; it still gets the one-JSON-object contract
+        error = f"internal error: {type(exc).__name__}: {exc}"
+        print(json.dumps({"error": error, "exit_code": EXIT_INTERNAL}))
+        return EXIT_INTERNAL
     print(json.dumps(report.to_json(), indent=2, sort_keys=True))
     return report.exit_code
 

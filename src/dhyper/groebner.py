@@ -6,15 +6,19 @@ the Weyl algebra.  Following Kandri-Rody and Weispfenning (algebras of
 solvable type), the left-ideal algorithm is the commutative one with a
 different monomial multiplication, so the core works on operators in
 normal order and the commutative engine feeds it x-free operators, for
-which left multiplication is a plain shift.  Only the commutative caller
-turns on the product criterion: it is unsound in the Weyl algebra (d1 and
-x1 have disjoint leading monomials yet their S-pair reduces to a unit),
-so the Weyl engine processes every pair.  Membership answers always
-carry cofactors that re-multiply to the queried operator.
+which left multiplication is a plain shift.  Both callers skip S-pairs by
+Buchberger's chain criterion (Gebauer and Moeller), which stays sound for
+left ideals in algebras of solvable type.  Only the commutative caller
+also turns on the product criterion: it is unsound in the Weyl algebra
+(d1 and x1 have disjoint leading monomials yet their S-pair reduces to a
+unit).  Every completion reports its pair counts as PairStats.
+Membership answers always carry cofactors that re-multiply to the
+queried operator.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -224,49 +228,89 @@ def _add_cofactors(acc: list[dict], quots: list[dict], reps, sign: int) -> None:
                 _lmul(acc[t], sign * c, a, b, r)
 
 
-def _buchberger(gens, key, cap: int | None = None, coprime_skip: bool = False):
+@dataclass(frozen=True)
+class PairStats:
+    """What one Buchberger completion did with its S-pairs.
+
+    considered counts every pair taken off the queue; each is then skipped
+    by the product criterion, skipped by the chain criterion, reduced to
+    zero, added to the basis as a nonzero remainder, or dropped by the
+    degree cap.
+    """
+
+    considered: int = 0
+    product_skips: int = 0
+    chain_skips: int = 0
+    zero_reductions: int = 0
+    added: int = 0
+    cap_drops: int = 0
+
+
+def _buchberger(gens, key, cap: int | None = None, coprime_skip: bool = False, chain: bool = True):
     """Complete nonzero (operator, cofactors) pairs to a Groebner basis.
 
-    Pairs are processed in order of (key of the lcm of the leads, i, j).
+    Pairs are processed in order of (key of the lcm L of the leads, i, j).
     coprime_skip turns on the product criterion, which is sound only
-    commutatively.  A nonzero remainder of total degree above cap is
-    dropped.  Returns (basis, whether a remainder was dropped).
+    commutatively.  The chain criterion skips (i, j) when another element
+    k has a lead dividing L and the pairs (i, k) and (k, j) were taken off
+    the queue before: each then has a representation below its lcm, hence
+    below L.  A nonzero remainder of total degree above cap is dropped,
+    and from then on the chain criterion is off: a dropped remainder
+    leaves pairs without such a representation, and skipping past it can
+    lose basis elements the cap would have kept.  chain=False is the
+    criterion-off reference for tests.  Returns (basis, PairStats).
     """
     divisors: list[tuple] = []
     reps: list[list[dict]] = []
     heap: list[tuple] = []
+    popped: set[tuple[int, int]] = set()
+    counts: Counter = Counter()
 
     def admit(g, rep):
         lead = max(g, key=key)
         g, rep = _primitive(g, rep, lead)
         for i, (li, _, _) in enumerate(divisors):
             l = (_expo_lcm(li[0], lead[0]), _expo_lcm(li[1], lead[1]))
-            heappush(heap, (key(l), i, len(divisors)))
+            heappush(heap, (key(l), i, len(divisors), l))
         divisors.append((lead, g[lead], g))
         reps.append(rep)
 
+    def chained(i, j, l) -> bool:
+        return any(
+            k != i and k != j
+            and _divides(lk[0], l[0]) and _divides(lk[1], l[1])
+            and (min(i, k), max(i, k)) in popped and (min(k, j), max(k, j)) in popped
+            for k, (lk, _, _) in enumerate(divisors)
+        )
+
     for g, rep in gens:
         admit(g, rep)
-    capped = False
     while heap:
-        _, i, j = heappop(heap)
+        _, i, j, l = heappop(heap)
+        counts["considered"] += 1
         li, lj = divisors[i][0], divisors[j][0]
         if coprime_skip and all(not (a and b) for a, b in zip(li[0] + li[1], lj[0] + lj[1])):
-            continue
-        s, mi, mj = _spair(divisors[i], divisors[j])
-        quots, rem = _divide(s, divisors, key)
-        if not rem:
-            continue
-        if cap is not None and max(sum(mu) + sum(nu) for mu, nu in rem) > cap:
-            capped = True
-            continue
-        srep: list[dict] = [{} for _ in reps[i]]
-        for acc, ri, rj in zip(srep, reps[i], reps[j]):
-            _lmul(acc, *mi, ri)
-            _lmul(acc, *mj, rj)
-        _add_cofactors(srep, quots, reps, -1)
-        admit(rem, srep)
-    return [(g, rep) for (_, _, g), rep in zip(divisors, reps)], capped
+            counts["product_skips"] += 1
+        elif chain and not counts["cap_drops"] and chained(i, j, l):
+            counts["chain_skips"] += 1
+        else:
+            s, mi, mj = _spair(divisors[i], divisors[j])
+            quots, rem = _divide(s, divisors, key)
+            if not rem:
+                counts["zero_reductions"] += 1
+            elif cap is not None and max(sum(mu) + sum(nu) for mu, nu in rem) > cap:
+                counts["cap_drops"] += 1
+            else:
+                srep: list[dict] = [{} for _ in reps[i]]
+                for acc, ri, rj in zip(srep, reps[i], reps[j]):
+                    _lmul(acc, *mi, ri)
+                    _lmul(acc, *mj, rj)
+                _add_cofactors(srep, quots, reps, -1)
+                admit(rem, srep)
+                counts["added"] += 1
+        popped.add((i, j))
+    basis = [(g, rep) for (_, _, g), rep in zip(divisors, reps)]
+    return basis, PairStats(**counts)
 
 
 def _interreduce(basis, key) -> list[tuple[dict, list[dict]]]:
@@ -417,10 +461,11 @@ class MembershipCertificate:
 class WeylGroebner:
     """Left Groebner basis of a Weyl-algebra ideal with cofactor tracking.
 
-    Every S-pair is processed, but a nonzero remainder whose total degree
-    exceeds the cap is discarded and flags the basis CAPPED.  Zero normal
-    forms prove membership either way; a nonzero normal form denies
-    membership only against a COMPLETE basis.
+    Every S-pair is reduced unless the chain criterion skips it.  A nonzero
+    remainder whose total degree exceeds the cap is discarded and flags the
+    basis CAPPED.  Zero normal forms prove membership either way; a nonzero
+    normal form denies membership only against a COMPLETE basis.  stats
+    holds the PairStats of the completion.
     """
 
     def __init__(self, gens: Iterable[WeylOperator], cap: int = 10, order=None):
@@ -446,10 +491,10 @@ class WeylGroebner:
                 rep = [{} for _ in self.gens]
                 rep[i] = {unit: Fraction(1)}
                 seeds.append(({(mu, nu): c for mu, nu, c in g.terms}, rep))
-        basis, capped = _buchberger(seeds, key, cap=cap)
+        basis, self.stats = _buchberger(seeds, key, cap=cap)
         self._basis = _interreduce(basis, key)
         self._divisors = [_divisor(g, key) for g, _ in self._basis]
-        self.status = "capped" if capped else "complete"
+        self.status = "capped" if self.stats.cap_drops else "complete"
 
     @property
     def basis(self) -> tuple[WeylOperator, ...]:

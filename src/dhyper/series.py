@@ -722,10 +722,13 @@ def toral_solution_basis(b, dec, beta, window: int = 8, a=None, graph_cap=None):
                     amb[r] = key[i]
                 point = tuple(x + o for x, o in zip(amb, offset))
                 coeffs[point] = cw * c
-        sups = [
-            _sup(lattice_coordinates(lattice, point)) for point in coeffs
-        ]
-        window_out = max([window] + sups)
+        coords: dict[tuple[int, ...], Fraction] = {}
+        for point, c in coeffs.items():
+            z = lattice_coordinates(lattice, point)
+            if z is None:
+                raise InvariantError(f"point {point} is outside the joint lattice")
+            coords[z] = c
+        window_out = max([window] + [_sup(z) for z in coords])
         if exact:
             reliable = window_out
             exhausted = False
@@ -739,8 +742,8 @@ def toral_solution_basis(b, dec, beta, window: int = 8, a=None, graph_cap=None):
             reliable = -1
             exhausted = True
         basis.append(
-            PuiseuxSeries.make(
-                n, base, lattice, coeffs,
+            PuiseuxSeries._from_coords(
+                n, base, lattice, coords,
                 window=window_out, reliable=reliable,
                 window_exhausted=exhausted,
             )

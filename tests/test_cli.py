@@ -180,3 +180,33 @@ def test_deeply_nested_json_exits_bad_input(tmp_path, capsys, depth):
     assert code == 2
     assert isinstance(rep, dict)
     assert rep["exit_code"] == 2
+
+
+@pytest.mark.parametrize("matrix", ["[]", "[[]]", "[[],[]]"])
+def test_empty_matrix_exits_bad_input(capsys, matrix):
+    code, rep = run_main(capsys, ["facets", "--a", matrix])
+    assert code == rep["exit_code"] == 2
+    assert "at least one row and one column" in rep["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["toric", "--a", "[[1,true]]"],
+        ["ahyp", "--a", A_JSON, "--beta", "[true,1]"],
+        ["nonresonant", "--a", A_JSON, "--beta", '[false,"1/2"]'],
+    ],
+)
+def test_json_booleans_are_not_integers(capsys, argv):
+    code, rep = run_main(capsys, argv)
+    assert code == rep["exit_code"] == 2
+
+
+def test_unexpected_exception_exits_internal_error(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._HANDLERS, "facets", broken)
+    code, rep = run_main(capsys, ["facets", "--a", A_JSON])
+    assert code == cli.EXIT_INTERNAL == 6
+    assert rep == {"error": "internal error: RuntimeError: boom", "exit_code": 6}

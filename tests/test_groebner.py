@@ -1,20 +1,26 @@
+from contextlib import contextmanager
 from fractions import Fraction
+from functools import partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dhyper import groebner
 from dhyper.errors import DimensionMismatchError, InputFormatError, InvariantError
+from dhyper.exact import IntMatrix
 from dhyper.groebner import (
     BlockElim,
     CommIdeal,
     CommPoly,
     DegRevLex,
     MembershipCertificate,
+    PairStats,
     groebner_comm,
     groebner_weyl,
     saturate,
 )
+from dhyper.systems import hypergeometric_system, toric_ideal
 from dhyper.weyl import WeylOperator, normal_product
 
 
@@ -320,3 +326,114 @@ def test_membership_certificate_cofactors_replay_by_hand():
     for q, g in zip(cert.cofactors, gens):
         total = total + normal_product(q, g)
     assert total + cert.normal_form == query
+
+
+# ---------------------------------------------------------------------------
+# Chain criterion against the criterion-off reference
+
+
+@contextmanager
+def criterion_off():
+    """Run the Buchberger core with the chain criterion off, past the
+    commutative cache, so every basis is computed the unoptimised way."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groebner, "_buchberger", partial(groebner._buchberger, chain=False))
+        mp.setattr(groebner, "_groebner_cached", groebner._groebner_cached.__wrapped__)
+        yield
+
+
+def weyl_outcome(gb):
+    reps = [gb.basis_representation(i) for i in range(len(gb.basis))]
+    return gb.status, gb.basis, reps
+
+
+def assert_chain_matches_reference(gens, cap):
+    with criterion_off():
+        reference = weyl_outcome(groebner_weyl(gens, cap=cap))
+    gb = groebner_weyl(gens, cap=cap)
+    assert weyl_outcome(gb) == reference
+    if gb.status == "complete":
+        assert gb.spair_remainders_vanish()
+
+
+A_QUARTIC = IntMatrix.from_rows([[1, 1, 1, 1, 1], [0, 1, 2, 3, 4]])
+
+
+def quartic_gens():
+    return list(hypergeometric_system(A_QUARTIC, (Fraction(1, 2), Fraction(1, 3))).generators)
+
+
+DEMO_SYSTEMS = {"horn": horn_demo_gens, "ahyp": ahyp_demo_gens, "quartic": quartic_gens}
+
+
+@pytest.mark.parametrize(
+    "name,cap",
+    [("horn", c) for c in range(2, 11)]
+    + [("ahyp", c) for c in range(2, 11)]
+    + [("quartic", c) for c in range(3, 7)],
+)
+def test_chain_criterion_matches_reference_on_demos(name, cap):
+    assert_chain_matches_reference(DEMO_SYSTEMS[name](), cap)
+
+
+@st.composite
+def small_weyl_systems(draw):
+    n = draw(st.integers(2, 3))
+    bits = st.tuples(*[st.integers(0, 1)] * n)
+    op = st.dictionaries(st.tuples(bits, bits), st.sampled_from([-2, -1, 1, 2]), min_size=1, max_size=2)
+    gens = draw(st.lists(op, min_size=1, max_size=3))
+    return [dop(n, g) for g in gens], draw(st.integers(2, 6))
+
+
+# Skipping by the chain criterion after the cap has dropped a remainder
+# loses the second element of the reference basis here.
+CHAIN_PAST_A_DROP = (
+    [
+        dop(3, {((0, 1, 0), (0, 1, 0)): -1, ((1, 1, 0), (1, 0, 1)): 2}),
+        dop(3, {((1, 1, 1), (0, 1, 1)): 2}),
+        dop(3, {((1, 1, 1), (0, 0, 0)): 1}),
+    ],
+    4,
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(small_weyl_systems())
+@example(CHAIN_PAST_A_DROP)
+def test_chain_criterion_matches_reference_on_random_systems(case):
+    gens, cap = case
+    assert_chain_matches_reference(gens, cap)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1, 1, 1, 1, 1], [0, 1, 2, 3, 5]],
+        [[1, 1, 1, 1, 1], [1, 2, 4, 5, 0]],
+        [[1, 1, 1, 1, 1], [0, 2, 3, 4, 6]],
+        [[1, 1, 1, 1, 1, 1], [0, 1, 2, 3, 4, 5]],
+    ],
+)
+def test_chain_criterion_matches_reference_on_toric_bases(rows):
+    a = IntMatrix.from_rows(rows)
+    with criterion_off():
+        reference = toric_ideal(a).groebner()
+    assert toric_ideal(a).groebner() == reference
+
+
+def test_pair_stats_are_deterministic():
+    # (considered, chain skips, zero reductions, added) with the chain
+    # criterion on, then off; the Weyl engine never uses the product criterion
+    expected = {"horn": ((136, 79, 44, 13), (136, 0, 123, 13)), "ahyp": ((91, 50, 32, 9), (91, 0, 82, 9))}
+    for name, (on, off) in expected.items():
+        gens = DEMO_SYSTEMS[name]()
+        assert groebner_weyl(gens, cap=10).stats == PairStats(
+            considered=on[0], chain_skips=on[1], zero_reductions=on[2], added=on[3]
+        )
+        with criterion_off():
+            assert groebner_weyl(gens, cap=10).stats == PairStats(
+                considered=off[0], chain_skips=off[1], zero_reductions=off[2], added=off[3]
+            )
+    capped = groebner_weyl(horn_demo_gens(), cap=4)
+    assert capped.status == "capped"
+    assert capped.stats == PairStats(considered=21, zero_reductions=13, added=3, cap_drops=5)
