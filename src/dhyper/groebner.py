@@ -22,13 +22,14 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import gcd, lcm
+from operator import le
 from typing import Iterable, Mapping
 
 from .errors import DimensionMismatchError, InputFormatError, InvariantError
-from .weyl import WeylOperator, _format_terms, _sub, _term_product, normal_product
+from .weyl import WeylOperator, _format_terms, _sub, _term_product
 
 Expo = tuple[int, ...]
 
@@ -69,7 +70,7 @@ class BlockElim:
 
 
 def _divides(a: Expo, b: Expo) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _expo_lcm(a: Expo, b: Expo) -> Expo:
@@ -156,15 +157,27 @@ class CommPoly:
 # (mu, nu) to its term-order key.
 
 
-def _lmul(acc: dict, coeff: Fraction, a: Expo, b: Expo, g: dict) -> None:
-    """acc += coeff * x^a d^b . g, dropping coefficients that cancel."""
+def _lmul(acc: dict, coeff: Fraction, a: Expo, b: Expo, g: dict, entered: list | None = None) -> None:
+    """acc += coeff * x^a d^b . g, dropping coefficients that cancel.
+
+    coeff and the coefficients of g are nonzero.  When entered is a list,
+    each monomial new to acc is appended to it.
+    """
     for (mu, nu), c in g.items():
+        cc = coeff * c
         for k, w in _term_product(a, b, mu, nu):
-            v = acc.get(k, 0) + coeff * c * w
-            if v:
-                acc[k] = v
+            t = cc if w == 1 else cc * w
+            v = acc.get(k)
+            if v is None:
+                acc[k] = t
+                if entered is not None:
+                    entered.append(k)
             else:
-                acc.pop(k, None)
+                v += t
+                if v:
+                    acc[k] = v
+                else:
+                    del acc[k]
 
 
 def _divisor(g: dict, key) -> tuple:
@@ -186,14 +199,37 @@ def _primitive(g: dict, rep: list[dict], lead) -> tuple[dict, list[dict]]:
     )
 
 
+class _Greater:
+    """Heap entry for monomial m under order key k that pops greatest first."""
+
+    __slots__ = ("k", "m")
+
+    def __init__(self, k, m):
+        self.k, self.m = k, m
+
+    def __lt__(self, other: "_Greater") -> bool:
+        return other.k < self.k
+
+
 def _divide(f: dict, divisors, key) -> tuple[list[dict], dict]:
     """Left division: f = sum quotients[i] . divisor i + remainder, with no
-    remainder monomial divisible by a divisor lead."""
+    remainder monomial divisible by a divisor lead.
+
+    The lead of the working operator comes off a heap holding each monomial
+    under the key computed when it entered; entries whose monomial has since
+    cancelled are skipped.  Reduction only adds monomials below the lead it
+    removes, so the leads are taken in the same order as by a fresh max.
+    """
     quots: list[dict] = [{} for _ in divisors]
     rem: dict = {}
     work = dict(f)
-    while work:
-        le = max(work, key=key)
+    heap = [_Greater(key(m), m) for m in work]
+    heapify(heap)
+    entered: list = []
+    while heap:
+        le = heappop(heap).m
+        if le not in work:
+            continue
         for i, (gl, gc, g) in enumerate(divisors):
             if _divides(gl[0], le[0]) and _divides(gl[1], le[1]):
                 break
@@ -203,7 +239,10 @@ def _divide(f: dict, divisors, key) -> tuple[list[dict], dict]:
         shift = (_sub(le[0], gl[0]), _sub(le[1], gl[1]))
         factor = work[le] / gc
         quots[i][shift] = quots[i].get(shift, 0) + factor
-        _lmul(work, -factor, *shift, g)
+        _lmul(work, -factor, *shift, g, entered)
+        for m in entered:
+            heappush(heap, _Greater(key(m), m))
+        entered.clear()
     return quots, rem
 
 
@@ -224,8 +263,10 @@ def _add_cofactors(acc: list[dict], quots: list[dict], reps, sign: int) -> None:
     """acc[t] += sign * sum over k of quots[k] . reps[k][t]."""
     for q, rep in zip(quots, reps):
         for (a, b), c in q.items():
+            coeff = sign * c
             for t, r in enumerate(rep):
-                _lmul(acc[t], sign * c, a, b, r)
+                if r:
+                    _lmul(acc[t], coeff, a, b, r)
 
 
 @dataclass(frozen=True)
@@ -278,8 +319,8 @@ def _buchberger(gens, key, cap: int | None = None, coprime_skip: bool = False, c
     def chained(i, j, l) -> bool:
         return any(
             k != i and k != j
-            and _divides(lk[0], l[0]) and _divides(lk[1], l[1])
             and (min(i, k), max(i, k)) in popped and (min(k, j), max(k, j)) in popped
+            and _divides(lk[0], l[0]) and _divides(lk[1], l[1])
             for k, (lk, _, _) in enumerate(divisors)
         )
 
@@ -443,10 +484,23 @@ class MembershipCertificate:
     basis_status: str
 
     def verify(self, gens: Iterable[WeylOperator]) -> bool:
-        total = WeylOperator.zero(self.query.nvars)
+        """sum cofactor_i . gen_i + normal form == query, exactly.
+
+        False when the cofactor count differs from the generator count;
+        DimensionMismatchError when the variable counts differ.
+        """
+        gens = list(gens)
+        if len(gens) != len(self.cofactors):
+            return False
+        self.query._check(self.normal_form)
+        acc = {(mu, nu): c for mu, nu, c in self.normal_form.terms}
         for q, g in zip(self.cofactors, gens):
-            total = total + normal_product(q, g)
-        return total + self.normal_form == self.query
+            self.query._check(q)
+            self.query._check(g)
+            gd = {(mu, nu): c for mu, nu, c in g.terms}
+            for mu, nu, c in q.terms:
+                _lmul(acc, c, mu, nu, gd)
+        return WeylOperator.make(self.query.nvars, acc) == self.query
 
     def to_json(self) -> dict:
         member = self.member if isinstance(self.member, str) else bool(self.member)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial
+from operator import add, sub
 from typing import Iterable, Mapping
 
 from .errors import DhyperError, DimensionMismatchError, InputFormatError
@@ -22,11 +23,11 @@ Expo = tuple[int, ...]
 
 
 def _add(u: Expo, v: Expo) -> Expo:
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(add, u, v))
 
 
 def _sub(u: Expo, v: Expo) -> Expo:
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(sub, u, v))
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,7 @@ class WeylOperator:
                 raise DimensionMismatchError("exponent length does not match nvars")
             if any(e < 0 for e in mu) or any(e < 0 for e in nu):
                 raise InputFormatError("negative operator exponent")
-            q = Fraction(c)
+            q = c if type(c) is Fraction else Fraction(c)
             if q:
                 clean[(tuple(mu), tuple(nu))] = q
         items = tuple((mu, nu, clean[(mu, nu)]) for mu, nu in sorted(clean))
@@ -134,17 +135,27 @@ class WeylOperator:
     @staticmethod
     def from_json(obj: dict) -> "WeylOperator":
         try:
-            nvars = int(obj["nvars"])
+            nvars = _json_int(obj["nvars"])
             mapping = {}
             for t in obj["terms"]:
-                key = (tuple(int(e) for e in t["x"]), tuple(int(e) for e in t["dx"]))
+                key = (tuple(map(_json_int, t["x"])), tuple(map(_json_int, t["dx"])))
                 mapping[key] = mapping.get(key, Fraction(0)) + parse_fraction(t["coeff"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InputFormatError(f"bad operator json: {exc}") from exc
+        if nvars < 0:
+            raise InputFormatError(f"bad operator json: nvars {nvars} is negative")
         return WeylOperator.make(nvars, mapping)
 
     def __str__(self) -> str:
         return _format_terms(self.terms)
+
+
+def _json_int(v) -> int:
+    # JSON true/false decode to bool, a subclass of int; strings and floats
+    # are not integers either
+    if type(v) is not int:
+        raise TypeError(f"expected an integer, got {v!r}")
+    return v
 
 
 def _format_terms(terms) -> str:
@@ -188,17 +199,23 @@ def _term_product(mu1: Expo, nu1: Expo, mu2: Expo, nu2: Expo):
 
     d^nu x^mu = sum_k (nu choose k)(mu choose k) k! x^(mu-k) d^(nu-k),
     componentwise over 0 <= k <= min(nu, mu).  The weights are integers.
+    When nu1 and mu2 share no nonzero index (always so for x-free
+    operators) the product is the single term x^(mu1+mu2) d^(nu1+nu2).
     """
     mu, nu = _add(mu1, mu2), _add(nu1, nu2)
+    if not any(map(min, nu1, mu2)):
+        return (((mu, nu), 1),)
+    out = []
     for k in product(*[range(min(a, b) + 1) for a, b in zip(nu1, mu2)]):
         if not any(k):
-            yield (mu, nu), 1
+            out.append(((mu, nu), 1))
             continue
         w = 1
         for a, b, kk in zip(nu1, mu2, k):
             if kk:
                 w *= comb(a, kk) * comb(b, kk) * factorial(kk)
-        yield (_sub(mu, k), _sub(nu, k)), w
+        out.append(((_sub(mu, k), _sub(nu, k)), w))
+    return out
 
 
 def a_degree_components(a: IntMatrix, p: WeylOperator) -> list[tuple[Expo, WeylOperator]]:

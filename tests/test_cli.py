@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -210,3 +211,40 @@ def test_unexpected_exception_exits_internal_error(capsys, monkeypatch):
     code, rep = run_main(capsys, ["facets", "--a", A_JSON])
     assert code == cli.EXIT_INTERNAL == 6
     assert rep == {"error": "internal error: RuntimeError: boom", "exit_code": 6}
+
+
+ONE_D = {"x": [0], "dx": [1], "coeff": "1"}
+
+
+@pytest.mark.parametrize(
+    "gens,query",
+    [
+        (
+            [{"nvars": True, "terms": [{"x": [True], "dx": [False], "coeff": "1"}]}],
+            {"nvars": "1", "terms": [{"x": ["1"], "dx": [0], "coeff": "2"}]},
+        ),
+        ([{"nvars": 1, "terms": [ONE_D]}], {"nvars": "1", "terms": [ONE_D]}),
+        ([{"nvars": 1, "terms": [ONE_D]}], {"nvars": 1, "terms": [{"x": [True], "dx": [0], "coeff": "1"}]}),
+        ([{"nvars": 1, "terms": [{"x": ["0"], "dx": [1], "coeff": "1"}]}], {"nvars": 1, "terms": [ONE_D]}),
+        ([{"nvars": -1, "terms": []}], {"nvars": -1, "terms": []}),
+    ],
+)
+def test_operator_json_with_non_integers_exits_bad_input(capsys, gens, query):
+    code = cli.main(["membership", "--gens", json.dumps(gens), "--query", json.dumps(query)])
+    out = capsys.readouterr().out
+    rep = json.loads(out)  # exactly one JSON object: trailing data would not parse
+    assert code == rep["exit_code"] == 2
+    assert "bad operator json" in rep["error"]
+
+
+# SHA-256 of the canonical example-erdelyi report at the default parameters.
+# Performance work must leave these bytes alone; a deliberate change to the
+# report updates the digest and says why.
+ERDELYI_REPORT_SHA256 = "1a88d067cb322f2bb53e48d14aa9c9e9eb153beaca5f27617407803880312b91"
+
+
+def test_example_erdelyi_report_bytes_are_pinned(capsys, monkeypatch):
+    monkeypatch.delenv("DHYPER_SEED", raising=False)
+    assert cli.main(["example-erdelyi"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == ERDELYI_REPORT_SHA256

@@ -1,6 +1,9 @@
 from contextlib import contextmanager
+from dataclasses import replace
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
+from itertools import product
+from math import comb, factorial
 
 import pytest
 from hypothesis import example, given, settings
@@ -437,3 +440,122 @@ def test_pair_stats_are_deterministic():
     capped = groebner_weyl(horn_demo_gens(), cap=4)
     assert capped.status == "capped"
     assert capped.stats == PairStats(considered=21, zero_reductions=13, added=3, cap_drops=5)
+
+
+# ---------------------------------------------------------------------------
+# The heap-led division kernel against the max-led reference loop
+
+
+def reference_term_product(mu1, nu1, mu2, nu2):
+    """x^mu1 d^nu1 . x^mu2 d^nu2 by the general reordering formula, no shortcut."""
+    out = []
+    for k in product(*[range(min(a, b) + 1) for a, b in zip(nu1, mu2)]):
+        w = 1
+        for a, b, kk in zip(nu1, mu2, k):
+            w *= comb(a, kk) * comb(b, kk) * factorial(kk)
+        mu = tuple(a + b - kk for a, b, kk in zip(mu1, mu2, k))
+        nu = tuple(a + b - kk for a, b, kk in zip(nu1, nu2, k))
+        out.append(((mu, nu), w))
+    return out
+
+
+def reference_divide(f, divisors, key):
+    """Left division that takes each lead as the max of the working operator."""
+    quots = [{} for _ in divisors]
+    rem = {}
+    work = dict(f)
+    while work:
+        le = max(work, key=key)
+        for i, (gl, gc, g) in enumerate(divisors):
+            if all(a <= b for a, b in zip(gl[0] + gl[1], le[0] + le[1])):
+                break
+        else:
+            rem[le] = work.pop(le)
+            continue
+        shift = (tuple(a - b for a, b in zip(le[0], gl[0])), tuple(a - b for a, b in zip(le[1], gl[1])))
+        factor = work[le] / gc
+        quots[i][shift] = quots[i].get(shift, 0) + factor
+        for (mu, nu), c in g.items():
+            for k, w in reference_term_product(*shift, mu, nu):
+                v = work.get(k, 0) - factor * c * w
+                if v:
+                    work[k] = v
+                else:
+                    work.pop(k, None)
+    return quots, rem
+
+
+@st.composite
+def division_problems(draw):
+    n = draw(st.integers(2, 3))
+    xfree = draw(st.booleans())
+    zero = st.just((0,) * n)
+    small = st.tuples(*[st.integers(0, 1)] * n)
+    large = st.tuples(*[st.integers(0, 3)] * n)
+    coeff = st.sampled_from([-3, -2, -1, 1, 2, Fraction(1, 2)])
+
+    def random_op(expo, size):
+        mons = st.tuples(zero if xfree else expo, expo)
+        return draw(st.dictionaries(mons, coeff, min_size=1, max_size=size))
+
+    f = {m: Fraction(c) for m, c in random_op(large, 6).items()}
+    gs = [{m: Fraction(c) for m, c in random_op(small, 3).items()} for _ in range(draw(st.integers(1, 3)))]
+    if xfree and draw(st.booleans()):
+        key = groebner._comm_key(BlockElim(1, n))
+    elif xfree:
+        key = groebner._comm_key(DegRevLex(n))
+    else:
+        key = groebner._weyl_key(DegRevLex(2 * n))
+    return f, [groebner._divisor(g, key) for g in gs], key
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(division_problems())
+def test_heap_led_division_matches_reference(problem):
+    f, divisors, key = problem
+    assert groebner._divide(f, divisors, key) == reference_divide(f, divisors, key)
+
+
+@lru_cache(maxsize=None)
+def horn_demo_basis():
+    return groebner_weyl(horn_demo_gens(), cap=10)
+
+
+def replays_by_products(cert, gens):
+    total = cert.normal_form
+    for q, g in zip(cert.cofactors, gens):
+        total = total + normal_product(q, g)
+    return len(cert.cofactors) == len(gens) and total == cert.query
+
+
+@st.composite
+def horn_queries(draw):
+    mon = st.tuples(st.tuples(*[st.integers(0, 1)] * 4), st.tuples(*[st.integers(0, 1)] * 4))
+    ops = st.dictionaries(mon, st.sampled_from([-2, -1, 1, 3]), max_size=2).map(partial(dop, 4))
+    cofactors = draw(st.lists(ops, min_size=4, max_size=4))
+    return cofactors, draw(ops)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(horn_queries())
+def test_single_pass_replay_matches_product_replay(case):
+    cofactors, perturbation = case
+    gens = horn_demo_gens()
+    query = perturbation
+    for q, g in zip(cofactors, gens):
+        query = query + normal_product(q, g)
+    cert = horn_demo_basis().membership(query)
+    assert cert.verify(gens) is replays_by_products(cert, gens) is True
+    wrong = replace(cert, normal_form=cert.normal_form + WeylOperator.one(4))
+    assert wrong.verify(gens) is replays_by_products(wrong, gens) is False
+
+
+def test_replay_rejects_generator_count_mismatch():
+    gens = horn_demo_gens()
+    query = normal_product(WeylOperator.x(0, 4), gens[0]) + gens[3]
+    cert = horn_demo_basis().membership(query)
+    assert cert.verify(gens)
+    assert not cert.verify(gens[:1])
+    assert not cert.verify(gens + [WeylOperator.one(4)])
+    with pytest.raises(DimensionMismatchError):
+        cert.verify([WeylOperator.one(3)] * len(gens))

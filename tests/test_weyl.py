@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from dhyper.errors import DhyperError, DimensionMismatchError
+from dhyper.errors import DhyperError, DimensionMismatchError, InputFormatError
 from dhyper.exact import IntMatrix, RatVector
 from dhyper.series import PuiseuxSeries, gamma_series
 from dhyper.weyl import (
@@ -171,6 +171,17 @@ def test_theta_evaluate_matches_action_on_monomials():
 def test_operator_json_round_trip():
     p = dop((1, 0, 0, 1)) - dop((0, 1, 1, 0)).scale(Fraction(2, 3))
     assert WeylOperator.from_json(p.to_json()) == p
+
+
+@pytest.mark.parametrize(
+    "nvars,x",
+    [(True, [1]), ("1", [1]), (1.0, [1]), (-1, [1]), (1, [True]), (1, ["1"]), (1, [1.0]), (1, "1")],
+)
+def test_operator_json_requires_integers(nvars, x):
+    # bool is a subclass of int and int() accepts numeric strings and floats
+    obj = {"nvars": nvars, "terms": [{"x": x, "dx": [0], "coeff": "2"}]}
+    with pytest.raises(InputFormatError, match="bad operator json"):
+        WeylOperator.from_json(obj)
 
 
 def test_nvars_mismatch_rejected():
