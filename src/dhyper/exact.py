@@ -32,12 +32,24 @@ def parse_fraction(s) -> Fraction:
     """Parse 'p/q' or 'p' (decimal strings) into an exact rational."""
     if isinstance(s, Fraction):
         return s
+    if isinstance(s, bool):
+        # JSON true/false decode to bool, a subclass of int
+        raise InputFormatError(f"not a rational literal: {s!r}")
     if isinstance(s, int):
         return Fraction(s)
     try:
         return Fraction(str(s))
     except (ValueError, ZeroDivisionError) as e:
         raise InputFormatError(f"not a rational literal: {s!r}") from e
+
+
+def json_int(v) -> int:
+    """v itself when it is a JSON integer; TypeError otherwise."""
+    # JSON true/false decode to bool, a subclass of int; strings and floats
+    # are not integers either
+    if type(v) is not int:
+        raise TypeError(f"expected an integer, got {v!r}")
+    return v
 
 
 def format_fraction(q: Fraction) -> str:
@@ -349,13 +361,6 @@ class _Workspace:
         for row in self.v:
             row[i] += k * row[j]
         self.vinv[j] = [a - k * b for a, b in zip(self.vinv[j], self.vinv[i])]
-
-    def negate_col(self, i):
-        for row in self.m:
-            row[i] = -row[i]
-        for row in self.v:
-            row[i] = -row[i]
-        self.vinv[i] = [-a for a in self.vinv[i]]
 
 
 def _find_pivot(w: _Workspace, k: int):

@@ -30,7 +30,7 @@ from .errors import (
     LatticeCollisionError,
     ZeroFactorialError,
 )
-from .exact import IntMatrix, RatVector, format_fraction, parse_fraction, smith_form
+from .exact import IntMatrix, RatVector, format_fraction, json_int, parse_fraction, smith_form
 
 _smith = lru_cache(maxsize=256)(smith_form)
 
@@ -182,9 +182,6 @@ class PuiseuxSeries:
     def support(self) -> list[tuple[int, ...]]:
         return sorted(self.coeffs)
 
-    def is_zero_on_window(self) -> bool:
-        return not self.coeffs and not self.window_exhausted
-
     def to_json(self) -> dict:
         return {
             "v": [format_fraction(q) for q in self.base],
@@ -202,14 +199,16 @@ class PuiseuxSeries:
     def from_json(obj: dict) -> "PuiseuxSeries":
         try:
             base = [parse_fraction(s) for s in obj["v"]]
-            lattice = IntMatrix.from_rows([[int(x) for x in r] for r in obj["lattice"]])
+            lattice = IntMatrix.from_rows([[json_int(x) for x in r] for r in obj["lattice"]])
             coeffs = {
-                tuple(int(x) for x in t["u"]): parse_fraction(t["coeff"])
+                tuple(json_int(x) for x in t["u"]): parse_fraction(t["coeff"])
                 for t in obj["terms"]
             }
-            window = int(obj["window"])
-            reliable = int(obj["reliable"])
-            exhausted = bool(obj.get("window_exhausted", False))
+            window = json_int(obj["window"])
+            reliable = json_int(obj["reliable"])
+            exhausted = obj.get("window_exhausted", False)
+            if type(exhausted) is not bool:
+                raise TypeError(f"expected a boolean, got {exhausted!r}")
         except (KeyError, TypeError, ValueError) as exc:
             raise InputFormatError(f"bad series json: {exc}") from exc
         return PuiseuxSeries.make(
@@ -247,7 +246,7 @@ def shift(f: PuiseuxSeries, alpha: tuple[int, ...], direction: str) -> PuiseuxSe
     factorial [v+u+alpha]_alpha to be nonzero at every window point so the
     division is defined throughout.
     """
-    from .weyl import falling_factorial, term_action_factor
+    from .weyl import _integer_action
 
     alpha = tuple(int(a) for a in alpha)
     if len(alpha) != f.nvars:
@@ -256,32 +255,36 @@ def shift(f: PuiseuxSeries, alpha: tuple[int, ...], direction: str) -> PuiseuxSe
         raise InputFormatError("shift exponent must be nonnegative")
     if direction == DERIVE:
         base_out = tuple(b - a for b, a in zip(f.base, alpha))
+        # factor [v + u]_alpha = I / D^|alpha| with I the integer kernel value
+        d, action = _integer_action(f.base)
+        d_pow = d ** sum(alpha)
         coeffs = {}
-        for u, c in f.coeffs.items():
-            factor = term_action_factor(alpha, f.exponent(u))
+        for z, u in f._index.items():
+            factor = action(alpha, u)
             if factor:
-                coeffs[u] = c * factor
-        return PuiseuxSeries.make(
-            f.nvars, base_out, f.lattice, coeffs,
-            window=f.window, reliable=f.reliable,
-            window_exhausted=f.window_exhausted,
-        )
-    if direction != ANTIDERIVE:
+                c = f.coeffs[u]
+                coeffs[z] = Fraction(c.numerator * factor, c.denominator * d_pow)
+    elif direction == ANTIDERIVE:
+        base_out = tuple(b + a for b, a in zip(f.base, alpha))
+        d, action = _integer_action(base_out)
+        d_pow = d ** sum(alpha)
+        divisors: dict[tuple[int, ...], int] = {}
+        m = f.lattice.cols
+        for w in product(range(-f.window, f.window + 1), repeat=m):
+            u = _ambient(f.lattice, w)
+            factor = action(alpha, u)
+            if not factor:
+                raise ZeroFactorialError(
+                    f"falling factorial vanishes at window point {u}"
+                )
+            divisors[w] = factor
+        coeffs = {}
+        for z, u in f._index.items():
+            c = f.coeffs[u]
+            coeffs[z] = Fraction(c.numerator * d_pow, c.denominator * divisors[z])
+    else:
         raise InputFormatError(f"unknown shift direction: {direction!r}")
-    base_out = tuple(b + a for b, a in zip(f.base, alpha))
-    divisors: dict[tuple[int, ...], Fraction] = {}
-    m = f.lattice.cols
-    for w in product(range(-f.window, f.window + 1), repeat=m):
-        u = _ambient(f.lattice, w)
-        expo = tuple(b + x for b, x in zip(base_out, u))
-        factor = term_action_factor(alpha, expo)
-        if not factor:
-            raise ZeroFactorialError(
-                f"falling factorial vanishes at window point {u}"
-            )
-        divisors[u] = factor
-    coeffs = {u: c / divisors[u] for u, c in f.coeffs.items()}
-    return PuiseuxSeries.make(
+    return PuiseuxSeries._from_coords(
         f.nvars, base_out, f.lattice, coeffs,
         window=f.window, reliable=f.reliable,
         window_exhausted=f.window_exhausted,
@@ -548,8 +551,13 @@ def gamma_series(
 def _gamma_fill(
     a: IntMatrix, lat: IntMatrix, v: tuple[Fraction, ...], window: int
 ) -> PuiseuxSeries:
-    """Propagate coefficients outward from the origin and verify every edge."""
-    from .weyl import _memo_action
+    """Propagate coefficients outward from the origin and verify every edge.
+
+    Falling factorials come from the integer kernel scaled by D (the lcm of
+    the denominators of v), so each new coefficient is one Fraction built
+    from integers, and each edge check is an integer cross-multiplication.
+    """
+    from .weyl import _integer_action
 
     m = lat.cols
     moves = lat.columns()
@@ -557,7 +565,12 @@ def _gamma_fill(
     neg = [tuple(max(-x, 0) for x in b) for b in moves]
     order = sorted(product(range(-window, window + 1), repeat=m), key=lambda t: (_sup(t), t))
     amb = {z: _ambient(lat, z) for z in order}
-    action = _memo_action(v)
+    d, action = _integer_action(v)
+    # action gives I(nu) = D^|nu| [v + u]_nu; along move i only the ratio
+    # up_i / down_i = D^(|pos_i| - |neg_i|) of the scalings survives
+    # (it is 1 when a is homogeneous)
+    up = [d ** max(sum(p) - sum(q), 0) for p, q in zip(pos, neg)]
+    down = [d ** max(sum(q) - sum(p), 0) for p, q in zip(pos, neg)]
 
     lam: dict[tuple[int, ...], Fraction] = {(0,) * m: Fraction(1)}
     pending = [z for z in order if z not in lam]
@@ -574,11 +587,18 @@ def _gamma_fill(
                     src = tuple(x - sgn if j == i else x for j, x in enumerate(z))
                     if src not in lam:
                         continue
-                    into, outof = (pos[i], neg[i]) if sgn == 1 else (neg[i], pos[i])
+                    if sgn == 1:
+                        into, outof, num_pow, den_pow = pos[i], neg[i], up[i], down[i]
+                    else:
+                        into, outof, num_pow, den_pow = neg[i], pos[i], down[i], up[i]
                     mult = action(into, amb[z])
                     if not mult:
                         continue
-                    got = lam[src] * action(outof, amb[src]) / mult
+                    prev = lam[src]
+                    got = Fraction(
+                        prev.numerator * action(outof, amb[src]) * num_pow,
+                        prev.denominator * mult * den_pow,
+                    )
                     break
                 if got is not None:
                     break
@@ -594,13 +614,17 @@ def _gamma_fill(
         )
 
     # every unit edge inside the window must satisfy the two-sided relation
+    # lam[z + e_i] [v + u']_pos = lam[z] [v + u]_neg, cross-multiplied in
+    # integers (denominators are positive)
     for z in order:
+        n0, d0 = lam[z].numerator, lam[z].denominator
         for i in range(m):
             znext = tuple(x + 1 if j == i else x for j, x in enumerate(z))
             if _sup(znext) > window:
                 continue
-            lhs = lam[znext] * action(pos[i], amb[znext])
-            rhs = lam[z] * action(neg[i], amb[z])
+            n1, d1 = lam[znext].numerator, lam[znext].denominator
+            lhs = n1 * action(pos[i], amb[znext]) * d0 * down[i]
+            rhs = n0 * action(neg[i], amb[z]) * d1 * up[i]
             if lhs != rhs:
                 raise CycleInconsistentError(
                     f"edge {z} -> {znext} violates the recurrence"

@@ -12,12 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, lcm
 from operator import add, sub
 from typing import Iterable, Mapping
 
 from .errors import DhyperError, DimensionMismatchError, InputFormatError
-from .exact import IntMatrix, RatVector, format_fraction, parse_fraction
+from .exact import IntMatrix, RatVector, format_fraction, json_int, parse_fraction
 
 Expo = tuple[int, ...]
 
@@ -114,11 +114,6 @@ class WeylOperator:
     def __mul__(self, other: "WeylOperator") -> "WeylOperator":
         return normal_product(self, other)
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(mu) + sum(nu) for mu, nu, _ in self.terms)
-
     def shifts(self) -> list[Expo]:
         """Exponent shifts mu - nu contributed by each term, deduplicated."""
         return sorted({_sub(mu, nu) for mu, nu, _ in self.terms})
@@ -135,10 +130,10 @@ class WeylOperator:
     @staticmethod
     def from_json(obj: dict) -> "WeylOperator":
         try:
-            nvars = _json_int(obj["nvars"])
+            nvars = json_int(obj["nvars"])
             mapping = {}
             for t in obj["terms"]:
-                key = (tuple(map(_json_int, t["x"])), tuple(map(_json_int, t["dx"])))
+                key = (tuple(map(json_int, t["x"])), tuple(map(json_int, t["dx"])))
                 mapping[key] = mapping.get(key, Fraction(0)) + parse_fraction(t["coeff"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InputFormatError(f"bad operator json: {exc}") from exc
@@ -148,14 +143,6 @@ class WeylOperator:
 
     def __str__(self) -> str:
         return _format_terms(self.terms)
-
-
-def _json_int(v) -> int:
-    # JSON true/false decode to bool, a subclass of int; strings and floats
-    # are not integers either
-    if type(v) is not int:
-        raise TypeError(f"expected an integer, got {v!r}")
-    return v
 
 
 def _format_terms(terms) -> str:
@@ -353,28 +340,36 @@ def term_action_factor(nu: Expo, exponent: Iterable[Fraction]) -> Fraction:
     return v
 
 
-def _memo_action(base: tuple[Fraction, ...]):
-    """term_action_factor(nu, base + u) as a function of (nu, u).
+def _integer_action(base: tuple[Fraction, ...]):
+    """D and the integer D^|nu| term_action_factor(nu, base + u), as a function of (nu, u).
 
-    Each falling factorial is memoised under (coordinate j, u_j, order k)
-    in a dict that lives as long as the returned function.
+    D is the lcm of the denominators of base, so D^k [b_j + u_j]_k is the
+    integer prod_{t < k} (D b_j + D u_j - D t).  Each such product is
+    memoised under (coordinate j, u_j, order k) in a dict that lives as
+    long as the returned function.
     """
-    memo: dict[tuple[int, int, int], Fraction] = {}
+    d = lcm(*(q.denominator for q in base))
+    scaled = [q.numerator * (d // q.denominator) for q in base]
+    memo: dict[tuple[int, int, int], int] = {}
 
-    def action(nu: Expo, u: Expo) -> Fraction:
-        v = None
+    def action(nu: Expo, u: Expo) -> int:
+        v = 1
         for j, k in enumerate(nu):
             if k:
                 key = (j, u[j], k)
                 ff = memo.get(key)
                 if ff is None:
-                    ff = memo[key] = falling_factorial(base[j] + u[j], k)
+                    top = scaled[j] + d * u[j]
+                    ff = 1
+                    for t in range(k):
+                        ff *= top - d * t
+                    memo[key] = ff
                 if not ff:
-                    return ff
-                v = ff if v is None else v * ff
-        return Fraction(1) if v is None else v
+                    return 0
+                v *= ff
+        return v
 
-    return action
+    return d, action
 
 
 def apply_to_series(p: WeylOperator, f):
@@ -413,11 +408,19 @@ def _apply_single_class(p: WeylOperator, f, delta0: Expo, coords: Mapping[Expo, 
     """
     from .series import PuiseuxSeries, _sup
 
-    stencil: dict[Expo, list[tuple[Expo, Fraction]]] = {}
+    # term c x^mu d^nu weighs c [base + u]_nu; with K = max |nu| and E the
+    # lcm of the coefficient denominators it is stored as the integer
+    # c E D^(K - |nu|), so that action(nu, u) turns it into E D^K times
+    # the rational weight and each output is divided by E D^K once
+    d, action = _integer_action(f.base)
+    k_max = max(sum(nu) for _, nu, _ in p.terms)
+    e = lcm(*(c.denominator for _, _, c in p.terms))
+    stencil: dict[Expo, list[tuple[Expo, int]]] = {}
     for mu, nu, c in p.terms:
-        stencil.setdefault(coords[_sub(mu, nu)], []).append((nu, c))
+        scaled = c.numerator * (e // c.denominator) * d ** (k_max - sum(nu))
+        stencil.setdefault(coords[_sub(mu, nu)], []).append((nu, scaled))
     max_shift = max(map(_sup, stencil))
-    base_out = tuple(b + d for b, d in zip(f.base, delta0))
+    base_out = tuple(b + s for b, s in zip(f.base, delta0))
     reliable = f.reliable - max_shift
     if reliable < 0:
         return PuiseuxSeries.make(
@@ -425,7 +428,6 @@ def _apply_single_class(p: WeylOperator, f, delta0: Expo, coords: Mapping[Expo, 
             window_exhausted=True,
         )
 
-    action = _memo_action(f.base)
     acc: dict[Expo, Fraction] = {}
     for z, u in f._index.items():
         lam = f.coeffs[u]
@@ -434,14 +436,15 @@ def _apply_single_class(p: WeylOperator, f, delta0: Expo, coords: Mapping[Expo, 
             if _sup(w) > reliable:
                 continue
             # sum of c [base + u]_nu over the offset's terms: lam multiplies once
-            nu, c = group[0]
-            weight = c * action(nu, u)
-            for nu, c in group[1:]:
+            weight = 0
+            for nu, c in group:
                 weight += c * action(nu, u)
             if weight:
                 acc[w] = acc.get(w, 0) + lam * weight
+    scale = e * d**k_max
     return PuiseuxSeries._from_coords(
-        f.nvars, base_out, f.lattice, acc, window=reliable, reliable=reliable,
+        f.nvars, base_out, f.lattice, {w: q / scale for w, q in acc.items()},
+        window=reliable, reliable=reliable,
     )
 
 

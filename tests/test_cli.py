@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from dhyper import cli
+from dhyper.exact import IntMatrix
 from dhyper.series import PuiseuxSeries
+from dhyper.systems import hypergeometric_system
 
 A_JSON = "[[3,2,1,0],[0,1,2,3]]"
 B_JSON = "[[1,0],[-2,1],[1,-2],[0,1]]"
@@ -248,3 +250,50 @@ def test_example_erdelyi_report_bytes_are_pinned(capsys, monkeypatch):
     assert cli.main(["example-erdelyi"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == ERDELYI_REPORT_SHA256
+
+
+@pytest.mark.parametrize("field,value", [("reliable", True), ("window", "3")])
+def test_series_json_with_non_integers_exits_bad_input(capsys, field, value):
+    series = {"v": ["1/2"], "lattice": [[1]], "terms": [{"u": [0], "coeff": "1"}], "window": 3, "reliable": 3}
+    series[field] = value
+    gens = [{"nvars": 1, "terms": [ONE_D]}]
+    code = cli.main(["annihilate", "--gens", json.dumps(gens), "--series", json.dumps(series)])
+    out = capsys.readouterr().out
+    rep = json.loads(out)  # exactly one JSON object: trailing data would not parse
+    assert code == rep["exit_code"] == 2
+    assert "bad series json" in rep["error"]
+
+
+# SHA-256 of the canonical gamma report for the demo matrix at window 8, and
+# of the annihilate report of that series against the demo A-hypergeometric
+# generators.  Like the example-erdelyi pin: performance work leaves these
+# bytes alone.
+GAMMA_REPORT_SHA256 = "3d78dfe5f7e77e28ba3eb9fbc18181ee74c8dd735a96f6f8a76080e67ce8cfc0"
+ANNIHILATE_REPORT_SHA256 = "256b5323229071067b1c32bf11c6e555e153508e4bd0bf54b6ae0701a850f662"
+
+
+def _demo_gamma_report(capsys, monkeypatch):
+    monkeypatch.delenv("DHYPER_SEED", raising=False)
+    assert cli.main(["gamma", "--a", A_JSON, "--beta", BETA_JSON, "--window", "8"]) == 0
+    return capsys.readouterr().out
+
+
+def test_gamma_report_bytes_are_pinned(capsys, monkeypatch):
+    out = _demo_gamma_report(capsys, monkeypatch)
+    assert hashlib.sha256(out.encode()).hexdigest() == GAMMA_REPORT_SHA256
+
+
+def test_annihilate_report_bytes_are_pinned(capsys, monkeypatch):
+    series = json.loads(_demo_gamma_report(capsys, monkeypatch))["results"]["series"]
+    a = IntMatrix.from_rows(json.loads(A_JSON))
+    beta = tuple(Fraction(q) for q in json.loads(BETA_JSON))
+    gens = [p.to_json() for p in hypergeometric_system(a, beta).generators]
+    argv = [
+        "annihilate",
+        "--gens", json.dumps(gens, sort_keys=True),
+        "--series", json.dumps(series, sort_keys=True),
+    ]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["results"]["annihilation"]["all_zero"]
+    assert hashlib.sha256(out.encode()).hexdigest() == ANNIHILATE_REPORT_SHA256

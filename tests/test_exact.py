@@ -9,7 +9,7 @@ from itertools import combinations
 
 import pytest
 
-from dhyper.errors import NotFullRankError, ZeroColumnError
+from dhyper.errors import InputFormatError, NotFullRankError, ZeroColumnError
 from dhyper.exact import (
     ConeFacet,
     IntMatrix,
@@ -23,6 +23,7 @@ from dhyper.exact import (
     lattice_index,
     lattices_equal,
     nonresonant_shift_closure,
+    parse_fraction,
     positive_functional,
     smith_form,
     solve_rational,
@@ -45,6 +46,13 @@ def frac(s):
 
 def _random_matrix(rng, r, c, lo=-5, hi=5):
     return IntMatrix.from_rows([[rng.randint(lo, hi) for _ in range(c)] for _ in range(r)])
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_parse_fraction_rejects_booleans(value):
+    # JSON true/false decode to bool, a subclass of int
+    with pytest.raises(InputFormatError, match="not a rational literal"):
+        parse_fraction(value)
 
 
 def test_smith_form_identities_random():

@@ -3,9 +3,12 @@ construction, annihilation verdicts."""
 
 from __future__ import annotations
 
+import copy
 import random
+import re
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -36,7 +39,13 @@ from dhyper.series import (
     recurrence_series,
     shift,
 )
-from dhyper.weyl import WeylOperator, apply_to_series, euler_generators, term_action_factor
+from dhyper.weyl import (
+    WeylOperator,
+    apply_to_series,
+    euler_generators,
+    term_action_factor,
+    _integer_action,
+)
 
 A_DEMO = IntMatrix.from_rows([[3, 2, 1, 0], [0, 1, 2, 3]])
 B_DEMO = IntMatrix.from_rows([[1, 0], [-2, 1], [1, -2], [0, 1]])
@@ -123,6 +132,80 @@ def test_series_json_round_trip():
     assert PuiseuxSeries.from_json(f.to_json()) == f
 
 
+SMALL_SERIES = {
+    "v": ["1/2"],
+    "lattice": [[1]],
+    "terms": [{"u": [0], "coeff": "1"}],
+    "window": 3,
+    "reliable": 3,
+    "window_exhausted": False,
+}
+
+
+def test_small_series_json_parses():
+    f = PuiseuxSeries.from_json(SMALL_SERIES)
+    assert (f.window, f.reliable, f.window_exhausted) == (3, 3, False)
+    assert f.coeffs == {(0,): Fraction(1)}
+
+
+@pytest.mark.parametrize(
+    "path,value",
+    [
+        (("terms", 0, "u", 0), True),
+        (("terms", 0, "u", 0), "0"),
+        (("terms", 0, "u", 0), 0.0),
+        (("lattice", 0, 0), True),
+        (("lattice", 0, 0), "1"),
+        (("lattice", 0, 0), 1.0),
+        (("window",), True),
+        (("window",), "3"),
+        (("window",), 3.0),
+        (("reliable",), True),
+        (("reliable",), "3"),
+        (("reliable",), 3.0),
+        (("window_exhausted",), 0),
+        (("window_exhausted",), "false"),
+        (("window_exhausted",), None),
+        (("terms", 0, "coeff"), True),
+    ],
+)
+def test_series_json_rejects_non_integers_and_non_booleans(path, value):
+    obj = copy.deepcopy(SMALL_SERIES)
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(InputFormatError):
+        PuiseuxSeries.from_json(obj)
+
+
+# ---------------------------------------------------------------------------
+# Integer falling factorials
+
+
+@pytest.mark.parametrize(
+    "base,box",
+    [
+        # mixed denominators and one integer coordinate: D = 6
+        ((Fraction(1, 2), Fraction(-2, 3), Fraction(5, 6), Fraction(0)), range(-1, 2)),
+        # integer base: D = 1 and [b + u]_k vanishes for 0 <= b + u < k
+        ((Fraction(0), Fraction(1), Fraction(-2)), range(-2, 3)),
+    ],
+)
+def test_integer_action_is_scaled_falling_factorial(base, box):
+    d, action = _integer_action(base)
+    assert d == lcm(*(q.denominator for q in base))
+    zeros = 0
+    for nu in product(range(4), repeat=len(base)):
+        for u in product(box, repeat=len(base)):
+            got = action(nu, u)
+            exponent = tuple(b + x for b, x in zip(base, u))
+            assert type(got) is int
+            assert got == d ** sum(nu) * term_action_factor(nu, exponent)
+            zeros += not got
+    assert zeros > 0
+
+
 # ---------------------------------------------------------------------------
 # Shifts
 
@@ -146,6 +229,40 @@ def test_antiderive_zero_factorial():
     mono = PuiseuxSeries.monomial([Fraction(-1)])
     with pytest.raises(ZeroFactorialError):
         shift(mono, (1,), ANTIDERIVE)
+
+
+def test_shift_matches_ambient_factors():
+    f = gamma_series(A_DEMO, BETA_DEMO, window=3)
+    alpha = (1, 0, 2, 1)
+    down = shift(f, alpha, DERIVE)
+    expected = {}
+    for u, c in f.coeffs.items():
+        factor = term_action_factor(alpha, f.exponent(u))
+        if factor:
+            expected[u] = c * factor
+    assert down.coeffs == expected
+    up = shift(f, alpha, ANTIDERIVE)
+    assert up.coeffs == {
+        u: c / term_action_factor(alpha, up.exponent(u)) for u, c in f.coeffs.items()
+    }
+    for g in (down, up):
+        again = PuiseuxSeries.make(g.nvars, g.base, g.lattice, g.coeffs, window=g.window)
+        assert g._index == again._index
+
+
+def test_antiderive_reports_first_vanishing_window_point():
+    # integer base on a rank-2 lattice: the error names the first window
+    # point, in coordinate order, whose falling factorial vanishes
+    coeffs = {z: Fraction(1, 1 + abs(z[0]) + abs(z[1])) for z in product(range(-2, 3), repeat=2)}
+    f = PuiseuxSeries._from_coords(4, (Fraction(0),) * 4, B_DEMO, coeffs, window=2)
+    alpha = (1, 1, 0, 1)
+    first = next(
+        u
+        for u in (_ambient(B_DEMO, w) for w in product(range(-2, 3), repeat=2))
+        if not term_action_factor(alpha, tuple(a + x for a, x in zip(alpha, u)))
+    )
+    with pytest.raises(ZeroFactorialError, match=re.escape(f"window point {first}")):
+        shift(f, alpha, ANTIDERIVE)
 
 
 def test_derive_moves_solutions_between_parameters():
@@ -460,6 +577,9 @@ def test_toral_basis_rejects_bad_blocks():
 # Coordinate path against a naive ambient reference
 
 A_QUARTIC = IntMatrix.from_rows([[1, 1, 1, 1, 1], [0, 1, 2, 3, 4]])
+# not homogeneous: kernel moves such as (2, -1, 0) have |pos| != |neg|, so
+# the powers of D in the integer recurrence do not cancel
+A_WEIGHTED = IntMatrix.from_rows([[1, 2, 3]])
 
 
 def _sup(t):
@@ -519,8 +639,7 @@ def naive_apply(p, f):
 
 @st.composite
 def lattice_cases(draw):
-    name = draw(st.sampled_from(["demo", "quartic"]))
-    a = A_DEMO if name == "demo" else A_QUARTIC
+    a = draw(st.sampled_from([A_DEMO, A_QUARTIC, A_WEIGHTED]))
     window = draw(st.integers(2, 6))
     frac = st.builds(Fraction, st.integers(-20, 20), st.sampled_from([2, 3, 5, 7]))
     beta = RatVector.make(draw(st.lists(frac, min_size=a.rows, max_size=a.rows)))
