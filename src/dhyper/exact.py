@@ -32,8 +32,9 @@ def parse_fraction(s) -> Fraction:
     """Parse 'p/q' or 'p' (decimal strings) into an exact rational."""
     if isinstance(s, Fraction):
         return s
-    if isinstance(s, bool):
-        # JSON true/false decode to bool, a subclass of int
+    if isinstance(s, (bool, float)):
+        # JSON true/false decode to bool, a subclass of int; a float is
+        # already rounded, so no rational literal reaches here as one
         raise InputFormatError(f"not a rational literal: {s!r}")
     if isinstance(s, int):
         return Fraction(s)
@@ -122,7 +123,8 @@ class IntMatrix:
         return tuple(sum(a * x for a, x in zip(row, v)) for row in self.entries)
 
     def rank(self) -> int:
-        return _rational_rank([[Fraction(x) for x in r] for r in self.entries])
+        m = [[Fraction(x) for x in r] for r in self.entries]
+        return self.cols - len(rational_kernel(m, self.cols))
 
     def det(self) -> Fraction:
         if self.rows != self.cols:
@@ -198,31 +200,6 @@ class RatVector:
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(a) for a in self.entries) + ")"
-
-
-def _rational_rank(m: list[list[Fraction]]) -> int:
-    rows = [r[:] for r in m]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    col = 0
-    while rank < len(rows) and col < ncols:
-        piv = None
-        for i in range(rank, len(rows)):
-            if rows[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][col]
-        for i in range(rank + 1, len(rows)):
-            if rows[i][col] != 0:
-                f = rows[i][col] * inv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
 
 
 def rational_kernel(m: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:

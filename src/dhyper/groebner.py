@@ -25,7 +25,7 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import gcd, lcm
-from operator import le
+from operator import le, mul
 from typing import Iterable, Mapping
 
 from .errors import DimensionMismatchError, InputFormatError, InvariantError
@@ -66,6 +66,23 @@ class BlockElim:
             tuple(-x for x in reversed(head)),
             sum(tail),
             tuple(-x for x in reversed(tail)),
+        )
+
+
+@dataclass(frozen=True)
+class WeightedRevLexLast:
+    """Weighted degree by positive integer weights, then reverse lex with
+    variable number last as the smallest variable: among monomials of equal
+    weight, the one with the lower power of it is greater."""
+
+    weights: tuple[int, ...]
+    last: int
+
+    def key(self, e: Expo):
+        return (
+            sum(map(mul, self.weights, e)),
+            -e[self.last],
+            tuple(-x for x in reversed(e)),
         )
 
 
@@ -443,15 +460,13 @@ def _groebner_cached(ideal: CommIdeal, order) -> tuple[CommPoly, ...]:
     return tuple(out)
 
 
-def groebner_comm(ideal: CommIdeal, order=None) -> tuple[CommPoly, ...]:
-    return ideal.groebner(order)
-
-
 def saturate(ideal: CommIdeal, f: CommPoly) -> CommIdeal:
     """(ideal : f^infinity) via the auxiliary-variable trick.
 
     Adjoin t as a new first variable, add 1 - t*f, compute a Groebner basis
-    for an order eliminating t, and keep the t-free elements.
+    for an order eliminating t, and keep the t-free elements.  toric_ideal
+    calls it only for matrices with no positive grading; graded toric
+    ideals are saturated one variable at a time without t.
     """
     if f.is_zero():
         raise InputFormatError("cannot saturate by zero")

@@ -14,6 +14,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 from .errors import (
     DhyperError,
@@ -28,10 +29,11 @@ from .exact import (
     RatVector,
     complement_matrix,
     integer_kernel,
+    positive_functional,
     smith_form,
     span_mixedness,
 )
-from .groebner import CommIdeal, CommPoly, saturate
+from .groebner import CommIdeal, CommPoly, WeightedRevLexLast, saturate
 from .mgraph import BOUNDED, UNBOUNDED_CERTIFIED, component
 from .weyl import WeylOperator, euler_generators
 
@@ -89,8 +91,16 @@ def lattice_basis_ideal(b: IntMatrix) -> CommIdeal:
 def toric_ideal(a: IntMatrix) -> CommIdeal:
     """Prime binomial ideal of all d^u - d^v with Au = Av.
 
-    Computed as the saturation of the lattice ideal of an integer kernel
-    basis by the product of all variables.
+    It is the saturation of the lattice ideal of an integer kernel basis by
+    the product of all variables, taken one variable at a time (Bayer and
+    Stillman; Sturmfels, Groebner Bases and Convex Polytopes, ch. 12).
+    When some c has c . a_j >= 1 for every column, the lattice ideal is
+    homogeneous for the weights w_j = c . a_j, scaled to coprime integers.
+    For a homogeneous ideal, a Groebner basis in w-graded reverse lex with
+    d_i last, each element divided by the largest power of d_i dividing
+    it, is a Groebner basis of the saturation by d_i.  With no such c
+    (for instance A = [[1, -1]]) there is no positive grading, and the
+    saturation goes through an elimination variable (saturate).
     """
     _check_no_zero_column(a)
     n = a.cols
@@ -98,7 +108,25 @@ def toric_ideal(a: IntMatrix) -> CommIdeal:
     if kernel.cols == 0:
         return CommIdeal.make(n, [])
     ideal = lattice_basis_ideal(kernel)
-    return saturate(ideal, CommPoly.make(n, {(1,) * n: 1}))
+    c = positive_functional(a.columns(), a.rows)
+    if c is None:
+        return saturate(ideal, CommPoly.make(n, {(1,) * n: 1}))
+    w = [sum(ci * x for ci, x in zip(c, col)) for col in a.columns()]
+    den = lcm(*(q.denominator for q in w))
+    num = gcd(*(q.numerator for q in w))
+    weights = tuple(int(q * den) // num for q in w)
+    for i in range(n):
+        gb = ideal.groebner(WeightedRevLexLast(weights, i))
+        ideal = CommIdeal.make(n, [_divide_out(g, i) for g in gb])
+    return ideal
+
+
+def _divide_out(g: CommPoly, i: int) -> CommPoly:
+    """g divided by the largest power of d_i dividing it."""
+    k = min(e[i] for e, _ in g.terms)
+    if not k:
+        return g
+    return CommPoly.make(g.nvars, {e[:i] + (e[i] - k,) + e[i + 1 :]: q for e, q in g.terms})
 
 
 def _d_operators(nvars: int, polys) -> list[WeylOperator]:

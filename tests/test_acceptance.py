@@ -14,7 +14,6 @@ from dhyper.groebner import (
     CommIdeal,
     CommPoly,
     DegRevLex,
-    groebner_comm,
     groebner_weyl,
 )
 from dhyper.mgraph import (
@@ -295,7 +294,7 @@ def test_criterion_9_weyl_algebra_kernel():
         polys = [p for p in polys if not p.is_zero()]
         if not polys:
             continue
-        comm_gb = groebner_comm(CommIdeal.make(3, polys))
+        comm_gb = CommIdeal.make(3, polys).groebner()
         weyl_gb = groebner_weyl(
             [
                 WeylOperator.make(3, {((0, 0, 0), e): c for e, c in p.as_dict().items()})

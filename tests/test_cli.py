@@ -297,3 +297,30 @@ def test_annihilate_report_bytes_are_pinned(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert json.loads(out)["results"]["annihilation"]["all_zero"]
     assert hashlib.sha256(out.encode()).hexdigest() == ANNIHILATE_REPORT_SHA256
+
+
+# SHA-256 of the canonical toric reports for the rational normal quintic and
+# for the weighted curve [[4, 6, 7, 9]], recorded before toric ideals were
+# saturated one variable at a time.  The reduced basis is unique, so a
+# change of method leaves these bytes alone.
+TORIC_REPORT_SHA256 = {
+    "[[1,1,1,1,1,1],[0,1,2,3,4,5]]": "532a07eae0493f888144bb5607bcdb54c5c6317aa6a95ab34af18c8e415b820d",
+    "[[4,6,7,9]]": "158f5ca411f25b919433a2f4e137f4479bbe1a6a05b4e22ca556627b9de0ee85",
+}
+
+
+@pytest.mark.parametrize("a_json", sorted(TORIC_REPORT_SHA256))
+def test_toric_report_bytes_are_pinned(capsys, a_json):
+    assert cli.main(["toric", "--a", a_json]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == TORIC_REPORT_SHA256[a_json]
+
+
+def test_toric_without_positive_grading(capsys):
+    # [[1, -1]] has no positive grading: toric_ideal saturates through an
+    # elimination variable instead
+    code = cli.main(["toric", "--a", "[[1,-1]]"])
+    out = capsys.readouterr().out
+    rep = json.loads(out)  # exactly one JSON object: trailing data would not parse
+    assert code == rep["exit_code"] == 0
+    assert [g["poly"] for g in rep["results"]["groebner"]] == ["d1 d2 - 1"]

@@ -55,6 +55,13 @@ def test_parse_fraction_rejects_booleans(value):
         parse_fraction(value)
 
 
+@pytest.mark.parametrize("value", [0.5, 0.25, 1.0, -3.0])
+def test_parse_fraction_rejects_floats(value):
+    # a float is already rounded; rationals come as integers or "p/q"
+    with pytest.raises(InputFormatError, match="not a rational literal"):
+        parse_fraction(value)
+
+
 def test_smith_form_identities_random():
     rng = random.Random(7)
     for _ in range(40):

@@ -19,7 +19,6 @@ from dhyper.groebner import (
     DegRevLex,
     MembershipCertificate,
     PairStats,
-    groebner_comm,
     groebner_weyl,
     saturate,
 )
@@ -166,7 +165,7 @@ def test_groebner_deterministic_and_cached():
     gb1 = ideal.groebner()
     gb2 = CommIdeal.make(4, LATTICE_GENS).groebner()
     assert gb1 == gb2
-    assert groebner_comm(ideal) == gb1
+    assert ideal.groebner() == gb1
 
 
 def test_weyl_unit_ideal():

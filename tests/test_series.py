@@ -167,6 +167,8 @@ def test_small_series_json_parses():
         (("window_exhausted",), "false"),
         (("window_exhausted",), None),
         (("terms", 0, "coeff"), True),
+        (("terms", 0, "coeff"), 0.25),
+        (("v", 0), 0.5),
     ],
 )
 def test_series_json_rejects_non_integers_and_non_booleans(path, value):

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dhyper.errors import (
     DhyperError,
@@ -10,8 +12,8 @@ from dhyper.errors import (
     UnsupportedCharacterError,
     ZeroColumnError,
 )
-from dhyper.exact import IntMatrix
-from dhyper.groebner import CommIdeal, CommPoly, groebner_weyl
+from dhyper.exact import IntMatrix, integer_kernel
+from dhyper.groebner import CommIdeal, CommPoly, groebner_weyl, saturate
 from dhyper.systems import (
     ANDEAN,
     TORAL,
@@ -61,6 +63,53 @@ def test_toric_ideal_two_ones():
 def test_toric_ideal_invertible_square_is_zero():
     ideal = toric_ideal(IntMatrix.from_rows([[2, 1], [1, 1]]))
     assert ideal.groebner() == ()
+
+
+def _saturation_reference(a: IntMatrix) -> tuple[CommPoly, ...]:
+    """Reduced degrevlex basis of the lattice ideal saturated by the product
+    of all variables through the elimination variable."""
+    n = a.cols
+    ideal = lattice_basis_ideal(integer_kernel(a))
+    sat = saturate(ideal, CommPoly.make(n, {(1,) * n: 1}))
+    return CommIdeal.make(n, sat.gens).groebner()
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # four catalogue curves, columns rotated by 0, 1 and 2
+        [r[p:] + r[:p] for r in curve]
+        for curve in (
+            [[1, 1, 1, 1, 1], [0, 1, 2, 3, 4]],
+            [[1, 1, 1, 1, 1], [0, 1, 2, 3, 5]],
+            [[1, 1, 1, 1, 1], [0, 1, 2, 4, 5]],
+            [[1, 1, 1, 1, 1], [0, 2, 3, 4, 6]],
+        )
+        for p in range(3)
+    ]
+    + [[[1, 2, 3]], [[4, 6, 7, 9]], [[1, -1]]],
+)
+def test_toric_ideal_matches_saturation_reference(rows):
+    a = IntMatrix.from_rows(rows)
+    assert toric_ideal(a).groebner() == _saturation_reference(a)
+
+
+@st.composite
+def small_matrices(draw):
+    # negative entries reach matrices with no positive grading, such as
+    # [[1, -1]], where toric_ideal falls back to saturate
+    rows = draw(st.integers(1, 2))
+    cols = draw(st.integers(2, 4))
+    row = st.lists(st.integers(-2, 3), min_size=cols, max_size=cols)
+    matrix = st.lists(row, min_size=rows, max_size=rows)
+    return draw(matrix.filter(lambda m: all(any(r[j] for r in m) for j in range(cols))))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(small_matrices())
+def test_toric_ideal_matches_saturation_reference_on_random_matrices(rows):
+    a = IntMatrix.from_rows(rows)
+    assert toric_ideal(a).groebner() == _saturation_reference(a)
 
 
 def test_toric_ideal_zero_column():

@@ -184,6 +184,13 @@ def test_operator_json_requires_integers(nvars, x):
         WeylOperator.from_json(obj)
 
 
+@pytest.mark.parametrize("coeff", [0.5, 2.0])
+def test_operator_json_rejects_float_coefficients(coeff):
+    obj = {"nvars": 1, "terms": [{"x": [1], "dx": [0], "coeff": coeff}]}
+    with pytest.raises(InputFormatError, match="not a rational literal"):
+        WeylOperator.from_json(obj)
+
+
 def test_nvars_mismatch_rejected():
     with pytest.raises(DimensionMismatchError):
         normal_product(WeylOperator.d(0, 2), WeylOperator.d(0, 3))
