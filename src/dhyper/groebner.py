@@ -29,7 +29,7 @@ from operator import le, mul
 from typing import Iterable, Mapping
 
 from .errors import DimensionMismatchError, InputFormatError, InvariantError
-from .weyl import WeylOperator, _format_terms, _sub, _term_product
+from .weyl import WeylOperator, _format_terms, _lmul, _sub
 
 Expo = tuple[int, ...]
 
@@ -172,29 +172,6 @@ class CommPoly:
 # with its cofactor list over the original generators.  A divisor is the
 # triple (lead monomial, lead coefficient, operator).  key maps a monomial
 # (mu, nu) to its term-order key.
-
-
-def _lmul(acc: dict, coeff: Fraction, a: Expo, b: Expo, g: dict, entered: list | None = None) -> None:
-    """acc += coeff * x^a d^b . g, dropping coefficients that cancel.
-
-    coeff and the coefficients of g are nonzero.  When entered is a list,
-    each monomial new to acc is appended to it.
-    """
-    for (mu, nu), c in g.items():
-        cc = coeff * c
-        for k, w in _term_product(a, b, mu, nu):
-            t = cc if w == 1 else cc * w
-            v = acc.get(k)
-            if v is None:
-                acc[k] = t
-                if entered is not None:
-                    entered.append(k)
-            else:
-                v += t
-                if v:
-                    acc[k] = v
-                else:
-                    del acc[k]
 
 
 def _divisor(g: dict, key) -> tuple:

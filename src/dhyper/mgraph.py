@@ -23,7 +23,7 @@ from .errors import (
     InvariantError,
 )
 from .exact import IntMatrix
-from .weyl import term_action_factor
+from .weyl import _binomial_fill
 
 Point = tuple[int, ...]
 
@@ -160,54 +160,22 @@ def lattice_polynomial_solutions(m: IntMatrix, comp: MGraphComponent) -> dict[Po
 
     Each column b of m, read as the binomial operator d^{b+} - d^{b-},
     forces c_w [w]_{b+} = c_{w-b} [w-b]_{b-} along edges.  Coefficients are
-    propagated from the representative (normalized to 1) along a spanning
-    tree, then every in-component edge is rechecked exactly.
+    propagated from the representative (normalized to 1) through the
+    vertices, then every in-component edge is rechecked exactly.
     """
     if comp.verdict != BOUNDED:
         raise DhyperError("component is not certified bounded")
-    vertices = set(comp.vertices)
-    cols = []
-    for j in range(m.cols):
-        col = tuple(m.entries[i][j] for i in range(m.rows))
-        if any(col):
-            cols.append(col)
-    coeffs: dict[Point, Fraction] = {comp.representative: Fraction(1)}
-    frontier = [comp.representative]
-    while frontier:
-        frontier.sort()
-        v = frontier.pop(0)
-        for b in cols:
-            pos = tuple(max(x, 0) for x in b)
-            neg = tuple(max(-x, 0) for x in b)
-            w = tuple(a + x for a, x in zip(v, b))
-            if w in vertices and w not in coeffs:
-                num = term_action_factor(neg, tuple(Fraction(x) for x in v))
-                den = term_action_factor(pos, tuple(Fraction(x) for x in w))
-                if not den:
-                    raise InvariantError(f"falling factorial vanishes at vertex {w}")
-                coeffs[w] = coeffs[v] * num / den
-                frontier.append(w)
-            w = tuple(a - x for a, x in zip(v, b))
-            if w in vertices and w not in coeffs:
-                num = term_action_factor(pos, tuple(Fraction(x) for x in v))
-                den = term_action_factor(neg, tuple(Fraction(x) for x in w))
-                if not den:
-                    raise InvariantError(f"falling factorial vanishes at vertex {w}")
-                coeffs[w] = coeffs[v] * num / den
-                frontier.append(w)
-    if set(coeffs) != vertices:
-        raise InvariantError("propagation did not reach every vertex of the component")
-    for v in comp.vertices:
-        for b in cols:
-            pos = tuple(max(x, 0) for x in b)
-            neg = tuple(max(-x, 0) for x in b)
-            w = tuple(a + x for a, x in zip(v, b))
-            if w not in vertices:
-                continue
-            lhs = coeffs[w] * term_action_factor(pos, tuple(Fraction(x) for x in w))
-            rhs = coeffs[v] * term_action_factor(neg, tuple(Fraction(x) for x in v))
-            if lhs != rhs:
-                raise InconsistentCoefficientsError(
-                    f"edge {v} -> {w} fails the binomial relation"
-                )
+    moves = []
+    for b in m.columns():
+        if any(b):
+            moves.append((b, tuple(max(x, 0) for x in b), tuple(max(-x, 0) for x in b)))
+    coeffs, unfilled, failing = _binomial_fill(
+        comp.vertices, comp.representative, moves, lambda w: w, (Fraction(0),) * m.rows
+    )
+    if unfilled is not None:
+        raise InvariantError(f"propagation did not reach vertex {unfilled} of the component")
+    if failing is not None:
+        raise InconsistentCoefficientsError(
+            f"edge {failing[0]} -> {failing[1]} fails the binomial relation"
+        )
     return coeffs

@@ -475,11 +475,8 @@ def gamma_series(
 
     With v omitted, candidates are tried in a deterministic order (the
     direct solution, then integer lattice shifts, then small non-integer
-    kernel perturbations) until one supports the whole window.  The
-    DHYPER_SEED environment variable rotates the candidate order.
+    kernel perturbations) until one supports the whole window.
     """
-    import os
-
     from .exact import is_nonresonant, kernel_basis, solve_rational
 
     if len(beta) != a.rows:
@@ -515,10 +512,6 @@ def gamma_series(
         for q2 in fracs[:4]:
             if m == 2 and q1 != q2:
                 perturbations.append((q1, q2))
-    seed = os.environ.get("DHYPER_SEED")
-    if seed is not None and perturbations:
-        k = abs(int(seed)) % len(perturbations)
-        perturbations = perturbations[k:] + perturbations[:k]
     for q in perturbations:
         offset = tuple(
             sum(Fraction(lat.entries[i][j]) * q[j] for j in range(m))
@@ -553,83 +546,31 @@ def _gamma_fill(
 ) -> PuiseuxSeries:
     """Propagate coefficients outward from the origin and verify every edge.
 
-    Falling factorials come from the integer kernel scaled by D (the lcm of
-    the denominators of v), so each new coefficient is one Fraction built
-    from integers, and each edge check is an integer cross-multiplication.
+    The window box in lattice coordinates is swept in order of sup norm;
+    the unit step e_i carries the binomial recurrence of kernel column i.
     """
-    from .weyl import _integer_action
+    from .weyl import _binomial_fill
 
     m = lat.cols
-    moves = lat.columns()
-    pos = [tuple(max(x, 0) for x in b) for b in moves]
-    neg = [tuple(max(-x, 0) for x in b) for b in moves]
     order = sorted(product(range(-window, window + 1), repeat=m), key=lambda t: (_sup(t), t))
     amb = {z: _ambient(lat, z) for z in order}
-    d, action = _integer_action(v)
-    # action gives I(nu) = D^|nu| [v + u]_nu; along move i only the ratio
-    # up_i / down_i = D^(|pos_i| - |neg_i|) of the scalings survives
-    # (it is 1 when a is homogeneous)
-    up = [d ** max(sum(p) - sum(q), 0) for p, q in zip(pos, neg)]
-    down = [d ** max(sum(q) - sum(p), 0) for p, q in zip(pos, neg)]
-
-    lam: dict[tuple[int, ...], Fraction] = {(0,) * m: Fraction(1)}
-    pending = [z for z in order if z not in lam]
-    # repeated sweeps: a point is filled once any already-known neighbor
-    # reaches it through a nonvanishing multiplier
-    progress = True
-    while pending and progress:
-        progress = False
-        still = []
-        for z in pending:
-            got = None
-            for i in range(m):
-                for sgn in (1, -1):
-                    src = tuple(x - sgn if j == i else x for j, x in enumerate(z))
-                    if src not in lam:
-                        continue
-                    if sgn == 1:
-                        into, outof, num_pow, den_pow = pos[i], neg[i], up[i], down[i]
-                    else:
-                        into, outof, num_pow, den_pow = neg[i], pos[i], down[i], up[i]
-                    mult = action(into, amb[z])
-                    if not mult:
-                        continue
-                    prev = lam[src]
-                    got = Fraction(
-                        prev.numerator * action(outof, amb[src]) * num_pow,
-                        prev.denominator * mult * den_pow,
-                    )
-                    break
-                if got is not None:
-                    break
-            if got is None:
-                still.append(z)
-            else:
-                lam[z] = got
-                progress = True
-        pending = still
-    if pending:
-        raise DenominatorVanishedError(
-            f"window point {pending[0]} unreachable through nonvanishing factorials"
+    moves = [
+        (
+            tuple(1 if j == i else 0 for j in range(m)),
+            tuple(max(x, 0) for x in b),
+            tuple(max(-x, 0) for x in b),
         )
-
-    # every unit edge inside the window must satisfy the two-sided relation
-    # lam[z + e_i] [v + u']_pos = lam[z] [v + u]_neg, cross-multiplied in
-    # integers (denominators are positive)
-    for z in order:
-        n0, d0 = lam[z].numerator, lam[z].denominator
-        for i in range(m):
-            znext = tuple(x + 1 if j == i else x for j, x in enumerate(z))
-            if _sup(znext) > window:
-                continue
-            n1, d1 = lam[znext].numerator, lam[znext].denominator
-            lhs = n1 * action(pos[i], amb[znext]) * d0 * down[i]
-            rhs = n0 * action(neg[i], amb[z]) * d1 * up[i]
-            if lhs != rhs:
-                raise CycleInconsistentError(
-                    f"edge {z} -> {znext} violates the recurrence"
-                )
-
+        for i, b in enumerate(lat.columns())
+    ]
+    lam, unfilled, failing = _binomial_fill(order, (0,) * m, moves, amb.__getitem__, v)
+    if unfilled is not None:
+        raise DenominatorVanishedError(
+            f"window point {unfilled} unreachable through nonvanishing factorials"
+        )
+    if failing is not None:
+        raise CycleInconsistentError(
+            f"edge {failing[0]} -> {failing[1]} violates the recurrence"
+        )
     return PuiseuxSeries._from_coords(a.cols, v, lat, lam, window=window, reliable=window)
 
 
@@ -643,12 +584,6 @@ def _embed_rows(mat: IntMatrix, rows: tuple[int, ...], nvars: int) -> IntMatrix:
         for j in range(mat.cols):
             out[r][j] = mat.entries[i][j]
     return IntMatrix.from_rows(out)
-
-
-def _column_submatrix(a: IntMatrix, cols: tuple[int, ...]) -> IntMatrix:
-    return IntMatrix.from_rows(
-        [[a.entries[i][j] for j in cols] for i in range(a.rows)]
-    )
 
 
 def toral_solution_basis(b, dec, beta, window: int = 8, a=None, graph_cap=None):
@@ -665,19 +600,11 @@ def toral_solution_basis(b, dec, beta, window: int = 8, a=None, graph_cap=None):
     supports land in pairwise disjoint lattice cosets, so the sum is a
     single series on the joint lattice.
     """
-    from .errors import DhyperError, UnsupportedCharacterError
     from .exact import solve_rational
     from .mgraph import bounded_representatives, lattice_polynomial_solutions
-    from .systems import _character_is_trivial, _dual_matrix
+    from .systems import _submatrix, _toral_degree_matrix
 
-    if dec.q != dec.p or (dec.q > 0 and dec.m.det() == 0):
-        raise DhyperError("decomposition is not toral")
-    if not _character_is_trivial(dec.b_j):
-        raise UnsupportedCharacterError(
-            "saturation of the column lattice is strictly larger; "
-            "only the trivial character is supported"
-        )
-    a = _dual_matrix(b, a)
+    a = _toral_degree_matrix(b, dec, a)
     if not isinstance(beta, RatVector):
         beta = RatVector.make(beta)
     if len(beta) != a.rows:
@@ -688,9 +615,9 @@ def toral_solution_basis(b, dec, beta, window: int = 8, a=None, graph_cap=None):
     n = b.rows
     jrows = dec.j
     zrows = dec.jbar
-    a_j = _column_submatrix(a, jrows)
-    a_zbar = _column_submatrix(a, zrows)
-    bc = _column_submatrix(b, dec.m_columns)
+    a_j = _submatrix(a, range(a.rows), jrows)
+    a_zbar = _submatrix(a, range(a.rows), zrows)
+    bc = _submatrix(b, range(b.rows), dec.m_columns)
     if graph_cap is None:
         graph_cap = max(window, 6)
     survey = bounded_representatives(dec.m, graph_cap)

@@ -98,9 +98,13 @@ def toric_ideal(a: IntMatrix) -> CommIdeal:
     homogeneous for the weights w_j = c . a_j, scaled to coprime integers.
     For a homogeneous ideal, a Groebner basis in w-graded reverse lex with
     d_i last, each element divided by the largest power of d_i dividing
-    it, is a Groebner basis of the saturation by d_i.  With no such c
-    (for instance A = [[1, -1]]) there is no positive grading, and the
-    saturation goes through an elimination variable (saturate).
+    it, is a Groebner basis of the saturation by d_i.  The steps stop at
+    d_{n-2}: with d_0 .. d_{n-2} inverted, a kernel basis vector u with
+    u_{n-1} != 0 makes a power of d_{n-1} equal to a unit modulo the
+    lattice ideal, and if there is no such u, d_{n-1} appears in no
+    generator; either way saturating by d_{n-1} changes nothing.  With no
+    such c (for instance A = [[1, -1]]) there is no positive grading, and
+    the saturation goes through an elimination variable (saturate).
     """
     _check_no_zero_column(a)
     n = a.cols
@@ -115,7 +119,7 @@ def toric_ideal(a: IntMatrix) -> CommIdeal:
     den = lcm(*(q.denominator for q in w))
     num = gcd(*(q.numerator for q in w))
     weights = tuple(int(q * den) // num for q in w)
-    for i in range(n):
+    for i in range(n - 1):
         gb = ideal.groebner(WeightedRevLexLast(weights, i))
         ideal = CommIdeal.make(n, [_divide_out(g, i) for g in gb])
     return ideal
@@ -340,6 +344,21 @@ def unbounded_monomial_exponents(m: IntMatrix, cap: int) -> list[tuple[int, ...]
     return out
 
 
+def _toral_degree_matrix(
+    b: IntMatrix, dec: BlockDecomposition, a: IntMatrix | None
+) -> IntMatrix:
+    """The degree matrix of b, once dec is checked to be a toral split with
+    trivial character: the cases the component constructions support."""
+    if dec.q != dec.p or (dec.q > 0 and dec.m.det() == 0):
+        raise DhyperError("decomposition is not toral")
+    if not _character_is_trivial(dec.b_j):
+        raise UnsupportedCharacterError(
+            "saturation of the column lattice is strictly larger; "
+            "only the trivial character is supported"
+        )
+    return _dual_matrix(b, a)
+
+
 def toral_component_ideal(
     b: IntMatrix,
     dec: BlockDecomposition,
@@ -347,23 +366,13 @@ def toral_component_ideal(
     monomial_cap: int = 6,
     a: IntMatrix | None = None,
 ) -> SystemSpec:
-    q, p = dec.q, dec.p
-    if q != p or (q > 0 and dec.m.det() == 0):
-        raise DhyperError("decomposition is not toral")
-    if not _character_is_trivial(dec.b_j):
-        raise UnsupportedCharacterError(
-            "saturation of the column lattice is strictly larger; "
-            "only the trivial character is supported"
-        )
-    a = _dual_matrix(b, a)
+    a = _toral_degree_matrix(b, dec, a)
     beta = _as_beta(beta, a.rows)
     n = b.rows
     gens = _d_operators(n, lattice_basis_ideal(b).gens)
 
     if dec.j:
-        a_j = IntMatrix.from_rows(
-            [[a.entries[i][jcol] for jcol in dec.j] for i in range(a.rows)]
-        )
+        a_j = _submatrix(a, range(a.rows), dec.j)
         for g in toric_ideal(a_j).groebner():
             lifted = {}
             for e, c in g.terms:
@@ -381,7 +390,7 @@ def toral_component_ideal(
         )
 
     unbounded = unbounded_monomial_exponents(dec.m, monomial_cap)
-    if q > 0 and not unbounded:
+    if dec.q > 0 and not unbounded:
         warnings.warn(
             "no unbounded component certified within the monomial cap",
             RuntimeWarning,

@@ -174,10 +174,9 @@ def normal_product(p: WeylOperator, q: WeylOperator) -> WeylOperator:
     """Product in the Weyl algebra, renormal-ordered."""
     p._check(q)
     acc: dict[tuple[Expo, Expo], Fraction] = {}
-    for mu1, nu1, c1 in p.terms:
-        for mu2, nu2, c2 in q.terms:
-            for key, w in _term_product(mu1, nu1, mu2, nu2):
-                acc[key] = acc.get(key, Fraction(0)) + c1 * c2 * w
+    g = {(mu, nu): c for mu, nu, c in q.terms}
+    for mu, nu, c in p.terms:
+        _lmul(acc, c, mu, nu, g)
     return WeylOperator.make(p.nvars, acc)
 
 
@@ -203,6 +202,29 @@ def _term_product(mu1: Expo, nu1: Expo, mu2: Expo, nu2: Expo):
                 w *= comb(a, kk) * comb(b, kk) * factorial(kk)
         out.append(((_sub(mu, k), _sub(nu, k)), w))
     return out
+
+
+def _lmul(acc: dict, coeff: Fraction, a: Expo, b: Expo, g: dict, entered: list | None = None) -> None:
+    """acc += coeff * x^a d^b . g, dropping coefficients that cancel.
+
+    coeff and the coefficients of g are nonzero.  When entered is a list,
+    each monomial new to acc is appended to it.
+    """
+    for (mu, nu), c in g.items():
+        cc = coeff * c
+        for k, w in _term_product(a, b, mu, nu):
+            t = cc if w == 1 else cc * w
+            v = acc.get(k)
+            if v is None:
+                acc[k] = t
+                if entered is not None:
+                    entered.append(k)
+            else:
+                v += t
+                if v:
+                    acc[k] = v
+                else:
+                    del acc[k]
 
 
 def a_degree_components(a: IntMatrix, p: WeylOperator) -> list[tuple[Expo, WeylOperator]]:
@@ -267,15 +289,8 @@ class ThetaPoly:
         for e, c in self.terms:
             piece = WeylOperator.one(self.nvars)
             for j, exp in enumerate(e):
-                tj = WeylOperator.make(
-                    self.nvars,
-                    {
-                        (
-                            tuple(1 if i == j else 0 for i in range(self.nvars)),
-                            tuple(1 if i == j else 0 for i in range(self.nvars)),
-                        ): Fraction(1)
-                    },
-                )
+                unit = tuple(1 if i == j else 0 for i in range(self.nvars))
+                tj = WeylOperator.monomial(self.nvars, unit, unit)
                 for _ in range(exp):
                     piece = normal_product(piece, tj)
             out = out + piece.scale(c)
@@ -341,7 +356,7 @@ def term_action_factor(nu: Expo, exponent: Iterable[Fraction]) -> Fraction:
 
 
 def _integer_action(base: tuple[Fraction, ...]):
-    """D and the integer D^|nu| term_action_factor(nu, base + u), as a function of (nu, u).
+    """D and the integer D^|nu| [base + u]_nu, as a function of (nu, u).
 
     D is the lcm of the denominators of base, so D^k [b_j + u_j]_k is the
     integer prod_{t < k} (D b_j + D u_j - D t).  Each such product is
@@ -370,6 +385,69 @@ def _integer_action(base: tuple[Fraction, ...]):
         return v
 
     return d, action
+
+
+def _binomial_fill(keys, root, moves, point, base: tuple[Fraction, ...]):
+    """Solve the binomial recurrence on keys, from c[root] = 1.
+
+    Each move (s, pos, neg) reads the operator d^pos - d^neg along the
+    edges z -> z + s between keys, and asks
+    c[z + s] [base + point(z + s)]_pos = c[z] [base + point(z)]_neg.
+    Sweeps over keys, in their order, fill each key from the first known
+    neighbour whose multiplier does not vanish, as one Fraction built from
+    the integer falling factorials of _integer_action.  Once every key is
+    filled, every edge is checked by an integer cross-multiplication.
+
+    Returns (c, unfilled, failing): the first key no sweep reached, or
+    None; then the first edge (z, z + s) that fails the recurrence, or None.
+    """
+    d, action = _integer_action(base)
+    # action gives D^|nu| [base + u]_nu; along a move only the ratio
+    # up / down = D^(|pos| - |neg|) of the two scalings survives
+    # (it is 1 when the recurrence is homogeneous)
+    steps = []
+    ways = []
+    for s, pos, neg in moves:
+        k = sum(pos) - sum(neg)
+        up, down = d ** max(k, 0), d ** max(-k, 0)
+        steps.append((s, pos, neg, up, down))
+        # z is reached from z - s through [.]_pos at z, or from z + s
+        # through [.]_neg at z
+        ways.append((_sub, s, pos, neg, up, down))
+        ways.append((_add, s, neg, pos, down, up))
+    c = {root: Fraction(1)}
+    pending = [z for z in keys if z != root]
+    progress = True
+    while pending and progress:
+        progress = False
+        still = []
+        for z in pending:
+            for towards, s, into, outof, num_pow, den_pow in ways:
+                src = towards(z, s)
+                if src in c:
+                    mult = action(into, point(z))
+                    if mult:
+                        prev = c[src]
+                        c[z] = Fraction(
+                            prev.numerator * action(outof, point(src)) * num_pow,
+                            prev.denominator * mult * den_pow,
+                        )
+                        progress = True
+                        break
+            else:
+                still.append(z)
+        pending = still
+    if pending:
+        return c, pending[0], None
+    for z in keys:
+        n0, d0 = c[z].numerator, c[z].denominator
+        for s, pos, neg, up, down in steps:
+            w = _add(z, s)
+            if w in c:
+                n1, d1 = c[w].numerator, c[w].denominator
+                if n1 * action(pos, point(w)) * d0 * down != n0 * action(neg, point(z)) * d1 * up:
+                    return c, None, (z, w)
+    return c, None, None
 
 
 def apply_to_series(p: WeylOperator, f):
@@ -467,29 +545,31 @@ def _apply_refined(p: WeylOperator, f, delta0: Expo):
         (mu, nu): _sub(_sub(mu, nu), delta0) for mu, nu, _ in p.terms
     }
     base_out = tuple(b + d for b, d in zip(f.base, delta0))
+    d, action = _integer_action(f.base)
 
     def point_value(u: Expo):
-        # exact output coefficient at ambient point u, or None when an
-        # input coefficient beyond the known window would be needed
+        # exact output coefficient at ambient point u, or None when it
+        # needs an input coefficient beyond the reliable radius; inside
+        # that radius a missing coefficient is zero
         total = Fraction(0)
         for mu, nu, c in p.terms:
             src = _sub(u, offsets[(mu, nu)])
             co = lattice_coordinates(f.lattice, src)
             if co is None:
                 continue
-            factor = term_action_factor(nu, f.exponent(src))
+            factor = action(nu, src)
             if not factor:
                 continue
+            if _sup(co) > f.reliable:
+                return None
             lam = f.coeffs.get(src)
-            if lam is None:
-                if _sup(co) > f.window:
-                    return None
-                continue
-            total += c * lam * factor
+            if lam is not None:
+                total += c * lam * Fraction(factor, d ** sum(nu))
         return total
 
     stencil = max((_sup(lattice_coordinates(lat, o)) for o in offsets.values()), default=0)
-    cap = f.window + stencil
+    # an input with no reliable radius certifies no ring
+    cap = f.window + stencil if f.reliable >= 0 else -1
     coeffs: dict[Expo, Fraction] = {}
     reliable = -1
     for r in range(cap + 1):

@@ -245,8 +245,7 @@ def test_operator_json_with_non_integers_exits_bad_input(capsys, gens, query):
 ERDELYI_REPORT_SHA256 = "1a88d067cb322f2bb53e48d14aa9c9e9eb153beaca5f27617407803880312b91"
 
 
-def test_example_erdelyi_report_bytes_are_pinned(capsys, monkeypatch):
-    monkeypatch.delenv("DHYPER_SEED", raising=False)
+def test_example_erdelyi_report_bytes_are_pinned(capsys):
     assert cli.main(["example-erdelyi"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == ERDELYI_REPORT_SHA256
@@ -272,19 +271,18 @@ GAMMA_REPORT_SHA256 = "3d78dfe5f7e77e28ba3eb9fbc18181ee74c8dd735a96f6f8a76080e67
 ANNIHILATE_REPORT_SHA256 = "256b5323229071067b1c32bf11c6e555e153508e4bd0bf54b6ae0701a850f662"
 
 
-def _demo_gamma_report(capsys, monkeypatch):
-    monkeypatch.delenv("DHYPER_SEED", raising=False)
+def _demo_gamma_report(capsys):
     assert cli.main(["gamma", "--a", A_JSON, "--beta", BETA_JSON, "--window", "8"]) == 0
     return capsys.readouterr().out
 
 
-def test_gamma_report_bytes_are_pinned(capsys, monkeypatch):
-    out = _demo_gamma_report(capsys, monkeypatch)
+def test_gamma_report_bytes_are_pinned(capsys):
+    out = _demo_gamma_report(capsys)
     assert hashlib.sha256(out.encode()).hexdigest() == GAMMA_REPORT_SHA256
 
 
-def test_annihilate_report_bytes_are_pinned(capsys, monkeypatch):
-    series = json.loads(_demo_gamma_report(capsys, monkeypatch))["results"]["series"]
+def test_annihilate_report_bytes_are_pinned(capsys):
+    series = json.loads(_demo_gamma_report(capsys))["results"]["series"]
     a = IntMatrix.from_rows(json.loads(A_JSON))
     beta = tuple(Fraction(q) for q in json.loads(BETA_JSON))
     gens = [p.to_json() for p in hypergeometric_system(a, beta).generators]

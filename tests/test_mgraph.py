@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dhyper.errors import DhyperError, DimensionMismatchError, InputFormatError
 from dhyper.exact import IntMatrix
@@ -16,7 +18,7 @@ from dhyper.mgraph import (
 )
 from dhyper.series import PuiseuxSeries, annihilation_check
 from dhyper.systems import lattice_basis_ideal
-from dhyper.weyl import WeylOperator
+from dhyper.weyl import WeylOperator, term_action_factor
 
 M_DEMO = IntMatrix.from_rows([[-2, 1], [1, -2]])
 
@@ -172,3 +174,56 @@ def test_component_json_round_shapes():
     cert = component(IntMatrix.from_rows([[1], [1]]), (0, 0), cap=4).to_json()
     assert cert["certificate"]["base"] == [0, 0]
     assert cert["certificate"]["step"] == [1, 1]
+
+
+def reference_polynomial_solutions(m, comp):
+    """Breadth-first Fraction propagation from the representative, the
+    independent reference for lattice_polynomial_solutions."""
+    vertices = set(comp.vertices)
+    cols = [b for b in m.columns() if any(b)]
+    coeffs = {comp.representative: Fraction(1)}
+    frontier = [comp.representative]
+    while frontier:
+        frontier.sort()
+        v = frontier.pop(0)
+        for b in cols:
+            pos = tuple(max(x, 0) for x in b)
+            neg = tuple(max(-x, 0) for x in b)
+            for sign, into, outof in ((1, pos, neg), (-1, neg, pos)):
+                w = tuple(a + sign * x for a, x in zip(v, b))
+                if w in vertices and w not in coeffs:
+                    num = term_action_factor(outof, v)
+                    den = term_action_factor(into, w)
+                    assert den
+                    coeffs[w] = coeffs[v] * num / den
+                    frontier.append(w)
+    for v in comp.vertices:
+        for b in cols:
+            pos = tuple(max(x, 0) for x in b)
+            neg = tuple(max(-x, 0) for x in b)
+            w = tuple(a + x for a, x in zip(v, b))
+            if w in vertices:
+                assert coeffs[w] * term_action_factor(pos, w) == coeffs[v] * term_action_factor(neg, v)
+    return coeffs
+
+
+@st.composite
+def small_move_matrices(draw):
+    # two rows; a column with entries of opposite signs moves along an
+    # antidiagonal, so components can close inside the box
+    def column():
+        a, b = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        return (a, -b) if draw(st.booleans()) else (-a, b)
+
+    cols = [column() for _ in range(draw(st.integers(1, 3)))]
+    return IntMatrix.from_rows([[c[i] for c in cols] for i in range(2)]), draw(st.integers(1, 4))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(small_move_matrices())
+def test_solutions_match_fraction_reference(case):
+    m, cap = case
+    for comp in bounded_representatives(m, cap).bounded:
+        sols = lattice_polynomial_solutions(m, comp)
+        assert sols == reference_polynomial_solutions(m, comp)
+        assert set(sols) == set(comp.vertices)

@@ -416,9 +416,16 @@ def test_gamma_monomial_case_warns_when_resonant():
     assert annihilation_check([p], g).all_zero
 
 
-def test_gamma_seed_rotation_still_valid(monkeypatch):
+def test_gamma_series_ignores_dhyper_seed(monkeypatch):
+    # the demo's direct solution is integral on coordinates the kernel
+    # moves touch, so the series comes from a kernel perturbation; the
+    # candidate order is fixed, whatever the environment says
+    monkeypatch.delenv("DHYPER_SEED", raising=False)
+    unset = gamma_series(A_DEMO, BETA_DEMO, window=4)
     monkeypatch.setenv("DHYPER_SEED", "3")
     f = gamma_series(A_DEMO, BETA_DEMO, window=4)
+    assert f == unset
+    assert f.base == (Fraction(2, 3), Fraction(-4, 3), Fraction(-7, 6), Fraction(2, 3))
     assert density(f) == 1
     assert annihilation_check(ahyp_demo_ops(), f).all_zero
 

@@ -9,10 +9,11 @@ import pytest
 
 from dhyper.errors import DhyperError, DimensionMismatchError, InputFormatError
 from dhyper.exact import IntMatrix, RatVector
-from dhyper.series import PuiseuxSeries, gamma_series
+from dhyper.series import INCONCLUSIVE, PuiseuxSeries, annihilation_check, gamma_series
 from dhyper.weyl import (
     ThetaPoly,
     WeylOperator,
+    _binomial_fill,
     a_degree_components,
     apply_to_series,
     euler_generators,
@@ -231,6 +232,56 @@ def test_mixed_shift_classes_refine_lattice():
     assert image.lattice.cols == 1
     got = {str(image.exponent(u)[0]): c for u, c in image.coeffs.items()}
     assert got == {"3/2": Fraction(1), "-1/2": Fraction(1, 2)}
+
+
+def _two_class_series(reliable):
+    # x^(1/2) sum of x^u over u = 2k, |k| <= 3, on the lattice 2Z
+    coeffs = {(2 * k,): 1 for k in range(-3, 4)}
+    return PuiseuxSeries.make(
+        1, [Fraction(1, 2)], IntMatrix.from_rows([[2]]), coeffs,
+        window=3, reliable=reliable, window_exhausted=reliable < 0,
+    )
+
+
+def test_refined_action_trusts_only_the_reliable_radius():
+    # x1 + 1 shifts support by 1 and by 0, two classes modulo 2Z, so the
+    # action refines the lattice to Z; stored coefficients beyond the
+    # reliable radius must not certify an output ring
+    p = WeylOperator.x(0, 1) + WeylOperator.one(1)
+    exhausted = _two_class_series(-1)
+    image = apply_to_series(p, exhausted)
+    assert image.window_exhausted and image.reliable == -1
+    assert annihilation_check([p], exhausted).verdicts[0].status == INCONCLUSIVE
+    # at base 0 the factor of d1 vanishes at the origin, where it is the
+    # only term with a lattice source: still no ring is certified
+    base0 = PuiseuxSeries.make(
+        1, [Fraction(0)], exhausted.lattice, exhausted.coeffs,
+        window=3, reliable=-1, window_exhausted=True,
+    )
+    image = apply_to_series(WeylOperator.d(0, 1) + WeylOperator.one(1), base0)
+    assert image.window_exhausted and image.reliable == -1
+    image = apply_to_series(p, _two_class_series(1))
+    assert not image.window_exhausted
+    assert image.lattice.entries == ((1,),)
+    assert image.reliable == 2
+    assert image.coeffs == {(u,): Fraction(1) for u in range(-2, 3)}
+
+
+def test_binomial_fill_reports_unfilled_key_and_failing_edge():
+    ident = lambda z: z  # noqa: E731
+    # [z]_1 at z = 0 vanishes, so (0,) cannot be reached from (-1,)
+    move = ((1,), (1,), (0,))
+    c, unfilled, failing = _binomial_fill([(-1,), (0,)], (-1,), [move], ident, (Fraction(0),))
+    assert (c, unfilled, failing) == ({(-1,): 1}, (0,), None)
+    # base 1/2 (D = 2): c_1 [3/2]_1 = c_0 fixes c_1 = 2/3, and the move is
+    # not homogeneous, so the D-scaling of the two sides must cancel
+    half = (Fraction(1, 2),)
+    c, unfilled, failing = _binomial_fill([(0,), (1,)], (0,), [move], ident, half)
+    assert (c, unfilled, failing) == ({(0,): 1, (1,): Fraction(2, 3)}, None, None)
+    # a second move along the same edge asks c_1 = c_0: the edge fails
+    same = ((1,), (0,), (0,))
+    c, unfilled, failing = _binomial_fill([(0,), (1,)], (0,), [move, same], ident, half)
+    assert (unfilled, failing) == (None, ((0,), (1,)))
 
 
 def test_action_composition_matches_product():
