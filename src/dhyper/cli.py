@@ -478,8 +478,16 @@ def _cmd_example(args):
 # Dispatch
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors (a missing flag, --window true) raise
+    InputFormatError, so they exit 2 with one JSON object like any bad input."""
+
+    def error(self, message):
+        raise InputFormatError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dhyper",
         description="exact workbench for lattice hypergeometric systems",
     )

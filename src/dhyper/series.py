@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from operator import mul
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -63,8 +64,11 @@ def lattice_coordinates(lat: IntMatrix, vec: tuple[int, ...]) -> tuple[int, ...]
     return sf.v.mul_int_vector(tuple(t))
 
 
-def _check_frame(nvars, base, lattice, window, reliable):
-    """Validated (base, reliable) for a series frame; reliable defaults to window."""
+def _check_frame(nvars, base, lattice, window, reliable, window_exhausted):
+    """Validated (base, reliable) for a series frame; reliable defaults to window.
+
+    An exhausted window certifies no radius, so it needs reliable == -1.
+    """
     base_t = tuple(Fraction(q) for q in base)
     if len(base_t) != nvars or lattice.rows != nvars:
         raise DimensionMismatchError("base exponent or lattice does not match nvars")
@@ -72,6 +76,8 @@ def _check_frame(nvars, base, lattice, window, reliable):
         reliable = window
     if window < 0 or reliable > window or reliable < -1:
         raise InputFormatError("bad window bounds")
+    if window_exhausted and reliable != -1:
+        raise InputFormatError(f"an exhausted window has reliable -1, not {reliable}")
     return base_t, reliable
 
 
@@ -114,7 +120,7 @@ class PuiseuxSeries:
     ) -> "PuiseuxSeries":
         """Series from coefficients keyed by ambient points u; a Smith-form
         solve checks that each u lies in the lattice and gives its coordinates."""
-        base_t, _ = _check_frame(nvars, base, lattice, window, reliable)
+        base_t, _ = _check_frame(nvars, base, lattice, window, reliable, window_exhausted)
         coords: dict[tuple[int, ...], Fraction] = {}
         for u, c in coeffs.items():
             q = Fraction(c)
@@ -137,24 +143,29 @@ class PuiseuxSeries:
         window: int,
         reliable: int | None = None,
         window_exhausted: bool = False,
+        points: Mapping[tuple[int, ...], tuple[int, ...]] | None = None,
     ) -> "PuiseuxSeries":
         """make for coefficients keyed by lattice coordinates z.
 
         The ambient point L z lies in the lattice by construction, so no
         Smith-form solve is needed; the frame and window checks are make's.
+        A caller that already holds L z for every key passes that map as
+        points, and it is read instead of recomputed.
         """
-        base_t, reliable = _check_frame(nvars, base, lattice, window, reliable)
+        base_t, reliable = _check_frame(
+            nvars, base, lattice, window, reliable, window_exhausted
+        )
         clean: dict[tuple[int, ...], Fraction] = {}
         index: dict[tuple[int, ...], tuple[int, ...]] = {}
         for z, c in coeffs.items():
-            q = Fraction(c)
+            q = c if type(c) is Fraction else Fraction(c)
             if not q:
                 continue
             if len(z) != lattice.cols:
                 raise DimensionMismatchError("coordinate length does not match lattice rank")
             if _sup(z) > window:
                 raise InputFormatError("support point outside the window")
-            u = _ambient(lattice, z)
+            u = _ambient(lattice, z) if points is None else points[z]
             clean[u] = q
             index[z] = u
         return PuiseuxSeries(
@@ -287,13 +298,13 @@ def shift(f: PuiseuxSeries, alpha: tuple[int, ...], direction: str) -> PuiseuxSe
     return PuiseuxSeries._from_coords(
         f.nvars, base_out, f.lattice, coeffs,
         window=f.window, reliable=f.reliable,
-        window_exhausted=f.window_exhausted,
+        window_exhausted=f.window_exhausted, points=f._index,
     )
 
 
 def _ambient(lat: IntMatrix, w: tuple[int, ...]) -> tuple[int, ...]:
     """The ambient point L w of lattice coordinates w."""
-    return tuple(sum(e * x for e, x in zip(row, w)) for row in lat.entries)
+    return tuple([sum(map(mul, row, w)) for row in lat.entries])
 
 
 # ---------------------------------------------------------------------------
@@ -385,14 +396,21 @@ def recurrence_series(ratios, window: int) -> PuiseuxSeries:
     if m == 0:
         raise InputFormatError("need at least one ratio")
 
+    # each ratio is evaluated once: the fill and up to four unit squares
+    # read it
+    seen: dict[tuple[int, tuple[int, ...]], Fraction] = {}
+
     def step(i, k):
-        try:
-            r = ratios[i](k)
-        except ZeroDivisionError as exc:
-            raise DenominatorVanishedError(
-                f"ratio {i} undefined at grid point {k}"
-            ) from exc
-        return Fraction(r)
+        r = seen.get((i, k))
+        if r is None:
+            try:
+                r = ratios[i](k)
+            except ZeroDivisionError as exc:
+                raise DenominatorVanishedError(
+                    f"ratio {i} undefined at grid point {k}"
+                ) from exc
+            r = seen[(i, k)] = Fraction(r)
+        return r
 
     coeffs: dict[tuple[int, ...], Fraction] = {(0,) * m: Fraction(1)}
     grid = sorted(product(range(window + 1), repeat=m), key=lambda k: (sum(k), k))
@@ -571,7 +589,9 @@ def _gamma_fill(
         raise CycleInconsistentError(
             f"edge {failing[0]} -> {failing[1]} violates the recurrence"
         )
-    return PuiseuxSeries._from_coords(a.cols, v, lat, lam, window=window, reliable=window)
+    return PuiseuxSeries._from_coords(
+        a.cols, v, lat, lam, window=window, reliable=window, points=amb
+    )
 
 
 # ---------------------------------------------------------------------------

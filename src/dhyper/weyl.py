@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial, lcm
-from operator import add, sub
+from operator import add, le, sub
 from typing import Iterable, Mapping
 
 from .errors import DhyperError, DimensionMismatchError, InputFormatError
@@ -355,16 +355,33 @@ def term_action_factor(nu: Expo, exponent: Iterable[Fraction]) -> Fraction:
     return v
 
 
-def _integer_action(base: tuple[Fraction, ...]):
-    """D and the integer D^|nu| [base + u]_nu, as a function of (nu, u).
+def _falling_factors(base: tuple[Fraction, ...]):
+    """D and the integer D^k [b_j + x]_k, as a function of (j, k, x).
 
-    D is the lcm of the denominators of base, so D^k [b_j + u_j]_k is the
-    integer prod_{t < k} (D b_j + D u_j - D t).  Each such product is
-    memoised under (coordinate j, u_j, order k) in a dict that lives as
-    long as the returned function.
+    D is the lcm of the denominators of base, so D^k [b_j + x]_k is the
+    integer prod_{t < k} (D b_j + D x - D t).
     """
     d = lcm(*(q.denominator for q in base))
     scaled = [q.numerator * (d // q.denominator) for q in base]
+
+    def falling(j: int, k: int, x: int) -> int:
+        top = scaled[j] + d * x
+        v = 1
+        for t in range(k):
+            v *= top - d * t
+        return v
+
+    return d, falling
+
+
+def _integer_action(base: tuple[Fraction, ...]):
+    """D and the integer D^|nu| [base + u]_nu, as a function of (nu, u).
+
+    The factors come from _falling_factors; each is memoised under
+    (coordinate j, u_j, order k) in a dict that lives as long as the
+    returned function.
+    """
+    d, falling = _falling_factors(base)
     memo: dict[tuple[int, int, int], int] = {}
 
     def action(nu: Expo, u: Expo) -> int:
@@ -374,11 +391,7 @@ def _integer_action(base: tuple[Fraction, ...]):
                 key = (j, u[j], k)
                 ff = memo.get(key)
                 if ff is None:
-                    top = scaled[j] + d * u[j]
-                    ff = 1
-                    for t in range(k):
-                        ff *= top - d * t
-                    memo[key] = ff
+                    ff = memo[key] = falling(j, k, u[j])
                 if not ff:
                     return 0
                 v *= ff
@@ -483,45 +496,69 @@ def _apply_single_class(p: WeylOperator, f, delta0: Expo, coords: Mapping[Expo, 
     coords maps each term shift mu - nu to the lattice coordinates of
     mu - nu - delta0.  Terms are grouped into a stencil by that coordinate
     offset, and the walk over the input index stays in coordinates.
+
+    The sums are exact in integers.  Every coefficient lam of f is taken
+    as the integer lam C, C the lcm of f's coefficient denominators; every
+    term weight c [base + u]_nu as an integer over E D^K (see below), its
+    falling factorials read from one table per (coordinate j, order k)
+    keyed by u_j.  Each output is then an integer over C E D^K, and only
+    the nonzero ones become a Fraction.  An offset's window test is a box
+    of coordinate bounds, worked out once per offset.
     """
     from .series import PuiseuxSeries, _sup
 
-    # term c x^mu d^nu weighs c [base + u]_nu; with K = max |nu| and E the
-    # lcm of the coefficient denominators it is stored as the integer
-    # c E D^(K - |nu|), so that action(nu, u) turns it into E D^K times
-    # the rational weight and each output is divided by E D^K once
-    d, action = _integer_action(f.base)
-    k_max = max(sum(nu) for _, nu, _ in p.terms)
-    e = lcm(*(c.denominator for _, _, c in p.terms))
-    stencil: dict[Expo, list[tuple[Expo, int]]] = {}
-    for mu, nu, c in p.terms:
-        scaled = c.numerator * (e // c.denominator) * d ** (k_max - sum(nu))
-        stencil.setdefault(coords[_sub(mu, nu)], []).append((nu, scaled))
-    max_shift = max(map(_sup, stencil))
     base_out = tuple(b + s for b, s in zip(f.base, delta0))
-    reliable = f.reliable - max_shift
+    reliable = f.reliable - max(map(_sup, coords.values()))
     if reliable < 0:
         return PuiseuxSeries.make(
             f.nvars, base_out, f.lattice, {}, window=0, reliable=-1,
             window_exhausted=True,
         )
 
-    acc: dict[Expo, Fraction] = {}
+    # term c x^mu d^nu weighs c [base + u]_nu; with K = max |nu| and E the
+    # lcm of the term coefficients' denominators it is stored as the
+    # integer c E D^(K - |nu|), so that the product of its factors
+    # D^k [b_j + u_j]_k is E D^K times the rational weight
+    d, falling = _falling_factors(f.base)
+    k_max = max(sum(nu) for _, nu, _ in p.terms)
+    e = lcm(*(c.denominator for _, _, c in p.terms))
+    tables: dict[tuple[int, int], dict[int, int]] = {}
+    groups: dict[Expo, list[tuple[int, list[tuple[int, dict[int, int]]]]]] = {}
+    for mu, nu, c in p.terms:
+        scaled = c.numerator * (e // c.denominator) * d ** (k_max - sum(nu))
+        factors = []
+        for j, k in enumerate(nu):
+            if k:
+                if (j, k) not in tables:
+                    tables[(j, k)] = {x: falling(j, k, x) for x in {u[j] for u in f.coeffs}}
+                factors.append((j, tables[(j, k)]))
+        groups.setdefault(coords[_sub(mu, nu)], []).append((scaled, factors))
+    # z + co lies in the output window exactly when -r - co <= z <= r - co
+    stencil = [
+        (co, tuple(-reliable - x for x in co), tuple(reliable - x for x in co), group)
+        for co, group in groups.items()
+    ]
+    common = lcm(*(q.denominator for q in f.coeffs.values()))
+    acc: dict[Expo, int] = {}
     for z, u in f._index.items():
-        lam = f.coeffs[u]
-        for co, group in stencil.items():
-            w = _add(z, co)
-            if _sup(w) > reliable:
+        q = f.coeffs[u]
+        lam = q.numerator * (common // q.denominator)
+        for co, lo, hi, group in stencil:
+            if not (all(map(le, lo, z)) and all(map(le, z, hi))):
                 continue
-            # sum of c [base + u]_nu over the offset's terms: lam multiplies once
+            # sum of the offset's term weights: lam multiplies once
             weight = 0
-            for nu, c in group:
-                weight += c * action(nu, u)
+            for c, factors in group:
+                for j, table in factors:
+                    c *= table[u[j]]
+                weight += c
             if weight:
+                w = _add(z, co)
                 acc[w] = acc.get(w, 0) + lam * weight
-    scale = e * d**k_max
+    scale = common * e * d**k_max
     return PuiseuxSeries._from_coords(
-        f.nvars, base_out, f.lattice, {w: q / scale for w, q in acc.items()},
+        f.nvars, base_out, f.lattice,
+        {w: Fraction(q, scale) for w, q in acc.items() if q},
         window=reliable, reliable=reliable,
     )
 

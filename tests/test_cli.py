@@ -1,8 +1,13 @@
+import contextlib
 import hashlib
+import io
 import json
+import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dhyper import cli
 from dhyper.exact import IntMatrix
@@ -198,6 +203,8 @@ def test_empty_matrix_exits_bad_input(capsys, matrix):
         ["toric", "--a", "[[1,true]]"],
         ["ahyp", "--a", A_JSON, "--beta", "[true,1]"],
         ["nonresonant", "--a", A_JSON, "--beta", '[false,"1/2"]'],
+        # an argparse usage error, not a JSON one
+        ["gamma", "--a", A_JSON, "--beta", BETA_JSON, "--window", "true"],
     ],
 )
 def test_json_booleans_are_not_integers(capsys, argv):
@@ -263,6 +270,20 @@ def test_series_json_with_non_integers_exits_bad_input(capsys, field, value):
     assert "bad series json" in rep["error"]
 
 
+def test_exhausted_series_with_reliable_radius_exits_bad_input(capsys):
+    # an exhausted window certifies no radius: reliable 2 next to it is a
+    # contradiction, not a NONZERO witness at window 2
+    series = {
+        "v": ["1/2"], "lattice": [[2]], "terms": [{"u": [0], "coeff": "1"}],
+        "window": 2, "reliable": 2, "window_exhausted": True,
+    }
+    gens = [{"nvars": 1, "terms": [{"x": [1], "dx": [0], "coeff": "1"}]}]
+    argv = ["annihilate", "--gens", json.dumps(gens), "--series", json.dumps(series)]
+    code, rep = run_main(capsys, argv)
+    assert code == rep["exit_code"] == 2
+    assert "exhausted" in rep["error"]
+
+
 # SHA-256 of the canonical gamma report for the demo matrix at window 8, and
 # of the annihilate report of that series against the demo A-hypergeometric
 # generators.  Like the example-erdelyi pin: performance work leaves these
@@ -322,3 +343,102 @@ def test_toric_without_positive_grading(capsys):
     rep = json.loads(out)  # exactly one JSON object: trailing data would not parse
     assert code == rep["exit_code"] == 0
     assert [g["poly"] for g in rep["results"]["groebner"]] == ["d1 d2 - 1"]
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing the gamma and annihilate subcommands: for any JSON arguments the
+# process exits with a documented code other than 6 (which would be a bug in
+# dhyper) and prints exactly one JSON object.  Windows stay small so every
+# example is bounded.
+
+JUNK = st.one_of(
+    st.booleans(), st.floats(width=16), st.text(max_size=3), st.just("1/0"), st.none(),
+    st.just([]), st.just({}),
+)
+SMALL = st.integers(-3, 3)
+RATIONAL = st.one_of(SMALL, st.builds("{}/{}".format, st.integers(-9, 9), st.integers(1, 7)))
+
+
+def mostly(valid, other):
+    """valid in three draws of four, other in the fourth."""
+    return st.integers(0, 3).flatmap(lambda k: other if k == 3 else valid)
+
+
+def nodes(obj, path=()):
+    """The path of every node of a JSON value, the value itself first."""
+    yield path
+    if isinstance(obj, (dict, list)):
+        for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
+            yield from nodes(value, path + (key,))
+
+
+@st.composite
+def flag(draw, valid):
+    """JSON text of a drawn value, in one case of four with one node of it
+    (possibly the whole value) replaced by junk."""
+    obj = draw(valid)
+    if draw(st.integers(0, 3)) == 3:
+        path = draw(st.sampled_from(list(nodes(obj))))
+        if not path:
+            obj = draw(JUNK)
+        else:
+            target = obj
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = draw(JUNK)
+    return json.dumps(obj)
+
+
+def matrix(rows, cols):
+    return st.lists(st.lists(SMALL, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+@st.composite
+def gamma_argv(draw):
+    rows, cols = draw(st.integers(1, 2)), draw(st.integers(1, 4))
+    beta = mostly(st.lists(RATIONAL, min_size=rows, max_size=rows), st.lists(RATIONAL, max_size=3))
+    window = mostly(st.integers(-1, 3).map(str), JUNK.map(json.dumps))
+    return [
+        "gamma", "--a", draw(flag(matrix(rows, cols))), "--beta", draw(flag(beta)),
+        "--window", draw(window),
+    ]
+
+
+@st.composite
+def annihilate_argv(draw):
+    n = draw(st.integers(1, 2))
+    expo = st.lists(st.integers(0, 2), min_size=n, max_size=n)
+    term = st.fixed_dictionaries({"x": expo, "dx": expo, "coeff": RATIONAL})
+    operator = st.fixed_dictionaries({"nvars": st.just(n), "terms": st.lists(term, max_size=3)})
+    window = draw(st.integers(0, 3))
+    series = st.fixed_dictionaries(
+        {
+            "v": st.lists(RATIONAL, min_size=n, max_size=n),
+            "lattice": matrix(n, draw(st.integers(0, 2))),
+            "terms": st.lists(
+                st.fixed_dictionaries(
+                    {"u": st.lists(SMALL, min_size=n, max_size=n), "coeff": RATIONAL}
+                ),
+                max_size=4,
+            ),
+            "window": st.just(window),
+            "reliable": st.integers(-2, window + 1),
+            # true next to reliable >= 0 is a contradictory frame
+            "window_exhausted": st.booleans(),
+        }
+    )
+    gens = st.lists(operator, min_size=1, max_size=3)
+    return ["annihilate", "--gens", draw(flag(gens)), "--series", draw(flag(series))]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(gamma_argv(), annihilate_argv()))
+def test_fuzzed_gamma_and_annihilate_exit_documented_codes(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # resonant parameters
+        code = cli.main(argv)
+    rep = json.loads(out.getvalue())  # exactly one JSON object: trailing data would not parse
+    assert isinstance(rep, dict)
+    assert code == rep["exit_code"]
+    assert code in (0, 1, 2, 3, 4, 5), rep

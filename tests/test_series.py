@@ -39,6 +39,7 @@ from dhyper.series import (
     recurrence_series,
     shift,
 )
+from dhyper.systems import hypergeometric_system
 from dhyper.weyl import (
     WeylOperator,
     apply_to_series,
@@ -179,6 +180,19 @@ def test_series_json_rejects_non_integers_and_non_booleans(path, value):
     target[path[-1]] = value
     with pytest.raises(InputFormatError):
         PuiseuxSeries.from_json(obj)
+
+
+def test_exhausted_frame_needs_reliable_minus_one():
+    # an exhausted window certifies no radius; a stored reliable >= 0 next
+    # to the flag is a contradiction, not something to act on
+    obj = dict(SMALL_SERIES, window_exhausted=True)
+    with pytest.raises(InputFormatError, match="exhausted"):
+        PuiseuxSeries.from_json(obj)
+    lat = IntMatrix.from_rows([[1]])
+    with pytest.raises(InputFormatError, match="exhausted"):
+        PuiseuxSeries.make(1, [A_HALF], lat, {}, window=3, reliable=0, window_exhausted=True)
+    f = PuiseuxSeries.from_json(dict(obj, reliable=-1))
+    assert (f.window, f.reliable, f.window_exhausted) == (3, -1, True)
 
 
 # ---------------------------------------------------------------------------
@@ -689,6 +703,60 @@ def test_coordinate_path_matches_ambient_reference(case):
     assert image.coeffs == coeffs
     assert (image.window, image.reliable) == (reliable, reliable)
     assert image.base == tuple(b + d for b, d in zip(f.base, p.shifts()[0]))
+
+
+# pairwise coprime denominators, from small primes to a Mersenne prime,
+# so the common denominator of a series' coefficients gets large
+COPRIME_DENOMINATORS = [1, 2, 3, 5, 7, 11, 97, 7919, 10**9 + 7, 998244353, 2**61 - 1]
+
+
+@st.composite
+def integer_accumulation_cases(draw):
+    """A series that is not a gamma series and a single-class operator:
+    the A-hypergeometric generators of (a, beta), whose outputs cancel away
+    from a perturbed coefficient, or an operator drawn as in lattice_cases."""
+    a, beta, window, p = draw(lattice_cases())
+    window = min(window, 4)
+    lat = kernel_basis(a)
+    coeff = st.builds(
+        Fraction,
+        st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(10**30), 10**30)),
+        st.sampled_from(COPRIME_DENOMINATORS),
+    )
+    kind = draw(st.sampled_from(["perturbed", "random", "empty"]))
+    if kind == "perturbed":
+        f = gamma_series(a, beta, window=window)
+        coeffs = dict(f.coeffs)
+        # near the origin, so the images of generators are nonzero around
+        # the perturbation and cancel to zero away from it
+        near = st.sampled_from(list(product(range(-1, 2), repeat=lat.cols)))
+        for z in draw(st.lists(near, min_size=1, max_size=3)):
+            coeffs[_ambient(lat, z)] = draw(coeff)  # zero included: an explicit zero
+        base = f.base
+    else:
+        box = list(product(range(-window, window + 1), repeat=lat.cols))
+        points = st.lists(st.sampled_from(box), min_size=1, unique=True)
+        coeffs = {_ambient(lat, z): draw(coeff) for z in draw(points)} if kind == "random" else {}
+        frac = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 4, 6]))
+        base = draw(st.lists(frac, min_size=a.cols, max_size=a.cols))
+    reliable = draw(st.one_of(st.just(window), st.integers(-1, window)))
+    f = PuiseuxSeries.make(a.cols, base, lat, coeffs, window=window, reliable=reliable)
+    if draw(st.booleans()):
+        p = draw(st.sampled_from(hypergeometric_system(a, beta).generators))
+    return p, f
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(integer_accumulation_cases())
+def test_integer_accumulation_matches_fraction_reference(case):
+    p, f = case
+    image = apply_to_series(p, f)
+    coeffs, reliable = naive_apply(p, f)
+    if reliable < 0:
+        assert image.window_exhausted and image.reliable == -1 and not image.coeffs
+        return
+    assert image.coeffs == coeffs
+    assert (image.window, image.reliable, image.window_exhausted) == (reliable, reliable, False)
 
 
 def test_coordinate_constructor_checks_window_and_rank():
