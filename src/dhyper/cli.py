@@ -322,7 +322,7 @@ def _cmd_membership(args):
         raise InputFormatError("query must be a single operator")
     gb = groebner_weyl(gens, cap=args.cap)
     cert = gb.membership(query[0])
-    conclusive = cert.member is not None and cert.member != "inconclusive"
+    conclusive = cert.member != "inconclusive"
     verdicts = [
         Verdict(
             "membership-conclusive",

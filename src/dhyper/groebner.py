@@ -25,7 +25,7 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import gcd, lcm
-from operator import le, mul
+from operator import le, mul, neg
 from typing import Iterable, Mapping
 
 from .errors import DimensionMismatchError, InputFormatError, InvariantError
@@ -47,7 +47,7 @@ class DegRevLex:
     degree_compatible = True
 
     def key(self, e: Expo):
-        return (sum(e), tuple(-x for x in reversed(e)))
+        return (sum(e), tuple(map(neg, e[::-1])))
 
 
 @dataclass(frozen=True)
@@ -63,9 +63,9 @@ class BlockElim:
         head, tail = e[: self.nfirst], e[self.nfirst :]
         return (
             sum(head),
-            tuple(-x for x in reversed(head)),
+            tuple(map(neg, head[::-1])),
             sum(tail),
-            tuple(-x for x in reversed(tail)),
+            tuple(map(neg, tail[::-1])),
         )
 
 
@@ -82,7 +82,7 @@ class WeightedRevLexLast:
         return (
             sum(map(mul, self.weights, e)),
             -e[self.last],
-            tuple(-x for x in reversed(e)),
+            tuple(map(neg, e[::-1])),
         )
 
 
@@ -91,7 +91,7 @@ def _divides(a: Expo, b: Expo) -> bool:
 
 
 def _expo_lcm(a: Expo, b: Expo) -> Expo:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +168,13 @@ class CommPoly:
 # ---------------------------------------------------------------------------
 # Buchberger core
 #
-# An element is an operator dict {(mu, nu): coeff} for x^mu d^nu, paired
-# with its cofactor list over the original generators.  A divisor is the
+# An element is an operator dict {(mu, nu): coeff} for x^mu d^nu with
+# integer coefficients, paired with its cofactor list over the original
+# generators: integer dicts over one positive denominator.  A divisor is the
 # triple (lead monomial, lead coefficient, operator).  key maps a monomial
-# (mu, nu) to its term-order key.
+# (mu, nu) to its term-order key.  Rational input becomes integer once, on
+# the way in (_integral), and Fractions are built again only at the public
+# boundary.
 
 
 def _divisor(g: dict, key) -> tuple:
@@ -179,18 +182,29 @@ def _divisor(g: dict, key) -> tuple:
     return lead, g[lead], g
 
 
-def _primitive(g: dict, rep: list[dict], lead) -> tuple[dict, list[dict]]:
-    """Scale g to coprime integer coefficients with a positive lead, and its
-    cofactors by the same factor."""
-    num, den = 0, 1
-    for c in g.values():
-        num = gcd(num, c.numerator)
-        den = lcm(den, c.denominator)
-    factor = Fraction(den, num) if g[lead] > 0 else Fraction(-den, num)
-    return (
-        {k: c * factor for k, c in g.items()},
-        [{k: c * factor for k, c in r.items()} for r in rep],
-    )
+def _integral(g: dict) -> tuple[dict, int]:
+    """(d g, d) with d the lcm of the denominators of g's coefficients."""
+    d = lcm(*(c.denominator for c in g.values()))
+    return {k: c.numerator * (d // c.denominator) for k, c in g.items()}, d
+
+
+def _primitive(g: dict, rep: list[dict], den: int, lead) -> tuple[dict, list[dict], int]:
+    """Divide the integer operator g by its content, signed to leave a
+    positive lead, and its cofactors rep / den by the same factor; the
+    cofactors come back in lowest terms."""
+    p = gcd(*g.values())
+    if g[lead] < 0:
+        p = -p
+    if p != 1:
+        g = {k: c // p for k, c in g.items()}
+        den *= abs(p)
+        if p < 0:
+            rep = [{k: -c for k, c in r.items()} for r in rep]
+    common = gcd(den, *(c for r in rep for c in r.values()))
+    if common != 1:
+        rep = [{k: c // common for k, c in r.items()} for r in rep]
+        den //= common
+    return g, rep, den
 
 
 class _Greater:
@@ -205,59 +219,100 @@ class _Greater:
         return other.k < self.k
 
 
-def _divide(f: dict, divisors, key) -> tuple[list[dict], dict]:
-    """Left division: f = sum quotients[i] . divisor i + remainder, with no
-    remainder monomial divisible by a divisor lead.
+def _divide(f: dict, divisors, key, cap: int | None = None) -> tuple[list[dict], dict, int]:
+    """Fraction-free left division of the integer operator f by integer
+    divisors: m f = sum quotients[i] . divisor i + remainder, with no
+    remainder monomial divisible by a divisor lead.  Returns (quotients,
+    remainder, m); every coefficient is an integer, and m > 0 when every
+    divisor lead is positive.
 
+    Each step scales the working operator by c / gcd(w, c), for w its lead
+    coefficient and c that of the divisor, so the lead cancels in integers;
+    m is the product of these scales.  Quotient and remainder terms are
+    recorded with the scale of their step and brought to m once, at the end.
     The lead of the working operator comes off a heap holding each monomial
     under the key computed when it entered; entries whose monomial has since
     cancelled are skipped.  Reduction only adds monomials below the lead it
     removes, so the leads are taken in the same order as by a fresh max.
+
+    With a cap, the division stops at the first remainder monomial of total
+    degree above it, which is returned as the whole remainder with no
+    quotients: remainder terms are never taken back, so that much already
+    decides a capped completion's drop.
     """
-    quots: list[dict] = [{} for _ in divisors]
-    rem: dict = {}
+    steps: list[tuple] = []
+    rems: list[tuple] = []
     work = dict(f)
-    heap = [_Greater(key(m), m) for m in work]
+    m = 1
+    heap = [_Greater(key(t), t) for t in work]
     heapify(heap)
     entered: list = []
+    flat_leads = [gl[0] + gl[1] for gl, _, _ in divisors]
     while heap:
-        le = heappop(heap).m
-        if le not in work:
+        lead = heappop(heap).m
+        w = work.get(lead)
+        if w is None:
             continue
-        for i, (gl, gc, g) in enumerate(divisors):
-            if _divides(gl[0], le[0]) and _divides(gl[1], le[1]):
+        flat = lead[0] + lead[1]
+        for i, fl in enumerate(flat_leads):
+            if all(map(le, fl, flat)):
                 break
         else:
-            rem[le] = work.pop(le)
+            del work[lead]
+            if cap is not None and sum(flat) > cap:
+                return [{} for _ in divisors], {lead: w}, m
+            rems.append((lead, w, m))
             continue
-        shift = (_sub(le[0], gl[0]), _sub(le[1], gl[1]))
-        factor = work[le] / gc
-        quots[i][shift] = quots[i].get(shift, 0) + factor
-        _lmul(work, -factor, *shift, g, entered)
-        for m in entered:
-            heappush(heap, _Greater(key(m), m))
+        gl, gc, g = divisors[i]
+        h = gcd(w, gc)
+        scale = gc // h
+        if scale != 1:
+            for t in work:
+                work[t] *= scale
+            m *= scale
+        shift = (_sub(lead[0], gl[0]), _sub(lead[1], gl[1]))
+        steps.append((i, shift, w // h, m))
+        _lmul(work, -(w // h), *shift, g, entered)
+        for t in entered:
+            heappush(heap, _Greater(key(t), t))
         entered.clear()
-    return quots, rem
+    quots: list[dict] = [{} for _ in divisors]
+    for i, shift, c, at in steps:
+        quots[i][shift] = c if at == m else c * (m // at)
+    rem = {t: c if at == m else c * (m // at) for t, c, at in rems}
+    return quots, rem, m
 
 
 def _spair(di, dj) -> tuple[dict, tuple, tuple]:
-    """S-operator of two divisors, with the left multipliers (coeff, a, b),
+    """Integer S-operator (c_j/k) x^a d^b g_i - (c_i/k) x^a' d^b' g_j of two
+    divisors, k = gcd(c_i, c_j), with the left multipliers (coeff, a, b),
     standing for coeff * x^a d^b, applied to each."""
     (li, ci, gi), (lj, cj, gj) = di, dj
     mu, nu = _expo_lcm(li[0], lj[0]), _expo_lcm(li[1], lj[1])
-    mi = (Fraction(1) / ci, _sub(mu, li[0]), _sub(nu, li[1]))
-    mj = (Fraction(-1) / cj, _sub(mu, lj[0]), _sub(nu, lj[1]))
+    k = gcd(ci, cj)
+    mi = (cj // k, _sub(mu, li[0]), _sub(nu, li[1]))
+    mj = (-(ci // k), _sub(mu, lj[0]), _sub(nu, lj[1]))
     s: dict = {}
     _lmul(s, *mi, gi)
     _lmul(s, *mj, gj)
     return s, mi, mj
 
 
-def _add_cofactors(acc: list[dict], quots: list[dict], reps, sign: int) -> None:
-    """acc[t] += sign * sum over k of quots[k] . reps[k][t]."""
-    for q, rep in zip(quots, reps):
+def _used_lcm(quots: list[dict], dens: list[int], *more: int) -> int:
+    """lcm of more and of the denominators of the divisors with a quotient."""
+    return lcm(*more, *(d for q, d in zip(quots, dens) if q))
+
+
+def _add_cofactors(acc: list[dict], quots: list[dict], reps, dens, den: int, sign: int) -> None:
+    """acc[t] += sign * sum over k of (den / dens[k]) quots[k] . reps[k][t]:
+    the cofactors reps[k] / dens[k] brought to the denominator den, which
+    every dens[k] with a nonzero quotient divides."""
+    for q, rep, d in zip(quots, reps, dens):
+        if not q:
+            continue
+        s = sign * (den // d)
         for (a, b), c in q.items():
-            coeff = sign * c
+            coeff = s * c
             for t, r in enumerate(rep):
                 if r:
                     _lmul(acc[t], coeff, a, b, r)
@@ -282,7 +337,8 @@ class PairStats:
 
 
 def _buchberger(gens, key, cap: int | None = None, coprime_skip: bool = False, chain: bool = True):
-    """Complete nonzero (operator, cofactors) pairs to a Groebner basis.
+    """Complete nonzero (integer operator, integer cofactors) pairs, the
+    cofactors over denominator 1, to a Groebner basis.
 
     Pairs are processed in order of (key of the lcm L of the leads, i, j).
     coprime_skip turns on the product criterion, which is sound only
@@ -293,22 +349,25 @@ def _buchberger(gens, key, cap: int | None = None, coprime_skip: bool = False, c
     and from then on the chain criterion is off: a dropped remainder
     leaves pairs without such a representation, and skipping past it can
     lose basis elements the cap would have kept.  chain=False is the
-    criterion-off reference for tests.  Returns (basis, PairStats).
+    criterion-off reference for tests.  Returns (basis, PairStats), the
+    basis as primitive (operator, cofactors, denominator) triples.
     """
     divisors: list[tuple] = []
     reps: list[list[dict]] = []
+    dens: list[int] = []
     heap: list[tuple] = []
     popped: set[tuple[int, int]] = set()
     counts: Counter = Counter()
 
-    def admit(g, rep):
+    def admit(g, rep, den):
         lead = max(g, key=key)
-        g, rep = _primitive(g, rep, lead)
+        g, rep, den = _primitive(g, rep, den, lead)
         for i, (li, _, _) in enumerate(divisors):
             l = (_expo_lcm(li[0], lead[0]), _expo_lcm(li[1], lead[1]))
             heappush(heap, (key(l), i, len(divisors), l))
         divisors.append((lead, g[lead], g))
         reps.append(rep)
+        dens.append(den)
 
     def chained(i, j, l) -> bool:
         return any(
@@ -319,7 +378,7 @@ def _buchberger(gens, key, cap: int | None = None, coprime_skip: bool = False, c
         )
 
     for g, rep in gens:
-        admit(g, rep)
+        admit(g, rep, 1)
     while heap:
         _, i, j, l = heappop(heap)
         counts["considered"] += 1
@@ -329,33 +388,39 @@ def _buchberger(gens, key, cap: int | None = None, coprime_skip: bool = False, c
         elif chain and not counts["cap_drops"] and chained(i, j, l):
             counts["chain_skips"] += 1
         else:
-            s, mi, mj = _spair(divisors[i], divisors[j])
-            quots, rem = _divide(s, divisors, key)
+            s, (ci, ai, bi), (cj, aj, bj) = _spair(divisors[i], divisors[j])
+            quots, rem, m = _divide(s, divisors, key, cap)
             if not rem:
                 counts["zero_reductions"] += 1
             elif cap is not None and max(sum(mu) + sum(nu) for mu, nu in rem) > cap:
                 counts["cap_drops"] += 1
             else:
+                # rem = m s - sum quots . divisors, over one denominator
+                den = _used_lcm(quots, dens, dens[i], dens[j])
+                ci *= m * (den // dens[i])
+                cj *= m * (den // dens[j])
                 srep: list[dict] = [{} for _ in reps[i]]
                 for acc, ri, rj in zip(srep, reps[i], reps[j]):
-                    _lmul(acc, *mi, ri)
-                    _lmul(acc, *mj, rj)
-                _add_cofactors(srep, quots, reps, -1)
-                admit(rem, srep)
+                    if ri:
+                        _lmul(acc, ci, ai, bi, ri)
+                    if rj:
+                        _lmul(acc, cj, aj, bj, rj)
+                _add_cofactors(srep, quots, reps, dens, den, -1)
+                admit(rem, srep, den)
                 counts["added"] += 1
         popped.add((i, j))
-    basis = [(g, rep) for (_, _, g), rep in zip(divisors, reps)]
+    basis = [(g, rep, den) for (_, _, g), rep, den in zip(divisors, reps, dens)]
     return basis, PairStats(**counts)
 
 
-def _interreduce(basis, key) -> list[tuple[dict, list[dict]]]:
+def _interreduce(basis, key) -> list[tuple[dict, list[dict], int]]:
     """Reduced basis: drop elements whose lead another lead divides, reduce
-    each tail by the rest until nothing changes, then make every element
-    primitive and sort by lead."""
-    leads = [max(g, key=key) for g, _ in basis]
+    each tail by the rest until nothing changes, keeping every element
+    primitive, and sort by lead."""
+    leads = [max(g, key=key) for g, _, _ in basis]
     kept = [
-        (leads[i], g, rep)
-        for i, (g, rep) in enumerate(basis)
+        (leads[i], g, rep, den)
+        for i, (g, rep, den) in enumerate(basis)
         if not any(
             j != i and _divides(lj[0], leads[i][0]) and _divides(lj[1], leads[i][1])
             and (lj != leads[i] or j < i)
@@ -363,20 +428,26 @@ def _interreduce(basis, key) -> list[tuple[dict, list[dict]]]:
         )
     ]
     # no kept lead divides another, so reduction keeps every lead term
-    divisors = [(lead, g[lead], g) for lead, g, _ in kept]
+    divisors = [(lead, g[lead], g) for lead, g, _, _ in kept]
     changed = True
     while changed:
         changed = False
-        for i, (lead, g, rep) in enumerate(kept):
+        for i, (lead, g, rep, den) in enumerate(kept):
             others = divisors[:i] + divisors[i + 1 :]
-            quots, rem = _divide(g, others, key)
-            if rem != g:
+            quots, rem, m = _divide(g, others, key)
+            if any(quots):
                 changed = True
-                _add_cofactors(rep, quots, [r for t, (_, _, r) in enumerate(kept) if t != i], -1)
-                kept[i] = (lead, rem, rep)
-                divisors[i] = (lead, rem[lead], rem)
+                rest = [(r, d) for t, (_, _, r, d) in enumerate(kept) if t != i]
+                odens = [d for _, d in rest]
+                new_den = _used_lcm(quots, odens, den)
+                s = m * (new_den // den)
+                acc = [{k: c * s for k, c in r.items()} for r in rep]
+                _add_cofactors(acc, quots, [r for r, _ in rest], odens, new_den, -1)
+                g, rep, den = _primitive(rem, acc, new_den, lead)
+                kept[i] = (lead, g, rep, den)
+                divisors[i] = (lead, g[lead], g)
     kept.sort(key=lambda t: key(t[0]))
-    return [_primitive(g, rep, lead) for lead, g, rep in kept]
+    return [(g, rep, den) for _, g, rep, den in kept]
 
 
 @dataclass(frozen=True)
@@ -403,9 +474,10 @@ class CommIdeal:
         if p.nvars != self.nvars:
             raise DimensionMismatchError("polynomial variable count mismatch")
         key = _comm_key(order)
-        divisors = [_divisor(_xfree(g), key) for g in self.groebner(order)]
-        _, rem = _divide(_xfree(p), divisors, key)
-        return CommPoly.make(self.nvars, {nu: c for (_, nu), c in rem.items()})
+        divisors = [_divisor(_integral(_xfree(g))[0], key) for g in self.groebner(order)]
+        f, d = _integral(_xfree(p))
+        _, rem, m = _divide(f, divisors, key)
+        return CommPoly.make(self.nvars, {nu: Fraction(c, m * d) for (_, nu), c in rem.items()})
 
     def contains(self, p: CommPoly, order=None) -> bool:
         return self.normal_form(p, order).is_zero()
@@ -428,12 +500,12 @@ def _xfree(p: CommPoly) -> dict:
 @lru_cache(maxsize=256)
 def _groebner_cached(ideal: CommIdeal, order) -> tuple[CommPoly, ...]:
     key = _comm_key(order)
-    gens = [(_xfree(g), []) for g in ideal.gens if not g.is_zero()]
+    gens = [(_integral(_xfree(g))[0], []) for g in ideal.gens if not g.is_zero()]
     basis, _ = _buchberger(gens, key, coprime_skip=True)
     out = []
-    for g, _ in _interreduce(basis, key):
+    for g, _, _ in _interreduce(basis, key):
         lc = g[max(g, key=key)]
-        out.append(CommPoly.make(ideal.nvars, {nu: c / lc for (_, nu), c in g.items()}))
+        out.append(CommPoly.make(ideal.nvars, {nu: Fraction(c, lc) for (_, nu), c in g.items()}))
     return tuple(out)
 
 
@@ -465,6 +537,16 @@ def saturate(ideal: CommIdeal, f: CommPoly) -> CommIdeal:
     return CommIdeal.make(n, kept)
 
 
+def _as_dict(p: WeylOperator) -> dict:
+    return {(mu, nu): c for mu, nu, c in p.terms}
+
+
+def _over(nvars: int, g: dict, den: int) -> WeylOperator:
+    """The integer operator g divided by den, as a WeylOperator; g comes
+    from the core, so its exponents and coefficients need no checks."""
+    return WeylOperator(nvars, tuple((mu, nu, Fraction(c, den)) for (mu, nu), c in sorted(g.items())))
+
+
 @dataclass(frozen=True)
 class MembershipCertificate:
     """Replayable left-ideal membership answer."""
@@ -485,14 +567,28 @@ class MembershipCertificate:
         if len(gens) != len(self.cofactors):
             return False
         self.query._check(self.normal_form)
-        acc = {(mu, nu): c for mu, nu, c in self.normal_form.terms}
         for q, g in zip(self.cofactors, gens):
             self.query._check(q)
             self.query._check(g)
-            gd = {(mu, nu): c for mu, nu, c in g.terms}
-            for mu, nu, c in q.terms:
-                _lmul(acc, c, mu, nu, gd)
-        return WeylOperator.make(self.query.nvars, acc) == self.query
+        # in integers: with q_i = Q_i / a_i, g_i = G_i / b_i, the normal form
+        # N / c and the query P / e, compare L sum_i q_i g_i + L N / c with
+        # L P / e for L the lcm of all the a_i b_i, c and e
+        nf, c = _integral(_as_dict(self.normal_form))
+        query, e = _integral(_as_dict(self.query))
+        pairs = [
+            (_integral(_as_dict(q)), _integral(_as_dict(g)))
+            for q, g in zip(self.cofactors, gens)
+            if q.terms and g.terms
+        ]
+        big = lcm(c, e, *(a * b for (_, a), (_, b) in pairs))
+        s = big // c
+        acc = {t: v * s for t, v in nf.items()}
+        for (qd, a), (gd, b) in pairs:
+            s = big // (a * b)
+            for (mu, nu), v in qd.items():
+                _lmul(acc, v * s, mu, nu, gd)
+        s = big // e
+        return acc == {t: v * s for t, v in query.items()}
 
     def to_json(self) -> dict:
         member = self.member if isinstance(self.member, str) else bool(self.member)
@@ -534,35 +630,38 @@ class WeylGroebner:
         seeds = []
         for i, g in enumerate(self.gens):
             if g.terms:
+                # the seed is d g_i, so its cofactor is d at position i
+                gd, d = _integral(_as_dict(g))
                 rep = [{} for _ in self.gens]
-                rep[i] = {unit: Fraction(1)}
-                seeds.append(({(mu, nu): c for mu, nu, c in g.terms}, rep))
+                rep[i] = {unit: d}
+                seeds.append((gd, rep))
         basis, self.stats = _buchberger(seeds, key, cap=cap)
         self._basis = _interreduce(basis, key)
-        self._divisors = [_divisor(g, key) for g, _ in self._basis]
+        self._divisors = [_divisor(g, key) for g, _, _ in self._basis]
         self.status = "capped" if self.stats.cap_drops else "complete"
 
     @property
     def basis(self) -> tuple[WeylOperator, ...]:
-        return tuple(
-            WeylOperator.make(self.nvars, g) for g, _ in self._basis
-        )
+        return tuple(_over(self.nvars, g, 1) for g, _, _ in self._basis)
 
     def basis_representation(self, idx: int) -> tuple[WeylOperator, ...]:
         """Cofactors writing basis element idx over the original generators."""
-        _, rep = self._basis[idx]
-        return tuple(WeylOperator.make(self.nvars, r) for r in rep)
+        _, rep, den = self._basis[idx]
+        return tuple(_over(self.nvars, r, den) for r in rep)
 
     def normal_form(self, p: WeylOperator):
         if p.nvars != self.nvars:
             raise DimensionMismatchError("query variable count mismatch")
-        work = {(mu, nu): c for mu, nu, c in p.terms}
-        quots, rem = _divide(work, self._divisors, self._key)
+        f, d = _integral(_as_dict(p))
+        quots, rem, m = _divide(f, self._divisors, self._key)
+        # d p = (sum quots . basis + rem) / m
+        dens = [den for _, _, den in self._basis]
+        den = _used_lcm(quots, dens)
         cof: list[dict] = [{} for _ in self.gens]
-        _add_cofactors(cof, quots, [rep for _, rep in self._basis], 1)
+        _add_cofactors(cof, quots, [rep for _, rep, _ in self._basis], dens, den, 1)
         return (
-            WeylOperator.make(self.nvars, rem),
-            tuple(WeylOperator.make(self.nvars, c) for c in cof),
+            _over(self.nvars, rem, m * d),
+            tuple(_over(self.nvars, c, den * m * d) for c in cof),
         )
 
     def membership(self, p: WeylOperator) -> MembershipCertificate:

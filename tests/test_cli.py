@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from dhyper import cli
 from dhyper.exact import IntMatrix
 from dhyper.series import PuiseuxSeries
-from dhyper.systems import hypergeometric_system
+from dhyper.systems import horn_system, hypergeometric_system
+from dhyper.weyl import WeylOperator, normal_product
 
 A_JSON = "[[3,2,1,0],[0,1,2,3]]"
 B_JSON = "[[1,0],[-2,1],[1,-2],[0,1]]"
@@ -335,6 +336,42 @@ def test_toric_report_bytes_are_pinned(capsys, a_json):
     assert hashlib.sha256(out.encode()).hexdigest() == TORIC_REPORT_SHA256[a_json]
 
 
+# SHA-256 of two canonical membership reports against the demo Horn
+# generators at the default cap, recorded before the Groebner core worked
+# in integers: the "not in Horn" certificate for d1 d4 - d2 d3, and the
+# certificate of the planted member x1 . g_1 + d2 . g_3.  The cofactors in
+# them are what any core must reproduce.
+MEMBERSHIP_REPORT_SHA256 = {
+    "missing": "70a698ec626d2d57ad6e4ef0462a619422aac9921789f607bfd84a20c881be74",
+    "planted": "c8901ff2fe2451fc0a650258c16fb87922f19ee5f7d240ee2838909e8aae4f08",
+}
+
+
+def _demo_horn_membership_argv(which):
+    a = IntMatrix.from_rows(json.loads(A_JSON))
+    b = IntMatrix.from_rows(json.loads(B_JSON))
+    beta = tuple(Fraction(q) for q in json.loads(BETA_JSON))
+    gens = list(horn_system(b, beta, a=a).generators)
+    if which == "missing":
+        query = WeylOperator.make(4, {((0,) * 4, (1, 0, 0, 1)): 1, ((0,) * 4, (0, 1, 1, 0)): -1})
+    else:
+        query = normal_product(WeylOperator.x(0, 4), gens[0]) + normal_product(WeylOperator.d(1, 4), gens[2])
+    return [
+        "membership",
+        "--gens", json.dumps([g.to_json() for g in gens], sort_keys=True),
+        "--query", json.dumps(query.to_json(), sort_keys=True),
+    ]
+
+
+@pytest.mark.parametrize("which", sorted(MEMBERSHIP_REPORT_SHA256))
+def test_membership_report_bytes_are_pinned(capsys, which):
+    assert cli.main(_demo_horn_membership_argv(which)) == 0
+    out = capsys.readouterr().out
+    member = json.loads(out)["results"]["certificate"]["member"]
+    assert member is (which == "planted")
+    assert hashlib.sha256(out.encode()).hexdigest() == MEMBERSHIP_REPORT_SHA256[which]
+
+
 def test_toric_without_positive_grading(capsys):
     # [[1, -1]] has no positive grading: toric_ideal saturates through an
     # elimination variable instead
@@ -431,9 +468,7 @@ def annihilate_argv(draw):
     return ["annihilate", "--gens", draw(flag(gens)), "--series", draw(flag(series))]
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(st.one_of(gamma_argv(), annihilate_argv()))
-def test_fuzzed_gamma_and_annihilate_exit_documented_codes(argv):
+def assert_one_documented_exit(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # resonant parameters
@@ -442,3 +477,34 @@ def test_fuzzed_gamma_and_annihilate_exit_documented_codes(argv):
     assert isinstance(rep, dict)
     assert code == rep["exit_code"]
     assert code in (0, 1, 2, 3, 4, 5), rep
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(gamma_argv(), annihilate_argv()))
+def test_fuzzed_gamma_and_annihilate_exit_documented_codes(argv):
+    assert_one_documented_exit(argv)
+
+
+def operator_json(n):
+    expo = st.lists(st.integers(0, 2), min_size=n, max_size=n)
+    term = st.fixed_dictionaries({"x": expo, "dx": expo, "coeff": RATIONAL})
+    return st.fixed_dictionaries({"nvars": st.just(n), "terms": st.lists(term, max_size=3)})
+
+
+@st.composite
+def membership_argv(draw):
+    # small operators, in one draw of four with one variable more than the
+    # rest; the generator list may be empty; caps stay at most 4 so every
+    # completion is bounded
+    n = draw(st.integers(1, 2))
+    operator = mostly(operator_json(n), operator_json(n + 1))
+    return [
+        "membership", "--gens", draw(flag(st.lists(operator, max_size=3))),
+        "--query", draw(flag(operator)), "--cap", str(draw(st.integers(0, 4))),
+    ]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(membership_argv())
+def test_fuzzed_membership_exits_documented_codes(argv):
+    assert_one_documented_exit(argv)

@@ -2,8 +2,8 @@ from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import product
-from math import comb, factorial
+from itertools import count, product
+from math import comb, factorial, isqrt
 
 import pytest
 from hypothesis import example, given, settings
@@ -508,11 +508,36 @@ def division_problems(draw):
     return f, [groebner._divisor(g, key) for g in gs], key
 
 
+def unscaled(g, m):
+    return {k: Fraction(c, m) for k, c in g.items()}
+
+
+def total_degree(monomial):
+    return sum(monomial[0]) + sum(monomial[1])
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(division_problems())
 def test_heap_led_division_matches_reference(problem):
+    # the fraction-free kernel divides the integer d f by the integer
+    # multiples of the divisors; unscaled by d and by its m, its quotients
+    # and remainder are the reference's for the rational f, term for term
     f, divisors, key = problem
-    assert groebner._divide(f, divisors, key) == reference_divide(f, divisors, key)
+    fi, d = groebner._integral(f)
+    ints = [groebner._divisor(groebner._integral(g)[0], key) for _, _, g in divisors]
+    quots, rem, m = groebner._divide(fi, ints, key)
+    ref_quots, ref_rem = reference_divide(f, ints, key)
+    assert [unscaled(q, m * d) for q in quots] == ref_quots
+    assert unscaled(rem, m * d) == ref_rem
+    # with a cap, division stops at the first remainder monomial above it
+    for cap in range(max(map(total_degree, f)) + 1):
+        over = [t for t in ref_rem if total_degree(t) > cap]
+        capped_quots, capped_rem, _ = groebner._divide(fi, ints, key, cap)
+        if over:
+            assert list(capped_rem) == [max(over, key=key)]
+            assert not any(capped_quots)
+        else:
+            assert (capped_quots, capped_rem) == (quots, rem)
 
 
 @lru_cache(maxsize=None)
@@ -558,3 +583,66 @@ def test_replay_rejects_generator_count_mismatch():
     assert not cert.verify(gens + [WeylOperator.one(4)])
     with pytest.raises(DimensionMismatchError):
         cert.verify([WeylOperator.one(3)] * len(gens))
+
+
+# ---------------------------------------------------------------------------
+# The integer replay against the Fraction replay by normal products
+
+
+@lru_cache(maxsize=None)
+def demo_basis(name):
+    # the quartic is the capped basis of the membership benchmark
+    gens = DEMO_SYSTEMS[name]()
+    return gens, groebner_weyl(gens, cap=4 if name == "quartic" else 10)
+
+
+def prime_dividing_none(dens):
+    return next(p for p in count(17) if all(p % r for r in range(2, isqrt(p) + 1)) and all(d % p for d in dens))
+
+
+@st.composite
+def planted_members(draw):
+    name = draw(st.sampled_from(sorted(DEMO_SYSTEMS)))
+    gens, _ = demo_basis(name)
+    n = gens[0].nvars
+    bits = st.tuples(*[st.integers(0, 1)] * n)
+    # the generators' denominators are 2, 3 and 6; these are coprime to them
+    coeff = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.sampled_from([1, 5, 7, 11, 13, 35]))
+    ops = st.dictionaries(st.tuples(bits, bits), coeff, max_size=2).map(partial(dop, n))
+    cofactors = draw(st.lists(ops, min_size=len(gens), max_size=len(gens)))
+    perturbation = draw(st.one_of(st.just(WeylOperator.zero(n)), ops))
+    # the coefficient that gets 1/p more: a cofactor's, or the normal form's
+    slot = draw(st.integers(0, len(gens)))
+    return name, cofactors, perturbation, slot, draw(st.integers(0, 99))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(planted_members())
+def test_integer_replay_matches_fraction_replay(case):
+    name, cofactors, perturbation, slot, pick = case
+    gens, gb = demo_basis(name)
+    n = gens[0].nvars
+    query = perturbation
+    for q, g in zip(cofactors, gens):
+        query = query + normal_product(q, g)
+    cert = gb.membership(query)
+    assert cert.verify(gens) is replays_by_products(cert, gens) is True
+    # the fraction-free division, unscaled, is the reference division
+    f = groebner._as_dict(query)
+    fi, d = groebner._integral(f)
+    quots, rem, m = groebner._divide(fi, gb._divisors, gb._key)
+    ref_quots, ref_rem = reference_divide(f, gb._divisors, gb._key)
+    assert [unscaled(q, m * d) for q in quots] == ref_quots
+    assert unscaled(rem, m * d) == ref_rem
+    # 1/p more in one coefficient, p dividing no denominator, so that the
+    # coefficient stays nonzero and every integer scaling meets a new prime
+    ops = (query, cert.normal_form, *cert.cofactors, *gens)
+    p = prime_dividing_none({c.denominator for op in ops for _, _, c in op.terms})
+    target = cert.normal_form if slot == len(gens) else cert.cofactors[slot]
+    mu, nu, _ = target.terms[pick % len(target.terms)] if target.terms else ((0,) * n, (0,) * n, 0)
+    bumped = target + WeylOperator.monomial(n, mu, nu, Fraction(1, p))
+    if slot == len(gens):
+        wrong = replace(cert, normal_form=bumped)
+    else:
+        wrong = replace(cert, cofactors=cert.cofactors[:slot] + (bumped,) + cert.cofactors[slot + 1 :])
+    assert wrong.verify(gens) is replays_by_products(wrong, gens) is False
