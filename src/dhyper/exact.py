@@ -179,6 +179,9 @@ class RatVector:
     def __len__(self) -> int:
         return len(self.entries)
 
+    def __iter__(self):
+        return iter(self.entries)
+
     def dot(self, other) -> Fraction:
         oe = other.entries if isinstance(other, RatVector) else tuple(other)
         if len(self.entries) != len(oe):
@@ -464,15 +467,10 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
     of the Smith v transform, hence a genuine lattice basis (saturated
     automatically since the kernel of an integer matrix is saturated).
     """
-    sf = smith_form(a)
-    if sf.rank != a.rows:
+    k = integer_kernel(a)
+    if a.cols - k.cols != a.rows:
         raise NotFullRankError("matrix is not of full row rank")
-    n = a.cols
-    r = sf.rank
-    cols = [sf.v.col(j) for j in range(r, n)]
-    if not cols:
-        return IntMatrix.from_rows([[] for _ in range(n)])
-    return IntMatrix.from_rows(list(zip(*cols)))
+    return k
 
 
 def integer_kernel(a: IntMatrix) -> IntMatrix:
@@ -656,9 +654,7 @@ def span_mixedness(b: IntMatrix) -> MixednessCertificate:
             if all(a >= 0 for a in cand) and any(a > 0 for a in cand):
                 return MixednessCertificate(False, None, cand)
     # no nonzero nonnegative vector in the span: find the dual witness
-    if n == m:
-        raise NotFullRankError("kernel complement is trivial")
-    a = kernel_basis(b.transpose()).transpose()
+    a = complement_matrix(b)
     w = positive_functional(a.columns(), a.rows)
     if w is None:
         raise InvariantError("mixedness duality violated: no positive functional")

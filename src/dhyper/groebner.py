@@ -1,12 +1,12 @@
 """Exact Groebner engines.
 
 One Buchberger core serves two callers: ideals in the commutative
-d-variables (toric ideals, saturation by elimination) and left ideals in
-the Weyl algebra.  Following Kandri-Rody and Weispfenning (algebras of
-solvable type), the left-ideal algorithm is the commutative one with a
-different monomial multiplication, so the core works on operators in
-normal order and the commutative engine feeds it x-free operators, for
-which left multiplication is a plain shift.  Both callers skip S-pairs by
+d-variables (toric ideals) and left ideals in the Weyl algebra.
+Following Kandri-Rody and Weispfenning (algebras of solvable type), the
+left-ideal algorithm is the commutative one with a different monomial
+multiplication, so the core works on operators in normal order and the
+commutative engine feeds it x-free operators, for which left
+multiplication is a plain shift.  Both callers skip S-pairs by
 Buchberger's chain criterion (Gebauer and Moeller), which stays sound for
 left ideals in algebras of solvable type.  Only the commutative caller
 also turns on the product criterion: it is unsound in the Weyl algebra
@@ -43,30 +43,9 @@ class DegRevLex:
     """Degree-reverse-lexicographic order on exponent tuples."""
 
     nvars: int
-    tag = "degrevlex"
-    degree_compatible = True
 
     def key(self, e: Expo):
         return (sum(e), tuple(map(neg, e[::-1])))
-
-
-@dataclass(frozen=True)
-class BlockElim:
-    """Eliminate the first nfirst variables: compare that block first."""
-
-    nfirst: int
-    nvars: int
-    tag = "elim"
-    degree_compatible = False
-
-    def key(self, e: Expo):
-        head, tail = e[: self.nfirst], e[self.nfirst :]
-        return (
-            sum(head),
-            tuple(map(neg, head[::-1])),
-            sum(tail),
-            tuple(map(neg, tail[::-1])),
-        )
 
 
 @dataclass(frozen=True)
@@ -469,18 +448,17 @@ class CommIdeal:
         order = order or DegRevLex(self.nvars)
         return _groebner_cached(self, order)
 
-    def normal_form(self, p: CommPoly, order=None) -> CommPoly:
-        order = order or DegRevLex(self.nvars)
+    def normal_form(self, p: CommPoly) -> CommPoly:
         if p.nvars != self.nvars:
             raise DimensionMismatchError("polynomial variable count mismatch")
-        key = _comm_key(order)
-        divisors = [_divisor(_integral(_xfree(g))[0], key) for g in self.groebner(order)]
+        key = _comm_key(DegRevLex(self.nvars))
+        divisors = [_divisor(_integral(_xfree(g))[0], key) for g in self.groebner()]
         f, d = _integral(_xfree(p))
         _, rem, m = _divide(f, divisors, key)
         return CommPoly.make(self.nvars, {nu: Fraction(c, m * d) for (_, nu), c in rem.items()})
 
-    def contains(self, p: CommPoly, order=None) -> bool:
-        return self.normal_form(p, order).is_zero()
+    def contains(self, p: CommPoly) -> bool:
+        return self.normal_form(p).is_zero()
 
 
 def _comm_key(order):
@@ -507,34 +485,6 @@ def _groebner_cached(ideal: CommIdeal, order) -> tuple[CommPoly, ...]:
         lc = g[max(g, key=key)]
         out.append(CommPoly.make(ideal.nvars, {nu: Fraction(c, lc) for (_, nu), c in g.items()}))
     return tuple(out)
-
-
-def saturate(ideal: CommIdeal, f: CommPoly) -> CommIdeal:
-    """(ideal : f^infinity) via the auxiliary-variable trick.
-
-    Adjoin t as a new first variable, add 1 - t*f, compute a Groebner basis
-    for an order eliminating t, and keep the t-free elements.  toric_ideal
-    calls it only for matrices with no positive grading; graded toric
-    ideals are saturated one variable at a time without t.
-    """
-    if f.is_zero():
-        raise InputFormatError("cannot saturate by zero")
-    if f.nvars != ideal.nvars:
-        raise DimensionMismatchError("saturation element variable count mismatch")
-    n = ideal.nvars
-    lifted = []
-    for g in ideal.gens:
-        lifted.append(CommPoly.make(n + 1, {(0,) + e: c for e, c in g.terms}))
-    tf = {(1,) + e: -c for e, c in f.terms}
-    tf[(0,) * (n + 1)] = tf.get((0,) * (n + 1), Fraction(0)) + 1
-    lifted.append(CommPoly.make(n + 1, tf))
-    big = CommIdeal.make(n + 1, lifted)
-    gb = big.groebner(BlockElim(1, n + 1))
-    kept = []
-    for g in gb:
-        if all(e[0] == 0 for e, _ in g.terms):
-            kept.append(CommPoly.make(n, {e[1:]: c for e, c in g.terms}))
-    return CommIdeal.make(n, kept)
 
 
 def _as_dict(p: WeylOperator) -> dict:
@@ -610,7 +560,7 @@ class WeylGroebner:
     holds the PairStats of the completion.
     """
 
-    def __init__(self, gens: Iterable[WeylOperator], cap: int = 10, order=None):
+    def __init__(self, gens: Iterable[WeylOperator], cap: int = 10):
         gens = list(gens)
         if not gens:
             raise InputFormatError("need at least one generator")
@@ -618,14 +568,10 @@ class WeylGroebner:
         for g in gens:
             if g.nvars != n:
                 raise DimensionMismatchError("generator variable counts differ")
-        order = order or DegRevLex(2 * n)
-        if not getattr(order, "degree_compatible", False):
-            raise InputFormatError("order is not admissible for the Weyl engine")
         self.nvars = n
         self.gens = tuple(gens)
-        self.order = order
         self.cap = cap
-        self._key = key = _weyl_key(order)
+        self._key = key = _weyl_key(DegRevLex(2 * n))
         unit = ((0,) * n, (0,) * n)
         seeds = []
         for i, g in enumerate(self.gens):
@@ -692,5 +638,5 @@ class WeylGroebner:
         )
 
 
-def groebner_weyl(gens: Iterable[WeylOperator], cap: int = 10, order=None) -> WeylGroebner:
-    return WeylGroebner(gens, cap=cap, order=order)
+def groebner_weyl(gens: Iterable[WeylOperator], cap: int = 10) -> WeylGroebner:
+    return WeylGroebner(gens, cap=cap)

@@ -480,8 +480,8 @@ def monomial_substitution(g: PuiseuxSeries, b: IntMatrix, vprime: RatVector) -> 
 
 def gamma_series(
     a: IntMatrix,
-    beta: RatVector,
-    v: RatVector | None = None,
+    beta,
+    v=None,
     window: int = 6,
 ) -> PuiseuxSeries:
     """Series solution on a translate of the integer kernel of a.
@@ -493,10 +493,12 @@ def gamma_series(
 
     With v omitted, candidates are tried in a deterministic order (the
     direct solution, then integer lattice shifts, then small non-integer
-    kernel perturbations) until one supports the whole window.
+    kernel perturbations) until one supports the whole window.  beta and
+    v may be any sequences of rationals.
     """
     from .exact import is_nonresonant, kernel_basis, solve_rational
 
+    beta = RatVector.make(beta)
     if len(beta) != a.rows:
         raise DimensionMismatchError("beta length does not match matrix height")
     if not is_nonresonant(a, beta).nonresonant:
@@ -507,6 +509,7 @@ def gamma_series(
         [[] for _ in range(a.cols)]
     )
     if v is not None:
+        v = RatVector.make(v)
         got = a.mul_vector(v)
         if got.entries != beta.entries:
             raise InputFormatError("supplied base exponent does not solve a.v = beta")
@@ -625,8 +628,7 @@ def toral_solution_basis(b, dec, beta, window: int = 8, a=None, graph_cap=None):
     from .systems import _submatrix, _toral_degree_matrix
 
     a = _toral_degree_matrix(b, dec, a)
-    if not isinstance(beta, RatVector):
-        beta = RatVector.make(beta)
+    beta = RatVector.make(beta)
     if len(beta) != a.rows:
         raise DimensionMismatchError("beta length does not match the degree matrix")
     if dec.q == 0:

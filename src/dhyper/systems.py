@@ -33,7 +33,7 @@ from .exact import (
     smith_form,
     span_mixedness,
 )
-from .groebner import CommIdeal, CommPoly, WeightedRevLexLast, saturate
+from .groebner import CommIdeal, CommPoly, WeightedRevLexLast
 from .mgraph import BOUNDED, UNBOUNDED_CERTIFIED, component
 from .weyl import WeylOperator, euler_generators
 
@@ -104,17 +104,22 @@ def toric_ideal(a: IntMatrix) -> CommIdeal:
     lattice ideal, and if there is no such u, d_{n-1} appears in no
     generator; either way saturating by d_{n-1} changes nothing.  With no
     such c (for instance A = [[1, -1]]) there is no positive grading, and
-    the saturation goes through an elimination variable (saturate).
+    the ideal comes from the homogenized matrix [[A, 0], [1 ... 1, 1]],
+    graded by its last row: its kernel is {(u, -|u|) : u in ker A}, so
+    setting the new variable h to 1 in its toric ideal gives I_A.
     """
     _check_no_zero_column(a)
     n = a.cols
     kernel = integer_kernel(a)
     if kernel.cols == 0:
         return CommIdeal.make(n, [])
-    ideal = lattice_basis_ideal(kernel)
     c = positive_functional(a.columns(), a.rows)
     if c is None:
-        return saturate(ideal, CommPoly.make(n, {(1,) * n: 1}))
+        # the homogenized matrix always has a positive grading: one level deep
+        ah = IntMatrix.from_rows([row + (0,) for row in a.entries] + [(1,) * (n + 1)])
+        hgens = toric_ideal(ah).gens
+        return CommIdeal.make(n, [CommPoly.make(n, {e[:n]: q for e, q in g.terms}) for g in hgens])
+    ideal = lattice_basis_ideal(kernel)
     w = [sum(ci * x for ci, x in zip(c, col)) for col in a.columns()]
     den = lcm(*(q.denominator for q in w))
     num = gcd(*(q.numerator for q in w))
@@ -154,8 +159,6 @@ def hypergeometric_system(a: IntMatrix, beta) -> SystemSpec:
 
 
 def _as_beta(beta, expected: int) -> tuple[Fraction, ...]:
-    if isinstance(beta, RatVector):
-        beta = beta.entries
     beta = tuple(Fraction(x) for x in beta)
     if len(beta) != expected:
         raise DimensionMismatchError(

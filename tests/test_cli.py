@@ -321,11 +321,16 @@ def test_annihilate_report_bytes_are_pinned(capsys):
 
 # SHA-256 of the canonical toric reports for the rational normal quintic and
 # for the weighted curve [[4, 6, 7, 9]], recorded before toric ideals were
-# saturated one variable at a time.  The reduced basis is unique, so a
-# change of method leaves these bytes alone.
+# saturated one variable at a time, and for three matrices with no positive
+# grading, recorded while those were still saturated through an elimination
+# variable.  The reduced basis is unique, so a change of method leaves
+# these bytes alone.
 TORIC_REPORT_SHA256 = {
     "[[1,1,1,1,1,1],[0,1,2,3,4,5]]": "532a07eae0493f888144bb5607bcdb54c5c6317aa6a95ab34af18c8e415b820d",
     "[[4,6,7,9]]": "158f5ca411f25b919433a2f4e137f4479bbe1a6a05b4e22ca556627b9de0ee85",
+    "[[1,-1]]": "5625e901fd2bc69930c5d98ecc0543cd95cdb57a24b3620fee6f8e1dd494cae9",
+    "[[1,-2,3,-1]]": "925afc421cf31bead09bcdf1879b10887b020759f6396abc94e4a29c01267938",
+    "[[1,1,-1,-1],[0,1,2,-3]]": "a6579cd866ca6befbe5f487a6224cfacf8e91614f5eda37ebe0cc79826768c1f",
 }
 
 
@@ -373,8 +378,8 @@ def test_membership_report_bytes_are_pinned(capsys, which):
 
 
 def test_toric_without_positive_grading(capsys):
-    # [[1, -1]] has no positive grading: toric_ideal saturates through an
-    # elimination variable instead
+    # [[1, -1]] has no positive grading: toric_ideal goes through the
+    # homogenized matrix [[1, -1, 0], [1, 1, 1]] instead
     code = cli.main(["toric", "--a", "[[1,-1]]"])
     out = capsys.readouterr().out
     rep = json.loads(out)  # exactly one JSON object: trailing data would not parse
@@ -477,6 +482,7 @@ def assert_one_documented_exit(argv):
     assert isinstance(rep, dict)
     assert code == rep["exit_code"]
     assert code in (0, 1, 2, 3, 4, 5), rep
+    return code
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -508,3 +514,28 @@ def membership_argv(draw):
 @given(membership_argv())
 def test_fuzzed_membership_exits_documented_codes(argv):
     assert_one_documented_exit(argv)
+
+
+@st.composite
+def toric_argv(draw):
+    # negative entries reach matrices with no positive grading, and zero
+    # columns come up too; in one draw of four the matrix may be ragged
+    rows, cols = draw(st.integers(1, 2)), draw(st.integers(1, 4))
+    ragged = st.lists(st.lists(SMALL, max_size=3), max_size=2)
+    return ["toric", "--a", draw(flag(mostly(matrix(rows, cols), ragged)))]
+
+
+def well_formed_without_zero_column(a):
+    return (
+        isinstance(a, list) and a and all(isinstance(r, list) and r and len(r) == len(a[0]) for r in a)
+        and all(type(x) is int for r in a for x in r)
+        and all(any(r[j] for r in a) for j in range(len(a[0])))
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(toric_argv())
+def test_fuzzed_toric_exits_documented_codes(argv):
+    code = assert_one_documented_exit(argv)
+    if well_formed_without_zero_column(json.loads(argv[2])):
+        assert code == 0

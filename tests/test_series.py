@@ -388,6 +388,15 @@ def test_gamma_explicit_generic_v():
     assert f.base == tuple(v.entries)
 
 
+def test_gamma_takes_plain_sequences():
+    beta = (Fraction(-11, 6), Fraction(-5, 3))
+    assert gamma_series(A_DEMO, beta, window=4) == gamma_series(A_DEMO, BETA_DEMO, window=4)
+    v = RatVector.from_strings(["2/3", "-4/3", "-7/6", "2/3"])
+    assert gamma_series(A_DEMO, list(beta), v=tuple(v), window=4) == gamma_series(
+        A_DEMO, BETA_DEMO, v=v, window=4
+    )
+
+
 def test_gamma_explicit_degenerate_v_fails():
     v = RatVector.from_strings(["-11/18", "0", "0", "-5/9"])
     with pytest.raises(DenominatorVanishedError):

@@ -13,7 +13,7 @@ from dhyper.errors import (
     ZeroColumnError,
 )
 from dhyper.exact import IntMatrix, integer_kernel
-from dhyper.groebner import CommIdeal, CommPoly, groebner_weyl, saturate
+from dhyper.groebner import CommIdeal, CommPoly, groebner_weyl
 from dhyper.systems import (
     ANDEAN,
     TORAL,
@@ -26,6 +26,7 @@ from dhyper.systems import (
     toric_ideal,
 )
 from dhyper.weyl import WeylOperator
+from test_groebner import saturate
 
 A_DEMO = IntMatrix.from_rows([[3, 2, 1, 0], [0, 1, 2, 3]])
 B_DEMO = IntMatrix.from_rows([[1, 0], [-2, 1], [1, -2], [0, 1]])
@@ -97,7 +98,7 @@ def test_toric_ideal_matches_saturation_reference(rows):
 @st.composite
 def small_matrices(draw):
     # negative entries reach matrices with no positive grading, such as
-    # [[1, -1]], where toric_ideal falls back to saturate
+    # [[1, -1]], which toric_ideal takes through the homogenized matrix
     rows = draw(st.integers(1, 2))
     cols = draw(st.integers(2, 4))
     row = st.lists(st.integers(-2, 3), min_size=cols, max_size=cols)
