@@ -25,11 +25,10 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import gcd, lcm
-from operator import le, mul, neg
 from typing import Iterable, Mapping
 
 from .errors import DimensionMismatchError, InputFormatError, InvariantError
-from .weyl import WeylOperator, _format_terms, _lmul, _sub
+from .weyl import WeylOperator, _format_terms, _lmul, _Overflow, _fit, _top
 
 Expo = tuple[int, ...]
 
@@ -39,38 +38,30 @@ Expo = tuple[int, ...]
 
 
 @dataclass(frozen=True)
-class DegRevLex:
+class MatrixOrder:
+    """Lex order on W e for an integer matrix W of full column rank
+    (Robbiano 1985), W given by its rows, the first compared first."""
+
+    rows: tuple[tuple[int, ...], ...]
+
+
+def _revlex(nvars: int) -> list[tuple[int, ...]]:
+    """Rows -e_(n-1), ..., -e_0: the lower power of a later variable wins."""
+    return [tuple(-(i == j) for i in range(nvars)) for j in reversed(range(nvars))]
+
+
+def DegRevLex(nvars: int) -> MatrixOrder:
     """Degree-reverse-lexicographic order on exponent tuples."""
-
-    nvars: int
-
-    def key(self, e: Expo):
-        return (sum(e), tuple(map(neg, e[::-1])))
+    return MatrixOrder(((1,) * nvars, *_revlex(nvars)))
 
 
-@dataclass(frozen=True)
-class WeightedRevLexLast:
+def WeightedRevLexLast(weights: Iterable[int], last: int) -> MatrixOrder:
     """Weighted degree by positive integer weights, then reverse lex with
     variable number last as the smallest variable: among monomials of equal
     weight, the one with the lower power of it is greater."""
-
-    weights: tuple[int, ...]
-    last: int
-
-    def key(self, e: Expo):
-        return (
-            sum(map(mul, self.weights, e)),
-            -e[self.last],
-            tuple(map(neg, e[::-1])),
-        )
-
-
-def _divides(a: Expo, b: Expo) -> bool:
-    return all(map(le, a, b))
-
-
-def _expo_lcm(a: Expo, b: Expo) -> Expo:
-    return tuple(map(max, a, b))
+    weights = tuple(weights)
+    revlex = _revlex(len(weights))
+    return MatrixOrder((weights, revlex[len(weights) - 1 - last], *revlex))
 
 
 # ---------------------------------------------------------------------------
@@ -135,36 +126,57 @@ class CommPoly:
         q = Fraction(q)
         return CommPoly.make(self.nvars, {e: c * q for e, c in self.terms})
 
+    def _ordered(self, order) -> list[tuple[Expo, Fraction]]:
+        """The terms, greatest first in the order."""
+        pk = _fit(self.nvars, order.rows, False, _top(e for e, _ in self.terms))
+        return sorted(self.terms, key=lambda t: pk.pack((), t[0]), reverse=True)
+
     def lead(self, order) -> tuple[Expo, Fraction]:
-        return max(self.terms, key=lambda t: order.key(t[0]))
+        return self._ordered(order)[0]
 
     def __str__(self) -> str:
-        drl = DegRevLex(self.nvars)
-        ordered = sorted(self.terms, key=lambda t: drl.key(t[0]), reverse=True)
-        return _format_terms(((), e, c) for e, c in ordered)
+        return _format_terms(((), e, c) for e, c in self._ordered(DegRevLex(self.nvars)))
 
 
 # ---------------------------------------------------------------------------
 # Buchberger core
 #
-# An element is an operator dict {(mu, nu): coeff} for x^mu d^nu with
-# integer coefficients, paired with its cofactor list over the original
+# An element is an operator dict {monomial: coeff} with integer
+# coefficients, each monomial x^mu d^nu packed into one int by a Packing
+# (weyl.Packing), paired with its cofactor list over the original
 # generators: integer dicts over one positive denominator.  A divisor is the
-# triple (lead monomial, lead coefficient, operator).  key maps a monomial
-# (mu, nu) to its term-order key.  Rational input becomes integer once, on
-# the way in (_integral), and Fractions are built again only at the public
-# boundary.
+# triple (lead monomial, lead coefficient, operator).  Rational input
+# becomes integer and packed once, on the way in (_integral), and Fractions
+# and exponent tuples are built again only at the public boundary.  A
+# product that leaves the packing's fields raises _Overflow, and the whole
+# call re-runs at double width (_widening; a WeylGroebner repacks the basis
+# it keeps): packed ints compare the same at every width, so the result
+# does not depend on it.
 
 
-def _divisor(g: dict, key) -> tuple:
-    lead = max(g, key=key)
+def _widening(run, pk):
+    """run(pk), re-run at double width until no product overflows."""
+    while True:
+        try:
+            return run(pk)
+        except _Overflow:
+            pk = pk.wider()
+
+
+def _divisor(g: dict) -> tuple:
+    lead = max(g)
     return lead, g[lead], g
 
 
-def _integral(g: dict) -> tuple[dict, int]:
-    """(d g, d) with d the lcm of the denominators of g's coefficients."""
-    d = lcm(*(c.denominator for c in g.values()))
-    return {k: c.numerator * (d // c.denominator) for k, c in g.items()}, d
+def _integral(pk, terms) -> tuple[dict, int]:
+    """(d g, d) packed by pk, for g given by (mu, nu, coeff) terms and d the
+    lcm of the denominators of its coefficients."""
+    d = lcm(*(c.denominator for _, _, c in terms))
+    return {pk.pack(mu, nu): c.numerator * (d // c.denominator) for mu, nu, c in terms}, d
+
+
+def _xterms(p: CommPoly) -> list:
+    return [((), e, c) for e, c in p.terms]
 
 
 def _primitive(g: dict, rep: list[dict], den: int, lead) -> tuple[dict, list[dict], int]:
@@ -186,19 +198,7 @@ def _primitive(g: dict, rep: list[dict], den: int, lead) -> tuple[dict, list[dic
     return g, rep, den
 
 
-class _Greater:
-    """Heap entry for monomial m under order key k that pops greatest first."""
-
-    __slots__ = ("k", "m")
-
-    def __init__(self, k, m):
-        self.k, self.m = k, m
-
-    def __lt__(self, other: "_Greater") -> bool:
-        return other.k < self.k
-
-
-def _divide(f: dict, divisors, key, cap: int | None = None) -> tuple[list[dict], dict, int]:
+def _divide(f: dict, divisors, pk, cap: int | None = None) -> tuple[list[dict], dict, int]:
     """Fraction-free left division of the integer operator f by integer
     divisors: m f = sum quotients[i] . divisor i + remainder, with no
     remainder monomial divisible by a divisor lead.  Returns (quotients,
@@ -209,10 +209,10 @@ def _divide(f: dict, divisors, key, cap: int | None = None) -> tuple[list[dict],
     coefficient and c that of the divisor, so the lead cancels in integers;
     m is the product of these scales.  Quotient and remainder terms are
     recorded with the scale of their step and brought to m once, at the end.
-    The lead of the working operator comes off a heap holding each monomial
-    under the key computed when it entered; entries whose monomial has since
-    cancelled are skipped.  Reduction only adds monomials below the lead it
-    removes, so the leads are taken in the same order as by a fresh max.
+    The lead of the working operator comes off a heap of the packed
+    monomials, negated; entries whose monomial has since cancelled are
+    skipped.  Reduction only adds monomials below the lead it removes, so
+    the leads are taken in the same order as by a fresh max.
 
     With a cap, the division stops at the first remainder monomial of total
     degree above it, which is returned as the whole remainder with no
@@ -223,37 +223,38 @@ def _divide(f: dict, divisors, key, cap: int | None = None) -> tuple[list[dict],
     rems: list[tuple] = []
     work = dict(f)
     m = 1
-    heap = [_Greater(key(t), t) for t in work]
+    heap = [-t for t in work]
     heapify(heap)
     entered: list = []
-    flat_leads = [gl[0] + gl[1] for gl, _, _ in divisors]
+    guard = pk.guard
+    leads = [gl for gl, _, _ in divisors]
     while heap:
-        lead = heappop(heap).m
+        lead = -heappop(heap)
         w = work.get(lead)
         if w is None:
             continue
-        flat = lead[0] + lead[1]
-        for i, fl in enumerate(flat_leads):
-            if all(map(le, fl, flat)):
+        up = lead + guard
+        for i, gl in enumerate(leads):
+            if (up - gl) & guard == guard:
                 break
         else:
             del work[lead]
-            if cap is not None and sum(flat) > cap:
+            if cap is not None and pk.degree(lead) > cap:
                 return [{} for _ in divisors], {lead: w}, m
             rems.append((lead, w, m))
             continue
-        gl, gc, g = divisors[i]
+        _, gc, g = divisors[i]
         h = gcd(w, gc)
         scale = gc // h
         if scale != 1:
             for t in work:
                 work[t] *= scale
             m *= scale
-        shift = (_sub(lead[0], gl[0]), _sub(lead[1], gl[1]))
+        shift = lead - gl
         steps.append((i, shift, w // h, m))
-        _lmul(work, -(w // h), *shift, g, entered)
+        _lmul(work, -(w // h), shift, g, pk, entered)
         for t in entered:
-            heappush(heap, _Greater(key(t), t))
+            heappush(heap, -t)
         entered.clear()
     quots: list[dict] = [{} for _ in divisors]
     for i, shift, c, at in steps:
@@ -262,18 +263,18 @@ def _divide(f: dict, divisors, key, cap: int | None = None) -> tuple[list[dict],
     return quots, rem, m
 
 
-def _spair(di, dj) -> tuple[dict, tuple, tuple]:
-    """Integer S-operator (c_j/k) x^a d^b g_i - (c_i/k) x^a' d^b' g_j of two
-    divisors, k = gcd(c_i, c_j), with the left multipliers (coeff, a, b),
-    standing for coeff * x^a d^b, applied to each."""
+def _spair(di, dj, pk) -> tuple[dict, tuple, tuple]:
+    """Integer S-operator (c_j/k) a g_i - (c_i/k) a' g_j of two divisors,
+    k = gcd(c_i, c_j), with the left multipliers (coeff, packed monomial)
+    applied to each."""
     (li, ci, gi), (lj, cj, gj) = di, dj
-    mu, nu = _expo_lcm(li[0], lj[0]), _expo_lcm(li[1], lj[1])
+    l = pk.lcm(li, lj)
     k = gcd(ci, cj)
-    mi = (cj // k, _sub(mu, li[0]), _sub(nu, li[1]))
-    mj = (-(ci // k), _sub(mu, lj[0]), _sub(nu, lj[1]))
+    mi = (cj // k, l - li)
+    mj = (-(ci // k), l - lj)
     s: dict = {}
-    _lmul(s, *mi, gi)
-    _lmul(s, *mj, gj)
+    _lmul(s, *mi, gi, pk)
+    _lmul(s, *mj, gj, pk)
     return s, mi, mj
 
 
@@ -282,7 +283,7 @@ def _used_lcm(quots: list[dict], dens: list[int], *more: int) -> int:
     return lcm(*more, *(d for q, d in zip(quots, dens) if q))
 
 
-def _add_cofactors(acc: list[dict], quots: list[dict], reps, dens, den: int, sign: int) -> None:
+def _add_cofactors(acc: list[dict], quots: list[dict], reps, dens, den: int, sign: int, pk) -> None:
     """acc[t] += sign * sum over k of (den / dens[k]) quots[k] . reps[k][t]:
     the cofactors reps[k] / dens[k] brought to the denominator den, which
     every dens[k] with a nonzero quotient divides."""
@@ -290,11 +291,11 @@ def _add_cofactors(acc: list[dict], quots: list[dict], reps, dens, den: int, sig
         if not q:
             continue
         s = sign * (den // d)
-        for (a, b), c in q.items():
+        for a, c in q.items():
             coeff = s * c
             for t, r in enumerate(rep):
                 if r:
-                    _lmul(acc[t], coeff, a, b, r)
+                    _lmul(acc[t], coeff, a, r, pk)
 
 
 @dataclass(frozen=True)
@@ -315,19 +316,20 @@ class PairStats:
     cap_drops: int = 0
 
 
-def _buchberger(gens, key, cap: int | None = None, coprime_skip: bool = False, chain: bool = True):
+def _buchberger(gens, pk, cap: int | None = None, coprime_skip: bool = False, chain: bool = True):
     """Complete nonzero (integer operator, integer cofactors) pairs, the
     cofactors over denominator 1, to a Groebner basis.
 
-    Pairs are processed in order of (key of the lcm L of the leads, i, j).
+    Pairs are processed in order of (lcm L of the leads, i, j).
     coprime_skip turns on the product criterion, which is sound only
-    commutatively.  The chain criterion skips (i, j) when another element
-    k has a lead dividing L and the pairs (i, k) and (k, j) were taken off
-    the queue before: each then has a representation below its lcm, hence
-    below L.  A nonzero remainder of total degree above cap is dropped,
-    and from then on the chain criterion is off: a dropped remainder
-    leaves pairs without such a representation, and skipping past it can
-    lose basis elements the cap would have kept.  chain=False is the
+    commutatively: it skips a pair whose leads share no variable, that is
+    whose lcm is their product.  The chain criterion skips (i, j) when
+    another element k has a lead dividing L and the pairs (i, k) and (k, j)
+    were taken off the queue before: each then has a representation below
+    its lcm, hence below L.  A nonzero remainder of total degree above cap
+    is dropped, and from then on the chain criterion is off: a dropped
+    remainder leaves pairs without such a representation, and skipping past
+    it can lose basis elements the cap would have kept.  chain=False is the
     criterion-off reference for tests.  Returns (basis, PairStats), the
     basis as primitive (operator, cofactors, denominator) triples.
     """
@@ -339,11 +341,10 @@ def _buchberger(gens, key, cap: int | None = None, coprime_skip: bool = False, c
     counts: Counter = Counter()
 
     def admit(g, rep, den):
-        lead = max(g, key=key)
+        lead = max(g)
         g, rep, den = _primitive(g, rep, den, lead)
         for i, (li, _, _) in enumerate(divisors):
-            l = (_expo_lcm(li[0], lead[0]), _expo_lcm(li[1], lead[1]))
-            heappush(heap, (key(l), i, len(divisors), l))
+            heappush(heap, (pk.lcm(li, lead), i, len(divisors)))
         divisors.append((lead, g[lead], g))
         reps.append(rep)
         dens.append(den)
@@ -352,26 +353,25 @@ def _buchberger(gens, key, cap: int | None = None, coprime_skip: bool = False, c
         return any(
             k != i and k != j
             and (min(i, k), max(i, k)) in popped and (min(k, j), max(k, j)) in popped
-            and _divides(lk[0], l[0]) and _divides(lk[1], l[1])
+            and pk.divides(lk, l)
             for k, (lk, _, _) in enumerate(divisors)
         )
 
     for g, rep in gens:
         admit(g, rep, 1)
     while heap:
-        _, i, j, l = heappop(heap)
+        l, i, j = heappop(heap)
         counts["considered"] += 1
-        li, lj = divisors[i][0], divisors[j][0]
-        if coprime_skip and all(not (a and b) for a, b in zip(li[0] + li[1], lj[0] + lj[1])):
+        if coprime_skip and l == divisors[i][0] + divisors[j][0]:
             counts["product_skips"] += 1
         elif chain and not counts["cap_drops"] and chained(i, j, l):
             counts["chain_skips"] += 1
         else:
-            s, (ci, ai, bi), (cj, aj, bj) = _spair(divisors[i], divisors[j])
-            quots, rem, m = _divide(s, divisors, key, cap)
+            s, (ci, ai), (cj, aj) = _spair(divisors[i], divisors[j], pk)
+            quots, rem, m = _divide(s, divisors, pk, cap)
             if not rem:
                 counts["zero_reductions"] += 1
-            elif cap is not None and max(sum(mu) + sum(nu) for mu, nu in rem) > cap:
+            elif cap is not None and max(map(pk.degree, rem)) > cap:
                 counts["cap_drops"] += 1
             else:
                 # rem = m s - sum quots . divisors, over one denominator
@@ -381,10 +381,10 @@ def _buchberger(gens, key, cap: int | None = None, coprime_skip: bool = False, c
                 srep: list[dict] = [{} for _ in reps[i]]
                 for acc, ri, rj in zip(srep, reps[i], reps[j]):
                     if ri:
-                        _lmul(acc, ci, ai, bi, ri)
+                        _lmul(acc, ci, ai, ri, pk)
                     if rj:
-                        _lmul(acc, cj, aj, bj, rj)
-                _add_cofactors(srep, quots, reps, dens, den, -1)
+                        _lmul(acc, cj, aj, rj, pk)
+                _add_cofactors(srep, quots, reps, dens, den, -1, pk)
                 admit(rem, srep, den)
                 counts["added"] += 1
         popped.add((i, j))
@@ -392,17 +392,16 @@ def _buchberger(gens, key, cap: int | None = None, coprime_skip: bool = False, c
     return basis, PairStats(**counts)
 
 
-def _interreduce(basis, key) -> list[tuple[dict, list[dict], int]]:
+def _interreduce(basis, pk) -> list[tuple[dict, list[dict], int]]:
     """Reduced basis: drop elements whose lead another lead divides, reduce
     each tail by the rest until nothing changes, keeping every element
     primitive, and sort by lead."""
-    leads = [max(g, key=key) for g, _, _ in basis]
+    leads = [max(g) for g, _, _ in basis]
     kept = [
         (leads[i], g, rep, den)
         for i, (g, rep, den) in enumerate(basis)
         if not any(
-            j != i and _divides(lj[0], leads[i][0]) and _divides(lj[1], leads[i][1])
-            and (lj != leads[i] or j < i)
+            j != i and pk.divides(lj, leads[i]) and (lj != leads[i] or j < i)
             for j, lj in enumerate(leads)
         )
     ]
@@ -413,7 +412,7 @@ def _interreduce(basis, key) -> list[tuple[dict, list[dict], int]]:
         changed = False
         for i, (lead, g, rep, den) in enumerate(kept):
             others = divisors[:i] + divisors[i + 1 :]
-            quots, rem, m = _divide(g, others, key)
+            quots, rem, m = _divide(g, others, pk)
             if any(quots):
                 changed = True
                 rest = [(r, d) for t, (_, _, r, d) in enumerate(kept) if t != i]
@@ -421,11 +420,11 @@ def _interreduce(basis, key) -> list[tuple[dict, list[dict], int]]:
                 new_den = _used_lcm(quots, odens, den)
                 s = m * (new_den // den)
                 acc = [{k: c * s for k, c in r.items()} for r in rep]
-                _add_cofactors(acc, quots, [r for r, _ in rest], odens, new_den, -1)
+                _add_cofactors(acc, quots, [r for r, _ in rest], odens, new_den, -1, pk)
                 g, rep, den = _primitive(rem, acc, new_den, lead)
                 kept[i] = (lead, g, rep, den)
                 divisors[i] = (lead, g[lead], g)
-    kept.sort(key=lambda t: key(t[0]))
+    kept.sort(key=lambda t: t[0])
     return [(g, rep, den) for _, g, rep, den in kept]
 
 
@@ -451,50 +450,73 @@ class CommIdeal:
     def normal_form(self, p: CommPoly) -> CommPoly:
         if p.nvars != self.nvars:
             raise DimensionMismatchError("polynomial variable count mismatch")
-        key = _comm_key(DegRevLex(self.nvars))
-        divisors = [_divisor(_integral(_xfree(g))[0], key) for g in self.groebner()]
-        f, d = _integral(_xfree(p))
-        _, rem, m = _divide(f, divisors, key)
-        return CommPoly.make(self.nvars, {nu: Fraction(c, m * d) for (_, nu), c in rem.items()})
+        gb = self.groebner()
+
+        def run(pk):
+            divisors = [_divisor(_integral(pk, _xterms(g))[0]) for g in gb]
+            f, d = _integral(pk, _xterms(p))
+            _, rem, m = _divide(f, divisors, pk)
+            return CommPoly.make(self.nvars, {pk.unpack(k)[1]: Fraction(c, m * d) for k, c in rem.items()})
+
+        top = _top(e for g in (*gb, p) for e, _ in g.terms)
+        return _widening(run, _fit(self.nvars, DegRevLex(self.nvars).rows, False, top))
 
     def contains(self, p: CommPoly) -> bool:
         return self.normal_form(p).is_zero()
 
 
-def _comm_key(order):
-    return lambda m: order.key(m[1])
-
-
-def _weyl_key(order):
-    return lambda m: order.key(m[0] + m[1])
-
-
-def _xfree(p: CommPoly) -> dict:
-    """p as an operator dict with no x-part."""
-    zero = (0,) * p.nvars
-    return {(zero, e): c for e, c in p.terms}
-
-
 @lru_cache(maxsize=256)
 def _groebner_cached(ideal: CommIdeal, order) -> tuple[CommPoly, ...]:
-    key = _comm_key(order)
-    gens = [(_integral(_xfree(g))[0], []) for g in ideal.gens if not g.is_zero()]
-    basis, _ = _buchberger(gens, key, coprime_skip=True)
-    out = []
-    for g, _, _ in _interreduce(basis, key):
-        lc = g[max(g, key=key)]
-        out.append(CommPoly.make(ideal.nvars, {nu: Fraction(c, lc) for (_, nu), c in g.items()}))
-    return tuple(out)
+    polys = [g for g in ideal.gens if not g.is_zero()]
+
+    def run(pk):
+        gens = [(_integral(pk, _xterms(g))[0], []) for g in polys]
+        basis, _ = _buchberger(gens, pk, coprime_skip=True)
+        out = []
+        for g, _, _ in _interreduce(basis, pk):
+            lc = g[max(g)]
+            out.append(CommPoly.make(ideal.nvars, {pk.unpack(k)[1]: Fraction(c, lc) for k, c in g.items()}))
+        return tuple(out)
+
+    top = _top(e for g in polys for e, _ in g.terms)
+    return _widening(run, _fit(ideal.nvars, order.rows, False, top))
 
 
-def _as_dict(p: WeylOperator) -> dict:
-    return {(mu, nu): c for mu, nu, c in p.terms}
+def _over(pk, g: dict, den: int) -> WeylOperator:
+    """The packed integer operator g divided by den, as a WeylOperator; g
+    comes from the core, so its exponents and coefficients need no checks."""
+    return WeylOperator(pk.nvars, tuple(sorted((*pk.unpack(k), Fraction(c, den)) for k, c in g.items())))
 
 
-def _over(nvars: int, g: dict, den: int) -> WeylOperator:
-    """The integer operator g divided by den, as a WeylOperator; g comes
-    from the core, so its exponents and coefficients need no checks."""
-    return WeylOperator(nvars, tuple((mu, nu, Fraction(c, den)) for (mu, nu), c in sorted(g.items())))
+def _weyl_top(ops) -> int:
+    return _top(mu + nu for op in ops for mu, nu, _ in op.terms)
+
+
+def _replays(cert: "MembershipCertificate", gens: list, pk) -> bool:
+    """sum cofactor_i . gen_i + normal form == query, exactly, in integers.
+
+    gens holds each generator as (G, b), the integer operator G = b g packed
+    by pk, or None for a zero generator.  The certificate's own Fraction
+    data are converted here: with q_i = Q_i / a_i, the normal form N / c and
+    the query P / e, compare L sum_i q_i g_i + L N / c with L P / e for L
+    the lcm of all the a_i b_i, c and e.
+    """
+    nf, c = _integral(pk, cert.normal_form.terms)
+    query, e = _integral(pk, cert.query.terms)
+    pairs = [(_integral(pk, q.terms), g) for q, g in zip(cert.cofactors, gens) if q.terms and g]
+    big = lcm(c, e, *(a * b for (_, a), (_, b) in pairs))
+    s = big // c
+    acc = {t: v * s for t, v in nf.items()}
+    for (qd, a), (gd, b) in pairs:
+        s = big // (a * b)
+        for t, v in qd.items():
+            _lmul(acc, v * s, t, gd, pk)
+    s = big // e
+    return acc == {t: v * s for t, v in query.items()}
+
+
+def _packed_gens(gens, pk) -> list:
+    return [_integral(pk, g.terms) if g.terms else None for g in gens]
 
 
 @dataclass(frozen=True)
@@ -520,25 +542,8 @@ class MembershipCertificate:
         for q, g in zip(self.cofactors, gens):
             self.query._check(q)
             self.query._check(g)
-        # in integers: with q_i = Q_i / a_i, g_i = G_i / b_i, the normal form
-        # N / c and the query P / e, compare L sum_i q_i g_i + L N / c with
-        # L P / e for L the lcm of all the a_i b_i, c and e
-        nf, c = _integral(_as_dict(self.normal_form))
-        query, e = _integral(_as_dict(self.query))
-        pairs = [
-            (_integral(_as_dict(q)), _integral(_as_dict(g)))
-            for q, g in zip(self.cofactors, gens)
-            if q.terms and g.terms
-        ]
-        big = lcm(c, e, *(a * b for (_, a), (_, b) in pairs))
-        s = big // c
-        acc = {t: v * s for t, v in nf.items()}
-        for (qd, a), (gd, b) in pairs:
-            s = big // (a * b)
-            for (mu, nu), v in qd.items():
-                _lmul(acc, v * s, mu, nu, gd)
-        s = big // e
-        return acc == {t: v * s for t, v in query.items()}
+        pk = _fit(self.query.nvars, (), True, _weyl_top([self.query, self.normal_form, *self.cofactors, *gens]))
+        return _widening(lambda pk: _replays(self, _packed_gens(gens, pk), pk), pk)
 
     def to_json(self) -> dict:
         member = self.member if isinstance(self.member, str) else bool(self.member)
@@ -557,7 +562,9 @@ class WeylGroebner:
     remainder whose total degree exceeds the cap is discarded and flags the
     basis CAPPED.  Zero normal forms prove membership either way; a nonzero
     normal form denies membership only against a COMPLETE basis.  stats
-    holds the PairStats of the completion.
+    holds the PairStats of the completion.  The basis, its cofactors and
+    the generators are kept packed; a query whose work overflows the
+    packing repacks them all at double width for good.
     """
 
     def __init__(self, gens: Iterable[WeylOperator], cap: int = 10):
@@ -571,44 +578,70 @@ class WeylGroebner:
         self.nvars = n
         self.gens = tuple(gens)
         self.cap = cap
-        self._key = key = _weyl_key(DegRevLex(2 * n))
-        unit = ((0,) * n, (0,) * n)
-        seeds = []
-        for i, g in enumerate(self.gens):
-            if g.terms:
-                # the seed is d g_i, so its cofactor is d at position i
-                gd, d = _integral(_as_dict(g))
-                rep = [{} for _ in self.gens]
-                rep[i] = {unit: d}
-                seeds.append((gd, rep))
-        basis, self.stats = _buchberger(seeds, key, cap=cap)
-        self._basis = _interreduce(basis, key)
-        self._divisors = [_divisor(g, key) for g, _, _ in self._basis]
+
+        def run(pk):
+            unit = pk.pack((0,) * n, (0,) * n)
+            seeds = []
+            for i, gd in enumerate(_packed_gens(self.gens, pk)):
+                if gd:
+                    # the seed is d g_i, so its cofactor is d at position i
+                    rep = [{} for _ in self.gens]
+                    rep[i] = {unit: gd[1]}
+                    seeds.append((gd[0], rep))
+            basis, stats = _buchberger(seeds, pk, cap=cap)
+            return pk, _interreduce(basis, pk), stats
+
+        top = max(cap, _weyl_top(self.gens))
+        pk, basis, self.stats = _widening(run, _fit(n, DegRevLex(2 * n).rows, True, top))
         self.status = "capped" if self.stats.cap_drops else "complete"
+        self._state = self._packed(pk, basis)
+
+    def _packed(self, pk, basis) -> tuple:
+        """The state every query reads, replaced only as a whole: the
+        packing, the basis, its divisors and the packed generators."""
+        return pk, basis, [_divisor(g) for g, _, _ in basis], _packed_gens(self.gens, pk)
+
+    def _at_width(self, run):
+        """run(*state), after repacking the state at double width until no
+        product overflows."""
+        while True:
+            state = self._state
+            try:
+                return run(*state)
+            except _Overflow:
+                pk, basis, wide = state[0], state[1], state[0].wider()
+
+                def repack(g):
+                    return {wide.pack(*pk.unpack(k)): c for k, c in g.items()}
+
+                self._state = self._packed(wide, [(repack(g), list(map(repack, rep)), den) for g, rep, den in basis])
 
     @property
     def basis(self) -> tuple[WeylOperator, ...]:
-        return tuple(_over(self.nvars, g, 1) for g, _, _ in self._basis)
+        pk, basis = self._state[:2]
+        return tuple(_over(pk, g, 1) for g, _, _ in basis)
 
     def basis_representation(self, idx: int) -> tuple[WeylOperator, ...]:
         """Cofactors writing basis element idx over the original generators."""
-        _, rep, den = self._basis[idx]
-        return tuple(_over(self.nvars, r, den) for r in rep)
+        pk, basis = self._state[:2]
+        _, rep, den = basis[idx]
+        return tuple(_over(pk, r, den) for r in rep)
 
     def normal_form(self, p: WeylOperator):
         if p.nvars != self.nvars:
             raise DimensionMismatchError("query variable count mismatch")
-        f, d = _integral(_as_dict(p))
-        quots, rem, m = _divide(f, self._divisors, self._key)
-        # d p = (sum quots . basis + rem) / m
-        dens = [den for _, _, den in self._basis]
-        den = _used_lcm(quots, dens)
-        cof: list[dict] = [{} for _ in self.gens]
-        _add_cofactors(cof, quots, [rep for _, rep, _ in self._basis], dens, den, 1)
-        return (
-            _over(self.nvars, rem, m * d),
-            tuple(_over(self.nvars, c, den * m * d) for c in cof),
-        )
+
+        def run(pk, basis, divisors, _):
+            f, d = _integral(pk, p.terms)
+            quots, rem, m = _divide(f, divisors, pk)
+            # d p = (sum quots . basis + rem) / m
+            dens = [den for _, _, den in basis]
+            den = _used_lcm(quots, dens)
+            cof: list[dict] = [{} for _ in self.gens]
+            _add_cofactors(cof, quots, [rep for _, rep, _ in basis], dens, den, 1, pk)
+            return _over(pk, rem, m * d), tuple(_over(pk, c, den * m * d) for c in cof)
+
+        return self._at_width(run)
 
     def membership(self, p: WeylOperator) -> MembershipCertificate:
         rem, cof = self.normal_form(p)
@@ -625,17 +658,18 @@ class WeylGroebner:
             cofactors=cof,
             basis_status=self.status,
         )
-        if not cert.verify(self.gens):
+        if not self._at_width(lambda pk, _, __, gens: _replays(cert, gens, pk)):
             raise InvariantError("internal cofactor replay failed")
         return cert
 
     def spair_remainders_vanish(self) -> bool:
         """Recheck the Buchberger criterion on the finished basis."""
-        d = self._divisors
-        return all(
-            not _divide(_spair(d[i], d[j])[0], d, self._key)[1]
-            for i, j in combinations(range(len(d)), 2)
-        )
+
+        def run(pk, _, divisors, __):
+            pairs = combinations(divisors, 2)
+            return all(not _divide(_spair(di, dj, pk)[0], divisors, pk)[1] for di, dj in pairs)
+
+        return self._at_width(run)
 
 
 def groebner_weyl(gens: Iterable[WeylOperator], cap: int = 10) -> WeylGroebner:

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import comb, factorial, lcm
-from operator import add, le, sub
+from operator import add, le, mul, sub
 from typing import Iterable, Mapping
 
 from .errors import DhyperError, DimensionMismatchError, InputFormatError
@@ -81,12 +82,6 @@ class WeylOperator:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def coeff(self, mu: Expo, nu: Expo) -> Fraction:
-        for m, n, c in self.terms:
-            if m == mu and n == nu:
-                return c
-        return Fraction(0)
 
     def _check(self, other: "WeylOperator") -> None:
         if self.nvars != other.nvars:
@@ -170,61 +165,155 @@ def _format_terms(terms) -> str:
     return out or "0"
 
 
+class _Overflow(Exception):
+    """A packed product left its fields; the caller re-runs wider."""
+
+
+class Packing:
+    """Monomials x^mu d^nu as one int, ordered by an integer matrix W.
+
+    After Monagan and Pearce (packed exponent vectors), the low part holds
+    the raw exponents, mu's n fields (Weyl monomials only) below nu's, each
+    width bits under a zero guard bit; the high part holds the signed digits
+    of W e, e the flattened exponent, the first row most significant, each
+    digit too wide for anything below it to outweigh.  So int comparison is
+    lex order on W e (Robbiano), a one-term product is a sum whose overflow
+    sets a guard bit, and a divides b exactly when
+    ((b + guard) - a) & guard == guard.  Packings come from _packing();
+    pack and unpack are memoised, for every packing together.
+    """
+
+    def __init__(self, nvars: int, rows: tuple, weyl: bool, width: int):
+        self.nvars, self.rows, self.weyl, self.width = nvars, rows, weyl, width
+        n = nvars if weyl else 0
+        self.shifts = tuple(j * (width + 1) for j in range(n + nvars))
+        self.mask = mask = (1 << width) - 1
+        self.guard = sum(1 << (s + width) for s in self.shifts)
+        digit = (max((sum(map(abs, r)) for r in rows), default=0) * mask).bit_length()
+        top = self.guard.bit_length() + (len(rows) - 1) * digit
+        self.units = tuple(
+            (1 << s) + sum(r[j] << (top - i * digit) for i, r in enumerate(rows))
+            for j, s in enumerate(self.shifts)
+        )
+        # (a >> nshift) + ones and b + ones share a set mu guard bit exactly
+        # when nu of a and mu of b share a nonzero index
+        self.nshift = n * (width + 1)
+        self.ones = sum(mask << s for s in self.shifts[:n])
+        self.mu_guard = sum(1 << (s + width) for s in self.shifts[:n])
+        self.thetas = tuple(self.units[j] + self.units[n + j] for j in range(n))
+
+    def pack(self, mu: Expo, nu: Expo) -> int:
+        return self.flat(mu + nu if self.weyl else nu)
+
+    @lru_cache(maxsize=1024)
+    def flat(self, e: Expo) -> int:
+        """The packed int of the flattened exponent e."""
+        if max(e, default=0) > self.mask:
+            raise _Overflow
+        return sum(map(mul, e, self.units))
+
+    def exps(self, k: int) -> Expo:
+        mask = self.mask
+        return tuple([(k >> s) & mask for s in self.shifts])
+
+    @lru_cache(maxsize=1024)
+    def unpack(self, k: int) -> tuple[Expo, Expo]:
+        e = self.exps(k)
+        return (e[: self.nvars], e[self.nvars :]) if self.weyl else ((0,) * self.nvars, e)
+
+    def divides(self, a: int, b: int) -> bool:
+        return ((b + self.guard) - a) & self.guard == self.guard
+
+    def lcm(self, a: int, b: int) -> int:
+        return self.flat(tuple(map(max, self.exps(a), self.exps(b))))
+
+    def degree(self, k: int) -> int:
+        return sum(self.exps(k))
+
+    def wider(self) -> "Packing":
+        return _packing(self.nvars, self.rows, self.weyl, 2 * self.width)
+
+
+@lru_cache(maxsize=64)
+def _packing(nvars: int, rows: tuple, weyl: bool, width: int) -> Packing:
+    return Packing(nvars, rows, weyl, width)
+
+
+def _fit(nvars: int, rows: tuple, weyl: bool, top: int) -> Packing:
+    """The packing whose fields hold every exponent up to 2 top, so the
+    product of two monomials with exponents up to top never overflows."""
+    return _packing(nvars, rows, weyl, max(1, (2 * top).bit_length()))
+
+
+def _top(exps) -> int:
+    return max((max(e, default=0) for e in exps), default=0)
+
+
 def normal_product(p: WeylOperator, q: WeylOperator) -> WeylOperator:
     """Product in the Weyl algebra, renormal-ordered."""
     p._check(q)
-    acc: dict[tuple[Expo, Expo], Fraction] = {}
-    g = {(mu, nu): c for mu, nu, c in q.terms}
+    pk = _fit(p.nvars, (), True, _top(mu + nu for mu, nu, _ in p.terms + q.terms))
+    acc: dict[int, Fraction] = {}
+    g = {pk.pack(mu, nu): c for mu, nu, c in q.terms}
     for mu, nu, c in p.terms:
-        _lmul(acc, c, mu, nu, g)
-    return WeylOperator.make(p.nvars, acc)
+        _lmul(acc, c, pk.pack(mu, nu), g, pk)
+    return WeylOperator(p.nvars, tuple(sorted((*pk.unpack(k), c) for k, c in acc.items())))
 
 
-def _term_product(mu1: Expo, nu1: Expo, mu2: Expo, nu2: Expo):
-    """x^mu1 d^nu1 . x^mu2 d^nu2 in normal order, as ((mu, nu), weight) pairs.
-
-    d^nu x^mu = sum_k (nu choose k)(mu choose k) k! x^(mu-k) d^(nu-k),
-    componentwise over 0 <= k <= min(nu, mu).  The weights are integers.
-    When nu1 and mu2 share no nonzero index (always so for x-free
-    operators) the product is the single term x^(mu1+mu2) d^(nu1+nu2).
-    """
-    mu, nu = _add(mu1, mu2), _add(nu1, nu2)
-    if not any(map(min, nu1, mu2)):
-        return (((mu, nu), 1),)
+@lru_cache(maxsize=4096)
+def _reorderings(pk: Packing, nu: int, mu: int) -> tuple[tuple[int, int], ...]:
+    """d^nu x^mu = sum_k (nu choose k)(mu choose k) k! x^(mu-k) d^(nu-k),
+    componentwise over 0 <= k <= min(nu, mu), as (packed offset k theta,
+    weight) pairs; nu and mu are the low fields of packed ints."""
+    n = pk.nvars
+    nus, mus = pk.exps(nu)[:n], pk.exps(mu)[:n]
     out = []
-    for k in product(*[range(min(a, b) + 1) for a, b in zip(nu1, mu2)]):
-        if not any(k):
-            out.append(((mu, nu), 1))
-            continue
-        w = 1
-        for a, b, kk in zip(nu1, mu2, k):
+    for k in product(*[range(min(a, b) + 1) for a, b in zip(nus, mus)]):
+        w, off = 1, 0
+        for a, b, kk, theta in zip(nus, mus, k, pk.thetas):
             if kk:
                 w *= comb(a, kk) * comb(b, kk) * factorial(kk)
-        out.append(((_sub(mu, k), _sub(nu, k)), w))
-    return out
+                off += kk * theta
+        out.append((off, w))
+    return tuple(out)
 
 
-def _lmul(acc: dict, coeff: Fraction, a: Expo, b: Expo, g: dict, entered: list | None = None) -> None:
-    """acc += coeff * x^a d^b . g, dropping coefficients that cancel.
+_ONE = {0: 1}  # the packed operator 1
+
+
+def _lmul(acc: dict, coeff, a: int, g: dict, pk: Packing, entered: list | None = None) -> None:
+    """acc += coeff * a . g for the packed monomial a and the packed
+    operator g, dropping coefficients that cancel; raises _Overflow when a
+    product leaves pk's fields.
 
     coeff and the coefficients of g are nonzero.  When entered is a list,
-    each monomial new to acc is appended to it.
+    each monomial new to acc is appended to it.  Unless nu of a and mu of a
+    term share a nonzero index (never so for x-free operators), the product
+    is the single monomial a + t.
     """
-    for (mu, nu), c in g.items():
-        cc = coeff * c
-        for k, w in _term_product(a, b, mu, nu):
-            t = cc if w == 1 else cc * w
-            v = acc.get(k)
-            if v is None:
-                acc[k] = t
-                if entered is not None:
-                    entered.append(k)
+    guard, ones, mu_guard, low = pk.guard, pk.ones, pk.mu_guard, (1 << pk.nshift) - 1
+    nu = (a >> pk.nshift) + ones
+    get = acc.get
+    for t, c in g.items():
+        k = a + t
+        if k & guard:
+            raise _Overflow
+        if nu & (t + ones) & mu_guard:
+            cc = coeff * c
+            for off, w in _reorderings(pk, (a >> pk.nshift) & low, t & low):
+                _lmul(acc, cc * w, k - off, _ONE, pk, entered)
+            continue
+        v = get(k)
+        if v is None:
+            acc[k] = coeff * c
+            if entered is not None:
+                entered.append(k)
+        else:
+            v += coeff * c
+            if v:
+                acc[k] = v
             else:
-                v += t
-                if v:
-                    acc[k] = v
-                else:
-                    del acc[k]
+                del acc[k]
 
 
 def a_degree_components(a: IntMatrix, p: WeylOperator) -> list[tuple[Expo, WeylOperator]]:

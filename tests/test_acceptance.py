@@ -307,8 +307,7 @@ def test_criterion_9_weyl_algebra_kernel():
         weyl_polys = []
         for b in weyl_gb.basis:
             d = {nu: c for _, nu, c in b.terms}
-            lead = max(d, key=order.key)
-            lc = d[lead]
+            _, lc = CommPoly.make(3, d).lead(order)
             weyl_polys.append(tuple(sorted((e, c / lc) for e, c in d.items())))
         comm_polys = [tuple(sorted(g.terms)) for g in comm_gb]
         ok = ok and sorted(weyl_polys) == sorted(comm_polys)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dhyper import cli
+from dhyper import cli, weyl
 from dhyper.exact import IntMatrix
 from dhyper.series import PuiseuxSeries
 from dhyper.systems import horn_system, hypergeometric_system
@@ -377,6 +377,45 @@ def test_membership_report_bytes_are_pinned(capsys, which):
     assert hashlib.sha256(out.encode()).hexdigest() == MEMBERSHIP_REPORT_SHA256[which]
 
 
+# SHA-256 of the toric reports of d1^40000 - d2 and d1^70001 - d2^3, and of
+# a membership certificate whose basis completion overflows the packed
+# fields sized from its generators and cap (d2 + x1^2 and d1^3 + x2 at cap
+# 3, query 1), all recorded before monomials were packed into ints.
+WIDE_TORIC_REPORT_SHA256 = {
+    "[[1,40000]]": "9930c90d70ee1e9242794fb0b3104757103f75c1f5146f23a387b76f6a48bf44",
+    "[[3,70001]]": "ac2e454c40cdfa745613b9faecc79c5f51706ad3e355074865db008f2ed2e187",
+}
+WIDENED_MEMBERSHIP_REPORT_SHA256 = "66a7b26c0ab6106bd00e305dd3bc1da2acdb17bdd32b9dbd0d6fa15acfb911ca"
+
+
+@pytest.mark.parametrize("a_json", sorted(WIDE_TORIC_REPORT_SHA256))
+def test_wide_exponent_toric_reports_are_pinned(capsys, a_json):
+    assert cli.main(["toric", "--a", a_json]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == WIDE_TORIC_REPORT_SHA256[a_json]
+
+
+def test_overflowing_completion_widens_to_the_pinned_report(capsys, monkeypatch):
+    widened = []
+    wider = weyl.Packing.wider
+    monkeypatch.setattr(weyl.Packing, "wider", lambda pk: widened.append(pk.width) or wider(pk))
+    gens = [
+        WeylOperator.make(2, {((0, 0), (0, 1)): 1, ((2, 0), (0, 0)): 1}),
+        WeylOperator.make(2, {((0, 0), (3, 0)): 1, ((0, 1), (0, 0)): 1}),
+    ]
+    argv = [
+        "membership",
+        "--gens", json.dumps([g.to_json() for g in gens], sort_keys=True),
+        "--query", json.dumps(WeylOperator.one(2).to_json(), sort_keys=True),
+        "--cap", "3",
+    ]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert widened  # the fields chosen from the inputs overflowed
+    assert json.loads(out)["results"]["certificate"]["member"] is True
+    assert hashlib.sha256(out.encode()).hexdigest() == WIDENED_MEMBERSHIP_REPORT_SHA256
+
+
 def test_toric_without_positive_grading(capsys):
     # [[1, -1]] has no positive grading: toric_ideal goes through the
     # homogenized matrix [[1, -1, 0], [1, 1, 1]] instead
@@ -539,3 +578,46 @@ def test_fuzzed_toric_exits_documented_codes(argv):
     code = assert_one_documented_exit(argv)
     if well_formed_without_zero_column(json.loads(argv[2])):
         assert code == 0
+
+
+def zero_sum_columns(rows, cols):
+    """Matrices whose columns sum to zero: every vector in their span has
+    entries of both signs, so the span is mixed whenever it has full rank."""
+    column = st.lists(SMALL, min_size=rows - 1, max_size=rows - 1).map(lambda c: c + [-sum(c)])
+    return st.lists(column, min_size=cols, max_size=cols).map(lambda cs: [list(r) for r in zip(*cs)])
+
+
+@st.composite
+def horn_argv(draw):
+    # B has one row per variable and is mostly mixed; beta mostly has one
+    # entry per row of A, which spans the left kernel of B; --a is given in
+    # one draw of two
+    m = draw(st.integers(1, 2))
+    n = draw(st.integers(m, 4))
+    rank = n - m
+    beta = mostly(st.lists(RATIONAL, min_size=rank, max_size=rank), st.lists(RATIONAL, max_size=3))
+    b = mostly(zero_sum_columns(n, m), matrix(n, m))
+    argv = ["horn", "--b", draw(flag(b)), "--beta", draw(flag(beta))]
+    if draw(st.booleans()):
+        argv += ["--a", draw(flag(mostly(matrix(rank or 1, n), matrix(1, draw(st.integers(1, 4))))))]
+    return argv
+
+
+@st.composite
+def ahyp_argv(draw):
+    rows, cols = draw(st.integers(1, 2)), draw(st.integers(1, 4))
+    beta = mostly(st.lists(RATIONAL, min_size=rows, max_size=rows), st.lists(RATIONAL, max_size=3))
+    return ["ahyp", "--a", draw(flag(matrix(rows, cols))), "--beta", draw(flag(beta))]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(horn_argv())
+def test_fuzzed_horn_exits_documented_codes(argv):
+    assert_one_documented_exit(argv)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(ahyp_argv())
+def test_fuzzed_ahyp_exits_documented_codes(argv):
+    # ahyp reaches toric_ideal, and so the packed commutative core
+    assert_one_documented_exit(argv)

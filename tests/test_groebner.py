@@ -1,23 +1,24 @@
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import count, product
-from math import comb, factorial, isqrt
+from math import comb, factorial, gcd, isqrt, lcm
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dhyper import groebner
+from dhyper import groebner, weyl
 from dhyper.errors import DimensionMismatchError, InputFormatError, InvariantError
-from dhyper.exact import IntMatrix
+from dhyper.exact import IntMatrix, positive_functional
 from dhyper.groebner import (
     CommIdeal,
     CommPoly,
     DegRevLex,
-    MembershipCertificate,
+    MatrixOrder,
     PairStats,
+    WeightedRevLexLast,
     groebner_weyl,
 )
 from dhyper.systems import hypergeometric_system, toric_ideal
@@ -32,16 +33,13 @@ def dpoly(nvars, mapping):
 # ideals and the elimination-order division branch are checked against.
 
 
-@dataclass(frozen=True)
-class BlockElim:
-    """Eliminate the first nfirst variables: compare that block first."""
-
-    nfirst: int
-    nvars: int
-
-    def key(self, e):
-        head, tail = e[: self.nfirst], e[self.nfirst :]
-        return (sum(head), tuple(-x for x in head[::-1]), sum(tail), tuple(-x for x in tail[::-1]))
+def BlockElim(nfirst, nvars):
+    """Eliminate the first nfirst variables: compare that block first, each
+    block by degree reverse lex."""
+    head, tail = DegRevLex(nfirst).rows, DegRevLex(nvars - nfirst).rows
+    return MatrixOrder(
+        tuple(r + (0,) * (nvars - nfirst) for r in head) + tuple((0,) * nfirst + r for r in tail)
+    )
 
 
 def saturate(ideal: CommIdeal, f: CommPoly) -> CommIdeal:
@@ -104,9 +102,12 @@ def ahyp_demo_gens():
 
 def test_degrevlex_tie_break():
     order = DegRevLex(4)
-    assert order.key((0, 2, 0, 0)) > order.key((1, 0, 1, 0))
-    assert order.key((0, 1, 1, 0)) > order.key((1, 0, 0, 1))
-    assert order.key((0, 0, 2, 0)) > order.key((0, 1, 0, 1))
+    for greater, smaller in [
+        ((0, 2, 0, 0), (1, 0, 1, 0)),
+        ((0, 1, 1, 0), (1, 0, 0, 1)),
+        ((0, 0, 2, 0), (0, 1, 0, 1)),
+    ]:
+        assert dpoly(4, {greater: 1, smaller: 1}).lead(order)[0] == greater
     p = dpoly(4, {(0, 2, 0, 0): 3, (1, 0, 1, 0): 7})
     assert p.lead(order) == ((0, 2, 0, 0), Fraction(3))
 
@@ -238,7 +239,7 @@ def test_horn_membership_dichotomy():
 def test_failed_cofactor_replay_is_an_invariant_error(monkeypatch):
     gb = groebner_weyl(horn_demo_gens(), cap=10)
     query = dop(4, {((0,) * 4, (0, 1, 1, 0)): 1, ((0,) * 4, (1, 0, 0, 1)): -1})
-    monkeypatch.setattr(MembershipCertificate, "verify", lambda self, gens: False)
+    monkeypatch.setattr(groebner, "_replays", lambda cert, gens, pk: False)
     with pytest.raises(InvariantError, match="replay"):
         gb.membership(query)
 
@@ -298,7 +299,7 @@ def test_engines_agree_on_d_only_ideals(case):
     for b in wgb.basis:
         assert all(mu == (0,) * n for mu, _, _ in b.terms)
         d = {nu: c for _, nu, c in b.terms}
-        lc = d[max(d, key=order.key)]
+        _, lc = dpoly(n, d).lead(order)
         wpolys.append(tuple(sorted((e, c / lc) for e, c in d.items())))
     assert wpolys == [tuple(sorted(g.terms)) for g in cgb]
 
@@ -508,6 +509,24 @@ def reference_divide(f, divisors, key):
     return quots, rem
 
 
+def degrevlex_key(e):
+    """The degree reverse lex order as a tuple key: the reference for packed ints."""
+    return (sum(e), tuple(-x for x in e[::-1]))
+
+
+def weighted_revlex_last_key(weights, last):
+    return lambda e: (sum(w * x for w, x in zip(weights, e)), -e[last], tuple(-x for x in e[::-1]))
+
+
+def block_elim_key(nfirst):
+    return lambda e: degrevlex_key(e[:nfirst]) + degrevlex_key(e[nfirst:])
+
+
+def weyl_key(m):
+    """The Weyl engine's order on (mu, nu), degree reverse lex on mu + nu."""
+    return degrevlex_key(m[0] + m[1])
+
+
 @st.composite
 def division_problems(draw):
     n = draw(st.integers(2, 3))
@@ -524,16 +543,33 @@ def division_problems(draw):
     f = {m: Fraction(c) for m, c in random_op(large, 6).items()}
     gs = [{m: Fraction(c) for m, c in random_op(small, 3).items()} for _ in range(draw(st.integers(1, 3)))]
     if xfree and draw(st.booleans()):
-        key = groebner._comm_key(BlockElim(1, n))
+        order, key = BlockElim(1, n), lambda m: block_elim_key(1)(m[1])
     elif xfree:
-        key = groebner._comm_key(DegRevLex(n))
+        order, key = DegRevLex(n), lambda m: degrevlex_key(m[1])
     else:
-        key = groebner._weyl_key(DegRevLex(2 * n))
-    return f, [groebner._divisor(g, key) for g in gs], key
+        order, key = DegRevLex(2 * n), weyl_key
+    return f, gs, weyl._fit(n, order.rows, not xfree, 3), key
 
 
 def unscaled(g, m):
     return {k: Fraction(c, m) for k, c in g.items()}
+
+
+def unpacked(g, pk):
+    return {pk.unpack(k): c for k, c in g.items()}
+
+
+def packed(g, pk):
+    """The integer operator of the rational operator dict g, packed, and its scale."""
+    return groebner._integral(pk, [(mu, nu, c) for (mu, nu), c in g.items()])
+
+
+def packed_division(f, divisors, pk, cap=None):
+    """_divide on f packed by pk, its quotients and remainder unpacked and
+    unscaled: the rational division of f it stands for."""
+    fi, d = packed(f, pk)
+    quots, rem, m = groebner._divide(fi, divisors, pk, cap)
+    return [unscaled(unpacked(q, pk), m * d) for q in quots], unscaled(unpacked(rem, pk), m * d)
 
 
 def total_degree(monomial):
@@ -543,25 +579,135 @@ def total_degree(monomial):
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(division_problems())
 def test_heap_led_division_matches_reference(problem):
-    # the fraction-free kernel divides the integer d f by the integer
-    # multiples of the divisors; unscaled by d and by its m, its quotients
-    # and remainder are the reference's for the rational f, term for term
-    f, divisors, key = problem
-    fi, d = groebner._integral(f)
-    ints = [groebner._divisor(groebner._integral(g)[0], key) for _, _, g in divisors]
-    quots, rem, m = groebner._divide(fi, ints, key)
-    ref_quots, ref_rem = reference_divide(f, ints, key)
-    assert [unscaled(q, m * d) for q in quots] == ref_quots
-    assert unscaled(rem, m * d) == ref_rem
+    # the fraction-free kernel divides the integer, packed d f by the
+    # integer multiples of the divisors; unpacked, and unscaled by d and by
+    # its m, its quotients and remainder are the reference's for the
+    # rational f, term for term
+    f, gs, pk, key = problem
+    ints = [groebner._divisor(packed(g, pk)[0]) for g in gs]
+    ref_divisors = [(pk.unpack(gl), gc, unpacked(g, pk)) for gl, gc, g in ints]
+    ref_quots, ref_rem = reference_divide(f, ref_divisors, key)
+    quots, rem = packed_division(f, ints, pk)
+    assert quots == ref_quots
+    assert rem == ref_rem
     # with a cap, division stops at the first remainder monomial above it
     for cap in range(max(map(total_degree, f)) + 1):
         over = [t for t in ref_rem if total_degree(t) > cap]
-        capped_quots, capped_rem, _ = groebner._divide(fi, ints, key, cap)
+        capped_quots, capped_rem = packed_division(f, ints, pk, cap)
         if over:
             assert list(capped_rem) == [max(over, key=key)]
             assert not any(capped_quots)
         else:
             assert (capped_quots, capped_rem) == (quots, rem)
+
+
+# ---------------------------------------------------------------------------
+# Packed monomials against the tuple references
+
+
+def toric_weights(rows):
+    """The weights toric_ideal grades the matrix by: c . a_j for the
+    positive functional c, scaled to coprime integers."""
+    a = IntMatrix.from_rows(rows)
+    c = positive_functional(a.columns(), a.rows)
+    w = [sum(ci * x for ci, x in zip(c, col)) for col in a.columns()]
+    den, num = lcm(*(q.denominator for q in w)), gcd(*(q.numerator for q in w))
+    return tuple(int(q * den) // num for q in w)
+
+
+# five-column curves of the toric benchmark catalogue, the quintic, a
+# weighted curve and the demo matrix
+WEIGHT_MATRICES = [
+    [[1] * 5, [0, 1, 2, 3, 5]],
+    [[1] * 5, [0, 2, 3, 4, 6]],
+    [[1] * 6, [0, 1, 2, 3, 4, 5]],
+    [[4, 6, 7, 9]],
+    [[3, 2, 1, 0], [0, 1, 2, 3]],
+]
+
+
+@st.composite
+def packings(draw):
+    """A packing, the tuple key of its order on flattened exponents, and
+    exponent vectors that fill its fields, the field limit included."""
+    kind = draw(st.sampled_from(["degrevlex", "weighted", "block", "weyl", "matrix"]))
+    if kind == "matrix":
+        # any integer rows, signs mixed: lex on W e, ties broken by the raw
+        # fields, the last most significant
+        n = draw(st.integers(1, 3))
+        rows = tuple(draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=1, max_size=3)))
+        order = MatrixOrder(rows)
+        key = lambda e: (tuple(sum(w * x for w, x in zip(r, e)) for r in rows), e[::-1])  # noqa: E731
+    elif kind == "weighted":
+        w = toric_weights(draw(st.sampled_from(WEIGHT_MATRICES)))
+        last = draw(st.integers(0, len(w) - 1))
+        n, order, key = len(w), WeightedRevLexLast(w, last), weighted_revlex_last_key(w, last)
+    elif kind == "block":
+        n = draw(st.integers(2, 4))
+        nfirst = draw(st.integers(1, n - 1))
+        order, key = BlockElim(nfirst, n), block_elim_key(nfirst)
+    else:
+        n = draw(st.integers(1, 4 if kind == "degrevlex" else 3))
+        order, key = DegRevLex(2 * n if kind == "weyl" else n), degrevlex_key
+    pk = weyl._packing(n, order.rows, kind == "weyl", draw(st.integers(1, 6)))
+    field = st.one_of(st.integers(0, pk.mask), st.sampled_from([0, 1, pk.mask - 1, pk.mask]))
+    size = 2 * n if pk.weyl else n
+    return pk, key, draw(st.lists(st.tuples(*[field] * size), min_size=2, max_size=4))
+
+
+def split(pk, e):
+    n = pk.nvars
+    return (e[:n], e[n:]) if pk.weyl else ((0,) * n, e)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(packings())
+def test_packed_monomials_match_tuple_references(case):
+    pk, key, exps = case
+    ks = [pk.pack(*split(pk, e)) for e in exps]
+    for e, k in zip(exps, ks):
+        assert pk.unpack(k) == split(pk, e)
+        assert pk.degree(k) == sum(e)
+    for (e, a), (f, b) in product(zip(exps, ks), repeat=2):
+        # int comparison is the term order
+        assert (a < b) == (key(e) < key(f))
+        assert (a == b) == (e == f)
+        assert pk.divides(a, b) == all(x <= y for x, y in zip(e, f))
+        assert pk.lcm(a, b) == pk.pack(*split(pk, tuple(map(max, e, f))))
+        # the one-term product is a + b; the Weyl overlap test sends it to
+        # the reordering terms exactly when nu of e meets mu of f
+        acc = {}
+        if any(x + y > pk.mask for x, y in zip(e, f)):
+            with pytest.raises(weyl._Overflow):
+                weyl._lmul(acc, 1, a, {b: 1}, pk)
+            continue
+        weyl._lmul(acc, 1, a, {b: 1}, pk)
+        assert acc[a + b] == 1
+        assert unpacked(acc, pk) == dict(reference_term_product(*split(pk, e), *split(pk, f)))
+
+
+def test_packed_order_is_exhaustively_lex_on_w_e():
+    # every two-row matrix with small entries, signs mixed, on every
+    # exponent vector that fits one- and two-bit fields: the digit widths
+    # leave no room for a lower digit to outweigh a higher one
+    for n, entries in ((1, range(-2, 3)), (2, range(-1, 2))):
+        for rows in product(product(entries, repeat=n), repeat=2):
+            for width in (1, 2):
+                pk = weyl._packing(n, rows, False, width)
+                exps = list(product(range(pk.mask + 1), repeat=n))
+                ks = [pk.pack((), e) for e in exps]
+                keys = [(tuple(sum(w * x for w, x in zip(r, e)) for r in rows), e[::-1]) for e in exps]
+                assert sorted(range(len(exps)), key=ks.__getitem__) == sorted(range(len(exps)), key=keys.__getitem__)
+
+
+def test_packing_width_comes_from_the_inputs():
+    # fields hold twice the largest input exponent, so a product of inputs
+    # never overflows, and an exponent past the fields is refused
+    pk = weyl._fit(1, DegRevLex(1).rows, False, 40000)
+    assert pk.mask >= 80000 > pk.mask // 2
+    with pytest.raises(weyl._Overflow):
+        pk.pack((), (pk.mask + 1,))
+    assert pk.wider().width == 2 * pk.width
 
 
 @lru_cache(maxsize=None)
@@ -651,13 +797,13 @@ def test_integer_replay_matches_fraction_replay(case):
         query = query + normal_product(q, g)
     cert = gb.membership(query)
     assert cert.verify(gens) is replays_by_products(cert, gens) is True
-    # the fraction-free division, unscaled, is the reference division
-    f = groebner._as_dict(query)
-    fi, d = groebner._integral(f)
-    quots, rem, m = groebner._divide(fi, gb._divisors, gb._key)
-    ref_quots, ref_rem = reference_divide(f, gb._divisors, gb._key)
-    assert [unscaled(q, m * d) for q in quots] == ref_quots
-    assert unscaled(rem, m * d) == ref_rem
+    # the fraction-free division, unpacked and unscaled, is the reference
+    # division by the unpacked basis
+    f = {(mu, nu): c for mu, nu, c in query.terms}
+    pk, _, divisors, _ = gb._state
+    ref_divisors = [(pk.unpack(gl), gc, unpacked(g, pk)) for gl, gc, g in divisors]
+    ref_quots, ref_rem = reference_divide(f, ref_divisors, weyl_key)
+    assert packed_division(f, divisors, pk) == (ref_quots, ref_rem)
     # 1/p more in one coefficient, p dividing no denominator, so that the
     # coefficient stays nonzero and every integer scaling meets a new prime
     ops = (query, cert.normal_form, *cert.cofactors, *gens)
@@ -670,3 +816,29 @@ def test_integer_replay_matches_fraction_replay(case):
     else:
         wrong = replace(cert, cofactors=cert.cofactors[:slot] + (bumped,) + cert.cofactors[slot + 1 :])
     assert wrong.verify(gens) is replays_by_products(wrong, gens) is False
+
+
+def test_wide_query_repacks_the_basis_without_changing_answers(monkeypatch):
+    # x1^40 d4^3 . g_1 + d3^40 overflows the fields sized from the Horn
+    # generators and the cap; the basis is repacked wider, the certificate
+    # replays, its normal form is the reference division's remainder, and
+    # later answers equal those of a basis that never widened
+    widened = []
+    wider = weyl.Packing.wider
+    monkeypatch.setattr(weyl.Packing, "wider", lambda pk: widened.append(pk.width) or wider(pk))
+    gens = horn_demo_gens()
+    gb = groebner_weyl(gens, cap=10)
+    query = normal_product(WeylOperator.monomial(4, (40, 0, 0, 0), (0, 0, 0, 3)), gens[0])
+    query = query + WeylOperator.monomial(4, (0,) * 4, (0, 0, 40, 0))
+    cert = gb.membership(query)
+    assert widened
+    assert replays_by_products(cert, gens)
+    pk, _, divisors, _ = gb._state
+    ref_divisors = [(pk.unpack(gl), gc, unpacked(g, pk)) for gl, gc, g in divisors]
+    f = {(mu, nu): c for mu, nu, c in query.terms}
+    assert cert.normal_form == WeylOperator.make(4, reference_divide(f, ref_divisors, weyl_key)[1])
+    narrow = groebner_weyl(gens, cap=10)
+    assert narrow._state[0].width < pk.width
+    small = normal_product(WeylOperator.x(0, 4), gens[0]) + WeylOperator.d(1, 4)
+    assert gb.membership(small) == narrow.membership(small)
+    assert gb.basis == narrow.basis
