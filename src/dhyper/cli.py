@@ -5,10 +5,11 @@ rational literals are integers or "p/q" strings; floats are rejected so
 every computation downstream stays exact.  Reports are emitted with
 sorted keys, making identical invocations byte-identical.
 
-Exit codes: 0 every check passed, 1 at least one check failed, 2
-malformed input, 3 shape mismatch, 4 unsupported lattice character, 5
-other domain errors, 6 internal error (an exception that is not a
-DhyperError, which is a bug in dhyper).  Every exit prints one JSON object.
+Exit codes: 0 every check passed, 1 at least one check failed, 2 to 5
+the exit_code of the DhyperError raised (errors.py: 2 malformed input, 3
+shape mismatch, 4 unsupported lattice character, 5 other domain errors),
+6 internal error (an exception that is not a DhyperError, which is a bug
+in dhyper).  Every exit prints one JSON object.
 """
 
 from __future__ import annotations
@@ -21,12 +22,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    DhyperError,
-    DimensionMismatchError,
-    InputFormatError,
-    UnsupportedCharacterError,
-)
+from .errors import DhyperError, InputFormatError
 from .exact import (
     IntMatrix,
     RatVector,
@@ -38,6 +34,7 @@ from .exact import (
 from .groebner import groebner_weyl
 from .mgraph import bounded_representatives, lattice_polynomial_solutions
 from .series import (
+    PuiseuxSeries,
     annihilation_check,
     density,
     gamma_series,
@@ -57,10 +54,6 @@ from .weyl import WeylOperator
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
-EXIT_BAD_INPUT = 2
-EXIT_BAD_SHAPE = 3
-EXIT_BAD_CHARACTER = 4
-EXIT_DOMAIN = 5
 EXIT_INTERNAL = 6
 
 
@@ -338,8 +331,6 @@ def _cmd_membership(args):
 
 
 def _cmd_annihilate(args):
-    from .series import PuiseuxSeries
-
     gens = _as_operators(_load_json(args.gens))
     f = PuiseuxSeries.from_json(_load_json(args.series))
     report = annihilation_check(gens, f)
@@ -606,18 +597,9 @@ def run(argv=None) -> CommandReport:
 def main(argv=None) -> int:
     try:
         report = run(argv)
-    except UnsupportedCharacterError as exc:
-        print(json.dumps({"error": str(exc), "exit_code": EXIT_BAD_CHARACTER}))
-        return EXIT_BAD_CHARACTER
-    except DimensionMismatchError as exc:
-        print(json.dumps({"error": str(exc), "exit_code": EXIT_BAD_SHAPE}))
-        return EXIT_BAD_SHAPE
-    except InputFormatError as exc:
-        print(json.dumps({"error": str(exc), "exit_code": EXIT_BAD_INPUT}))
-        return EXIT_BAD_INPUT
     except DhyperError as exc:
-        print(json.dumps({"error": str(exc), "exit_code": EXIT_DOMAIN}))
-        return EXIT_DOMAIN
+        print(json.dumps({"error": str(exc), "exit_code": exc.exit_code}))
+        return exc.exit_code
     except Exception as exc:
         # anything else is a bug; it still gets the one-JSON-object contract
         error = f"internal error: {type(exc).__name__}: {exc}"

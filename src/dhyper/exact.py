@@ -189,10 +189,12 @@ class RatVector:
         return sum((a * Fraction(b) for a, b in zip(self.entries, oe)), Fraction(0))
 
     def add(self, other: "RatVector") -> "RatVector":
+        if len(self.entries) != len(other.entries):
+            raise DimensionMismatchError("vector lengths differ")
         return RatVector(tuple(a + b for a, b in zip(self.entries, other.entries)))
 
     def sub(self, other: "RatVector") -> "RatVector":
-        return RatVector(tuple(a - b for a, b in zip(self.entries, other.entries)))
+        return self.add(other.scale(-1))
 
     def scale(self, c) -> "RatVector":
         c = Fraction(c)

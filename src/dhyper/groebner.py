@@ -103,6 +103,8 @@ class CommPoly:
         return dict(self.terms)
 
     def __add__(self, other: "CommPoly") -> "CommPoly":
+        if self.nvars != other.nvars:
+            raise DimensionMismatchError("polynomial variable counts differ")
         acc = self.as_dict()
         for e, c in other.terms:
             acc[e] = acc.get(e, Fraction(0)) + c
@@ -115,6 +117,8 @@ class CommPoly:
         return self + (-other)
 
     def __mul__(self, other: "CommPoly") -> "CommPoly":
+        if self.nvars != other.nvars:
+            raise DimensionMismatchError("polynomial variable counts differ")
         acc: dict[Expo, Fraction] = {}
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:

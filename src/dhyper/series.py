@@ -14,11 +14,13 @@ one Smith-form solve per point.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from operator import mul
+from math import lcm
+from operator import le, mul
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -31,7 +33,29 @@ from .errors import (
     LatticeCollisionError,
     ZeroFactorialError,
 )
-from .exact import IntMatrix, RatVector, format_fraction, json_int, parse_fraction, smith_form
+from .exact import (
+    IntMatrix,
+    RatVector,
+    format_fraction,
+    hermite_column_basis,
+    is_nonresonant,
+    json_int,
+    kernel_basis,
+    parse_fraction,
+    smith_form,
+    solve_rational,
+)
+from .mgraph import bounded_representatives, lattice_polynomial_solutions
+from .systems import _submatrix, _toral_degree_matrix
+from .weyl import (
+    Expo,
+    WeylOperator,
+    _add,
+    _binomial_fill,
+    _falling_factors,
+    _integer_action,
+    _sub,
+)
 
 _smith = lru_cache(maxsize=256)(smith_form)
 
@@ -41,6 +65,22 @@ ANTIDERIVE = "ANTIDERIVE"
 
 def _sup(t: Iterable[int]) -> int:
     return max(map(abs, t), default=0)
+
+
+def _ring(m: int, r: int):
+    """The points of Z^m with sup norm r, in lexicographic order."""
+    if m == 0:
+        yield from [()] if r == 0 else []
+    elif m == 1:
+        yield from [(-r,), (r,)] if r else [(0,)]
+    else:
+        side = range(-r, r + 1)
+        for x in side:
+            # on the faces x = -r and x = r the rest is free, between them
+            # it lies on the ring
+            rest = product(side, repeat=m - 1) if abs(x) == r else _ring(m - 1, r)
+            for t in rest:
+                yield (x, *t)
 
 
 def lattice_coordinates(lat: IntMatrix, vec: tuple[int, ...]) -> tuple[int, ...] | None:
@@ -257,8 +297,6 @@ def shift(f: PuiseuxSeries, alpha: tuple[int, ...], direction: str) -> PuiseuxSe
     factorial [v+u+alpha]_alpha to be nonzero at every window point so the
     division is defined throughout.
     """
-    from .weyl import _integer_action
-
     alpha = tuple(int(a) for a in alpha)
     if len(alpha) != f.nvars:
         raise DimensionMismatchError("shift exponent length mismatch")
@@ -305,6 +343,162 @@ def shift(f: PuiseuxSeries, alpha: tuple[int, ...], direction: str) -> PuiseuxSe
 def _ambient(lat: IntMatrix, w: tuple[int, ...]) -> tuple[int, ...]:
     """The ambient point L w of lattice coordinates w."""
     return tuple([sum(map(mul, row, w)) for row in lat.entries])
+
+
+# ---------------------------------------------------------------------------
+# Operator action
+
+
+def apply_to_series(p: WeylOperator, f):
+    """Apply an operator to a lattice-supported Puiseux series.
+
+    The result is exact on a shrunk window: each term x^mu d^nu moves
+    support by mu - nu, so output coefficients near the input window edge
+    would need unknown input coefficients and are dropped from the
+    reliable region rather than reported as spurious zeros.  When term
+    shifts leave the series lattice the support lattice is refined first.
+    """
+    if p.nvars != f.nvars:
+        raise DimensionMismatchError("operator and series variable counts differ")
+    if p.is_zero():
+        return PuiseuxSeries.make(
+            f.nvars, f.base, f.lattice, {}, window=f.window, reliable=f.reliable,
+        )
+
+    shifts = p.shifts()
+    delta0 = shifts[0]
+    coords = {s: lattice_coordinates(f.lattice, _sub(s, delta0)) for s in shifts}
+    if all(co is not None for co in coords.values()):
+        return _apply_single_class(p, f, delta0, coords)
+    return _apply_refined(p, f, delta0)
+
+
+def _apply_single_class(p: WeylOperator, f, delta0: Expo, coords: Mapping[Expo, Expo]):
+    """All term shifts agree modulo the series lattice: the output lives on
+    a translate of the same lattice and convolution is direct.
+
+    coords maps each term shift mu - nu to the lattice coordinates of
+    mu - nu - delta0.  Terms are grouped into a stencil by that coordinate
+    offset, and the walk over the input index stays in coordinates.
+
+    The sums are exact in integers.  Every coefficient lam of f is taken
+    as the integer lam C, C the lcm of f's coefficient denominators; every
+    term weight c [base + u]_nu as an integer over E D^K (see below), its
+    falling factorials read from one table per (coordinate j, order k)
+    keyed by u_j.  Each output is then an integer over C E D^K, and only
+    the nonzero ones become a Fraction.  An offset's window test is a box
+    of coordinate bounds, worked out once per offset.
+    """
+    base_out = tuple(b + s for b, s in zip(f.base, delta0))
+    reliable = f.reliable - max(map(_sup, coords.values()))
+    if reliable < 0:
+        return PuiseuxSeries.make(
+            f.nvars, base_out, f.lattice, {}, window=0, reliable=-1,
+            window_exhausted=True,
+        )
+
+    # term c x^mu d^nu weighs c [base + u]_nu; with K = max |nu| and E the
+    # lcm of the term coefficients' denominators it is stored as the
+    # integer c E D^(K - |nu|), so that the product of its factors
+    # D^k [b_j + u_j]_k is E D^K times the rational weight
+    d, falling = _falling_factors(f.base)
+    k_max = max(sum(nu) for _, nu, _ in p.terms)
+    e = lcm(*(c.denominator for _, _, c in p.terms))
+    tables: dict[tuple[int, int], dict[int, int]] = {}
+    groups: dict[Expo, list[tuple[int, list[tuple[int, dict[int, int]]]]]] = {}
+    for mu, nu, c in p.terms:
+        scaled = c.numerator * (e // c.denominator) * d ** (k_max - sum(nu))
+        factors = []
+        for j, k in enumerate(nu):
+            if k:
+                if (j, k) not in tables:
+                    tables[(j, k)] = {x: falling(j, k, x) for x in {u[j] for u in f.coeffs}}
+                factors.append((j, tables[(j, k)]))
+        groups.setdefault(coords[_sub(mu, nu)], []).append((scaled, factors))
+    # z + co lies in the output window exactly when -r - co <= z <= r - co
+    stencil = [
+        (co, tuple(-reliable - x for x in co), tuple(reliable - x for x in co), group)
+        for co, group in groups.items()
+    ]
+    common = lcm(*(q.denominator for q in f.coeffs.values()))
+    acc: dict[Expo, int] = {}
+    for z, u in f._index.items():
+        q = f.coeffs[u]
+        lam = q.numerator * (common // q.denominator)
+        for co, lo, hi, group in stencil:
+            if not (all(map(le, lo, z)) and all(map(le, z, hi))):
+                continue
+            # sum of the offset's term weights: lam multiplies once
+            weight = 0
+            for c, factors in group:
+                for j, table in factors:
+                    c *= table[u[j]]
+                weight += c
+            if weight:
+                w = _add(z, co)
+                acc[w] = acc.get(w, 0) + lam * weight
+    scale = common * e * d**k_max
+    return PuiseuxSeries._from_coords(
+        f.nvars, base_out, f.lattice,
+        {w: Fraction(q, scale) for w, q in acc.items() if q},
+        window=reliable, reliable=reliable,
+    )
+
+
+def _apply_refined(p: WeylOperator, f, delta0: Expo):
+    """Term shifts fall into several classes modulo the series lattice:
+    refine to the lattice generated by the old one plus all shift
+    differences, then certify exactness ring by ring outward, walking the
+    refined coordinates w and building the image from them."""
+    n = f.nvars
+    gens = [f.lattice.col(j) for j in range(f.lattice.cols)]
+    gens += [_sub(s, delta0) for s in p.shifts()]
+    lat = hermite_column_basis(
+        IntMatrix.from_rows([[g[i] for g in gens] for i in range(n)])
+    )
+
+    offsets: dict[tuple[Expo, Expo], Expo] = {
+        (mu, nu): _sub(_sub(mu, nu), delta0) for mu, nu, _ in p.terms
+    }
+    base_out = tuple(b + d for b, d in zip(f.base, delta0))
+    d, action = _integer_action(f.base)
+
+    def point_value(u: Expo):
+        # exact output coefficient at ambient point u, or None when it
+        # needs an input coefficient beyond the reliable radius; inside
+        # that radius a missing coefficient is zero
+        total = Fraction(0)
+        for mu, nu, c in p.terms:
+            src = _sub(u, offsets[(mu, nu)])
+            co = lattice_coordinates(f.lattice, src)
+            if co is None:
+                continue
+            factor = action(nu, src)
+            if not factor:
+                continue
+            if _sup(co) > f.reliable:
+                return None
+            lam = f.coeffs.get(src)
+            if lam is not None:
+                total += c * lam * Fraction(factor, d ** sum(nu))
+        return total
+
+    stencil = max((_sup(lattice_coordinates(lat, o)) for o in offsets.values()), default=0)
+    # an input with no reliable radius certifies no ring
+    cap = f.window + stencil if f.reliable >= 0 else -1
+    coeffs: dict[Expo, Fraction] = {}
+    reliable = -1
+    for r in range(cap + 1):
+        ring = list(_ring(lat.cols, r))
+        vals = [point_value(_ambient(lat, w)) for w in ring]
+        if any(v is None for v in vals):
+            break
+        coeffs.update((w, v) for w, v in zip(ring, vals) if v)
+        reliable = r
+    return PuiseuxSeries._from_coords(
+        n, base_out, lat, coeffs, window=max(reliable, 0), reliable=reliable,
+        window_exhausted=reliable < 0,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +552,6 @@ class AnnihilationReport:
 def annihilation_check(gens, f: PuiseuxSeries) -> AnnihilationReport:
     """Apply each operator to f and report whether the image vanishes on its
     reliable window."""
-    from .weyl import apply_to_series
-
     verdicts = []
     for i, g in enumerate(gens):
         image = apply_to_series(g, f)
@@ -496,14 +688,10 @@ def gamma_series(
     kernel perturbations) until one supports the whole window.  beta and
     v may be any sequences of rationals.
     """
-    from .exact import is_nonresonant, kernel_basis, solve_rational
-
     beta = RatVector.make(beta)
     if len(beta) != a.rows:
         raise DimensionMismatchError("beta length does not match matrix height")
     if not is_nonresonant(a, beta).nonresonant:
-        import warnings
-
         warnings.warn("resonant parameter: series construction may fail", RuntimeWarning)
     lat = kernel_basis(a) if a.rows < a.cols else IntMatrix.from_rows(
         [[] for _ in range(a.cols)]
@@ -518,10 +706,9 @@ def gamma_series(
     v0 = solve_rational(a, beta)
     candidates = [tuple(v0.entries)]
     m = lat.cols
-    for z in sorted(product(range(-2, 3), repeat=m), key=lambda t: (_sup(t), t))[:16]:
-        if any(z):
-            u = _ambient(lat, z)
-            candidates.append(tuple(q + x for q, x in zip(v0.entries, u)))
+    for z in [z for r in (1, 2) for z in _ring(m, r)][:15]:
+        u = _ambient(lat, z)
+        candidates.append(tuple(q + x for q, x in zip(v0.entries, u)))
     fracs = [
         Fraction(1, 3), Fraction(2, 3), Fraction(1, 5), Fraction(2, 5),
         Fraction(1, 7), Fraction(3, 7), Fraction(1, 11), Fraction(5, 11),
@@ -570,10 +757,8 @@ def _gamma_fill(
     The window box in lattice coordinates is swept in order of sup norm;
     the unit step e_i carries the binomial recurrence of kernel column i.
     """
-    from .weyl import _binomial_fill
-
     m = lat.cols
-    order = sorted(product(range(-window, window + 1), repeat=m), key=lambda t: (_sup(t), t))
+    order = [z for r in range(window + 1) for z in _ring(m, r)]
     amb = {z: _ambient(lat, z) for z in order}
     moves = [
         (
@@ -623,10 +808,6 @@ def toral_solution_basis(b, dec, beta, window: int = 8, a=None, graph_cap=None):
     supports land in pairwise disjoint lattice cosets, so the sum is a
     single series on the joint lattice.
     """
-    from .exact import solve_rational
-    from .mgraph import bounded_representatives, lattice_polynomial_solutions
-    from .systems import _submatrix, _toral_degree_matrix
-
     a = _toral_degree_matrix(b, dec, a)
     beta = RatVector.make(beta)
     if len(beta) != a.rows:
@@ -663,8 +844,6 @@ def toral_solution_basis(b, dec, beta, window: int = 8, a=None, graph_cap=None):
                 + [bc.entries[i][j] for j in range(bc.cols)]
                 for i in range(n)
             ]
-            from .exact import hermite_column_basis
-
             lattice = hermite_column_basis(IntMatrix.from_rows(joint))
         base = [Fraction(0)] * n
         for i, r in enumerate(jrows):

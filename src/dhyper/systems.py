@@ -13,7 +13,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd, lcm
 
 from .errors import (
@@ -329,14 +329,12 @@ def _character_is_trivial(b_j: IntMatrix) -> bool:
 
 def unbounded_monomial_exponents(m: IntMatrix, cap: int) -> list[tuple[int, ...]]:
     """Box points whose move-graph component is certified unbounded."""
-    from itertools import product as iproduct
-
     q = m.rows
     if q == 0:
         return []
     out = []
     verdicts: dict[tuple[int, ...], str] = {}
-    for u in iproduct(range(cap + 1), repeat=q):
+    for u in product(range(cap + 1), repeat=q):
         if u not in verdicts:
             comp = component(m, u, 2 * cap + 2)
             for v in comp.vertices:

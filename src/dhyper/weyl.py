@@ -3,8 +3,8 @@
 Operators are finite rational combinations of x^mu d^nu with all x factors
 written to the left of all d factors.  The module also provides the
 A-grading, Euler operators, the theta-polynomial rewriting used for
-operators built from x_i d_i, and the action of an operator on a
-lattice-supported Puiseux series.
+operators built from x_i d_i, and the integer falling-factorial kernels
+that the series layer and the move graph share.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb, factorial, lcm
-from operator import add, le, mul, sub
+from operator import add, mul, sub
 from typing import Iterable, Mapping
 
 from .errors import DhyperError, DimensionMismatchError, InputFormatError
@@ -426,24 +426,6 @@ def euler_generators(a: IntMatrix, beta: RatVector) -> list[WeylOperator]:
     return out
 
 
-def falling_factorial(w: Fraction, k: int) -> Fraction:
-    v = Fraction(1)
-    for t in range(k):
-        v *= w - t
-    return v
-
-
-def term_action_factor(nu: Expo, exponent: Iterable[Fraction]) -> Fraction:
-    """Scalar produced when d^nu hits the monomial with the given exponent."""
-    v = Fraction(1)
-    for w, k in zip(exponent, nu):
-        if k:
-            v *= falling_factorial(Fraction(w), k)
-            if not v:
-                return Fraction(0)
-    return v
-
-
 def _falling_factors(base: tuple[Fraction, ...]):
     """D and the integer D^k [b_j + x]_k, as a function of (j, k, x).
 
@@ -562,172 +544,3 @@ def _binomial_fill(keys, root, moves, point, base: tuple[Fraction, ...]):
                 if n1 * at_w * d0 * down != n0 * at_z * d1 * up:
                     return c, None, (z, w)
     return c, None, None
-
-
-def apply_to_series(p: WeylOperator, f):
-    """Apply an operator to a lattice-supported Puiseux series.
-
-    The result is exact on a shrunk window: each term x^mu d^nu moves
-    support by mu - nu, so output coefficients near the input window edge
-    would need unknown input coefficients and are dropped from the
-    reliable region rather than reported as spurious zeros.  When term
-    shifts leave the series lattice the support lattice is refined first.
-    """
-    from .series import PuiseuxSeries, lattice_coordinates
-
-    if p.nvars != f.nvars:
-        raise DimensionMismatchError("operator and series variable counts differ")
-    if p.is_zero():
-        return PuiseuxSeries.make(
-            f.nvars, f.base, f.lattice, {}, window=f.window, reliable=f.reliable,
-        )
-
-    shifts = p.shifts()
-    delta0 = shifts[0]
-    coords = {s: lattice_coordinates(f.lattice, _sub(s, delta0)) for s in shifts}
-    if all(co is not None for co in coords.values()):
-        return _apply_single_class(p, f, delta0, coords)
-    return _apply_refined(p, f, delta0)
-
-
-def _apply_single_class(p: WeylOperator, f, delta0: Expo, coords: Mapping[Expo, Expo]):
-    """All term shifts agree modulo the series lattice: the output lives on
-    a translate of the same lattice and convolution is direct.
-
-    coords maps each term shift mu - nu to the lattice coordinates of
-    mu - nu - delta0.  Terms are grouped into a stencil by that coordinate
-    offset, and the walk over the input index stays in coordinates.
-
-    The sums are exact in integers.  Every coefficient lam of f is taken
-    as the integer lam C, C the lcm of f's coefficient denominators; every
-    term weight c [base + u]_nu as an integer over E D^K (see below), its
-    falling factorials read from one table per (coordinate j, order k)
-    keyed by u_j.  Each output is then an integer over C E D^K, and only
-    the nonzero ones become a Fraction.  An offset's window test is a box
-    of coordinate bounds, worked out once per offset.
-    """
-    from .series import PuiseuxSeries, _sup
-
-    base_out = tuple(b + s for b, s in zip(f.base, delta0))
-    reliable = f.reliable - max(map(_sup, coords.values()))
-    if reliable < 0:
-        return PuiseuxSeries.make(
-            f.nvars, base_out, f.lattice, {}, window=0, reliable=-1,
-            window_exhausted=True,
-        )
-
-    # term c x^mu d^nu weighs c [base + u]_nu; with K = max |nu| and E the
-    # lcm of the term coefficients' denominators it is stored as the
-    # integer c E D^(K - |nu|), so that the product of its factors
-    # D^k [b_j + u_j]_k is E D^K times the rational weight
-    d, falling = _falling_factors(f.base)
-    k_max = max(sum(nu) for _, nu, _ in p.terms)
-    e = lcm(*(c.denominator for _, _, c in p.terms))
-    tables: dict[tuple[int, int], dict[int, int]] = {}
-    groups: dict[Expo, list[tuple[int, list[tuple[int, dict[int, int]]]]]] = {}
-    for mu, nu, c in p.terms:
-        scaled = c.numerator * (e // c.denominator) * d ** (k_max - sum(nu))
-        factors = []
-        for j, k in enumerate(nu):
-            if k:
-                if (j, k) not in tables:
-                    tables[(j, k)] = {x: falling(j, k, x) for x in {u[j] for u in f.coeffs}}
-                factors.append((j, tables[(j, k)]))
-        groups.setdefault(coords[_sub(mu, nu)], []).append((scaled, factors))
-    # z + co lies in the output window exactly when -r - co <= z <= r - co
-    stencil = [
-        (co, tuple(-reliable - x for x in co), tuple(reliable - x for x in co), group)
-        for co, group in groups.items()
-    ]
-    common = lcm(*(q.denominator for q in f.coeffs.values()))
-    acc: dict[Expo, int] = {}
-    for z, u in f._index.items():
-        q = f.coeffs[u]
-        lam = q.numerator * (common // q.denominator)
-        for co, lo, hi, group in stencil:
-            if not (all(map(le, lo, z)) and all(map(le, z, hi))):
-                continue
-            # sum of the offset's term weights: lam multiplies once
-            weight = 0
-            for c, factors in group:
-                for j, table in factors:
-                    c *= table[u[j]]
-                weight += c
-            if weight:
-                w = _add(z, co)
-                acc[w] = acc.get(w, 0) + lam * weight
-    scale = common * e * d**k_max
-    return PuiseuxSeries._from_coords(
-        f.nvars, base_out, f.lattice,
-        {w: Fraction(q, scale) for w, q in acc.items() if q},
-        window=reliable, reliable=reliable,
-    )
-
-
-def _apply_refined(p: WeylOperator, f, delta0: Expo):
-    """Term shifts fall into several classes modulo the series lattice:
-    refine to the lattice generated by the old one plus all shift
-    differences, then certify exactness point by point outward."""
-    from .exact import hermite_column_basis
-    from .series import PuiseuxSeries, _sup, lattice_coordinates
-
-    n = f.nvars
-    gens = [f.lattice.col(j) for j in range(f.lattice.cols)]
-    gens += [_sub(s, delta0) for s in p.shifts()]
-    lat = hermite_column_basis(
-        IntMatrix.from_rows([[g[i] for g in gens] for i in range(n)])
-    )
-    mm = lat.cols
-
-    offsets: dict[tuple[Expo, Expo], Expo] = {
-        (mu, nu): _sub(_sub(mu, nu), delta0) for mu, nu, _ in p.terms
-    }
-    base_out = tuple(b + d for b, d in zip(f.base, delta0))
-    d, action = _integer_action(f.base)
-
-    def point_value(u: Expo):
-        # exact output coefficient at ambient point u, or None when it
-        # needs an input coefficient beyond the reliable radius; inside
-        # that radius a missing coefficient is zero
-        total = Fraction(0)
-        for mu, nu, c in p.terms:
-            src = _sub(u, offsets[(mu, nu)])
-            co = lattice_coordinates(f.lattice, src)
-            if co is None:
-                continue
-            factor = action(nu, src)
-            if not factor:
-                continue
-            if _sup(co) > f.reliable:
-                return None
-            lam = f.coeffs.get(src)
-            if lam is not None:
-                total += c * lam * Fraction(factor, d ** sum(nu))
-        return total
-
-    stencil = max((_sup(lattice_coordinates(lat, o)) for o in offsets.values()), default=0)
-    # an input with no reliable radius certifies no ring
-    cap = f.window + stencil if f.reliable >= 0 else -1
-    coeffs: dict[Expo, Fraction] = {}
-    reliable = -1
-    for r in range(cap + 1):
-        ring = [w for w in product(range(-r, r + 1), repeat=mm) if _sup(w) == r]
-        vals = []
-        for w in ring:
-            u = tuple(
-                sum(lat.entries[i][j] * w[j] for j in range(mm)) for i in range(n)
-            )
-            vals.append((u, point_value(u)))
-        if any(v is None for _, v in vals):
-            break
-        for u, v in vals:
-            if v:
-                coeffs[u] = v
-        reliable = r
-    exhausted = reliable < 0
-    return PuiseuxSeries.make(
-        n, base_out, lat, {} if exhausted else coeffs,
-        window=max(reliable, 0), reliable=max(reliable, -1),
-        window_exhausted=exhausted,
-    )
-

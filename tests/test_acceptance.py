@@ -45,12 +45,8 @@ from dhyper.systems import (
     toral_component_ideal,
     toric_ideal,
 )
-from dhyper.weyl import (
-    WeylOperator,
-    normal_product,
-    term_action_factor,
-    theta_form,
-)
+from dhyper.weyl import WeylOperator, normal_product, theta_form
+from test_weyl import term_action_factor
 
 A_DEMO = IntMatrix.from_rows([[3, 2, 1, 0], [0, 1, 2, 3]])
 B_DEMO = IntMatrix.from_rows([[1, 0], [-2, 1], [1, -2], [0, 1]])

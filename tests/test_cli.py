@@ -2,6 +2,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 
@@ -9,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dhyper import cli, weyl
+from dhyper import cli, errors, weyl
 from dhyper.exact import IntMatrix
 from dhyper.series import PuiseuxSeries
 from dhyper.systems import horn_system, hypergeometric_system
@@ -221,6 +224,47 @@ def test_unexpected_exception_exits_internal_error(capsys, monkeypatch):
     code, rep = run_main(capsys, ["facets", "--a", A_JSON])
     assert code == cli.EXIT_INTERNAL == 6
     assert rep == {"error": "internal error: RuntimeError: boom", "exit_code": 6}
+
+
+ERROR_CLASSES = sorted(
+    (c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.DhyperError)),
+    key=lambda c: c.__name__,
+)
+# README's exit-code table; every other domain error exits 5
+README_EXIT_CODES = {
+    errors.InputFormatError: 2,
+    errors.DimensionMismatchError: 3,
+    errors.UnsupportedCharacterError: 4,
+}
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_each_error_class_exits_with_its_code(capsys, monkeypatch, cls):
+    def raising(args):
+        raise cls("raised on purpose")
+
+    monkeypatch.setitem(cli._HANDLERS, "facets", raising)
+    code, rep = run_main(capsys, ["facets", "--a", A_JSON])
+    assert code == rep["exit_code"] == cls.exit_code == README_EXIT_CODES.get(cls, 5)
+    assert rep == {"error": "raised on purpose", "exit_code": code}
+
+
+def test_error_exit_code_is_the_process_exit_code():
+    # the console script passes main's return value to sys.exit
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    script = (
+        "import sys\n"
+        "from dhyper import cli, errors\n"
+        "def raising(args):\n"
+        "    raise errors.UnsupportedCharacterError('raised on purpose')\n"
+        "cli._HANDLERS['facets'] = raising\n"
+        f"sys.exit(cli.main(['facets', '--a', {A_JSON!r}]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == json.loads(proc.stdout)["exit_code"] == 4
 
 
 ONE_D = {"x": [0], "dx": [1], "coeff": "1"}
@@ -620,4 +664,65 @@ def test_fuzzed_horn_exits_documented_codes(argv):
 @given(ahyp_argv())
 def test_fuzzed_ahyp_exits_documented_codes(argv):
     # ahyp reaches toric_ideal, and so the packed commutative core
+    assert_one_documented_exit(argv)
+
+
+@st.composite
+def facets_argv(draw):
+    rows, cols = draw(st.integers(1, 2)), draw(st.integers(1, 4))
+    ragged = st.lists(st.lists(SMALL, max_size=3), max_size=2)
+    return ["facets", "--a", draw(flag(mostly(matrix(rows, cols), ragged)))]
+
+
+@st.composite
+def nonresonant_argv(draw):
+    rows, cols = draw(st.integers(1, 2)), draw(st.integers(1, 4))
+    beta = mostly(st.lists(RATIONAL, min_size=rows, max_size=rows), st.lists(RATIONAL, max_size=3))
+    return ["nonresonant", "--a", draw(flag(matrix(rows, cols))), "--beta", draw(flag(beta))]
+
+
+@st.composite
+def components_argv(draw):
+    # as for horn, and in one draw of two with --beta, which builds each
+    # toral component's ideal; the monomial cap stays at most 3
+    m = draw(st.integers(1, 2))
+    n = draw(st.integers(m, 4))
+    rank = n - m
+    argv = ["components", "--b", draw(flag(mostly(zero_sum_columns(n, m), matrix(n, m))))]
+    if draw(st.booleans()):
+        beta = mostly(st.lists(RATIONAL, min_size=rank, max_size=rank), st.lists(RATIONAL, max_size=3))
+        argv += ["--beta", draw(flag(beta))]
+    if draw(st.booleans()):
+        argv += ["--a", draw(flag(mostly(matrix(rank or 1, n), matrix(1, draw(st.integers(1, 4))))))]
+    return argv + ["--monomial-cap", str(draw(st.integers(-1, 3)))]
+
+
+@st.composite
+def mgraph_argv(draw):
+    # the search box has (cap + 1)^rows points: cap stays at most 5
+    rows, cols = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    m = mostly(zero_sum_columns(rows, cols) if rows > 1 else matrix(rows, cols), matrix(rows, cols))
+    return ["mgraph", "--m", draw(flag(m)), "--cap", str(draw(st.integers(-1, 5)))]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.one_of(facets_argv(), nonresonant_argv(), components_argv(), mgraph_argv()))
+def test_fuzzed_facets_nonresonant_components_mgraph_exit_documented_codes(argv):
+    assert_one_documented_exit(argv)
+
+
+@st.composite
+def erdelyi_argv(draw):
+    # parameters as --a-param=p/q, so a negative one is not read as a flag;
+    # window and cap stay at most 4 so both completions stay small
+    param = mostly(RATIONAL.map(str), st.sampled_from(["x", "1/0", "0.5", "", "true"]))
+    return [
+        "example-erdelyi", f"--a-param={draw(param)}", f"--a-prime={draw(param)}",
+        "--window", str(draw(st.integers(0, 4))), "--cap", str(draw(st.integers(0, 4))),
+    ]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(erdelyi_argv())
+def test_fuzzed_example_erdelyi_exits_documented_codes(argv):
     assert_one_documented_exit(argv)

@@ -9,7 +9,12 @@ from itertools import combinations
 
 import pytest
 
-from dhyper.errors import InputFormatError, NotFullRankError, ZeroColumnError
+from dhyper.errors import (
+    DimensionMismatchError,
+    InputFormatError,
+    NotFullRankError,
+    ZeroColumnError,
+)
 from dhyper.exact import (
     ConeFacet,
     IntMatrix,
@@ -207,6 +212,17 @@ def test_span_mixedness_demo_mixed():
         assert cert.functional.dot(col) > 0
     # the classic functional against the reference complement
     assert [RatVector.make((1, 1)).dot(col) for col in A_DEMO.columns()] == [3, 3, 3, 3]
+
+
+def test_rat_vector_add_and_sub_check_lengths():
+    # zip would drop the unmatched entry: (1, 2) + (5) was (6)
+    u, v = RatVector.make([1, 2]), RatVector.make([5])
+    for a, b in ((u, v), (v, u)):
+        with pytest.raises(DimensionMismatchError):
+            a.add(b)
+        with pytest.raises(DimensionMismatchError):
+            a.sub(b)
+    assert u.add(RatVector.make([3, 4])).sub(u) == RatVector.make([3, 4])
 
 
 def test_span_mixedness_not_mixed_witness():

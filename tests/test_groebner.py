@@ -120,6 +120,17 @@ def test_comm_poly_arithmetic():
     assert (p + q).as_dict() == {(1, 0): Fraction(2)}
 
 
+def test_comm_poly_arithmetic_checks_variable_counts():
+    # zip would drop d3 from the product, and the other orders used to fail
+    # with "bad exponent" (exit 2) instead of a shape error
+    p = CommPoly.make(2, {(1, 0): 1})
+    q = CommPoly.make(3, {(0, 0, 1): 1, (1, 1, 0): 2})
+    for a, b in ((p, q), (q, p)):
+        for combine in (lambda a, b: a * b, lambda a, b: a + b, lambda a, b: a - b):
+            with pytest.raises(DimensionMismatchError):
+                combine(a, b)
+
+
 def test_normal_form_of_generators_is_zero():
     ideal = CommIdeal.make(4, LATTICE_GENS)
     for g in LATTICE_GENS:

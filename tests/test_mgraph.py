@@ -18,7 +18,8 @@ from dhyper.mgraph import (
 )
 from dhyper.series import PuiseuxSeries, annihilation_check
 from dhyper.systems import lattice_basis_ideal
-from dhyper.weyl import WeylOperator, term_action_factor
+from dhyper.weyl import WeylOperator
+from test_weyl import term_action_factor
 
 M_DEMO = IntMatrix.from_rows([[-2, 1], [1, -2]])
 

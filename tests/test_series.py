@@ -3,9 +3,14 @@ construction, annihilation verdicts."""
 
 from __future__ import annotations
 
+import ast
 import copy
+import json
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -22,7 +27,8 @@ from dhyper.errors import (
     LatticeCollisionError,
     ZeroFactorialError,
 )
-from dhyper.exact import IntMatrix, RatVector, is_nonresonant, kernel_basis
+import dhyper
+from dhyper.exact import IntMatrix, RatVector, hermite_column_basis, is_nonresonant, kernel_basis
 from dhyper.series import (
     ANTIDERIVE,
     DERIVE,
@@ -31,7 +37,9 @@ from dhyper.series import (
     ZERO_ON_WINDOW,
     AnnihilationReport,
     PuiseuxSeries,
+    _ring,
     annihilation_check,
+    apply_to_series,
     density,
     gamma_series,
     lattice_coordinates,
@@ -40,13 +48,8 @@ from dhyper.series import (
     shift,
 )
 from dhyper.systems import hypergeometric_system
-from dhyper.weyl import (
-    WeylOperator,
-    apply_to_series,
-    euler_generators,
-    term_action_factor,
-    _integer_action,
-)
+from dhyper.weyl import WeylOperator, _integer_action, _sub, euler_generators
+from test_weyl import term_action_factor
 
 A_DEMO = IntMatrix.from_rows([[3, 2, 1, 0], [0, 1, 2, 3]])
 B_DEMO = IntMatrix.from_rows([[1, 0], [-2, 1], [1, -2], [0, 1]])
@@ -779,3 +782,181 @@ def test_coordinate_constructor_checks_window_and_rank():
         PuiseuxSeries._from_coords(4, base, B_DEMO, {(1, 0, 0): Fraction(1)}, window=2)
     with pytest.raises(InputFormatError, match="window bounds"):
         PuiseuxSeries._from_coords(4, base, B_DEMO, {}, window=2, reliable=3)
+
+
+# ---------------------------------------------------------------------------
+# The refined action against the ambient walk it replaced
+
+
+def reference_apply_refined(p, f, delta0):
+    """The multi-class action as it was before it walked refined
+    coordinates: each certified ambient point goes to PuiseuxSeries.make,
+    which solves it back to coordinates with a Smith form."""
+    n = f.nvars
+    gens = [f.lattice.col(j) for j in range(f.lattice.cols)]
+    gens += [_sub(s, delta0) for s in p.shifts()]
+    lat = hermite_column_basis(
+        IntMatrix.from_rows([[g[i] for g in gens] for i in range(n)])
+    )
+    mm = lat.cols
+
+    offsets = {
+        (mu, nu): _sub(_sub(mu, nu), delta0) for mu, nu, _ in p.terms
+    }
+    base_out = tuple(b + d for b, d in zip(f.base, delta0))
+    d, action = _integer_action(f.base)
+
+    def point_value(u):
+        # exact output coefficient at ambient point u, or None when it
+        # needs an input coefficient beyond the reliable radius; inside
+        # that radius a missing coefficient is zero
+        total = Fraction(0)
+        for mu, nu, c in p.terms:
+            src = _sub(u, offsets[(mu, nu)])
+            co = lattice_coordinates(f.lattice, src)
+            if co is None:
+                continue
+            factor = action(nu, src)
+            if not factor:
+                continue
+            if _sup(co) > f.reliable:
+                return None
+            lam = f.coeffs.get(src)
+            if lam is not None:
+                total += c * lam * Fraction(factor, d ** sum(nu))
+        return total
+
+    stencil = max((_sup(lattice_coordinates(lat, o)) for o in offsets.values()), default=0)
+    # an input with no reliable radius certifies no ring
+    cap = f.window + stencil if f.reliable >= 0 else -1
+    coeffs = {}
+    reliable = -1
+    for r in range(cap + 1):
+        ring = [w for w in product(range(-r, r + 1), repeat=mm) if _sup(w) == r]
+        vals = []
+        for w in ring:
+            u = tuple(
+                sum(lat.entries[i][j] * w[j] for j in range(mm)) for i in range(n)
+            )
+            vals.append((u, point_value(u)))
+        if any(v is None for _, v in vals):
+            break
+        for u, v in vals:
+            if v:
+                coeffs[u] = v
+        reliable = r
+    exhausted = reliable < 0
+    return PuiseuxSeries.make(
+        n, base_out, lat, {} if exhausted else coeffs,
+        window=max(reliable, 0), reliable=max(reliable, -1),
+        window_exhausted=exhausted,
+    )
+
+
+def test_ring_lists_the_sup_norm_shell_in_lexicographic_order():
+    for m in range(4):
+        for r in range(4):
+            shell = [t for t in product(range(-r, r + 1), repeat=m) if _sup(t) == r]
+            assert list(_ring(m, r)) == shell
+
+
+# lattices that miss some unit shifts, so operators fall into several classes
+COARSE_LATTICES = [
+    IntMatrix.from_rows([[2]]),
+    IntMatrix.from_rows([[3]]),
+    IntMatrix.from_rows([[]]),
+    IntMatrix.from_rows([[1], [0]]),
+    IntMatrix.from_rows([[2], [-1]]),
+    IntMatrix.from_rows([[1, 0], [0, 2]]),
+    IntMatrix.from_rows([[], []]),
+]
+
+
+@st.composite
+def refined_cases(draw):
+    """A multi-class operator and a series on a coarse lattice; bases with
+    integer entries make falling factorials vanish, and the frame is exact,
+    partly reliable, reliable nowhere, or exhausted."""
+    lat = draw(st.sampled_from(COARSE_LATTICES))
+    n = lat.rows
+    kind = draw(st.sampled_from(["exact", "partial", "nowhere", "exhausted"]))
+    window = draw(st.integers(1 if kind == "partial" else 0, 3))
+    frac = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3]))
+    base = draw(st.lists(frac, min_size=n, max_size=n))
+    if kind == "exact":
+        reliable = window
+    elif kind == "partial":
+        reliable = draw(st.integers(0, window - 1))
+    else:
+        reliable = -1
+    box = list(product(range(-window, window + 1), repeat=lat.cols))
+    points = draw(st.lists(st.sampled_from(box), unique=True))
+    coeffs = {_ambient(lat, z): draw(frac) for z in points}
+    f = PuiseuxSeries.make(
+        n, base, lat, coeffs, window=window, reliable=reliable,
+        window_exhausted=kind == "exhausted",
+    )
+    expo = st.tuples(*[st.integers(0, 2)] * n)
+    terms = draw(st.dictionaries(st.tuples(expo, expo), frac.filter(bool), min_size=2, max_size=4))
+    p = WeylOperator.make(n, terms)
+    shifts = p.shifts()
+    assume(any(lattice_coordinates(lat, _sub(s, shifts[0])) is None for s in shifts))
+    return p, f
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(refined_cases())
+def test_refined_action_matches_the_ambient_walk(case):
+    p, f = case
+    image = apply_to_series(p, f)
+    want = reference_apply_refined(p, f, p.shifts()[0])
+    assert image.to_json() == want.to_json()
+    assert list(image._index.items()) == list(want._index.items())
+    assert list(image.coeffs) == list(want.coeffs)
+
+
+# ---------------------------------------------------------------------------
+# Module layering: the series layer owns the operator action, and every
+# import in the package sits at module level, in one order without a cycle
+
+SRC_PACKAGE = os.path.dirname(os.path.abspath(dhyper.__file__))
+LAYERS = ["errors", "exact", "weyl", "groebner", "mgraph", "systems", "series", "cli"]
+
+
+def test_weyl_imports_without_the_series_layer():
+    code = "import json, sys, dhyper.weyl; print(json.dumps(sorted(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(SRC_PACKAGE))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert "dhyper.weyl" in loaded and "dhyper.series" not in loaded
+
+
+def test_imports_sit_at_module_level_in_layer_order():
+    stems = set()
+    for name in sorted(os.listdir(SRC_PACKAGE)):
+        if not name.endswith(".py"):
+            continue
+        stem = name[:-3]
+        stems.add(stem)
+        with open(os.path.join(SRC_PACKAGE, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        top = [n for n in tree.body if isinstance(n, (ast.Import, ast.ImportFrom))]
+        nested = [
+            n.lineno
+            for n in ast.walk(tree)
+            if isinstance(n, (ast.Import, ast.ImportFrom)) and n not in top
+        ]
+        assert nested == [], f"{name}: imports inside a function or class at lines {nested}"
+        for n in top:
+            if isinstance(n, ast.ImportFrom):
+                targets = ["dhyper." + n.module] if n.level else [n.module or ""]
+            else:
+                targets = [a.name for a in n.names]
+            for target in targets:
+                if target.startswith("dhyper."):
+                    layer = target.removeprefix("dhyper.")
+                    assert LAYERS.index(layer) < LAYERS.index(stem), (name, target)
+    assert stems == set(LAYERS) | {"__init__"}

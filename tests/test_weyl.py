@@ -9,13 +9,18 @@ import pytest
 
 from dhyper.errors import DhyperError, DimensionMismatchError, InputFormatError
 from dhyper.exact import IntMatrix, RatVector
-from dhyper.series import INCONCLUSIVE, PuiseuxSeries, annihilation_check, gamma_series
+from dhyper.series import (
+    INCONCLUSIVE,
+    PuiseuxSeries,
+    annihilation_check,
+    apply_to_series,
+    gamma_series,
+)
 from dhyper.weyl import (
     ThetaPoly,
     WeylOperator,
     _binomial_fill,
     a_degree_components,
-    apply_to_series,
     euler_generators,
     normal_product,
     theta_form,
@@ -31,6 +36,29 @@ def dop(nu):
 
 def xop(mu):
     return WeylOperator.monomial(len(mu), mu, (0,) * len(mu))
+
+
+# ---------------------------------------------------------------------------
+# Fraction reference for the integer falling-factorial kernels; the other
+# test modules import it from here
+
+
+def falling_factorial(w: Fraction, k: int) -> Fraction:
+    v = Fraction(1)
+    for t in range(k):
+        v *= w - t
+    return v
+
+
+def term_action_factor(nu, exponent) -> Fraction:
+    """Scalar produced when d^nu hits the monomial with the given exponent."""
+    v = Fraction(1)
+    for w, k in zip(exponent, nu):
+        if k:
+            v *= falling_factorial(Fraction(w), k)
+            if not v:
+                return Fraction(0)
+    return v
 
 
 def test_commutation_relations_exhaustive():
