@@ -10,6 +10,16 @@ gamma recurrence, the window tests and the operator action all work on
 them.  Ambient points u appear only at the boundary: the public coeffs
 dict, JSON, and the ambient input that PuiseuxSeries.make validates with
 one Smith-form solve per point.
+
+The two hot walks go one level lower and pack each coordinate tuple into
+one int, a biased field per coordinate under a guard bit: the gamma fill
+keys its recurrence by packed points, and the single-class operator action
+reads a series' private _Frame, built on first use and kept with the
+series, which holds every point packed with its coefficient scaled to an
+integer over one common denominator, and the falling-factor tables.  So a
+lattice step is one int addition and a window-box test two subtractions
+under a mask.  The packed ints never leave the fill and the frame: _index,
+the constructors and every signature stay keyed by coordinate tuples.
 """
 
 from __future__ import annotations
@@ -18,9 +28,9 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import chain, islice, product
 from math import lcm
-from operator import le, mul
+from operator import mul
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -50,10 +60,10 @@ from .systems import _submatrix, _toral_degree_matrix
 from .weyl import (
     Expo,
     WeylOperator,
-    _add,
     _binomial_fill,
     _falling_factors,
     _integer_action,
+    _packing,
     _sub,
 )
 
@@ -127,7 +137,9 @@ class PuiseuxSeries:
 
     coeffs is keyed by ambient points u.  The private _index maps the
     lattice coordinates z of each point to u (u = L z); it is what the
-    series pipeline walks, and it takes no part in equality or repr.
+    series pipeline walks.  The private _frame is the packed form of the
+    points that the operator action reads, built on first use (_packed).
+    Neither takes part in equality or repr.
     Build series with make (ambient points, each validated by a Smith-form
     solve) or, inside the package, _from_coords (coordinates, no solve).
     """
@@ -142,6 +154,7 @@ class PuiseuxSeries:
     _index: dict[tuple[int, ...], tuple[int, ...]] | None = field(
         default=None, compare=False, repr=False
     )
+    _frame: "_Frame | None" = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         # a series built by the plain constructor indexes its points here
@@ -220,6 +233,12 @@ class PuiseuxSeries:
         c = Fraction(coeff)
         coeffs = {(0,) * n: c} if c else {}
         return PuiseuxSeries.make(n, expo, lat, coeffs, window=0)
+
+    def _packed(self) -> "_Frame":
+        """The series' _Frame, built on the first call and kept."""
+        if self._frame is None:
+            object.__setattr__(self, "_frame", _Frame(self))
+        return self._frame
 
     def coord(self, u: tuple[int, ...]) -> tuple[int, ...]:
         co = lattice_coordinates(self.lattice, u)
@@ -346,6 +365,69 @@ def _ambient(lat: IntMatrix, w: tuple[int, ...]) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
+# Packed lattice coordinates
+
+
+def _lattice_packing(m: int, reach: int):
+    """(packing, origin) for coordinates in Z^m of sup norm at most reach.
+
+    The packing is weyl's, with no order rows: z packs as origin + sum z_j
+    unit_j, field j holding z_j + reach under a zero guard bit.  A packed
+    offset is sum co_j unit_j, with no bias, so z + co packs as the sum of
+    the two ints while z + co stays within reach.
+    """
+    pk = _packing(m, (), False, max(1, (2 * reach).bit_length()))
+    return pk, reach * sum(pk.units)
+
+
+class _Frame:
+    """A series' points packed for the single-class operator action.
+
+    points lists each point as (packed z, u, lam C) in _index order, with
+    common = C the lcm of the coefficient denominators, so lam C is an
+    integer; table(j, k) is the integer falling factor D^k [b_j + u_j]_k
+    keyed by u_j over the support, built once per (coordinate j, order k).
+    The reach is twice the largest of the window, the reliable radius and
+    the support's sup norm: an offset that leaves a reliable output is no
+    longer than the reliable radius, so z + co stays inside its fields.
+    """
+
+    __slots__ = ("pk", "reach", "origin", "points", "common", "base", "d", "tables")
+
+    def __init__(self, f: PuiseuxSeries):
+        bound = max(f.window, f.reliable, max(map(abs, chain.from_iterable(f._index)), default=0))
+        self.reach = 2 * bound
+        self.pk, self.origin = _lattice_packing(f.lattice.cols, self.reach)
+        units, origin = self.pk.units, self.origin
+        self.common = common = lcm(*(q.denominator for q in f.coeffs.values()))
+        self.points = []
+        for z, u in f._index.items():
+            q = f.coeffs[u]
+            self.points.append(
+                (origin + sum(map(mul, z, units)), u, q.numerator * (common // q.denominator))
+            )
+        # the frame keeps base, not the falling-factor closure, so that a
+        # series stays picklable
+        self.base = f.base
+        self.d, _ = _falling_factors(f.base)
+        self.tables: dict[tuple[int, int], dict[int, int]] = {}
+
+    def table(self, j: int, k: int) -> dict[int, int]:
+        t = self.tables.get((j, k))
+        if t is None:
+            _, falling = _falling_factors(self.base)
+            t = self.tables[(j, k)] = {
+                x: falling(j, k, x) for x in {u[j] for _, u, _ in self.points}
+            }
+        return t
+
+    def coords(self, w: int) -> tuple[int, ...]:
+        """The coordinate tuple of the packed point w."""
+        reach = self.reach
+        return tuple([x - reach for x in self.pk.exps(w)])
+
+
+# ---------------------------------------------------------------------------
 # Operator action
 
 
@@ -363,6 +445,7 @@ def apply_to_series(p: WeylOperator, f):
     if p.is_zero():
         return PuiseuxSeries.make(
             f.nvars, f.base, f.lattice, {}, window=f.window, reliable=f.reliable,
+            window_exhausted=f.window_exhausted,
         )
 
     shifts = p.shifts()
@@ -379,15 +462,18 @@ def _apply_single_class(p: WeylOperator, f, delta0: Expo, coords: Mapping[Expo, 
 
     coords maps each term shift mu - nu to the lattice coordinates of
     mu - nu - delta0.  Terms are grouped into a stencil by that coordinate
-    offset, and the walk over the input index stays in coordinates.
+    offset, and the walk goes over f's packed frame (see _Frame): z + co is
+    one int addition, and its window test compares every field with those
+    of the packed corners -r and r of the output window by two subtractions
+    under the guard mask.  Only the nonzero outputs are unpacked.
 
     The sums are exact in integers.  Every coefficient lam of f is taken
     as the integer lam C, C the lcm of f's coefficient denominators; every
     term weight c [base + u]_nu as an integer over E D^K (see below), its
-    falling factorials read from one table per (coordinate j, order k)
-    keyed by u_j.  Each output is then an integer over C E D^K, and only
-    the nonzero ones become a Fraction.  An offset's window test is a box
-    of coordinate bounds, worked out once per offset.
+    falling factorials read from the frame's table per (coordinate j, order
+    k) keyed by u_j.  Each output is then an integer over C E D^K, and only
+    the nonzero ones become a Fraction.  C, lam C and the tables are worked
+    out once per series, not once per operator.
     """
     base_out = tuple(b + s for b, s in zip(f.base, delta0))
     reliable = f.reliable - max(map(_sup, coords.values()))
@@ -401,32 +487,27 @@ def _apply_single_class(p: WeylOperator, f, delta0: Expo, coords: Mapping[Expo, 
     # lcm of the term coefficients' denominators it is stored as the
     # integer c E D^(K - |nu|), so that the product of its factors
     # D^k [b_j + u_j]_k is E D^K times the rational weight
-    d, falling = _falling_factors(f.base)
+    frame = f._packed()
+    d = frame.d
     k_max = max(sum(nu) for _, nu, _ in p.terms)
     e = lcm(*(c.denominator for _, _, c in p.terms))
-    tables: dict[tuple[int, int], dict[int, int]] = {}
     groups: dict[Expo, list[tuple[int, list[tuple[int, dict[int, int]]]]]] = {}
     for mu, nu, c in p.terms:
         scaled = c.numerator * (e // c.denominator) * d ** (k_max - sum(nu))
-        factors = []
-        for j, k in enumerate(nu):
-            if k:
-                if (j, k) not in tables:
-                    tables[(j, k)] = {x: falling(j, k, x) for x in {u[j] for u in f.coeffs}}
-                factors.append((j, tables[(j, k)]))
+        factors = [(j, frame.table(j, k)) for j, k in enumerate(nu) if k]
         groups.setdefault(coords[_sub(mu, nu)], []).append((scaled, factors))
-    # z + co lies in the output window exactly when -r - co <= z <= r - co
-    stencil = [
-        (co, tuple(-reliable - x for x in co), tuple(reliable - x for x in co), group)
-        for co, group in groups.items()
-    ]
-    common = lcm(*(q.denominator for q in f.coeffs.values()))
-    acc: dict[Expo, int] = {}
-    for z, u in f._index.items():
-        q = f.coeffs[u]
-        lam = q.numerator * (common // q.denominator)
-        for co, lo, hi, group in stencil:
-            if not (all(map(le, lo, z)) and all(map(le, z, hi))):
+    units, guard = frame.pk.units, frame.pk.guard
+    stencil = [(sum(map(mul, co, units)), group) for co, group in groups.items()]
+    # w = z + co lies in the output window exactly when no field of w - lo
+    # or of hi - w borrows from its guard bit
+    ones = sum(units)
+    lo = frame.origin - reliable * ones
+    hi = (frame.origin + reliable * ones) | guard
+    acc: dict[int, int] = {}
+    for z, u, lam in frame.points:
+        for co, group in stencil:
+            w = z + co
+            if ((w | guard) - lo) & guard != guard or (hi - w) & guard != guard:
                 continue
             # sum of the offset's term weights: lam multiplies once
             weight = 0
@@ -435,12 +516,11 @@ def _apply_single_class(p: WeylOperator, f, delta0: Expo, coords: Mapping[Expo, 
                     c *= table[u[j]]
                 weight += c
             if weight:
-                w = _add(z, co)
                 acc[w] = acc.get(w, 0) + lam * weight
-    scale = common * e * d**k_max
+    scale = frame.common * e * d**k_max
     return PuiseuxSeries._from_coords(
         f.nvars, base_out, f.lattice,
-        {w: Fraction(q, scale) for w, q in acc.items() if q},
+        {frame.coords(w): Fraction(q, scale) for w, q in acc.items() if q},
         window=reliable, reliable=reliable,
     )
 
@@ -703,43 +783,8 @@ def gamma_series(
             raise InputFormatError("supplied base exponent does not solve a.v = beta")
         return _gamma_fill(a, lat, tuple(v.entries), window)
 
-    v0 = solve_rational(a, beta)
-    candidates = [tuple(v0.entries)]
-    m = lat.cols
-    for z in [z for r in (1, 2) for z in _ring(m, r)][:15]:
-        u = _ambient(lat, z)
-        candidates.append(tuple(q + x for q, x in zip(v0.entries, u)))
-    fracs = [
-        Fraction(1, 3), Fraction(2, 3), Fraction(1, 5), Fraction(2, 5),
-        Fraction(1, 7), Fraction(3, 7), Fraction(1, 11), Fraction(5, 11),
-    ]
-    perturbations = []
-    for q in fracs:
-        perturbations.append((q,) * m)
-    for q1 in fracs[:4]:
-        for q2 in fracs[:4]:
-            if m == 2 and q1 != q2:
-                perturbations.append((q1, q2))
-    for q in perturbations:
-        offset = tuple(
-            sum(Fraction(lat.entries[i][j]) * q[j] for j in range(m))
-            for i in range(a.cols)
-        )
-        candidates.append(tuple(x + o for x, o in zip(v0.entries, offset)))
-
-    # a candidate is fully generic when every coordinate touched by some
-    # kernel move is non-integral: then no falling factorial can vanish and
-    # the window fills completely.  Try those first.
-    touched = [i for i in range(a.cols) if any(lat.entries[i])]
-
-    def generic(cand):
-        return all(cand[i].denominator != 1 for i in touched)
-
-    ordered = [c for c in candidates if generic(c)] + [
-        c for c in candidates if not generic(c)
-    ]
     last_error = None
-    for cand in ordered:
+    for cand in _candidates(lat, tuple(solve_rational(a, beta).entries)):
         try:
             return _gamma_fill(a, lat, cand, window)
         except DenominatorVanishedError as exc:
@@ -747,6 +792,45 @@ def gamma_series(
     raise DenominatorVanishedError(
         f"no usable base exponent within the retry budget: {last_error}"
     )
+
+
+def _candidates(lat: IntMatrix, v0: tuple[Fraction, ...]):
+    """The base exponents gamma_series tries, lazily, in a fixed order.
+
+    They are built in this order: v0, its shifts by the first 15 points of
+    the lattice rings 1 and 2, then small non-integer kernel perturbations.
+    A candidate is fully generic when every coordinate touched by some
+    kernel move is non-integral: then no falling factorial can vanish and
+    the window fills completely.  Those are yielded as they are built, and
+    the others after them, in the same order.
+    """
+    m = lat.cols
+    touched = [i for i, row in enumerate(lat.entries) if any(row)]
+
+    def built():
+        yield v0
+        for z in islice(chain(_ring(m, 1), _ring(m, 2)), 15):
+            yield tuple(q + x for q, x in zip(v0, _ambient(lat, z)))
+        fracs = [
+            Fraction(1, 3), Fraction(2, 3), Fraction(1, 5), Fraction(2, 5),
+            Fraction(1, 7), Fraction(3, 7), Fraction(1, 11), Fraction(5, 11),
+        ]
+        perturbations = [(q,) * m for q in fracs]
+        if m == 2:
+            perturbations += [(q1, q2) for q1 in fracs[:4] for q2 in fracs[:4] if q1 != q2]
+        for q in perturbations:
+            offset = tuple(
+                sum(Fraction(row[j]) * q[j] for j in range(m)) for row in lat.entries
+            )
+            yield tuple(x + o for x, o in zip(v0, offset))
+
+    later = []
+    for cand in built():
+        if all(cand[i].denominator != 1 for i in touched):
+            yield cand
+        else:
+            later.append(cand)
+    yield from later
 
 
 def _gamma_fill(
@@ -760,25 +844,28 @@ def _gamma_fill(
     m = lat.cols
     order = [z for r in range(window + 1) for z in _ring(m, r)]
     amb = {z: _ambient(lat, z) for z in order}
+    # the fill keys points by packed ints; a unit step leaves the window by
+    # at most 1
+    pk, origin = _lattice_packing(m, window + 1)
+    keys = [origin + sum(map(mul, z, pk.units)) for z in order]
+    back = dict(zip(keys, order))
+    points = {k: amb[z] for k, z in back.items()}
     moves = [
-        (
-            tuple(1 if j == i else 0 for j in range(m)),
-            tuple(max(x, 0) for x in b),
-            tuple(max(-x, 0) for x in b),
-        )
+        (pk.units[i], tuple(max(x, 0) for x in b), tuple(max(-x, 0) for x in b))
         for i, b in enumerate(lat.columns())
     ]
-    lam, unfilled, failing = _binomial_fill(order, (0,) * m, moves, amb.__getitem__, v)
+    lam, unfilled, failing = _binomial_fill(keys, origin, moves, points.__getitem__, v)
     if unfilled is not None:
         raise DenominatorVanishedError(
-            f"window point {unfilled} unreachable through nonvanishing factorials"
+            f"window point {back[unfilled]} unreachable through nonvanishing factorials"
         )
     if failing is not None:
         raise CycleInconsistentError(
-            f"edge {failing[0]} -> {failing[1]} violates the recurrence"
+            f"edge {back[failing[0]]} -> {back[failing[1]]} violates the recurrence"
         )
     return PuiseuxSeries._from_coords(
-        a.cols, v, lat, lam, window=window, reliable=window, points=amb
+        a.cols, v, lat, {back[k]: q for k, q in lam.items()},
+        window=window, reliable=window, points=amb,
     )
 
 

@@ -474,8 +474,10 @@ def _integer_action(base: tuple[Fraction, ...]):
 def _binomial_fill(keys, root, moves, point, base: tuple[Fraction, ...]):
     """Solve the binomial recurrence on keys, from c[root] = 1.
 
-    Each move (s, pos, neg) reads the operator d^pos - d^neg along the
-    edges z -> z + s between keys, and asks
+    Keys and move steps are either coordinate tuples or packed ints (see
+    series._lattice_packing), as the root is; the key arithmetic is picked
+    once from its type.  Each move (s, pos, neg) reads the operator d^pos - d^neg along
+    the edges z -> z + s between keys, and asks
     c[z + s] [base + point(z + s)]_pos = c[z] [base + point(z)]_neg.
     Sweeps over keys, in their order, fill each key from the first known
     neighbour whose multiplier does not vanish, as one Fraction built from
@@ -488,6 +490,7 @@ def _binomial_fill(keys, root, moves, point, base: tuple[Fraction, ...]):
     Returns (c, unfilled, failing): the first key no sweep reached, or
     None; then the first edge (z, z + s) that fails the recurrence, or None.
     """
+    plus, minus = (add, sub) if type(root) is int else (_add, _sub)
     d, action = _integer_action(base)
     # action gives D^|nu| [base + u]_nu; along a move only the ratio
     # up / down = D^(|pos| - |neg|) of the two scalings survives
@@ -502,8 +505,8 @@ def _binomial_fill(keys, root, moves, point, base: tuple[Fraction, ...]):
         steps.append((s, pos, neg, up, down, at_pos, at_neg))
         # z is reached from z - s through [.]_pos at z, or from z + s
         # through [.]_neg at z
-        ways.append((_sub, s, pos, neg, up, down, at_pos, at_neg))
-        ways.append((_add, s, neg, pos, down, up, at_neg, at_pos))
+        ways.append((minus, s, pos, neg, up, down, at_pos, at_neg))
+        ways.append((plus, s, neg, pos, down, up, at_neg, at_pos))
     c = {root: Fraction(1)}
     pending = [z for z in keys if z != root]
     progress = True
@@ -532,7 +535,7 @@ def _binomial_fill(keys, root, moves, point, base: tuple[Fraction, ...]):
     for z in keys:
         n0, d0 = c[z].numerator, c[z].denominator
         for s, pos, neg, up, down, at_pos, at_neg in steps:
-            w = _add(z, s)
+            w = plus(z, s)
             if w in c:
                 n1, d1 = c[w].numerator, c[w].denominator
                 at_w = at_pos.get(w)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from fractions import Fraction
 
@@ -361,6 +362,41 @@ def test_annihilate_report_bytes_are_pinned(capsys):
     out = capsys.readouterr().out
     assert json.loads(out)["results"]["annihilation"]["all_zero"]
     assert hashlib.sha256(out.encode()).hexdigest() == ANNIHILATE_REPORT_SHA256
+
+
+# SHA-256 of the annihilate report for a five-point series with window 10^6
+# on the demo lattice: the single-class action costs its support, not its
+# window, and the report is the one the tuple-keyed walk gave.
+SPARSE_ANNIHILATE_SHA256 = "6d861aaa38d44f1fe8b0d4543f1fe38e505a472a9bff9e5d0578fe5f9c1acd3d"
+
+
+def test_annihilate_sparse_series_with_a_huge_window(capsys):
+    lattice = json.loads(B_JSON)
+    big = 10**6
+    points = [(0, 0), (1, -2), (-big, 3), (big - 1, -big), (-5, big)]
+    coeffs = ["1", "-3/7", "2/5", "11", "-1/9"]
+    terms = [
+        {"u": [row[0] * z0 + row[1] * z1 for row in lattice], "coeff": c}
+        for (z0, z1), c in zip(points, coeffs)
+    ]
+    series = {
+        "v": ["2/3", "-4/3", "-7/6", "2/3"], "lattice": lattice, "terms": terms,
+        "window": big, "reliable": big,
+    }
+    a = IntMatrix.from_rows(json.loads(A_JSON))
+    beta = tuple(Fraction(q) for q in json.loads(BETA_JSON))
+    gens = [p.to_json() for p in hypergeometric_system(a, beta).generators]
+    argv = ["annihilate", "--gens", json.dumps(gens), "--series", json.dumps(series)]
+    start = time.perf_counter()
+    code = cli.main(argv)
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr().out
+    rep = json.loads(out)
+    assert code == rep["exit_code"] == 1
+    statuses = rep["verdicts"][0]["detail"]["statuses"]
+    assert statuses == ["NONZERO"] * 3 + ["ZERO_ON_WINDOW"] * 2
+    assert hashlib.sha256(out.encode()).hexdigest() == SPARSE_ANNIHILATE_SHA256
+    assert elapsed < 1.0
 
 
 # SHA-256 of the canonical toric reports for the rational normal quintic and

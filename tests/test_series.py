@@ -7,13 +7,16 @@ import ast
 import copy
 import json
 import os
+import pickle
 import random
 import re
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from itertools import product
 from math import lcm
+from operator import le
 
 import pytest
 from hypothesis import assume, given, settings
@@ -28,7 +31,14 @@ from dhyper.errors import (
     ZeroFactorialError,
 )
 import dhyper
-from dhyper.exact import IntMatrix, RatVector, hermite_column_basis, is_nonresonant, kernel_basis
+from dhyper.exact import (
+    IntMatrix,
+    RatVector,
+    hermite_column_basis,
+    is_nonresonant,
+    kernel_basis,
+    solve_rational,
+)
 from dhyper.series import (
     ANTIDERIVE,
     DERIVE,
@@ -37,6 +47,7 @@ from dhyper.series import (
     ZERO_ON_WINDOW,
     AnnihilationReport,
     PuiseuxSeries,
+    _candidates,
     _ring,
     annihilation_check,
     apply_to_series,
@@ -48,7 +59,14 @@ from dhyper.series import (
     shift,
 )
 from dhyper.systems import hypergeometric_system
-from dhyper.weyl import WeylOperator, _integer_action, _sub, euler_generators
+from dhyper.weyl import (
+    WeylOperator,
+    _add,
+    _falling_factors,
+    _integer_action,
+    _sub,
+    euler_generators,
+)
 from test_weyl import term_action_factor
 
 A_DEMO = IntMatrix.from_rows([[3, 2, 1, 0], [0, 1, 2, 3]])
@@ -960,3 +978,229 @@ def test_imports_sit_at_module_level_in_layer_order():
                     layer = target.removeprefix("dhyper.")
                     assert LAYERS.index(layer) < LAYERS.index(stem), (name, target)
     assert stems == set(LAYERS) | {"__init__"}
+
+
+# ---------------------------------------------------------------------------
+# The packed frame of the single-class action, and the lazy gamma candidates
+
+
+def reference_apply_single_class(p, f, delta0, coords):
+    """The single-class action as it was before it walked a packed frame:
+    coordinate tuples, a box test per offset, and C, lam C and the falling
+    factor tables worked out again for every operator."""
+    base_out = tuple(b + s for b, s in zip(f.base, delta0))
+    reliable = f.reliable - max(map(_sup, coords.values()))
+    if reliable < 0:
+        return PuiseuxSeries.make(
+            f.nvars, base_out, f.lattice, {}, window=0, reliable=-1,
+            window_exhausted=True,
+        )
+
+    d, falling = _falling_factors(f.base)
+    k_max = max(sum(nu) for _, nu, _ in p.terms)
+    e = lcm(*(c.denominator for _, _, c in p.terms))
+    tables = {}
+    groups = {}
+    for mu, nu, c in p.terms:
+        scaled = c.numerator * (e // c.denominator) * d ** (k_max - sum(nu))
+        factors = []
+        for j, k in enumerate(nu):
+            if k:
+                if (j, k) not in tables:
+                    tables[(j, k)] = {x: falling(j, k, x) for x in {u[j] for u in f.coeffs}}
+                factors.append((j, tables[(j, k)]))
+        groups.setdefault(coords[_sub(mu, nu)], []).append((scaled, factors))
+    # z + co lies in the output window exactly when -r - co <= z <= r - co
+    stencil = [
+        (co, tuple(-reliable - x for x in co), tuple(reliable - x for x in co), group)
+        for co, group in groups.items()
+    ]
+    common = lcm(*(q.denominator for q in f.coeffs.values()))
+    acc = {}
+    for z, u in f._index.items():
+        q = f.coeffs[u]
+        lam = q.numerator * (common // q.denominator)
+        for co, lo, hi, group in stencil:
+            if not (all(map(le, lo, z)) and all(map(le, z, hi))):
+                continue
+            # sum of the offset's term weights: lam multiplies once
+            weight = 0
+            for c, factors in group:
+                for j, table in factors:
+                    c *= table[u[j]]
+                weight += c
+            if weight:
+                w = _add(z, co)
+                acc[w] = acc.get(w, 0) + lam * weight
+    scale = common * e * d**k_max
+    return PuiseuxSeries._from_coords(
+        f.nvars, base_out, f.lattice,
+        {w: Fraction(q, scale) for w, q in acc.items() if q},
+        window=reliable, reliable=reliable,
+    )
+
+
+# lattices for the packed action: ranks 2, 3, 1 and 0, in Z^4, Z^5, Z^1, Z^2
+PACKED_LATTICES = [B_DEMO, kernel_basis(A_QUARTIC), IntMatrix.from_rows([[2]]), IntMatrix.from_rows([[], []])]
+
+
+@st.composite
+def packed_cases(draw):
+    """A sparse series with window-edge points, an exact, partly reliable
+    or unreliable frame, window 0 allowed, and a single-class operator whose
+    term offsets in lattice coordinates take both signs."""
+    lat = draw(st.sampled_from(PACKED_LATTICES))
+    n, m = lat.rows, lat.cols
+    window = draw(st.integers(0, 4))
+    reliable = draw(st.one_of(st.just(window), st.integers(-1, window)))
+    frac = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 1, 2, 3, 7]))
+    coord = st.integers(-window, window)
+    edge = st.tuples(*[st.sampled_from([-window, window])] * m)
+    support = draw(st.lists(st.tuples(*[coord] * m), max_size=6))
+    support += draw(st.lists(edge, min_size=1, max_size=2))
+    coeffs = {_ambient(lat, z): draw(frac) for z in support}
+    base = draw(st.lists(frac, min_size=n, max_size=n))
+    f = PuiseuxSeries.make(n, base, lat, coeffs, window=window, reliable=reliable)
+    # shifts mu - nu = delta + L k with k in {-2..2}^m share one class
+    delta = draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n))
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        k = draw(st.lists(st.integers(-2, 2), min_size=m, max_size=m))
+        s = [x + y for x, y in zip(delta, _ambient(lat, k))]
+        extra = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        nu = tuple(max(-x, 0) + y for x, y in zip(s, extra))
+        terms[(tuple(v + x for v, x in zip(nu, s)), nu)] = draw(frac.filter(bool))
+    return WeylOperator.make(n, terms), f
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(packed_cases())
+def test_packed_action_matches_the_tuple_walk_and_the_naive_reference(case):
+    p, f = case
+    delta0 = p.shifts()[0]
+    coords = {s: lattice_coordinates(f.lattice, _sub(s, delta0)) for s in p.shifts()}
+    assert all(co is not None for co in coords.values())
+    image = apply_to_series(p, f)
+    want = reference_apply_single_class(p, f, delta0, coords)
+    assert image.to_json() == want.to_json()
+    assert list(image._index.items()) == list(want._index.items())
+    coeffs, reliable = naive_apply(p, f)
+    if reliable < 0:
+        assert image.window_exhausted and image.reliable == -1 and not image.coeffs
+    else:
+        assert image.coeffs == coeffs
+        assert (image.window, image.reliable) == (reliable, reliable)
+
+
+def test_zero_operator_keeps_an_exhausted_window():
+    f = PuiseuxSeries.make(
+        1, [Fraction(1, 2)], IntMatrix.from_rows([[2]]), {(0,): Fraction(1)},
+        window=2, reliable=-1, window_exhausted=True,
+    )
+    image = apply_to_series(WeylOperator.zero(1), f)
+    assert image.window_exhausted and image.reliable == -1 and not image.coeffs
+
+
+def test_frame_takes_no_part_in_equality_repr_or_json():
+    f, g = (gamma_series(A_DEMO, BETA_DEMO, window=3) for _ in range(2))
+    assert f._frame is None and g._frame is None
+    apply_to_series(toric_demo_ops()[0], g)
+    assert g._frame is not None and f._frame is None
+    assert f == g and g == f
+    assert repr(f) == repr(g) and str(f) == str(g)
+    assert f.to_json() == g.to_json()
+    # a series with a frame still pickles
+    assert pickle.loads(pickle.dumps(g)) == f
+
+
+def test_annihilation_check_builds_one_frame_per_series(monkeypatch):
+    built = []
+
+    class Counting(dhyper.series._Frame):
+        def __init__(self, f):
+            built.append(f)
+            super().__init__(f)
+
+    monkeypatch.setattr(dhyper.series, "_Frame", Counting)
+    f = gamma_series(A_DEMO, BETA_DEMO, window=4)
+    gens = ahyp_demo_ops()
+    assert annihilation_check(gens, f).all_zero
+    assert len(built) == 1 and built[0] is f
+    annihilation_check(gens, f)
+    assert len(built) == 1
+
+
+def test_gamma_fill_names_coordinate_tuples_in_errors():
+    # integral base exponents: factorials vanish and the fill stops short
+    for v, point in [((0, 0, 0, 0), "(-1, -1)"), ((1, 1, 1, 1), "(1, 1)")]:
+        beta = A_DEMO.mul_int_vector(v)
+        with pytest.warns(RuntimeWarning, match="resonant"):
+            with pytest.raises(DenominatorVanishedError) as exc:
+                gamma_series(A_DEMO, beta, v=v, window=3)
+        assert str(exc.value) == (
+            f"window point {point} unreachable through nonvanishing factorials"
+        )
+
+
+def eager_candidates(a, lat, v0):
+    """gamma_series' candidate list as it was built before it went lazy:
+    every candidate up front, then the fully generic ones first."""
+    candidates = [tuple(v0.entries)]
+    m = lat.cols
+    for z in [z for r in (1, 2) for z in _ring(m, r)][:15]:
+        u = _ambient(lat, z)
+        candidates.append(tuple(q + x for q, x in zip(v0.entries, u)))
+    fracs = [
+        Fraction(1, 3), Fraction(2, 3), Fraction(1, 5), Fraction(2, 5),
+        Fraction(1, 7), Fraction(3, 7), Fraction(1, 11), Fraction(5, 11),
+    ]
+    perturbations = []
+    for q in fracs:
+        perturbations.append((q,) * m)
+    for q1 in fracs[:4]:
+        for q2 in fracs[:4]:
+            if m == 2 and q1 != q2:
+                perturbations.append((q1, q2))
+    for q in perturbations:
+        offset = tuple(
+            sum(Fraction(lat.entries[i][j]) * q[j] for j in range(m))
+            for i in range(a.cols)
+        )
+        candidates.append(tuple(x + o for x, o in zip(v0.entries, offset)))
+    touched = [i for i in range(a.cols) if any(lat.entries[i])]
+
+    def generic(cand):
+        return all(cand[i].denominator != 1 for i in touched)
+
+    return [c for c in candidates if generic(c)] + [c for c in candidates if not generic(c)]
+
+
+@pytest.mark.parametrize(
+    "a,beta",
+    [
+        (A_DEMO, ("-11/6", "-5/3")),
+        (A_DEMO, ("0", "0")),
+        (A_DEMO, ("3", "-1")),
+        (A_QUARTIC, ("1/2", "1/3")),
+        (A_QUARTIC, ("2", "1")),
+        (A_WEIGHTED, ("1",)),
+        (IntMatrix.from_rows([[1, 0], [0, 1]]), ("1/2", "-1")),
+    ],
+)
+def test_lazy_candidates_keep_the_eager_order(a, beta):
+    beta = RatVector.from_strings(list(beta))
+    lat = kernel_basis(a) if a.rows < a.cols else IntMatrix.from_rows([[] for _ in range(a.cols)])
+    v0 = solve_rational(a, beta)
+    want = eager_candidates(a, lat, v0)
+    assert list(_candidates(lat, tuple(v0.entries))) == want
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        f = gamma_series(a, beta, window=3)
+    used = want.index(f.base)
+    # every earlier candidate failed to fill the window
+    for cand in want[:used]:
+        with pytest.raises(DenominatorVanishedError):
+            gamma_series(a, beta, v=cand, window=3)
+    if lat.cols:
+        # v0 is not generic here: a later candidate is the one used
+        assert f.base != tuple(v0.entries)
