@@ -12,14 +12,15 @@ dict, JSON, and the ambient input that PuiseuxSeries.make validates with
 one Smith-form solve per point.
 
 The two hot walks go one level lower and pack each coordinate tuple into
-one int, a biased field per coordinate under a guard bit: the gamma fill
-keys its recurrence by packed points, and the single-class operator action
-reads a series' private _Frame, built on first use and kept with the
-series, which holds every point packed with its coefficient scaled to an
-integer over one common denominator, and the falling-factor tables.  So a
-lattice step is one int addition and a window-box test two subtractions
-under a mask.  The packed ints never leave the fill and the frame: _index,
-the constructors and every signature stay keyed by coordinate tuples.
+one int (weyl._lattice_packing): the gamma fill keys its recurrence by
+packed points, and the single-class operator action reads a series'
+private _Frame, built on first use and kept with the series, which holds
+every point packed with its coefficient scaled to an integer over one
+common denominator.  So a lattice step is one int addition and a
+window-box test two subtractions under a mask.  The packed ints never
+leave the fill and the frame: _index, the constructors and every signature
+stay keyed by coordinate tuples.  Every falling factor, in the fill, both
+operator actions and shift, comes from a weyl._Falling.
 """
 
 from __future__ import annotations
@@ -57,15 +58,7 @@ from .exact import (
 )
 from .mgraph import bounded_representatives, lattice_polynomial_solutions
 from .systems import _submatrix, _toral_degree_matrix
-from .weyl import (
-    Expo,
-    WeylOperator,
-    _binomial_fill,
-    _falling_factors,
-    _integer_action,
-    _packing,
-    _sub,
-)
+from .weyl import Expo, WeylOperator, _binomial_fill, _Falling, _lattice_packing, _sub
 
 _smith = lru_cache(maxsize=256)(smith_form)
 
@@ -157,9 +150,17 @@ class PuiseuxSeries:
     _frame: "_Frame | None" = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        # a series built by the plain constructor indexes its points here
+        # a series built by the plain constructor is checked and indexes its
+        # points here, as make would; _from_coords hands over a checked index
         if self._index is None:
-            object.__setattr__(self, "_index", {self.coord(u): u for u in self.coeffs})
+            _check_frame(
+                self.nvars, self.base, self.lattice, self.window, self.reliable,
+                self.window_exhausted,
+            )
+            index = {self.coord(u): u for u in self.coeffs}
+            if any(_sup(z) > self.window for z in index):
+                raise InputFormatError("support point outside the window")
+            object.__setattr__(self, "_index", index)
 
     @staticmethod
     def make(
@@ -323,33 +324,27 @@ def shift(f: PuiseuxSeries, alpha: tuple[int, ...], direction: str) -> PuiseuxSe
         raise InputFormatError("shift exponent must be nonnegative")
     if direction == DERIVE:
         base_out = tuple(b - a for b, a in zip(f.base, alpha))
-        # factor [v + u]_alpha = I / D^|alpha| with I the integer kernel value
-        d, action = _integer_action(f.base)
-        d_pow = d ** sum(alpha)
+        # factor [v + u]_alpha = I / D^|alpha| with I the integer falling factor
+        falling = _Falling(f.base)
+        d_pow = falling.d ** sum(alpha)
         coeffs = {}
         for z, u in f._index.items():
-            factor = action(alpha, u)
+            factor = falling.action(alpha, u)
             if factor:
                 c = f.coeffs[u]
                 coeffs[z] = Fraction(c.numerator * factor, c.denominator * d_pow)
     elif direction == ANTIDERIVE:
         base_out = tuple(b + a for b, a in zip(f.base, alpha))
-        d, action = _integer_action(base_out)
-        d_pow = d ** sum(alpha)
-        divisors: dict[tuple[int, ...], int] = {}
-        m = f.lattice.cols
-        for w in product(range(-f.window, f.window + 1), repeat=m):
+        falling = _Falling(base_out)
+        d_pow = falling.d ** sum(alpha)
+        for w in product(range(-f.window, f.window + 1), repeat=f.lattice.cols):
             u = _ambient(f.lattice, w)
-            factor = action(alpha, u)
-            if not factor:
-                raise ZeroFactorialError(
-                    f"falling factorial vanishes at window point {u}"
-                )
-            divisors[w] = factor
+            if not falling.action(alpha, u):
+                raise ZeroFactorialError(f"falling factorial vanishes at window point {u}")
         coeffs = {}
         for z, u in f._index.items():
             c = f.coeffs[u]
-            coeffs[z] = Fraction(c.numerator * d_pow, c.denominator * divisors[z])
+            coeffs[z] = Fraction(c.numerator * d_pow, c.denominator * falling.action(alpha, u))
     else:
         raise InputFormatError(f"unknown shift direction: {direction!r}")
     return PuiseuxSeries._from_coords(
@@ -364,35 +359,19 @@ def _ambient(lat: IntMatrix, w: tuple[int, ...]) -> tuple[int, ...]:
     return tuple([sum(map(mul, row, w)) for row in lat.entries])
 
 
-# ---------------------------------------------------------------------------
-# Packed lattice coordinates
-
-
-def _lattice_packing(m: int, reach: int):
-    """(packing, origin) for coordinates in Z^m of sup norm at most reach.
-
-    The packing is weyl's, with no order rows: z packs as origin + sum z_j
-    unit_j, field j holding z_j + reach under a zero guard bit.  A packed
-    offset is sum co_j unit_j, with no bias, so z + co packs as the sum of
-    the two ints while z + co stays within reach.
-    """
-    pk = _packing(m, (), False, max(1, (2 * reach).bit_length()))
-    return pk, reach * sum(pk.units)
-
-
 class _Frame:
     """A series' points packed for the single-class operator action.
 
     points lists each point as (packed z, u, lam C) in _index order, with
     common = C the lcm of the coefficient denominators, so lam C is an
-    integer; table(j, k) is the integer falling factor D^k [b_j + u_j]_k
-    keyed by u_j over the support, built once per (coordinate j, order k).
+    integer; falling is the _Falling of the base over the support, whose
+    table(j, k) holds D^k [b_j + u_j]_k for every point.
     The reach is twice the largest of the window, the reliable radius and
     the support's sup norm: an offset that leaves a reliable output is no
     longer than the reliable radius, so z + co stays inside its fields.
     """
 
-    __slots__ = ("pk", "reach", "origin", "points", "common", "base", "d", "tables")
+    __slots__ = ("pk", "reach", "origin", "points", "common", "falling")
 
     def __init__(self, f: PuiseuxSeries):
         bound = max(f.window, f.reliable, max(map(abs, chain.from_iterable(f._index)), default=0))
@@ -406,20 +385,7 @@ class _Frame:
             self.points.append(
                 (origin + sum(map(mul, z, units)), u, q.numerator * (common // q.denominator))
             )
-        # the frame keeps base, not the falling-factor closure, so that a
-        # series stays picklable
-        self.base = f.base
-        self.d, _ = _falling_factors(f.base)
-        self.tables: dict[tuple[int, int], dict[int, int]] = {}
-
-    def table(self, j: int, k: int) -> dict[int, int]:
-        t = self.tables.get((j, k))
-        if t is None:
-            _, falling = _falling_factors(self.base)
-            t = self.tables[(j, k)] = {
-                x: falling(j, k, x) for x in {u[j] for _, u, _ in self.points}
-            }
-        return t
+        self.falling = _Falling(f.base, f._index.values())
 
     def coords(self, w: int) -> tuple[int, ...]:
         """The coordinate tuple of the packed point w."""
@@ -470,8 +436,8 @@ def _apply_single_class(p: WeylOperator, f, delta0: Expo, coords: Mapping[Expo, 
     The sums are exact in integers.  Every coefficient lam of f is taken
     as the integer lam C, C the lcm of f's coefficient denominators; every
     term weight c [base + u]_nu as an integer over E D^K (see below), its
-    falling factorials read from the frame's table per (coordinate j, order
-    k) keyed by u_j.  Each output is then an integer over C E D^K, and only
+    falling factorials read from the tables of the frame's _Falling, per
+    (coordinate j, order k) keyed by u_j.  Each output is then an integer over C E D^K, and only
     the nonzero ones become a Fraction.  C, lam C and the tables are worked
     out once per series, not once per operator.
     """
@@ -488,13 +454,13 @@ def _apply_single_class(p: WeylOperator, f, delta0: Expo, coords: Mapping[Expo, 
     # integer c E D^(K - |nu|), so that the product of its factors
     # D^k [b_j + u_j]_k is E D^K times the rational weight
     frame = f._packed()
-    d = frame.d
+    d = frame.falling.d
     k_max = max(sum(nu) for _, nu, _ in p.terms)
     e = lcm(*(c.denominator for _, _, c in p.terms))
     groups: dict[Expo, list[tuple[int, list[tuple[int, dict[int, int]]]]]] = {}
     for mu, nu, c in p.terms:
         scaled = c.numerator * (e // c.denominator) * d ** (k_max - sum(nu))
-        factors = [(j, frame.table(j, k)) for j, k in enumerate(nu) if k]
+        factors = [(j, frame.falling.table(j, k)) for j, k in enumerate(nu) if k]
         groups.setdefault(coords[_sub(mu, nu)], []).append((scaled, factors))
     units, guard = frame.pk.units, frame.pk.guard
     stencil = [(sum(map(mul, co, units)), group) for co, group in groups.items()]
@@ -541,7 +507,7 @@ def _apply_refined(p: WeylOperator, f, delta0: Expo):
         (mu, nu): _sub(_sub(mu, nu), delta0) for mu, nu, _ in p.terms
     }
     base_out = tuple(b + d for b, d in zip(f.base, delta0))
-    d, action = _integer_action(f.base)
+    falling = _Falling(f.base)
 
     def point_value(u: Expo):
         # exact output coefficient at ambient point u, or None when it
@@ -553,14 +519,14 @@ def _apply_refined(p: WeylOperator, f, delta0: Expo):
             co = lattice_coordinates(f.lattice, src)
             if co is None:
                 continue
-            factor = action(nu, src)
+            factor = falling.action(nu, src)
             if not factor:
                 continue
             if _sup(co) > f.reliable:
                 return None
             lam = f.coeffs.get(src)
             if lam is not None:
-                total += c * lam * Fraction(factor, d ** sum(nu))
+                total += c * lam * Fraction(factor, falling.d ** sum(nu))
         return total
 
     stencil = max((_sup(lattice_coordinates(lat, o)) for o in offsets.values()), default=0)

@@ -496,6 +496,24 @@ def test_overflowing_completion_widens_to_the_pinned_report(capsys, monkeypatch)
     assert hashlib.sha256(out.encode()).hexdigest() == WIDENED_MEMBERSHIP_REPORT_SHA256
 
 
+# SHA-256 of two mgraph reports, recorded while the move-graph fill still
+# keyed its vertices by coordinate tuples: classes of up to four vertices
+# with coefficients such as 1/2 and 1/12 for [[2], [-1]], and a three-row
+# move matrix.  The polynomial solutions are unique, so a change of key
+# representation leaves these bytes alone.
+MGRAPH_REPORT_SHA256 = {
+    ("[[2],[-1]]", "6"): "f845448503cdf74d7c69fbff217421996ea9c8b30740392aa9843a0c4ffb6ba0",
+    ("[[3,1],[-1,-2],[-2,1]]", "4"): "e1eec0f7b492fdaf65d3372cd483c627e5f8d653e1322c5134724ac664c5fc45",
+}
+
+
+@pytest.mark.parametrize("m_json,cap", sorted(MGRAPH_REPORT_SHA256))
+def test_mgraph_report_bytes_are_pinned(capsys, m_json, cap):
+    assert cli.main(["mgraph", "--m", m_json, "--cap", cap]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == MGRAPH_REPORT_SHA256[(m_json, cap)]
+
+
 def test_toric_without_positive_grading(capsys):
     # [[1, -1]] has no positive grading: toric_ideal goes through the
     # homogenized matrix [[1, -1, 0], [1, 1, 1]] instead

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dhyper.errors import DhyperError, DimensionMismatchError, InputFormatError
+from dhyper.errors import DhyperError, DimensionMismatchError, InputFormatError, InvariantError
 from dhyper.exact import IntMatrix
 from dhyper.mgraph import (
     BOUNDED,
     CAP_EXCEEDED,
     UNBOUNDED_CERTIFIED,
+    MGraphComponent,
     bounded_representatives,
     component,
     lattice_polynomial_solutions,
@@ -165,6 +166,15 @@ def test_solutions_require_bounded_verdict():
     comp = component(M_DEMO, (3, 0), cap=12)
     with pytest.raises(DhyperError):
         lattice_polynomial_solutions(M_DEMO, comp)
+
+
+def test_solutions_name_vertex_tuples_in_errors():
+    # a hand-built component whose vertex (2,) no move of [[1]] reaches: the
+    # fill runs on packed keys, and the message still names the vertex tuple
+    m = IntMatrix.from_rows([[1]])
+    comp = MGraphComponent(m, (0,), ((0,), (2,)), BOUNDED, cap=2)
+    with pytest.raises(InvariantError, match=r"did not reach vertex \(2,\) of the component$"):
+        lattice_polynomial_solutions(m, comp)
 
 
 def test_component_json_round_shapes():

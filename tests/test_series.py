@@ -60,10 +60,10 @@ from dhyper.series import (
 )
 from dhyper.systems import hypergeometric_system
 from dhyper.weyl import (
+    Expo,
     WeylOperator,
     _add,
-    _falling_factors,
-    _integer_action,
+    _Falling,
     _sub,
     euler_generators,
 )
@@ -220,6 +220,56 @@ def test_exhausted_frame_needs_reliable_minus_one():
 # Integer falling factorials
 
 
+# _falling_factors and _integer_action are the kernels the series layer used
+# before weyl._Falling owned the falling factors, kept as they were for the
+# references below
+
+
+def _falling_factors(base: tuple[Fraction, ...]):
+    """D and the integer D^k [b_j + x]_k, as a function of (j, k, x).
+
+    D is the lcm of the denominators of base, so D^k [b_j + x]_k is the
+    integer prod_{t < k} (D b_j + D x - D t).
+    """
+    d = lcm(*(q.denominator for q in base))
+    scaled = [q.numerator * (d // q.denominator) for q in base]
+
+    def falling(j: int, k: int, x: int) -> int:
+        top = scaled[j] + d * x
+        v = 1
+        for t in range(k):
+            v *= top - d * t
+        return v
+
+    return d, falling
+
+
+def _integer_action(base: tuple[Fraction, ...]):
+    """D and the integer D^|nu| [base + u]_nu, as a function of (nu, u).
+
+    The factors come from _falling_factors; each is memoised under
+    (coordinate j, u_j, order k) in a dict that lives as long as the
+    returned function.
+    """
+    d, falling = _falling_factors(base)
+    memo: dict[tuple[int, int, int], int] = {}
+
+    def action(nu: Expo, u: Expo) -> int:
+        v = 1
+        for j, k in enumerate(nu):
+            if k:
+                key = (j, u[j], k)
+                ff = memo.get(key)
+                if ff is None:
+                    ff = memo[key] = falling(j, k, u[j])
+                if not ff:
+                    return 0
+                v *= ff
+        return v
+
+    return d, action
+
+
 @pytest.mark.parametrize(
     "base,box",
     [
@@ -230,17 +280,32 @@ def test_exhausted_frame_needs_reliable_minus_one():
     ],
 )
 def test_integer_action_is_scaled_falling_factorial(base, box):
-    d, action = _integer_action(base)
+    falling = _Falling(base)
+    d = falling.d
     assert d == lcm(*(q.denominator for q in base))
     zeros = 0
     for nu in product(range(4), repeat=len(base)):
         for u in product(box, repeat=len(base)):
-            got = action(nu, u)
+            got = falling.action(nu, u)
             exponent = tuple(b + x for b, x in zip(base, u))
             assert type(got) is int
             assert got == d ** sum(nu) * term_action_factor(nu, exponent)
             zeros += not got
     assert zeros > 0
+    # table(j, k) holds one entry per x_j of the points given; action reads
+    # the same table and adds any other x to it
+    over = _Falling(base, product(box, repeat=len(base)))
+    far = box[-1] + 1
+    for j, b in enumerate(base):
+        for k in range(1, 4):
+            table = over.table(j, k)
+            assert table is over.table(j, k) and sorted(table) == list(box)
+            for x, got in table.items():
+                assert type(got) is int
+                assert got == d**k * term_action_factor((k,), (b + x,))
+            nu = tuple(k if i == j else 0 for i in range(len(base)))
+            assert over.action(nu, (far,) * len(base)) == table[far]
+            assert table[far] == d**k * term_action_factor((k,), (b + far,))
 
 
 # ---------------------------------------------------------------------------
@@ -800,6 +865,25 @@ def test_coordinate_constructor_checks_window_and_rank():
         PuiseuxSeries._from_coords(4, base, B_DEMO, {(1, 0, 0): Fraction(1)}, window=2)
     with pytest.raises(InputFormatError, match="window bounds"):
         PuiseuxSeries._from_coords(4, base, B_DEMO, {}, window=2, reliable=3)
+
+
+def test_plain_constructor_checks_frame_and_window():
+    lat = IntMatrix.from_rows([[1]])
+    half = (Fraction(1, 2),)
+    # reliable above the window, and support outside it: both used to pass,
+    # giving a series whose own JSON fails from_json
+    with pytest.raises(InputFormatError, match="window bounds"):
+        PuiseuxSeries(1, half, lat, {(0,): Fraction(1)}, window=1, reliable=3)
+    with pytest.raises(InputFormatError, match="outside the window"):
+        PuiseuxSeries(1, half, lat, {(5,): Fraction(1)}, window=1, reliable=1)
+    with pytest.raises(InputFormatError, match="exhausted"):
+        PuiseuxSeries(1, half, lat, {}, window=1, reliable=1, window_exhausted=True)
+    with pytest.raises(DimensionMismatchError):
+        PuiseuxSeries(2, half, lat, {}, window=1, reliable=1)
+    f = PuiseuxSeries(1, half, IntMatrix.from_rows([[2]]), {(4,): Fraction(1)}, window=2, reliable=1)
+    assert f._index == {(2,): (4,)}
+    assert f == PuiseuxSeries.make(1, half, f.lattice, f.coeffs, window=2, reliable=1)
+    assert PuiseuxSeries.from_json(f.to_json()) == f
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from dhyper.weyl import (
     ThetaPoly,
     WeylOperator,
     _binomial_fill,
+    _lattice_packing,
     a_degree_components,
     euler_generators,
     normal_product,
@@ -296,20 +297,25 @@ def test_refined_action_trusts_only_the_reliable_radius():
 
 
 def test_binomial_fill_reports_unfilled_key_and_failing_edge():
-    ident = lambda z: z  # noqa: E731
-    # [z]_1 at z = 0 vanishes, so (0,) cannot be reached from (-1,)
-    move = ((1,), (1,), (0,))
-    c, unfilled, failing = _binomial_fill([(-1,), (0,)], (-1,), [move], ident, (Fraction(0),))
-    assert (c, unfilled, failing) == ({(-1,): 1}, (0,), None)
+    # keys are the packed points of Z^1 up to sup norm 2, the step the
+    # packed unit offset
+    pk, origin = _lattice_packing(1, 2)
+    step = pk.units[0]
+    key = {z: origin + z * step for z in range(-2, 3)}
+    point = {k: (z,) for z, k in key.items()}.__getitem__
+    # [z]_1 at z = 0 vanishes, so 0 cannot be reached from -1
+    move = (step, (1,), (0,))
+    c, unfilled, failing = _binomial_fill([key[-1], key[0]], key[-1], [move], point, (Fraction(0),))
+    assert (c, unfilled, failing) == ({key[-1]: 1}, key[0], None)
     # base 1/2 (D = 2): c_1 [3/2]_1 = c_0 fixes c_1 = 2/3, and the move is
     # not homogeneous, so the D-scaling of the two sides must cancel
     half = (Fraction(1, 2),)
-    c, unfilled, failing = _binomial_fill([(0,), (1,)], (0,), [move], ident, half)
-    assert (c, unfilled, failing) == ({(0,): 1, (1,): Fraction(2, 3)}, None, None)
+    c, unfilled, failing = _binomial_fill([key[0], key[1]], key[0], [move], point, half)
+    assert (c, unfilled, failing) == ({key[0]: 1, key[1]: Fraction(2, 3)}, None, None)
     # a second move along the same edge asks c_1 = c_0: the edge fails
-    same = ((1,), (0,), (0,))
-    c, unfilled, failing = _binomial_fill([(0,), (1,)], (0,), [move, same], ident, half)
-    assert (unfilled, failing) == (None, ((0,), (1,)))
+    same = (step, (0,), (0,))
+    c, unfilled, failing = _binomial_fill([key[0], key[1]], key[0], [move, same], point, half)
+    assert (unfilled, failing) == (None, (key[0], key[1]))
 
 
 def test_action_composition_matches_product():
