@@ -6,10 +6,13 @@ transforms, integer kernel and complement bases, mixedness certificates for
 column spans, and facets of the cone spanned by a matrix's columns together
 with their primitive support functions.
 
-Smith normal form is the one workhorse; kernels, complements, lattice
-indices and column-lattice bases are all derived from it.  Pivoting is
-deterministic (smallest nonzero absolute value, then lowest index) so the
-recorded transforms are reproducible run to run.
+Rank, determinant, kernels (and the facet normals and extreme rays read off
+one-dimensional kernels), complements, lattice indices and rational
+solutions all come from one elimination, the Smith normal form; nothing
+here eliminates over Q.  The Hermite form gives canonical lattice bases, and
+Fourier-Motzkin decides linear inequalities.  Pivoting is deterministic
+(smallest nonzero absolute value, then lowest index) so the recorded
+transforms are reproducible run to run.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd
 
 from .errors import (
     DimensionMismatchError,
@@ -123,32 +126,15 @@ class IntMatrix:
         return tuple(sum(a * x for a, x in zip(row, v)) for row in self.entries)
 
     def rank(self) -> int:
-        m = [[Fraction(x) for x in r] for r in self.entries]
-        return self.cols - len(rational_kernel(m, self.cols))
+        return smith_form(self).rank
 
-    def det(self) -> Fraction:
+    def det(self) -> int:
         if self.rows != self.cols:
             raise DimensionMismatchError("determinant of a non-square matrix")
-        m = [[Fraction(x) for x in r] for r in self.entries]
-        n = self.rows
-        det = Fraction(1)
-        for k in range(n):
-            piv = None
-            for i in range(k, n):
-                if m[i][k] != 0:
-                    piv = i
-                    break
-            if piv is None:
-                return Fraction(0)
-            if piv != k:
-                m[k], m[piv] = m[piv], m[k]
-                det = -det
-            det *= m[k][k]
-            inv = 1 / m[k][k]
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    f = m[i][k] * inv
-                    m[i] = [a - f * b for a, b in zip(m[i], m[k])]
+        w = _reduce(self)
+        det = w.sign
+        for i in range(self.rows):
+            det *= w.m[i][i]
         return det
 
     def to_json(self) -> dict:
@@ -207,76 +193,17 @@ class RatVector:
         return "(" + ", ".join(str(a) for a in self.entries) + ")"
 
 
-def rational_kernel(m: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of the right kernel of a rational matrix, via Gauss elimination."""
-    rows = [r[:] for r in m]
-    pivots: list[int] = []
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < ncols:
-        piv = None
-        for i in range(rank, len(rows)):
-            if rows[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [a * inv for a in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        pivots.append(col)
-        rank += 1
-        col += 1
-    free = [j for j in range(ncols) if j not in pivots]
-    basis = []
-    for j in free:
-        vec = [Fraction(0)] * ncols
-        vec[j] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -rows[i][j]
-        basis.append(vec)
-    return basis
-
-
-def primitive_integer_vector(v: list[Fraction]) -> tuple[int, ...]:
-    """Scale a nonzero rational vector to a primitive integer vector.
-
-    The sign is chosen so the first nonzero entry is positive.
-    """
-    den = lcm(*[x.denominator for x in v]) if v else 1
-    ints = [int(x * den) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g == 0:
-        raise ValueError("zero vector has no primitive form")
-    ints = [x // g for x in ints]
-    for x in ints:
-        if x != 0:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
-    return tuple(ints)
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form with transforms
 
 
 @dataclass(frozen=True)
 class SmithForm:
-    """s == u @ a @ v with u, v unimodular; uinv, vinv are exact inverses."""
+    """s == u @ a @ v with u, v unimodular."""
 
     s: IntMatrix
     u: IntMatrix
     v: IntMatrix
-    uinv: IntMatrix
-    vinv: IntMatrix
 
     @property
     def diagonal(self) -> tuple[int, ...]:
@@ -289,25 +216,23 @@ class SmithForm:
 
 
 class _Workspace:
-    """Mutable elimination state tracking all four transform matrices."""
+    """Mutable elimination state: m == u a v, and sign == det(u) det(v)."""
 
     def __init__(self, a: IntMatrix):
         self.m = [list(r) for r in a.entries]
         self.r = a.rows
         self.c = a.cols
         self.u = [[1 if i == j else 0 for j in range(self.r)] for i in range(self.r)]
-        self.uinv = [[1 if i == j else 0 for j in range(self.r)] for i in range(self.r)]
         self.v = [[1 if i == j else 0 for j in range(self.c)] for i in range(self.c)]
-        self.vinv = [[1 if i == j else 0 for j in range(self.c)] for i in range(self.c)]
+        self.sign = 1
 
-    # row ops act on the left: m <- E m, u <- E u, uinv <- uinv E^{-1}
+    # row ops act on the left: m <- E m, u <- E u
     def swap_rows(self, i, j):
         if i == j:
             return
         self.m[i], self.m[j] = self.m[j], self.m[i]
         self.u[i], self.u[j] = self.u[j], self.u[i]
-        for row in self.uinv:
-            row[i], row[j] = row[j], row[i]
+        self.sign = -self.sign
 
     def add_row(self, i, j, k):
         """row i += k * row j"""
@@ -315,16 +240,13 @@ class _Workspace:
             return
         self.m[i] = [a + k * b for a, b in zip(self.m[i], self.m[j])]
         self.u[i] = [a + k * b for a, b in zip(self.u[i], self.u[j])]
-        for row in self.uinv:
-            row[j] -= k * row[i]
 
     def negate_row(self, i):
         self.m[i] = [-a for a in self.m[i]]
         self.u[i] = [-a for a in self.u[i]]
-        for row in self.uinv:
-            row[i] = -row[i]
+        self.sign = -self.sign
 
-    # column ops act on the right: m <- m E, v <- v E, vinv <- E^{-1} vinv
+    # column ops act on the right: m <- m E, v <- v E
     def swap_cols(self, i, j):
         if i == j:
             return
@@ -332,7 +254,7 @@ class _Workspace:
             row[i], row[j] = row[j], row[i]
         for row in self.v:
             row[i], row[j] = row[j], row[i]
-        self.vinv[i], self.vinv[j] = self.vinv[j], self.vinv[i]
+        self.sign = -self.sign
 
     def add_col(self, i, j, k):
         """col i += k * col j"""
@@ -342,7 +264,6 @@ class _Workspace:
             row[i] += k * row[j]
         for row in self.v:
             row[i] += k * row[j]
-        self.vinv[j] = [a - k * b for a, b in zip(self.vinv[j], self.vinv[i])]
 
 
 def _find_pivot(w: _Workspace, k: int):
@@ -385,8 +306,8 @@ def _diagonalize(w: _Workspace):
         k += 1
 
 
-def smith_form(a: IntMatrix) -> SmithForm:
-    """Smith normal form with all four transforms recorded."""
+def _reduce(a: IntMatrix) -> _Workspace:
+    """The workspace of a, brought to Smith normal form."""
     w = _Workspace(a)
     while True:
         _diagonalize(w)
@@ -398,17 +319,19 @@ def smith_form(a: IntMatrix) -> SmithForm:
                 bad = i
                 break
         if bad is None:
-            break
+            return w
         # fold the offending entry back into the block and re-eliminate
         w.add_row(bad, bad + 1, 1)
-    sf = SmithForm(
+
+
+def smith_form(a: IntMatrix) -> SmithForm:
+    """Smith normal form with both transforms recorded."""
+    w = _reduce(a)
+    return SmithForm(
         s=IntMatrix.from_rows(w.m),
         u=IntMatrix.from_rows(w.u),
         v=IntMatrix.from_rows(w.v),
-        uinv=IntMatrix.from_rows(w.uinv),
-        vinv=IntMatrix.from_rows(w.vinv),
     )
-    return sf
 
 
 # ---------------------------------------------------------------------------
@@ -488,14 +411,18 @@ def integer_kernel(a: IntMatrix) -> IntMatrix:
 
 def column_lattice_basis(a: IntMatrix) -> IntMatrix:
     """Basis (as columns) of the lattice generated by the columns of a."""
-    sf = smith_form(a)
-    cols = []
-    for i in range(sf.rank):
-        d = sf.s.entries[i][i]
-        cols.append(tuple(d * x for x in sf.uinv.col(i)))
-    if not cols:
-        return IntMatrix.from_rows([[] for _ in range(a.rows)])
-    return IntMatrix.from_rows(list(zip(*cols)))
+    h = hermite_column_basis(a)
+    return h if h.cols else IntMatrix.from_rows([[] for _ in range(a.rows)])
+
+
+def _kernel_line(rows: list[tuple[int, ...]], dim: int) -> tuple[int, ...] | None:
+    """A basis vector of the kernel of the integer rows in Z^dim when that
+    kernel is a line, else None.  It is a column of the unimodular Smith
+    transform, so it is primitive, and unique up to sign."""
+    if not rows:
+        return (1,) if dim == 1 else None
+    k = integer_kernel(IntMatrix(tuple(rows)))
+    return k.col(0) if k.cols == 1 else None
 
 
 def lattice_index(a: IntMatrix) -> int:
@@ -549,11 +476,12 @@ def complement_matrix(b: IntMatrix) -> IntMatrix:
 # Linear inequality feasibility (exact Fourier-Motzkin with witness)
 
 
-def fourier_motzkin(ineqs: list[tuple[tuple[Fraction, ...], Fraction]], nvars: int):
+def fourier_motzkin(ineqs: list[tuple[tuple[int, ...], int]], nvars: int):
     """Find x in Q^nvars with coeffs . x >= rhs for every inequality, or None.
 
-    Classic elimination with exact back-substitution; fine at the problem
-    sizes this package deals with.
+    Classic elimination, fraction-free on integer inequalities, with exact
+    rational back-substitution; fine at the problem sizes this package deals
+    with.
     """
     if nvars == 0:
         return () if all(rhs <= 0 for _, rhs in ineqs) else None
@@ -598,8 +526,7 @@ def fourier_motzkin(ineqs: list[tuple[tuple[Fraction, ...], Fraction]], nvars: i
 
 def positive_functional(columns: list[tuple[int, ...]], dim: int):
     """w in Q^dim with w . c >= 1 for every column c, or None."""
-    ineqs = [(tuple(Fraction(x) for x in c), Fraction(1)) for c in columns]
-    return fourier_motzkin(ineqs, dim)
+    return fourier_motzkin([(tuple(c), 1) for c in columns], dim)
 
 
 # ---------------------------------------------------------------------------
@@ -633,24 +560,18 @@ def span_mixedness(b: IntMatrix) -> MixednessCertificate:
 
     The cone {x : b x >= 0} is pointed when b has full column rank, so it is
     nonzero exactly when it has an extreme ray, and every extreme ray is cut
-    out by m-1 linearly independent rows.  Enumerating those gives the
-    non-mixed witness; otherwise Fourier-Motzkin finds a strictly positive
+    out by m-1 linearly independent rows.  Enumerating those (each row
+    subset's primitive kernel line, with both signs) gives the non-mixed
+    witness; otherwise Fourier-Motzkin finds a strictly positive
     functional on the complement's row span.
     """
     n, m = b.rows, b.cols
     if b.rank() != m:
         raise NotFullRankError("matrix is not of full column rank")
-    rows = [tuple(Fraction(x) for x in r) for r in b.entries]
-    seen = set()
     for subset in combinations(range(n), m - 1):
-        sub = [list(rows[i]) for i in subset]
-        ker = rational_kernel(sub, m)
-        if len(ker) != 1:
+        x = _kernel_line([b.entries[i] for i in subset], m)
+        if x is None:
             continue
-        x = primitive_integer_vector(ker[0])
-        if x in seen:
-            continue
-        seen.add(x)
         t = b.mul_int_vector(x)
         for cand in (t, tuple(-a for a in t)):
             if all(a >= 0 for a in cand) and any(a > 0 for a in cand):
@@ -692,24 +613,14 @@ class ConeFacet:
         }
 
 
-def _fraction_gcd(values: list[Fraction]) -> Fraction:
-    nz = [v for v in values if v != 0]
-    if not nz:
-        raise ValueError("all values zero")
-    den = lcm(*[v.denominator for v in nz])
-    g = 0
-    for v in nz:
-        g = gcd(g, abs(int(v * den)))
-    return Fraction(g, den)
-
-
 def facets(a: IntMatrix) -> list[ConeFacet]:
     """All facets of the cone spanned by the columns of a.
 
     Preconditions: a has full row rank d, no zero column, and all columns lie
     in an open half-space (the cone is pointed).  Candidate facet normals are
-    enumerated from (d-1)-subsets of columns; each surviving normal is
-    normalized to take value lattice exactly Z on the column lattice.
+    the kernel lines of (d-1)-subsets of columns; each surviving normal is
+    divided by the gcd of its values on the columns, which generate the
+    column lattice, so its value set there is exactly Z.
     """
     d, n = a.rows, a.cols
     cols = a.columns()
@@ -720,29 +631,18 @@ def facets(a: IntMatrix) -> list[ConeFacet]:
         raise NotFullRankError("matrix is not of full row rank")
     if positive_functional(cols, d) is None:
         raise NotFullRankError("columns do not lie in an open half-space")
-    lat = column_lattice_basis(a)
-    lat_cols = lat.columns()
     found: dict[tuple[Fraction, ...], tuple[int, ...]] = {}
     for subset in combinations(range(n), d - 1):
-        sub = [[Fraction(x) for x in cols[j]] for j in subset]
-        ker = rational_kernel(sub, d)
-        if len(ker) != 1:
+        nu = _kernel_line([cols[j] for j in subset], d)
+        if nu is None:
             continue
-        nu = list(ker[0])
-        vals = [sum((q * x for q, x in zip(nu, col)), Fraction(0)) for col in cols]
+        vals = [sum(q * x for q, x in zip(nu, col)) for col in cols]
         if any(v > 0 for v in vals) and any(v < 0 for v in vals):
             continue
-        if all(v <= 0 for v in vals):
-            nu = [-q for q in nu]
-            vals = [-v for v in vals]
+        # a has full rank, so some value is nonzero; the sign makes all >= 0
+        g = gcd(*vals) if any(v > 0 for v in vals) else -gcd(*vals)
         sigma = tuple(j for j, v in enumerate(vals) if v == 0)
-        # normalize on the column lattice
-        lat_vals = [sum((q * x for q, x in zip(nu, col)), Fraction(0)) for col in lat_cols]
-        g = _fraction_gcd(lat_vals)
-        nu = [q / g for q in nu]
-        key = tuple(nu)
-        if key not in found:
-            found[key] = sigma
+        found.setdefault(tuple(Fraction(q, g) for q in nu), sigma)
     out = [ConeFacet(sigma, RatVector(tuple(key))) for key, sigma in found.items()]
     out.sort(key=lambda f: (f.sigma, f.nu.entries))
     return out

@@ -337,10 +337,12 @@ def shift(f: PuiseuxSeries, alpha: tuple[int, ...], direction: str) -> PuiseuxSe
         base_out = tuple(b + a for b, a in zip(f.base, alpha))
         falling = _Falling(base_out)
         d_pow = falling.d ** sum(alpha)
-        for w in product(range(-f.window, f.window + 1), repeat=f.lattice.cols):
-            u = _ambient(f.lattice, w)
-            if not falling.action(alpha, u):
-                raise ZeroFactorialError(f"falling factorial vanishes at window point {u}")
+        # u is integral, so [b_j + u_j]_k can vanish only for an integral b_j
+        if any(a and b.denominator == 1 for a, b in zip(alpha, base_out)):
+            for w in product(range(-f.window, f.window + 1), repeat=f.lattice.cols):
+                u = _ambient(f.lattice, w)
+                if not falling.action(alpha, u):
+                    raise ZeroFactorialError(f"falling factorial vanishes at window point {u}")
         coeffs = {}
         for z, u in f._index.items():
             c = f.coeffs[u]
@@ -906,11 +908,10 @@ def toral_solution_basis(b, dec, beta, window: int = 8, a=None, graph_cap=None):
         coeffs: dict[tuple[int, ...], Fraction] = {}
         exact = f.lattice.cols == 0 and not f.window_exhausted
         for w in comp.vertices:
-            rhs = RatVector.make([Fraction(x - y) for x, y in zip(w, u)])
-            v = solve_rational(dec.m, rhs)
-            if any(q.denominator != 1 for q in v.entries):
+            # dec.m is square and nonsingular, so the moves are unique
+            v_int = lattice_coordinates(dec.m, tuple(x - y for x, y in zip(w, u)))
+            if v_int is None:
                 raise InvariantError(f"vertex {w} is not an integer move away from {u}")
-            v_int = tuple(int(q) for q in v.entries)
             nv = dec.n_block.mul_int_vector(v_int)
             g = f
             down = tuple(max(-x, 0) for x in nv)

@@ -514,6 +514,37 @@ def test_mgraph_report_bytes_are_pinned(capsys, m_json, cap):
     assert hashlib.sha256(out.encode()).hexdigest() == MGRAPH_REPORT_SHA256[(m_json, cap)]
 
 
+# SHA-256 of four reports of the exact layer, recorded while rank, kernels
+# and determinants still came from Gauss elimination over the rationals:
+# the facets of a five-column cone; a resonant beta, so the violating facet
+# is in the bytes; a toral block of determinant -3, so the sign of the
+# determinant is too; and a Horn system with its complement matrix and
+# mixedness.  Each value is unique, so a change of elimination leaves these
+# bytes alone.
+EXACT_REPORT_SHA256 = {
+    ("facets", "--a", "[[1,1,1,1,1],[0,1,2,3,4]]"): (
+        0, "264f5bac1695305f8bfc1cae32dbe6b64fba23ebd53d6dc261dba68f91d5d0a1",
+    ),
+    ("nonresonant", "--a", A_JSON, "--beta", '["1","-5/3"]'): (
+        1, "c5d94381d099fe06d757dc54af23500c9823848a84d19ad917ceb2a20619ba3a",
+    ),
+    ("components", "--b", "[[0,1],[1,-2],[-2,1],[1,0]]"): (
+        0, "bc4d136adc9bb05325304bfb2b2df005b971da808645ec256904dfefefa25654",
+    ),
+    ("horn", "--b", B_JSON, "--beta", '["1/2","1/3"]'): (
+        0, "e451d9cc8f6dd220ca7841f45934bb1c8186b2ac9994a24d98b995c389dc5bff",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(EXACT_REPORT_SHA256))
+def test_exact_layer_report_bytes_are_pinned(capsys, argv):
+    code, digest = EXACT_REPORT_SHA256[argv]
+    assert cli.main(list(argv)) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_toric_without_positive_grading(capsys):
     # [[1, -1]] has no positive grading: toric_ideal goes through the
     # homogenized matrix [[1, -1, 0], [1, 1, 1]] instead

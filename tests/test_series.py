@@ -12,6 +12,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 import warnings
 from fractions import Fraction
 from itertools import product
@@ -365,6 +366,21 @@ def test_antiderive_reports_first_vanishing_window_point():
     )
     with pytest.raises(ZeroFactorialError, match=re.escape(f"window point {first}")):
         shift(f, alpha, ANTIDERIVE)
+
+
+def test_antiderive_with_a_nonintegral_base_skips_the_window_walk():
+    # [b_j + u_j]_k cannot vanish when b_j is not an integer, so a one-point
+    # series answers at once however wide its window: no walk over the
+    # (2w+1)^2 window points
+    base = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5), Fraction(1, 7))
+    f = PuiseuxSeries._from_coords(4, base, B_DEMO, {(0, 0): Fraction(3)}, window=2000)
+    start = time.perf_counter()
+    up = shift(f, (1, 0, 0, 0), ANTIDERIVE)
+    elapsed = time.perf_counter() - start
+    assert up.base == (Fraction(3, 2),) + base[1:]
+    assert up.coeffs == {(0, 0, 0, 0): Fraction(2)}
+    assert shift(up, (1, 0, 0, 0), DERIVE) == f
+    assert elapsed < 1.0
 
 
 def test_derive_moves_solutions_between_parameters():
