@@ -21,6 +21,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .errors import DhyperError, InputFormatError
 from .exact import (
@@ -477,7 +478,10 @@ class _Parser(argparse.ArgumentParser):
         raise InputFormatError(message)
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use: parse_args keeps
+    no state in it, so every run can share it."""
     parser = _Parser(
         prog="dhyper",
         description="exact workbench for lattice hypergeometric systems",

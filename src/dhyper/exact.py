@@ -363,8 +363,10 @@ def hermite_row_basis(m: IntMatrix) -> IntMatrix:
                 row = [-a for a in row]
             out.append(row)
             work = [r for r in work if any(r)]
-    # reduce entries above each pivot into [0, pivot)
-    for i in reversed(range(len(out))):
+    # reduce entries above each pivot into [0, pivot), the first pivot
+    # first: a later row is zero left of its pivot, so reducing by it leaves
+    # the earlier pivot columns as they are
+    for i in range(len(out)):
         pcol = next(j for j in range(nc) if out[i][j] != 0)
         for k in range(i):
             q = out[k][pcol] // out[i][pcol]
@@ -374,8 +376,10 @@ def hermite_row_basis(m: IntMatrix) -> IntMatrix:
 
 
 def hermite_column_basis(m: IntMatrix) -> IntMatrix:
-    """Canonical basis of the column lattice (columns of the result)."""
-    return hermite_row_basis(m.transpose()).transpose()
+    """Canonical basis of the column lattice (columns of the result); the
+    zero lattice keeps its ambient space as m.rows empty rows."""
+    h = hermite_row_basis(m.transpose())
+    return h.transpose() if h.rows else IntMatrix.from_rows([[] for _ in range(m.rows)])
 
 
 def lattices_equal(m1: IntMatrix, m2: IntMatrix) -> bool:
@@ -407,12 +411,6 @@ def integer_kernel(a: IntMatrix) -> IntMatrix:
     if not cols:
         return IntMatrix.from_rows([[] for _ in range(n)])
     return IntMatrix.from_rows(list(zip(*cols)))
-
-
-def column_lattice_basis(a: IntMatrix) -> IntMatrix:
-    """Basis (as columns) of the lattice generated by the columns of a."""
-    h = hermite_column_basis(a)
-    return h if h.cols else IntMatrix.from_rows([[] for _ in range(a.rows)])
 
 
 def _kernel_line(rows: list[tuple[int, ...]], dim: int) -> tuple[int, ...] | None:

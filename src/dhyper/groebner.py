@@ -497,13 +497,14 @@ def _weyl_top(ops) -> int:
 
 
 def _replays(cert: "MembershipCertificate", gens: list, pk) -> bool:
-    """sum cofactor_i . gen_i + normal form == query, exactly, in integers.
+    """sum cofactor_i . gen_i + normal form == query, exactly, in integers:
+    MembershipCertificate.verify's check of its own Fraction data.
 
     gens holds each generator as (G, b), the integer operator G = b g packed
-    by pk, or None for a zero generator.  The certificate's own Fraction
-    data are converted here: with q_i = Q_i / a_i, the normal form N / c and
-    the query P / e, compare L sum_i q_i g_i + L N / c with L P / e for L
-    the lcm of all the a_i b_i, c and e.
+    by pk, or None for a zero generator.  The certificate's data are
+    converted here: with q_i = Q_i / a_i, the normal form N / c and the
+    query P / e, compare L sum_i q_i g_i + L N / c with L P / e for L the
+    lcm of all the a_i b_i, c and e.
     """
     nf, c = _integral(pk, cert.normal_form.terms)
     query, e = _integral(pk, cert.query.terms)
@@ -517,6 +518,27 @@ def _replays(cert: "MembershipCertificate", gens: list, pk) -> bool:
             _lmul(acc, v * s, t, gd, pk)
     s = big // e
     return acc == {t: v * s for t, v in query.items()}
+
+
+def _division_replays(f: dict, m: int, rem: dict, cof: list[dict], den: int, gens: list, pk) -> bool:
+    """den m f == sum_i cof_i . g_i + den rem, exactly, on the division's
+    own integers: f the packed query, m and rem the division's scale and
+    remainder, cof / den the cofactors over the generators g_i.
+
+    gens holds each generator as (G, b), G = b g packed by pk, or None for
+    a zero generator, whose cofactor adds nothing.  With B the lcm of the b
+    in use, compare den B rem + sum_i cof_i (B / b_i) G_i with den m B f.
+    """
+    pairs = [(c, g) for c, g in zip(cof, gens) if c and g]
+    big = lcm(*(b for _, (_, b) in pairs))
+    s = den * big
+    acc = {t: v * s for t, v in rem.items()}
+    for c, (gd, b) in pairs:
+        s = big // b
+        for t, v in c.items():
+            _lmul(acc, v * s, t, gd, pk)
+    s = den * m * big
+    return acc == {t: v * s for t, v in f.items()}
 
 
 def _packed_gens(gens, pk) -> list:
@@ -631,40 +653,54 @@ class WeylGroebner:
         _, rep, den = basis[idx]
         return tuple(_over(pk, r, den) for r in rep)
 
-    def normal_form(self, p: WeylOperator):
+    def _divided(self, p: WeylOperator, pk, basis, divisors) -> tuple:
+        """(f, d, m, rem, cof, den): f = d p packed by pk, and
+        den m f = sum_i cof_i . g_i + den rem over the generators g_i."""
         if p.nvars != self.nvars:
             raise DimensionMismatchError("query variable count mismatch")
+        f, d = _integral(pk, p.terms)
+        quots, rem, m = _divide(f, divisors, pk)
+        # m f = sum quots . basis + rem
+        dens = [den for _, _, den in basis]
+        den = _used_lcm(quots, dens)
+        cof: list[dict] = [{} for _ in self.gens]
+        _add_cofactors(cof, quots, [rep for _, rep, _ in basis], dens, den, 1, pk)
+        return f, d, m, rem, cof, den
+
+    def normal_form(self, p: WeylOperator):
+        """(normal form, cofactors): p = sum cofactor_i . g_i + normal form
+        over the generators g_i."""
 
         def run(pk, basis, divisors, _):
-            f, d = _integral(pk, p.terms)
-            quots, rem, m = _divide(f, divisors, pk)
-            # d p = (sum quots . basis + rem) / m
-            dens = [den for _, _, den in basis]
-            den = _used_lcm(quots, dens)
-            cof: list[dict] = [{} for _ in self.gens]
-            _add_cofactors(cof, quots, [rep for _, rep, _ in basis], dens, den, 1, pk)
+            _, d, m, rem, cof, den = self._divided(p, pk, basis, divisors)
             return _over(pk, rem, m * d), tuple(_over(pk, c, den * m * d) for c in cof)
 
         return self._at_width(run)
 
     def membership(self, p: WeylOperator) -> MembershipCertificate:
-        rem, cof = self.normal_form(p)
+        """normal_form's answer, its cofactors replayed against the
+        generators on the division's integers before they are converted."""
+
+        def run(pk, basis, divisors, gens):
+            f, d, m, rem, cof, den = self._divided(p, pk, basis, divisors)
+            if not _division_replays(f, m, rem, cof, den, gens, pk):
+                raise InvariantError("internal cofactor replay failed")
+            return _over(pk, rem, m * d), tuple(_over(pk, c, den * m * d) for c in cof)
+
+        rem, cof = self._at_width(run)
         if rem.is_zero():
             member: bool | str = True
         elif self.status == "complete":
             member = False
         else:
             member = "inconclusive"
-        cert = MembershipCertificate(
+        return MembershipCertificate(
             member=member,
             query=p,
             normal_form=rem,
             cofactors=cof,
             basis_status=self.status,
         )
-        if not self._at_width(lambda pk, _, __, gens: _replays(cert, gens, pk)):
-            raise InvariantError("internal cofactor replay failed")
-        return cert
 
     def spair_remainders_vanish(self) -> bool:
         """Recheck the Buchberger criterion on the finished basis."""

@@ -304,6 +304,29 @@ def test_example_erdelyi_report_bytes_are_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == ERDELYI_REPORT_SHA256
 
 
+def test_one_parser_serves_every_run_of_a_process(capsys):
+    argvs = [
+        ["membership", "--gens", "[]"],
+        ["facets", "--a", A_JSON],
+        _demo_horn_membership_argv("planted"),
+        ["example-erdelyi"],
+    ]
+
+    def report(argv):
+        code = cli.main(argv)
+        return code, capsys.readouterr().out
+
+    cli._build_parser.cache_clear()
+    shared = [report(argv) for argv in argvs]
+    assert cli._build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in argvs:
+        cli._build_parser.cache_clear()
+        fresh.append(report(argv))
+    assert [code for code, _ in shared] == [2, 0, 0, 0]
+    assert shared == fresh
+
+
 @pytest.mark.parametrize("field,value", [("reliable", True), ("window", "3")])
 def test_series_json_with_non_integers_exits_bad_input(capsys, field, value):
     series = {"v": ["1/2"], "lattice": [[1]], "terms": [{"u": [0], "coeff": "1"}], "window": 3, "reliable": 3}
@@ -494,6 +517,53 @@ def test_overflowing_completion_widens_to_the_pinned_report(capsys, monkeypatch)
     assert widened  # the fields chosen from the inputs overflowed
     assert json.loads(out)["results"]["certificate"]["member"] is True
     assert hashlib.sha256(out.encode()).hexdigest() == WIDENED_MEMBERSHIP_REPORT_SHA256
+
+
+# SHA-256 of membership reports recorded while the membership replay still
+# ran over the certificate's Fraction data: an "inconclusive" answer from
+# the capped basis of the rational normal quartic's A-hypergeometric system
+# (query d1, cap 4), and both answers against generators d1^2 - d2, 0,
+# x1 d1 + 2 x2 d2 - 1/3 (the non-member d1 d2, and x2 . g_1 + g_3).
+QUARTIC_JSON = "[[1,1,1,1,1],[0,1,2,3,4]]"
+ZERO_GEN_OPS = [
+    WeylOperator.make(2, {((0, 0), (2, 0)): 1, ((0, 0), (0, 1)): -1}),
+    WeylOperator.zero(2),
+    WeylOperator.make(2, {((1, 0), (1, 0)): 1, ((0, 1), (0, 1)): 2, ((0, 0), (0, 0)): Fraction(-1, 3)}),
+]
+EDGE_MEMBERSHIP_REPORT_SHA256 = {
+    "quartic-inconclusive": (1, "inconclusive", "006d2f7634b61e27c62a0b718c7b1dc8ea2736b9ea2df1f0d35ba43241d332a0"),
+    "zero-gen-missing": (0, False, "2c250b0f8598141ffe5d222a762e67d019b8d2c418f1c3905b9969e21c9fe80f"),
+    "zero-gen-planted": (0, True, "309c8807b9392ce6a19bf092837b263d6ec4023a86b0886a38c27840aa31459b"),
+}
+
+
+def _edge_membership_argv(which):
+    if which == "quartic-inconclusive":
+        a = IntMatrix.from_rows(json.loads(QUARTIC_JSON))
+        gens = list(hypergeometric_system(a, (Fraction(1, 2), Fraction(1, 3))).generators)
+        query, cap = WeylOperator.d(0, 5), ["--cap", "4"]
+    else:
+        gens = ZERO_GEN_OPS
+        if which == "zero-gen-missing":
+            query = WeylOperator.make(2, {((0, 0), (1, 1)): 1})
+        else:
+            query = normal_product(WeylOperator.x(1, 2), gens[0]) + gens[2]
+        cap = []
+    return [
+        "membership",
+        "--gens", json.dumps([g.to_json() for g in gens], sort_keys=True),
+        "--query", json.dumps(query.to_json(), sort_keys=True),
+        *cap,
+    ]
+
+
+@pytest.mark.parametrize("which", sorted(EDGE_MEMBERSHIP_REPORT_SHA256))
+def test_edge_membership_reports_are_pinned(capsys, which):
+    code, member, digest = EDGE_MEMBERSHIP_REPORT_SHA256[which]
+    assert cli.main(_edge_membership_argv(which)) == code
+    out = capsys.readouterr().out
+    assert json.loads(out)["results"]["certificate"]["member"] == member
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # SHA-256 of two mgraph reports, recorded while the move-graph fill still

@@ -24,7 +24,6 @@ from dhyper.exact import (
     IntMatrix,
     MixednessCertificate,
     RatVector,
-    column_lattice_basis,
     complement_matrix,
     facets,
     hermite_column_basis,
@@ -188,7 +187,7 @@ def test_lattice_index_demo():
 
 def test_column_lattice_membership_demo():
     # ZA = {(p, q) : p + q = 0 mod 3}
-    lat = column_lattice_basis(A_DEMO)
+    lat = hermite_column_basis(A_DEMO)
     for p in range(-4, 5):
         for q in range(-4, 5):
             member = lattices_equal(
@@ -275,7 +274,7 @@ def _facet_oracle(a: IntMatrix, box=7):
     hyperplane, then renormalize on the column lattice."""
     d = a.rows
     cols = a.columns()
-    lat_cols = column_lattice_basis(a).columns()
+    lat_cols = hermite_column_basis(a).columns()
     out = {}
     for nu_int in _grid_directions(d, box):
         vals = [sum(q * x for q, x in zip(nu_int, col)) for col in cols]
@@ -343,7 +342,7 @@ def test_facets_normalization_respects_column_lattice():
     # both support functions of the demo cone hit 1 on lattice points
     fs = facets(A_DEMO)
     for f in fs:
-        vals = [f.value(col) for col in column_lattice_basis(A_DEMO).columns()]
+        vals = [f.value(col) for col in hermite_column_basis(A_DEMO).columns()]
         assert _fraction_gcd(vals) == 1
 
 
@@ -531,7 +530,7 @@ def reference_facets(a: IntMatrix) -> list[ConeFacet]:
         raise NotFullRankError("matrix is not of full row rank")
     if positive_functional(cols, d) is None:
         raise NotFullRankError("columns do not lie in an open half-space")
-    lat_cols = column_lattice_basis(a).columns()
+    lat_cols = hermite_column_basis(a).columns()
     found: dict[tuple[Fraction, ...], tuple[int, ...]] = {}
     for subset in combinations(range(n), d - 1):
         ker = rational_kernel([[Fraction(x) for x in cols[j]] for j in subset], d)
@@ -583,3 +582,36 @@ def test_smith_form_agrees_with_rational_gauss(a):
     assert outcome(facets, a) == outcome(reference_facets, a)
     b = a.transpose()
     assert outcome(span_mixedness, b) == outcome(reference_span_mixedness, b)
+
+
+# ---------------------------------------------------------------------------
+# Hermite normal form
+
+
+def assert_hermite(h: IntMatrix) -> None:
+    # rows of h^T: positive pivots, strictly right of the pivots above them,
+    # and every entry above a pivot in [0, pivot)
+    rows = h.transpose().entries
+    pivots = [next(j for j, x in enumerate(r) if x) for r in rows]
+    assert pivots == sorted(set(pivots))
+    for i, (p, r) in enumerate(zip(pivots, rows)):
+        assert r[p] > 0
+        assert all(0 <= rows[k][p] < r[p] for k in range(i))
+
+
+def test_hermite_reduces_every_entry_above_a_pivot():
+    # reducing by the last pivot first left -5 where the form has 4
+    a = IntMatrix.from_rows([[-1, -2, 1], [-2, 1, 1], [2, -2, 1]])
+    h = hermite_column_basis(a)
+    assert h.entries == ((1, 0, 0), (0, 1, 0), (4, 6, 9))
+    assert hermite_column_basis(h) == h
+    assert lattices_equal(a, h)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(small_matrices())
+def test_hermite_form_is_canonical(a):
+    h = hermite_column_basis(a)
+    assert_hermite(h)
+    assert hermite_column_basis(h) == h
+    assert lattices_equal(a, h)

@@ -250,9 +250,30 @@ def test_horn_membership_dichotomy():
 def test_failed_cofactor_replay_is_an_invariant_error(monkeypatch):
     gb = groebner_weyl(horn_demo_gens(), cap=10)
     query = dop(4, {((0,) * 4, (0, 1, 1, 0)): 1, ((0,) * 4, (1, 0, 0, 1)): -1})
-    monkeypatch.setattr(groebner, "_replays", lambda cert, gens, pk: False)
+    monkeypatch.setattr(groebner, "_division_replays", lambda f, m, rem, cof, den, gens, pk: False)
     with pytest.raises(InvariantError, match="replay"):
         gb.membership(query)
+
+
+def test_membership_replays_the_cofactors_it_returns(monkeypatch):
+    # one cofactor coefficient off by 1 after the division: the replay sees
+    # the very integers the certificate would be built from
+    gens = horn_demo_gens()
+    gb = groebner_weyl(gens, cap=10)
+    query = normal_product(WeylOperator.x(0, 4), gens[0]) + normal_product(WeylOperator.d(1, 4), gens[2])
+    add_cofactors = groebner._add_cofactors
+
+    def off_by_one(acc, *args):
+        add_cofactors(acc, *args)
+        cof = next(c for c in acc if c)
+        t = min(cof)
+        cof[t] += 1 if cof[t] != -1 else -1
+
+    monkeypatch.setattr(groebner, "_add_cofactors", off_by_one)
+    with pytest.raises(InvariantError, match="replay"):
+        gb.membership(query)
+    monkeypatch.undo()
+    assert gb.membership(query).member is True
 
 
 def test_ahyp_contains_the_missing_binomial():
@@ -808,6 +829,7 @@ def test_integer_replay_matches_fraction_replay(case):
         query = query + normal_product(q, g)
     cert = gb.membership(query)
     assert cert.verify(gens) is replays_by_products(cert, gens) is True
+    assert (cert.normal_form, cert.cofactors) == gb.normal_form(query)
     # the fraction-free division, unpacked and unscaled, is the reference
     # division by the unpacked basis
     f = {(mu, nu): c for mu, nu, c in query.terms}
