@@ -152,19 +152,31 @@ class CommPoly:
 # triple (lead monomial, lead coefficient, operator).  Rational input
 # becomes integer and packed once, on the way in (_integral), and Fractions
 # and exponent tuples are built again only at the public boundary.  A
-# product that leaves the packing's fields raises _Overflow, and the whole
-# call re-runs at double width (_widening; a WeylGroebner repacks the basis
-# it keeps): packed ints compare the same at every width, so the result
-# does not depend on it.
+# product that leaves the packing's fields raises _Overflow, and there is
+# one rule for it, _widening: whoever holds packed operators repacks them at
+# double width (_repack) and retries only the step that overflowed, an
+# S-pair in _buchberger, the whole of _interreduce or a WeylGroebner query.
+# Packed ints compare the same at every width, so the result, down to the
+# PairStats, does not depend on it.
 
 
 def _widening(run, pk):
-    """run(pk), re-run at double width until no product overflows."""
+    """run(pk), retried at double width until no product overflows."""
     while True:
         try:
             return run(pk)
         except _Overflow:
             pk = pk.wider()
+
+
+def _repack(basis, pk, wide) -> list:
+    """The (operator, cofactors, denominator) triples of basis, moved from
+    pk's fields to wide's."""
+
+    def move(g):
+        return {wide.flat(pk.exps(k)): c for k, c in g.items()}
+
+    return [(move(g), [move(r) for r in rep], den) for g, rep, den in basis]
 
 
 def _divisor(g: dict) -> tuple:
@@ -282,16 +294,16 @@ def _spair(di, dj, pk) -> tuple[dict, tuple, tuple]:
     return s, mi, mj
 
 
-def _used_lcm(quots: list[dict], dens: list[int], *more: int) -> int:
-    """lcm of more and of the denominators of the divisors with a quotient."""
-    return lcm(*more, *(d for q, d in zip(quots, dens) if q))
+def _used_lcm(quots: list[dict], basis, *more: int) -> int:
+    """lcm of more and of the denominators of the elements with a quotient."""
+    return lcm(*more, *(d for q, (_, _, d) in zip(quots, basis) if q))
 
 
-def _add_cofactors(acc: list[dict], quots: list[dict], reps, dens, den: int, sign: int, pk) -> None:
-    """acc[t] += sign * sum over k of (den / dens[k]) quots[k] . reps[k][t]:
-    the cofactors reps[k] / dens[k] brought to the denominator den, which
-    every dens[k] with a nonzero quotient divides."""
-    for q, rep, d in zip(quots, reps, dens):
+def _add_cofactors(acc: list[dict], quots: list[dict], basis, den: int, sign: int, pk) -> None:
+    """acc[t] += sign * sum over k of (den / d_k) quots[k] . rep_k[t], for
+    the basis elements (g_k, rep_k, d_k): their cofactors brought to the
+    denominator den, which every d_k with a nonzero quotient divides."""
+    for q, (_, rep, d) in zip(quots, basis):
         if not q:
             continue
         s = sign * (den // d)
@@ -334,12 +346,13 @@ def _buchberger(gens, pk, cap: int | None = None, coprime_skip: bool = False, ch
     is dropped, and from then on the chain criterion is off: a dropped
     remainder leaves pairs without such a representation, and skipping past
     it can lose basis elements the cap would have kept.  chain=False is the
-    criterion-off reference for tests.  Returns (basis, PairStats), the
-    basis as primitive (operator, cofactors, denominator) triples.
+    criterion-off reference for tests.  An S-pair whose products overflow
+    is retried alone, on the basis and pair queue repacked wider.  Returns
+    (packing, basis, PairStats): the packing it finished at, and the basis
+    as primitive (operator, cofactors, denominator) triples.
     """
+    basis: list[tuple] = []
     divisors: list[tuple] = []
-    reps: list[list[dict]] = []
-    dens: list[int] = []
     heap: list[tuple] = []
     popped: set[tuple[int, int]] = set()
     counts: Counter = Counter()
@@ -350,8 +363,7 @@ def _buchberger(gens, pk, cap: int | None = None, coprime_skip: bool = False, ch
         for i, (li, _, _) in enumerate(divisors):
             heappush(heap, (pk.lcm(li, lead), i, len(divisors)))
         divisors.append((lead, g[lead], g))
-        reps.append(rep)
-        dens.append(den)
+        basis.append((g, rep, den))
 
     def chained(i, j, l) -> bool:
         return any(
@@ -360,6 +372,34 @@ def _buchberger(gens, pk, cap: int | None = None, coprime_skip: bool = False, ch
             and pk.divides(lk, l)
             for k, (lk, _, _) in enumerate(divisors)
         )
+
+    def reduced(wide, i, j) -> tuple:
+        """(remainder, cofactors, denominator) of the S-pair (i, j) at wide,
+        all held moved there first; cofactors None unless it is admitted."""
+        nonlocal pk
+        if wide is not pk:
+            basis[:] = _repack(basis, pk, wide)
+            divisors[:] = [_divisor(g) for g, _, _ in basis]
+            # the order is the same at every width, so the heap stays a heap
+            heap[:] = [(wide.lcm(divisors[a][0], divisors[b][0]), a, b) for _, a, b in heap]
+            pk = wide
+        s, (ci, ai), (cj, aj) = _spair(divisors[i], divisors[j], pk)
+        quots, rem, m = _divide(s, divisors, pk, cap)
+        if not rem or cap is not None and max(map(pk.degree, rem)) > cap:
+            return rem, None, 0
+        # rem = m s - sum quots . divisors, over one denominator
+        (_, repi, di), (_, repj, dj) = basis[i], basis[j]
+        den = _used_lcm(quots, basis, di, dj)
+        ci *= m * (den // di)
+        cj *= m * (den // dj)
+        srep: list[dict] = [{} for _ in repi]
+        for acc, ri, rj in zip(srep, repi, repj):
+            if ri:
+                _lmul(acc, ci, ai, ri, pk)
+            if rj:
+                _lmul(acc, cj, aj, rj, pk)
+        _add_cofactors(srep, quots, basis, den, -1, pk)
+        return rem, srep, den
 
     for g, rep in gens:
         admit(g, rep, 1)
@@ -371,65 +411,55 @@ def _buchberger(gens, pk, cap: int | None = None, coprime_skip: bool = False, ch
         elif chain and not counts["cap_drops"] and chained(i, j, l):
             counts["chain_skips"] += 1
         else:
-            s, (ci, ai), (cj, aj) = _spair(divisors[i], divisors[j], pk)
-            quots, rem, m = _divide(s, divisors, pk, cap)
+            rem, srep, den = _widening(lambda wide: reduced(wide, i, j), pk)
             if not rem:
                 counts["zero_reductions"] += 1
-            elif cap is not None and max(map(pk.degree, rem)) > cap:
+            elif srep is None:
                 counts["cap_drops"] += 1
             else:
-                # rem = m s - sum quots . divisors, over one denominator
-                den = _used_lcm(quots, dens, dens[i], dens[j])
-                ci *= m * (den // dens[i])
-                cj *= m * (den // dens[j])
-                srep: list[dict] = [{} for _ in reps[i]]
-                for acc, ri, rj in zip(srep, reps[i], reps[j]):
-                    if ri:
-                        _lmul(acc, ci, ai, ri, pk)
-                    if rj:
-                        _lmul(acc, cj, aj, rj, pk)
-                _add_cofactors(srep, quots, reps, dens, den, -1, pk)
                 admit(rem, srep, den)
                 counts["added"] += 1
         popped.add((i, j))
-    basis = [(g, rep, den) for (_, _, g), rep, den in zip(divisors, reps, dens)]
-    return basis, PairStats(**counts)
+    return pk, basis, PairStats(**counts)
 
 
-def _interreduce(basis, pk) -> list[tuple[dict, list[dict], int]]:
-    """Reduced basis: drop elements whose lead another lead divides, reduce
-    each tail by the rest until nothing changes, keeping every element
-    primitive, and sort by lead."""
-    leads = [max(g) for g, _, _ in basis]
-    kept = [
-        (leads[i], g, rep, den)
-        for i, (g, rep, den) in enumerate(basis)
-        if not any(
-            j != i and pk.divides(lj, leads[i]) and (lj != leads[i] or j < i)
-            for j, lj in enumerate(leads)
-        )
-    ]
-    # no kept lead divides another, so reduction keeps every lead term
-    divisors = [(lead, g[lead], g) for lead, g, _, _ in kept]
-    changed = True
-    while changed:
-        changed = False
-        for i, (lead, g, rep, den) in enumerate(kept):
-            others = divisors[:i] + divisors[i + 1 :]
-            quots, rem, m = _divide(g, others, pk)
-            if any(quots):
-                changed = True
-                rest = [(r, d) for t, (_, _, r, d) in enumerate(kept) if t != i]
-                odens = [d for _, d in rest]
-                new_den = _used_lcm(quots, odens, den)
-                s = m * (new_den // den)
-                acc = [{k: c * s for k, c in r.items()} for r in rep]
-                _add_cofactors(acc, quots, [r for r, _ in rest], odens, new_den, -1, pk)
-                g, rep, den = _primitive(rem, acc, new_den, lead)
-                kept[i] = (lead, g, rep, den)
-                divisors[i] = (lead, g[lead], g)
-    kept.sort(key=lambda t: t[0])
-    return [(g, rep, den) for _, g, rep, den in kept]
+def _interreduce(basis, pk) -> tuple:
+    """(packing, reduced basis): drop elements whose lead another lead
+    divides, reduce each tail by the rest until nothing changes, keeping
+    every element primitive, and sort by lead.  A product that overflows
+    starts the reduction again on the input repacked wider."""
+
+    def run(wide):
+        held = basis if wide is pk else _repack(basis, pk, wide)
+        leads = [max(g) for g, _, _ in held]
+        kept = [
+            held[i]
+            for i, lead in enumerate(leads)
+            if not any(
+                j != i and wide.divides(lj, lead) and (lj != lead or j < i)
+                for j, lj in enumerate(leads)
+            )
+        ]
+        # no kept lead divides another, so reduction keeps every lead term
+        divisors = [_divisor(g) for g, _, _ in kept]
+        changed = True
+        while changed:
+            changed = False
+            for i, (g, rep, den) in enumerate(kept):
+                others = divisors[:i] + divisors[i + 1 :]
+                quots, rem, m = _divide(g, others, wide)
+                if any(quots):
+                    changed = True
+                    rest = kept[:i] + kept[i + 1 :]
+                    new_den = _used_lcm(quots, rest, den)
+                    s = m * (new_den // den)
+                    acc = [{k: c * s for k, c in r.items()} for r in rep]
+                    _add_cofactors(acc, quots, rest, new_den, -1, wide)
+                    kept[i] = _primitive(rem, acc, new_den, divisors[i][0])
+                    divisors[i] = _divisor(kept[i][0])
+        return wide, sorted(kept, key=lambda t: max(t[0]))
+
+    return _widening(run, pk)
 
 
 @dataclass(frozen=True)
@@ -472,18 +502,14 @@ class CommIdeal:
 @lru_cache(maxsize=256)
 def _groebner_cached(ideal: CommIdeal, order) -> tuple[CommPoly, ...]:
     polys = [g for g in ideal.gens if not g.is_zero()]
-
-    def run(pk):
-        gens = [(_integral(pk, _xterms(g))[0], []) for g in polys]
-        basis, _ = _buchberger(gens, pk, coprime_skip=True)
-        out = []
-        for g, _, _ in _interreduce(basis, pk):
-            lc = g[max(g)]
-            out.append(CommPoly.make(ideal.nvars, {pk.unpack(k)[1]: Fraction(c, lc) for k, c in g.items()}))
-        return tuple(out)
-
-    top = _top(e for g in polys for e, _ in g.terms)
-    return _widening(run, _fit(ideal.nvars, order.rows, False, top))
+    pk = _fit(ideal.nvars, order.rows, False, _top(e for g in polys for e, _ in g.terms))
+    pk, basis, _ = _buchberger([(_integral(pk, _xterms(g))[0], []) for g in polys], pk, coprime_skip=True)
+    pk, basis = _interreduce(basis, pk)
+    out = []
+    for g, _, _ in basis:
+        lc = g[max(g)]
+        out.append(CommPoly.make(ideal.nvars, {pk.unpack(k)[1]: Fraction(c, lc) for k, c in g.items()}))
+    return tuple(out)
 
 
 def _over(pk, g: dict, den: int) -> WeylOperator:
@@ -494,30 +520,6 @@ def _over(pk, g: dict, den: int) -> WeylOperator:
 
 def _weyl_top(ops) -> int:
     return _top(mu + nu for op in ops for mu, nu, _ in op.terms)
-
-
-def _replays(cert: "MembershipCertificate", gens: list, pk) -> bool:
-    """sum cofactor_i . gen_i + normal form == query, exactly, in integers:
-    MembershipCertificate.verify's check of its own Fraction data.
-
-    gens holds each generator as (G, b), the integer operator G = b g packed
-    by pk, or None for a zero generator.  The certificate's data are
-    converted here: with q_i = Q_i / a_i, the normal form N / c and the
-    query P / e, compare L sum_i q_i g_i + L N / c with L P / e for L the
-    lcm of all the a_i b_i, c and e.
-    """
-    nf, c = _integral(pk, cert.normal_form.terms)
-    query, e = _integral(pk, cert.query.terms)
-    pairs = [(_integral(pk, q.terms), g) for q, g in zip(cert.cofactors, gens) if q.terms and g]
-    big = lcm(c, e, *(a * b for (_, a), (_, b) in pairs))
-    s = big // c
-    acc = {t: v * s for t, v in nf.items()}
-    for (qd, a), (gd, b) in pairs:
-        s = big // (a * b)
-        for t, v in qd.items():
-            _lmul(acc, v * s, t, gd, pk)
-    s = big // e
-    return acc == {t: v * s for t, v in query.items()}
 
 
 def _division_replays(f: dict, m: int, rem: dict, cof: list[dict], den: int, gens: list, pk) -> bool:
@@ -568,8 +570,19 @@ class MembershipCertificate:
         for q, g in zip(self.cofactors, gens):
             self.query._check(q)
             self.query._check(g)
-        pk = _fit(self.query.nvars, (), True, _weyl_top([self.query, self.normal_form, *self.cofactors, *gens]))
-        return _widening(lambda pk: _replays(self, _packed_gens(gens, pk), pk), pk)
+
+        def run(pk):
+            # cofactors Q_i / a_i, normal form N / c, query P / e: L = lcm(a_i, c, e)
+            query, e = _integral(pk, self.query.terms)
+            nf, c = _integral(pk, self.normal_form.terms)
+            cofs = [_integral(pk, q.terms) for q in self.cofactors]
+            big = lcm(c, e, *(a for _, a in cofs))
+            cof = [{t: v * (big // a) for t, v in q.items()} for q, a in cofs]
+            rem = {t: v * (big // c) for t, v in nf.items()}
+            return _division_replays(query, big // e, rem, cof, 1, _packed_gens(gens, pk), pk)
+
+        top = _weyl_top([self.query, self.normal_form, *self.cofactors, *gens])
+        return _widening(run, _fit(self.query.nvars, (), True, top))
 
     def to_json(self) -> dict:
         member = self.member if isinstance(self.member, str) else bool(self.member)
@@ -605,22 +618,17 @@ class WeylGroebner:
         self.gens = tuple(gens)
         self.cap = cap
 
-        def run(pk):
-            unit = pk.pack((0,) * n, (0,) * n)
-            seeds = []
-            for i, gd in enumerate(_packed_gens(self.gens, pk)):
-                if gd:
-                    # the seed is d g_i, so its cofactor is d at position i
-                    rep = [{} for _ in self.gens]
-                    rep[i] = {unit: gd[1]}
-                    seeds.append((gd[0], rep))
-            basis, stats = _buchberger(seeds, pk, cap=cap)
-            return pk, _interreduce(basis, pk), stats
-
-        top = max(cap, _weyl_top(self.gens))
-        pk, basis, self.stats = _widening(run, _fit(n, DegRevLex(2 * n).rows, True, top))
+        pk = _fit(n, DegRevLex(2 * n).rows, True, max(cap, _weyl_top(self.gens)))
+        seeds = []
+        for i, gd in enumerate(_packed_gens(self.gens, pk)):
+            if gd:
+                # the seed is d g_i, so its cofactor is d at position i
+                rep = [{} for _ in self.gens]
+                rep[i] = {pk.pack((0,) * n, (0,) * n): gd[1]}
+                seeds.append((gd[0], rep))
+        pk, basis, self.stats = _buchberger(seeds, pk, cap=cap)
         self.status = "capped" if self.stats.cap_drops else "complete"
-        self._state = self._packed(pk, basis)
+        self._state = self._packed(*_interreduce(basis, pk))
 
     def _packed(self, pk, basis) -> tuple:
         """The state every query reads, replaced only as a whole: the
@@ -628,19 +636,16 @@ class WeylGroebner:
         return pk, basis, [_divisor(g) for g, _, _ in basis], _packed_gens(self.gens, pk)
 
     def _at_width(self, run):
-        """run(*state), after repacking the state at double width until no
+        """run(*state), the state repacked at double width for good while a
         product overflows."""
-        while True:
-            state = self._state
-            try:
-                return run(*state)
-            except _Overflow:
-                pk, basis, wide = state[0], state[1], state[0].wider()
 
-                def repack(g):
-                    return {wide.pack(*pk.unpack(k)): c for k, c in g.items()}
+        def at(wide):
+            pk, basis = self._state[:2]
+            if wide is not pk:
+                self._state = self._packed(wide, _repack(basis, pk, wide))
+            return run(*self._state)
 
-                self._state = self._packed(wide, [(repack(g), list(map(repack, rep)), den) for g, rep, den in basis])
+        return _widening(at, self._state[0])
 
     @property
     def basis(self) -> tuple[WeylOperator, ...]:
@@ -661,10 +666,9 @@ class WeylGroebner:
         f, d = _integral(pk, p.terms)
         quots, rem, m = _divide(f, divisors, pk)
         # m f = sum quots . basis + rem
-        dens = [den for _, _, den in basis]
-        den = _used_lcm(quots, dens)
+        den = _used_lcm(quots, basis)
         cof: list[dict] = [{} for _ in self.gens]
-        _add_cofactors(cof, quots, [rep for _, rep, _ in basis], dens, den, 1, pk)
+        _add_cofactors(cof, quots, basis, den, 1, pk)
         return f, d, m, rem, cof, den
 
     def normal_form(self, p: WeylOperator):

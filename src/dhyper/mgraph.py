@@ -95,8 +95,7 @@ def component(m: IntMatrix, u, cap: int) -> MGraphComponent:
     frontier = [u]
     escaped = False
     while frontier:
-        frontier.sort()
-        v = frontier.pop(0)
+        v = frontier.pop()
         for mv in moves:
             w = tuple(a + b for a, b in zip(v, mv))
             if any(x < 0 for x in w):

@@ -250,9 +250,6 @@ class PuiseuxSeries:
     def exponent(self, u: tuple[int, ...]) -> tuple[Fraction, ...]:
         return tuple(b + x for b, x in zip(self.base, u))
 
-    def support(self) -> list[tuple[int, ...]]:
-        return sorted(self.coeffs)
-
     def to_json(self) -> dict:
         return {
             "v": [format_fraction(q) for q in self.base],

@@ -875,3 +875,88 @@ def test_wide_query_repacks_the_basis_without_changing_answers(monkeypatch):
     small = normal_product(WeylOperator.x(0, 4), gens[0]) + WeylOperator.d(1, 4)
     assert gb.membership(small) == narrow.membership(small)
     assert gb.basis == narrow.basis
+
+
+# ---------------------------------------------------------------------------
+# One overflow rule: a completion that overflows repacks what it holds and
+# retries only the step in flight, so it ends as a run started wide enough
+
+
+def widening_completion():
+    # d2 + x1^2 and d1^3 + x2 at cap 3, the generators of the pinned CLI
+    # report whose completion overflows the fields sized from them and cap
+    gens = [
+        WeylOperator.make(2, {((0, 0), (0, 1)): 1, ((2, 0), (0, 0)): 1}),
+        WeylOperator.make(2, {((0, 0), (3, 0)): 1, ((0, 1), (0, 0)): 1}),
+    ]
+    gb = groebner_weyl(gens, cap=3)
+    reps = [gb.basis_representation(i) for i in range(len(gb.basis))]
+    return gb.status, gb.basis, reps, gb.stats
+
+
+def widening_toric():
+    # the one toric benchmark matrix whose saturation steps overflow
+    groebner._groebner_cached.cache_clear()
+    return toric_ideal(IntMatrix.from_rows([[1, 1, 1, 1, 1], [3, 5, 6, 0, 1]])).groebner()
+
+
+OVERFLOWING_COMPLETIONS = {"weyl": widening_completion, "toric": widening_toric}
+
+
+def counted_run(completion, monkeypatch, fail_at=None):
+    """Run completion, counting _divide calls (raising _Overflow instead of
+    the call numbered fail_at), S-pairs and widenings, and noting the call
+    number at which each interreduction starts."""
+    seen = {"divide": 0, "spair": 0, "starts": [], "widened": []}
+    divide, spair, interreduce, wider = groebner._divide, groebner._spair, groebner._interreduce, weyl.Packing.wider
+
+    def counted_divide(*args):
+        seen["divide"] += 1
+        if seen["divide"] == fail_at:
+            raise weyl._Overflow
+        return divide(*args)
+
+    def counted_spair(*args):
+        seen["spair"] += 1
+        return spair(*args)
+
+    def noted_interreduce(*args):
+        seen["starts"].append(seen["divide"] + 1)
+        return interreduce(*args)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(groebner, "_divide", counted_divide)
+        mp.setattr(groebner, "_spair", counted_spair)
+        mp.setattr(groebner, "_interreduce", noted_interreduce)
+        mp.setattr(weyl.Packing, "wider", lambda pk: seen["widened"].append(pk.width) or wider(pk))
+        return completion(), seen
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWING_COMPLETIONS))
+def test_injected_overflow_resumes_to_the_same_completion(monkeypatch, name):
+    completion = OVERFLOWING_COMPLETIONS[name]
+    want, seen = counted_run(completion, monkeypatch)
+    first, last, total = seen["starts"][0], seen["starts"][-1], seen["divide"]
+    assert 1 < first <= last <= total
+    # pair loop: the first division and the last before an interreduction;
+    # interreduction: its first division, and the very last one
+    for k in sorted({1, first - 1, first, last - 1, last, total}):
+        got, faulted = counted_run(completion, monkeypatch, fail_at=k)
+        assert faulted["divide"] > k  # the fault fired, and the call was retried
+        assert got == want, k
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWING_COMPLETIONS))
+def test_overflowing_completion_keeps_its_work(monkeypatch, name):
+    # each widening costs at most the S-pair in flight: no completion starts over
+    completion = OVERFLOWING_COMPLETIONS[name]
+    want, seen = counted_run(completion, monkeypatch)
+    assert seen["widened"]  # the fields chosen from the inputs overflow
+    final = 2 * max(seen["widened"])
+    fit = groebner._fit
+    monkeypatch.setattr(
+        groebner, "_fit", lambda n, rows, w, top: weyl._packing(n, rows, w, max(final, fit(n, rows, w, top).width))
+    )
+    got, wide = counted_run(completion, monkeypatch)
+    assert got == want and not wide["widened"]
+    assert seen["spair"] <= wide["spair"] + len(seen["widened"])

@@ -1080,6 +1080,31 @@ def test_imports_sit_at_module_level_in_layer_order():
     assert stems == set(LAYERS) | {"__init__"}
 
 
+def overflow_catchers(node, where=()):
+    """Dotted names of the functions (innermost) with an except clause
+    naming _Overflow, below node."""
+    for child in ast.iter_child_nodes(node):
+        inner = where
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = where + (child.name,)
+        if isinstance(child, ast.ExceptHandler) and child.type is not None:
+            if "_Overflow" in ast.unparse(child.type):
+                yield ".".join(where)
+        yield from overflow_catchers(child, inner)
+
+
+def test_one_function_catches_packed_overflow():
+    # one overflow rule: every holder of packed operators retries through
+    # groebner._widening, which alone catches _Overflow
+    catchers = []
+    for name in sorted(os.listdir(SRC_PACKAGE)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC_PACKAGE, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            catchers += [name[:-3] + "." + where for where in overflow_catchers(tree)]
+    assert catchers == ["groebner._widening"]
+
+
 # ---------------------------------------------------------------------------
 # The packed frame of the single-class action, and the lazy gamma candidates
 
