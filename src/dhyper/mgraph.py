@@ -134,24 +134,26 @@ def component(m: IntMatrix, u, cap: int) -> MGraphComponent:
     )
 
 
+def _components_in_box(m: IntMatrix, box: int, cap: int):
+    """Each component, searched with cap, that a point of [0, box]^q meets,
+    once, in the box's scan order."""
+    seen: set[Point] = set()
+    for u in product(range(box + 1), repeat=m.rows):
+        if u not in seen:
+            comp = component(m, u, cap)
+            seen.update(comp.vertices)
+            yield comp
+
+
 def bounded_representatives(m: IntMatrix, cap: int) -> ComponentSurvey:
     if cap < 0:
         raise InputFormatError("cap must be nonnegative")
-    q = m.rows
-    visited: set[Point] = set()
-    explored = []
-    complete = True
-    for u in product(range(cap + 1), repeat=q):
-        if u in visited:
-            continue
-        comp = component(m, u, cap)
-        visited.update(comp.vertices)
-        explored.append(comp)
-        if comp.verdict == CAP_EXCEEDED:
-            complete = False
-    bounded = tuple(c for c in explored if c.verdict == BOUNDED)
+    explored = tuple(_components_in_box(m, cap, cap))
     return ComponentSurvey(
-        bounded=bounded, explored=tuple(explored), complete=complete, cap=cap
+        bounded=tuple(c for c in explored if c.verdict == BOUNDED),
+        explored=explored,
+        complete=all(c.verdict != CAP_EXCEEDED for c in explored),
+        cap=cap,
     )
 
 

@@ -13,14 +13,15 @@ one Smith-form solve per point.
 
 The two hot walks go one level lower and pack each coordinate tuple into
 one int (weyl._lattice_packing): the gamma fill keys its recurrence by
-packed points, and the single-class operator action reads a series'
-private _Frame, built on first use and kept with the series, which holds
-every point packed with its coefficient scaled to an integer over one
-common denominator.  So a lattice step is one int addition and a
-window-box test two subtractions under a mask.  The packed ints never
-leave the fill and the frame: _index, the constructors and every signature
-stay keyed by coordinate tuples.  Every falling factor, in the fill, both
-operator actions and shift, comes from a weyl._Falling.
+packed points, and both cases of the operator action scatter a _Frame
+(_scatter), which holds every point packed with its coefficient scaled
+to an integer over one common denominator: the series' own frame, kept
+with it, or one packed in the coordinates of the refined lattice.  So a
+lattice step is one int addition and a window-box test two subtractions
+under a mask.  The packed ints never leave the fill and the frame:
+_index, the constructors and every signature stay keyed by coordinate
+tuples.  Every falling factor, in the fill, the action and shift, comes
+from a weyl._Falling.
 """
 
 from __future__ import annotations
@@ -359,30 +360,33 @@ def _ambient(lat: IntMatrix, w: tuple[int, ...]) -> tuple[int, ...]:
 
 
 class _Frame:
-    """A series' points packed for the single-class operator action.
+    """A series' points packed for the operator action.
 
-    points lists each point as (packed z, u, lam C) in _index order, with
+    points lists each point as (packed w, u, lam C) in _index order, with
     common = C the lcm of the coefficient denominators, so lam C is an
     integer; falling is the _Falling of the base over the support, whose
-    table(j, k) holds D^k [b_j + u_j]_k for every point.
-    The reach is twice the largest of the window, the reliable radius and
-    the support's sup norm: an offset that leaves a reliable output is no
-    longer than the reliable radius, so z + co stays inside its fields.
+    table(j, k) holds D^k [b_j + u_j]_k for every point; w is z, or t z
+    for a map t to the coordinates of a finer lattice.
+    The reach is twice the largest of the window, the reliable radius, the
+    stencil (the longest offset the caller adds) and the sup norm of the
+    w: an offset that leaves a reliable output is no longer than the
+    stencil or the reliable radius, so w + co stays inside its fields.
     """
 
     __slots__ = ("pk", "reach", "origin", "points", "common", "falling")
 
-    def __init__(self, f: PuiseuxSeries):
-        bound = max(f.window, f.reliable, max(map(abs, chain.from_iterable(f._index)), default=0))
-        self.reach = 2 * bound
-        self.pk, self.origin = _lattice_packing(f.lattice.cols, self.reach)
+    def __init__(self, f: PuiseuxSeries, t: IntMatrix | None = None, stencil: int = 0):
+        keys = list(f._index) if t is None else [t.mul_int_vector(z) for z in f._index]
+        top = max(map(abs, chain.from_iterable(keys)), default=0)
+        self.reach = 2 * max(f.window, f.reliable, stencil, top)
+        self.pk, self.origin = _lattice_packing(f.lattice.cols if t is None else t.rows, self.reach)
         units, origin = self.pk.units, self.origin
         self.common = common = lcm(*(q.denominator for q in f.coeffs.values()))
         self.points = []
-        for z, u in f._index.items():
+        for w, u in zip(keys, f._index.values()):
             q = f.coeffs[u]
             self.points.append(
-                (origin + sum(map(mul, z, units)), u, q.numerator * (common // q.denominator))
+                (origin + sum(map(mul, w, units)), u, q.numerator * (common // q.denominator))
             )
         self.falling = _Falling(f.base, f._index.values())
 
@@ -421,38 +425,29 @@ def apply_to_series(p: WeylOperator, f):
     return _apply_refined(p, f, delta0)
 
 
-def _apply_single_class(p: WeylOperator, f, delta0: Expo, coords: Mapping[Expo, Expo]):
-    """All term shifts agree modulo the series lattice: the output lives on
-    a translate of the same lattice and convolution is direct.
+def _scatter(p: WeylOperator, frame: _Frame, coords: Mapping[Expo, Expo], radius: int):
+    """The image under p of the series packed in frame, on the sup-norm
+    ball of the given radius: the one value kernel of the operator action.
 
-    coords maps each term shift mu - nu to the lattice coordinates of
+    coords maps each term shift mu - nu to the frame coordinates of
     mu - nu - delta0.  Terms are grouped into a stencil by that coordinate
-    offset, and the walk goes over f's packed frame (see _Frame): z + co is
+    offset, and the walk goes over the frame's packed points: w + co is
     one int addition, and its window test compares every field with those
-    of the packed corners -r and r of the output window by two subtractions
-    under the guard mask.  Only the nonzero outputs are unpacked.
+    of the packed corners -radius and radius by two subtractions under the
+    guard mask.  Only the nonzero outputs are unpacked.
 
     The sums are exact in integers.  Every coefficient lam of f is taken
     as the integer lam C, C the lcm of f's coefficient denominators; every
     term weight c [base + u]_nu as an integer over E D^K (see below), its
     falling factorials read from the tables of the frame's _Falling, per
-    (coordinate j, order k) keyed by u_j.  Each output is then an integer over C E D^K, and only
-    the nonzero ones become a Fraction.  C, lam C and the tables are worked
-    out once per series, not once per operator.
+    (coordinate j, order k) keyed by u_j.  Each output is then an integer
+    over C E D^K, and only the nonzero ones become a Fraction, keyed by
+    coordinate tuple in the order first reached.
     """
-    base_out = tuple(b + s for b, s in zip(f.base, delta0))
-    reliable = f.reliable - max(map(_sup, coords.values()))
-    if reliable < 0:
-        return PuiseuxSeries.make(
-            f.nvars, base_out, f.lattice, {}, window=0, reliable=-1,
-            window_exhausted=True,
-        )
-
     # term c x^mu d^nu weighs c [base + u]_nu; with K = max |nu| and E the
     # lcm of the term coefficients' denominators it is stored as the
     # integer c E D^(K - |nu|), so that the product of its factors
     # D^k [b_j + u_j]_k is E D^K times the rational weight
-    frame = f._packed()
     d = frame.falling.d
     k_max = max(sum(nu) for _, nu, _ in p.terms)
     e = lcm(*(c.denominator for _, _, c in p.terms))
@@ -466,8 +461,8 @@ def _apply_single_class(p: WeylOperator, f, delta0: Expo, coords: Mapping[Expo, 
     # w = z + co lies in the output window exactly when no field of w - lo
     # or of hi - w borrows from its guard bit
     ones = sum(units)
-    lo = frame.origin - reliable * ones
-    hi = (frame.origin + reliable * ones) | guard
+    lo = frame.origin - radius * ones
+    hi = (frame.origin + radius * ones) | guard
     acc: dict[int, int] = {}
     for z, u, lam in frame.points:
         for co, group in stencil:
@@ -483,67 +478,100 @@ def _apply_single_class(p: WeylOperator, f, delta0: Expo, coords: Mapping[Expo, 
             if weight:
                 acc[w] = acc.get(w, 0) + lam * weight
     scale = frame.common * e * d**k_max
+    return {frame.coords(w): Fraction(q, scale) for w, q in acc.items() if q}
+
+
+def _apply_single_class(p: WeylOperator, f, delta0: Expo, coords: Mapping[Expo, Expo]):
+    """All term shifts agree modulo the series lattice: the output lives on
+    a translate of the same lattice, and the series' own frame (_packed),
+    worked out once per series, is scattered onto it (_scatter) within the
+    conservative radius f.reliable - max sup(co).
+
+    coords maps each term shift mu - nu to the lattice coordinates of
+    mu - nu - delta0.
+    """
+    base_out = tuple(b + s for b, s in zip(f.base, delta0))
+    reliable = f.reliable - max(map(_sup, coords.values()))
+    if reliable < 0:
+        return PuiseuxSeries.make(
+            f.nvars, base_out, f.lattice, {}, window=0, reliable=-1,
+            window_exhausted=True,
+        )
     return PuiseuxSeries._from_coords(
-        f.nvars, base_out, f.lattice,
-        {frame.coords(w): Fraction(q, scale) for w, q in acc.items() if q},
+        f.nvars, base_out, f.lattice, _scatter(p, f._packed(), coords, reliable),
         window=reliable, reliable=reliable,
     )
 
 
 def _apply_refined(p: WeylOperator, f, delta0: Expo):
-    """Term shifts fall into several classes modulo the series lattice:
-    refine to the lattice generated by the old one plus all shift
-    differences, then certify exactness ring by ring outward, walking the
-    refined coordinates w and building the image from them."""
+    """Term shifts fall into several classes modulo the series lattice L:
+    refine to the lattice L' generated by L plus all shift differences,
+    certify the output radius ring by ring (_refined_radius), and scatter
+    f's points, packed at their L'-coordinates T z (L = L' T), onto it.
+    The output keeps the rings' order: by sup norm, then lexicographic."""
     n = f.nvars
     gens = [f.lattice.col(j) for j in range(f.lattice.cols)]
     gens += [_sub(s, delta0) for s in p.shifts()]
     lat = hermite_column_basis(
         IntMatrix.from_rows([[g[i] for g in gens] for i in range(n)])
     )
-
-    offsets: dict[tuple[Expo, Expo], Expo] = {
-        (mu, nu): _sub(_sub(mu, nu), delta0) for mu, nu, _ in p.terms
-    }
-    base_out = tuple(b + d for b, d in zip(f.base, delta0))
-    falling = _Falling(f.base)
-
-    def point_value(u: Expo):
-        # exact output coefficient at ambient point u, or None when it
-        # needs an input coefficient beyond the reliable radius; inside
-        # that radius a missing coefficient is zero
-        total = Fraction(0)
-        for mu, nu, c in p.terms:
-            src = _sub(u, offsets[(mu, nu)])
-            co = lattice_coordinates(f.lattice, src)
-            if co is None:
-                continue
-            factor = falling.action(nu, src)
-            if not factor:
-                continue
-            if _sup(co) > f.reliable:
-                return None
-            lam = f.coeffs.get(src)
-            if lam is not None:
-                total += c * lam * Fraction(factor, falling.d ** sum(nu))
-        return total
-
-    stencil = max((_sup(lattice_coordinates(lat, o)) for o in offsets.values()), default=0)
+    coords = {s: lattice_coordinates(lat, _sub(s, delta0)) for s in p.shifts()}
+    stencil = max(map(_sup, coords.values()))
+    cols = [lattice_coordinates(lat, col) for col in f.lattice.columns()]
+    t = IntMatrix.from_rows([[col[i] for col in cols] for i in range(lat.cols)])
+    frame = _Frame(f, t, stencil)
     # an input with no reliable radius certifies no ring
-    cap = f.window + stencil if f.reliable >= 0 else -1
-    coeffs: dict[Expo, Fraction] = {}
     reliable = -1
-    for r in range(cap + 1):
-        ring = list(_ring(lat.cols, r))
-        vals = [point_value(_ambient(lat, w)) for w in ring]
-        if any(v is None for v in vals):
-            break
-        coeffs.update((w, v) for w, v in zip(ring, vals) if v)
-        reliable = r
+    if f.reliable >= 0:
+        reliable = _refined_radius(p, f, lat, delta0, f.window + stencil, frame.falling)
+    values = _scatter(p, frame, coords, reliable) if reliable >= 0 else {}
     return PuiseuxSeries._from_coords(
-        n, base_out, lat, coeffs, window=max(reliable, 0), reliable=reliable,
-        window_exhausted=reliable < 0,
+        n, tuple(b + d for b, d in zip(f.base, delta0)), lat,
+        {w: values[w] for w in sorted(values, key=lambda w: (_sup(w), w))},
+        window=max(reliable, 0), reliable=reliable, window_exhausted=reliable < 0,
     )
+
+
+def _refined_radius(p: WeylOperator, f, lat: IntMatrix, delta0: Expo, cap: int, falling) -> int:
+    """One less than the first ring of lat's coordinates w holding a source
+    src = lat w - (mu - nu - delta0) of some term that lies in f.lattice,
+    has a nonzero factor [base + src]_nu and has coordinates beyond
+    f.reliable; cap when no ring up to cap holds one.
+
+    The coordinates are z = lattice_coordinates(f.lattice, src), the ones
+    the series' radius is stated in.  With the Smith form U L V = diag(d)
+    of f.lattice they are z = V t, t_k = (U src)_k / d_k, so
+    D sup(z) <= P sup(src) for D the lcm of the nonzero d_k and
+    P = max_i sum_{k: d_k != 0} |V_ik| |U_k|_1 D / d_k; and a point of ring
+    r has sup(src) <= |lat|_inf r + omax, omax the longest offset o_t.
+    Rings with P (|lat|_inf r + omax) < D (f.reliable + 1) hold no such
+    source and are not visited; with P = 0 (rank 0, or every d_k zero) none
+    is.
+    """
+    sf = _smith(f.lattice)
+    diag = sf.diagonal
+    big_d = lcm(*(dk for dk in diag if dk))
+    # |U_k|_1 D / d_k, and 0 where d_k is
+    norms = [
+        sum(map(abs, row)) * (big_d // dk) if dk else 0 for row, dk in zip(sf.u.entries, diag)
+    ]
+    big_p = max((sum(map(mul, map(abs, row), norms)) for row in sf.v.entries), default=0)
+    if not big_p:
+        return cap
+    offsets = [(_sub(_sub(mu, nu), delta0), nu) for mu, nu, _ in p.terms]
+    # r0 is the first ring with P (|lat|_inf r0 + omax) >= D (f.reliable + 1)
+    omax = max(_sup(o) for o, _ in offsets)
+    per_ring = big_p * max(sum(map(abs, row)) for row in lat.entries)
+    r0 = max(0, -((big_p * omax - big_d * (f.reliable + 1)) // per_ring))
+    for r in range(r0, cap + 1):
+        for w in _ring(lat.cols, r):
+            u = _ambient(lat, w)
+            for o, nu in offsets:
+                src = _sub(u, o)
+                z = lattice_coordinates(f.lattice, src)
+                if z is not None and _sup(z) > f.reliable and falling.action(nu, src):
+                    return r - 1
+    return cap
 
 
 # ---------------------------------------------------------------------------
@@ -736,6 +764,8 @@ def gamma_series(
     beta = RatVector.make(beta)
     if len(beta) != a.rows:
         raise DimensionMismatchError("beta length does not match matrix height")
+    if window < 0:
+        raise InputFormatError("bad window bounds")
     if not is_nonresonant(a, beta).nonresonant:
         warnings.warn("resonant parameter: series construction may fail", RuntimeWarning)
     lat = kernel_basis(a) if a.rows < a.cols else IntMatrix.from_rows(

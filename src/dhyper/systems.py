@@ -13,7 +13,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import gcd, lcm
 
 from .errors import (
@@ -34,7 +34,7 @@ from .exact import (
     span_mixedness,
 )
 from .groebner import CommIdeal, CommPoly, WeightedRevLexLast
-from .mgraph import BOUNDED, UNBOUNDED_CERTIFIED, component
+from .mgraph import UNBOUNDED_CERTIFIED, _components_in_box
 from .weyl import WeylOperator, euler_generators
 
 A_HYPERGEOMETRIC = "A_HYPERGEOMETRIC"
@@ -329,20 +329,13 @@ def _character_is_trivial(b_j: IntMatrix) -> bool:
 
 def unbounded_monomial_exponents(m: IntMatrix, cap: int) -> list[tuple[int, ...]]:
     """Box points whose move-graph component is certified unbounded."""
-    q = m.rows
-    if q == 0:
-        return []
-    out = []
-    verdicts: dict[tuple[int, ...], str] = {}
-    for u in product(range(cap + 1), repeat=q):
-        if u not in verdicts:
-            comp = component(m, u, 2 * cap + 2)
-            for v in comp.vertices:
-                if all(x <= cap for x in v):
-                    verdicts[v] = comp.verdict
-        if verdicts.get(u) == UNBOUNDED_CERTIFIED:
-            out.append(u)
-    return out
+    return sorted(
+        v
+        for comp in _components_in_box(m, cap, 2 * cap + 2)
+        if comp.verdict == UNBOUNDED_CERTIFIED
+        for v in comp.vertices
+        if all(x <= cap for x in v)
+    )
 
 
 def _toral_degree_matrix(

@@ -422,6 +422,60 @@ def test_annihilate_sparse_series_with_a_huge_window(capsys):
     assert elapsed < 1.0
 
 
+# SHA-256 of two annihilate reports of the refined-lattice action, recorded
+# while it still walked every ring out to the window: x1 + 1 on a one-term
+# series on 2Z^2 at window 50; and, on 2Z at the integral base 6 with a
+# reliable radius of 2 in a window of 10, x + 1 and d^13 + x d^13, whose
+# factors vanish on the first two rings with a source beyond that radius,
+# so its certified radius passes them.
+REFINED_ANNIHILATE_SHA256 = {
+    "x1+1": "d8130689eaea64cf5faafa66c33319718b11daa2e66906a3ce8f96963904eaa8",
+    "vanishing": "81c2d7b592e3bb91b16172bdd9a52259b751818b46cd1f60943cce2215c57006",
+}
+
+
+def _refined_annihilate_argv(which):
+    if which == "x1+1":
+        gens = [{"nvars": 2, "terms": [
+            {"coeff": "1", "x": [1, 0], "dx": [0, 0]}, {"coeff": "1", "x": [0, 0], "dx": [0, 0]},
+        ]}]
+        series = {
+            "v": ["1/2", "1/2"], "lattice": [[2, 0], [0, 2]],
+            "terms": [{"u": [0, 0], "coeff": "1"}], "window": 50, "reliable": 50,
+        }
+    else:
+        gens = [
+            {"nvars": 1, "terms": [
+                {"coeff": "1", "x": [0], "dx": [13]}, {"coeff": "1", "x": [1], "dx": [13]},
+            ]},
+            {"nvars": 1, "terms": [
+                {"coeff": "1", "x": [1], "dx": [0]}, {"coeff": "1", "x": [0], "dx": [0]},
+            ]},
+        ]
+        points = [(0, "1"), (2, "-3/7"), (-4, "2/5"), (10, "11"), (-20, "1/9")]
+        series = {
+            "v": ["6"], "lattice": [[2]], "terms": [{"u": [u], "coeff": c} for u, c in points],
+            "window": 10, "reliable": 2,
+        }
+    return ["annihilate", "--gens", json.dumps(gens), "--series", json.dumps(series)]
+
+
+@pytest.mark.parametrize("which", sorted(REFINED_ANNIHILATE_SHA256))
+def test_refined_annihilate_report_bytes_are_pinned(capsys, which):
+    code = cli.main(_refined_annihilate_argv(which))
+    out = capsys.readouterr().out
+    assert code == json.loads(out)["exit_code"] == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == REFINED_ANNIHILATE_SHA256[which]
+
+
+@pytest.mark.parametrize("a_json", [A_JSON, "[[1,1]]", "[[1,0],[0,1]]"])
+def test_gamma_with_a_negative_window_exits_bad_input(capsys, a_json):
+    beta = json.dumps(["1/2"] * len(json.loads(a_json)))
+    code, rep = run_main(capsys, ["gamma", "--a", a_json, "--beta", beta, "--window", "-1"])
+    assert code == rep["exit_code"] == 2
+    assert rep["error"] == "bad window bounds"
+
+
 # SHA-256 of the canonical toric reports for the rational normal quintic and
 # for the weighted curve [[4, 6, 7, 9]], recorded before toric ideals were
 # saturated one variable at a time, and for three matrices with no positive

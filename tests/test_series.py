@@ -505,6 +505,12 @@ def test_gamma_explicit_degenerate_v_fails():
         gamma_series(A_DEMO, BETA_DEMO, v=v, window=5)
 
 
+def test_gamma_rejects_a_negative_window():
+    for v in (None, [Fraction(-11, 18), 0, 0, Fraction(-5, 9)]):
+        with pytest.raises(InputFormatError, match="bad window bounds"):
+            gamma_series(A_DEMO, BETA_DEMO, v=v, window=-1)
+
+
 def test_gamma_rejects_non_solution_v():
     v = RatVector.from_strings(["1", "0", "0", "0"])
     with pytest.raises(InputFormatError):
@@ -1031,6 +1037,72 @@ def test_refined_action_matches_the_ambient_walk(case):
     assert image.to_json() == want.to_json()
     assert list(image._index.items()) == list(want._index.items())
     assert list(image.coeffs) == list(want.coeffs)
+
+
+# lattices given by dependent columns: a point has more than one coordinate
+# vector, and the reliable radius is stated in the one lattice_coordinates
+# picks; Z is one of them, so on it every operator is single-class and the
+# refined action is called directly
+DEPENDENT_LATTICES = [
+    IntMatrix.from_rows([[0]]),
+    IntMatrix.from_rows([[1, 2]]),
+    IntMatrix.from_rows([[2, 4], [0, 0]]),
+]
+
+
+@st.composite
+def dependent_cases(draw):
+    """An operator with two shifts or more and a series on a lattice with
+    dependent columns, the frame exact, partly reliable or reliable
+    nowhere, with integral base entries among the draws."""
+    lat = draw(st.sampled_from(DEPENDENT_LATTICES))
+    n = lat.rows
+    window = draw(st.integers(1, 4))
+    reliable = draw(st.integers(-1, window))
+    frac = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3]))
+    base = draw(st.lists(frac, min_size=n, max_size=n))
+    box = [_ambient(lat, z) for z in product(range(-window, window + 1), repeat=lat.cols)]
+    inside = sorted({u for u in box if _sup(lattice_coordinates(lat, u)) <= window})
+    points = draw(st.lists(st.sampled_from(inside), unique=True, max_size=5))
+    coeffs = {u: draw(frac) for u in points}
+    f = PuiseuxSeries.make(n, base, lat, coeffs, window=window, reliable=reliable)
+    expo = st.tuples(*[st.integers(0, 2)] * n)
+    terms = draw(st.dictionaries(st.tuples(expo, expo), frac.filter(bool), min_size=2, max_size=4))
+    p = WeylOperator.make(n, terms)
+    # two shifts at least, so the refined lattice is not zero
+    assume(len(p.shifts()) > 1)
+    return p, f
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(dependent_cases())
+def test_refined_action_on_dependent_columns_matches_the_ambient_walk(case):
+    p, f = case
+    delta0 = p.shifts()[0]
+    image = dhyper.series._apply_refined(p, f, delta0)
+    want = reference_apply_refined(p, f, delta0)
+    assert image.to_json() == want.to_json()
+    assert list(image._index.items()) == list(want._index.items())
+    if any(lattice_coordinates(f.lattice, _sub(s, delta0)) is None for s in p.shifts()):
+        assert apply_to_series(p, f).to_json() == want.to_json()
+
+
+def test_refined_action_costs_its_support_not_its_window():
+    # x1 + 1 moves a one-term series on 2Z^n by e1, off the lattice: the
+    # image lives on Z x 2Z^(n-1) and answers at once, with no walk over
+    # the (2w+1)^n rings of the refined lattice out to the window
+    for n, window, reliable in [(2, 1000, 1000), (1, 10**4, 10**4 + 1)]:
+        lat = IntMatrix.from_rows([[2 * (i == j) for j in range(n)] for i in range(n)])
+        f = PuiseuxSeries._from_coords(
+            n, (A_HALF,) * n, lat, {(0,) * n: Fraction(1)}, window=window
+        )
+        start = time.perf_counter()
+        image = apply_to_series(WeylOperator.x(0, n) + WeylOperator.one(n), f)
+        elapsed = time.perf_counter() - start
+        assert image.coeffs == {(0,) * n: 1, (1,) + (0,) * (n - 1): 1}
+        assert image.reliable == reliable
+        assert elapsed < 1.0
+
 
 
 # ---------------------------------------------------------------------------
