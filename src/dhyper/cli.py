@@ -18,6 +18,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -356,17 +357,21 @@ EXAMPLE_A = [[3, 2, 1, 0], [0, 1, 2, 3]]
 
 
 def _example_ratios(a: Fraction, ap: Fraction):
+    """The ratios (-2m + n + a' - 1)(-2m + n + a' - 2) / ((m + 1)(m - 2n + a))
+    and its mirror (m, a <-> n, a'), each one Fraction of integers, with the
+    denominators of a = p/q and a' = p'/q' cleared."""
+    p, q = a.numerator, a.denominator
+    pp, qp = ap.numerator, ap.denominator
+
     def ratio_m(k):
         m, n = k
-        return Fraction((-2 * m + n + ap - 1) * (-2 * m + n + ap - 2)) / (
-            (m + 1) * (m - 2 * n + a)
-        )
+        s = (-2 * m + n) * qp + pp
+        return Fraction(q * (s - qp) * (s - 2 * qp), qp * qp * (m + 1) * ((m - 2 * n) * q + p))
 
     def ratio_n(k):
         m, n = k
-        return Fraction((-2 * n + m + a - 1) * (-2 * n + m + a - 2)) / (
-            (n + 1) * (n - 2 * m + ap)
-        )
+        s = (-2 * n + m) * q + p
+        return Fraction(qp * (s - q) * (s - 2 * q), q * q * (n + 1) * ((n - 2 * m) * qp + pp))
 
     return [ratio_m, ratio_n]
 
@@ -472,7 +477,13 @@ def _cmd_example(args):
 
 class _Parser(argparse.ArgumentParser):
     """argparse whose usage errors (a missing flag, --window true) raise
-    InputFormatError, so they exit 2 with one JSON object like any bad input."""
+    InputFormatError, so they exit 2 with one JSON object like any bad input.
+    A negative rational such as -1/2 is a value, as -1 and -0.5 are to
+    argparse; subparsers are made of this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 
     def error(self, message):
         raise InputFormatError(message)

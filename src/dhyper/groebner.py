@@ -354,7 +354,8 @@ def _buchberger(gens, pk, cap: int | None = None, coprime_skip: bool = False, ch
     basis: list[tuple] = []
     divisors: list[tuple] = []
     heap: list[tuple] = []
-    popped: set[tuple[int, int]] = set()
+    # bit k of rows[i] is set once the pair of i and k has been popped
+    rows: list[int] = []
     counts: Counter = Counter()
 
     def admit(g, rep, den):
@@ -364,14 +365,18 @@ def _buchberger(gens, pk, cap: int | None = None, coprime_skip: bool = False, ch
             heappush(heap, (pk.lcm(li, lead), i, len(divisors)))
         divisors.append((lead, g[lead], g))
         basis.append((g, rep, den))
+        rows.append(0)
 
     def chained(i, j, l) -> bool:
-        return any(
-            k != i and k != j
-            and (min(i, k), max(i, k)) in popped and (min(k, j), max(k, j)) in popped
-            and pk.divides(lk, l)
-            for k, (lk, _, _) in enumerate(divisors)
-        )
+        # the set bits are the k with (i, k) and (k, j) popped before; k is
+        # neither i nor j, as no row has its own bit and (i, j) is popped now
+        both = rows[i] & rows[j]
+        while both:
+            low = both & -both
+            if pk.divides(divisors[low.bit_length() - 1][0], l):
+                return True
+            both ^= low
+        return False
 
     def reduced(wide, i, j) -> tuple:
         """(remainder, cofactors, denominator) of the S-pair (i, j) at wide,
@@ -419,7 +424,8 @@ def _buchberger(gens, pk, cap: int | None = None, coprime_skip: bool = False, ch
             else:
                 admit(rem, srep, den)
                 counts["added"] += 1
-        popped.add((i, j))
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
     return pk, basis, PairStats(**counts)
 
 

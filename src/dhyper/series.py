@@ -654,8 +654,10 @@ def recurrence_series(ratios, window: int) -> PuiseuxSeries:
 
     ratios[i] maps a grid point k to c_{k+e_i}/c_k.  Coefficients start at
     c_0 = 1 and propagate along the first-coordinate-then-rest path; every
-    unit square is then checked for path independence, so incompatible
-    ratio systems are rejected rather than silently linearized.
+    unit square is then checked for path independence, by cross-multiplying
+    the numerators and denominators of its four ratios, so incompatible
+    ratio systems are rejected rather than silently linearized.  The
+    lattice is the identity, so each grid point is its own coordinate.
     """
     m = len(ratios)
     if m == 0:
@@ -693,16 +695,17 @@ def recurrence_series(ratios, window: int) -> PuiseuxSeries:
                 kij = tuple(x + 1 if t == j else x for t, x in enumerate(ki))
                 if max(kij) > window:
                     continue
-                one = step(i, k) * step(j, ki)
-                two = step(j, k) * step(i, kj)
-                if one != two:
+                r, s, t, u = step(i, k), step(j, ki), step(j, k), step(i, kj)
+                if r.numerator * s.numerator * t.denominator * u.denominator != (
+                    t.numerator * u.numerator * r.denominator * s.denominator
+                ):
                     raise IncompatibleRecurrencesError(
                         f"unit square at {k} closes differently along the two paths"
                     )
-    lat = IntMatrix.identity(m)
     kept = {k: c for k, c in coeffs.items() if c}
-    return PuiseuxSeries.make(
-        m, (Fraction(0),) * m, lat, kept, window=window, reliable=window
+    return PuiseuxSeries._from_coords(
+        m, (Fraction(0),) * m, IntMatrix.identity(m), kept, window=window,
+        reliable=window, points={k: k for k in kept},
     )
 
 
@@ -714,7 +717,9 @@ def monomial_substitution(g: PuiseuxSeries, b: IntMatrix, vprime: RatVector) -> 
     """Substitute s_j = x^(column j of b) and multiply by x^vprime.
 
     A term c s^w becomes c x^(vprime + B w); the image lattice is B times
-    the source lattice, which must stay injective.
+    the source lattice, which must stay injective.  Then the coordinates of
+    B u in B L are those of u in L, so the image keeps g's coordinates, and
+    distinct support points stay distinct.
     """
     if b.cols != g.nvars:
         raise DimensionMismatchError("substitution matrix width must match series variables")
@@ -729,13 +734,12 @@ def monomial_substitution(g: PuiseuxSeries, b: IntMatrix, vprime: RatVector) -> 
         raise LatticeCollisionError("substitution matrix is not injective on the lattice")
     shift_base = b.mul_int_vector(tuple(int(q) for q in g.base))
     base_out = tuple(q + s for q, s in zip(vprime.entries, shift_base))
-    coeffs = {b.mul_int_vector(u): c for u, c in g.coeffs.items()}
-    if len(coeffs) != len(g.coeffs):
-        raise LatticeCollisionError("substitution collapses distinct support points")
-    return PuiseuxSeries.make(
+    coeffs = {z: g.coeffs[u] for z, u in g._index.items()}
+    points = {z: b.mul_int_vector(u) for z, u in g._index.items()}
+    return PuiseuxSeries._from_coords(
         b.rows, base_out, lat_out, coeffs,
         window=g.window, reliable=g.reliable,
-        window_exhausted=g.window_exhausted,
+        window_exhausted=g.window_exhausted, points=points,
     )
 
 

@@ -292,9 +292,6 @@ def _reorderings(pk: Packing, nu: int, mu: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-_ONE = {0: 1}  # the packed operator 1
-
-
 def _lmul(acc: dict, coeff, a: int, g: dict, pk: Packing, entered: list | None = None) -> None:
     """acc += coeff * a . g for the packed monomial a and the packed
     operator g, dropping coefficients that cancel; raises _Overflow when a
@@ -303,7 +300,8 @@ def _lmul(acc: dict, coeff, a: int, g: dict, pk: Packing, entered: list | None =
     coeff and the coefficients of g are nonzero.  When entered is a list,
     each monomial new to acc is appended to it.  Unless nu of a and mu of a
     term share a nonzero index (never so for x-free operators), the product
-    is the single monomial a + t.
+    is the single monomial a + t; otherwise it is the sum of its reordering
+    terms, none above a + t in any field, and each is added the same way.
     """
     guard, ones, mu_guard, low = pk.guard, pk.ones, pk.mu_guard, (1 << pk.nshift) - 1
     nu = (a >> pk.nshift) + ones
@@ -315,7 +313,18 @@ def _lmul(acc: dict, coeff, a: int, g: dict, pk: Packing, entered: list | None =
         if nu & (t + ones) & mu_guard:
             cc = coeff * c
             for off, w in _reorderings(pk, (a >> pk.nshift) & low, t & low):
-                _lmul(acc, cc * w, k - off, _ONE, pk, entered)
+                r = k - off
+                v = get(r)
+                if v is None:
+                    acc[r] = cc * w
+                    if entered is not None:
+                        entered.append(r)
+                else:
+                    v += cc * w
+                    if v:
+                        acc[r] = v
+                    else:
+                        del acc[r]
             continue
         v = get(k)
         if v is None:

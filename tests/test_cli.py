@@ -304,6 +304,25 @@ def test_example_erdelyi_report_bytes_are_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == ERDELYI_REPORT_SHA256
 
 
+@pytest.mark.parametrize(
+    "spaced,joined",
+    [
+        (["--a-param", "-1/2"], ["--a-param=-1/2"]),
+        (["--a-prime", "-3/2"], ["--a-prime=-3/2"]),
+        (["--a-param", "-1/2", "--a-prime", "-3/2"], ["--a-param=-1/2", "--a-prime=-3/2"]),
+    ],
+)
+def test_negative_rational_is_a_flag_value(capsys, spaced, joined):
+    # -p/q after a flag is its value, as -1 and -0.5 already were: the
+    # report is made (its checks may fail at these a, a') and is the one
+    # for the joined spelling
+    argv = ["example-erdelyi", "--window", "4", "--cap", "6"]
+    code, out = cli.main(argv + spaced), capsys.readouterr().out
+    assert code in (0, 1)
+    assert cli.main(argv + joined) == code
+    assert capsys.readouterr().out == out
+
+
 def test_one_parser_serves_every_run_of_a_process(capsys):
     argvs = [
         ["membership", "--gens", "[]"],

@@ -498,6 +498,30 @@ def test_pair_stats_are_deterministic():
     assert capped.stats == PairStats(considered=21, zero_reductions=13, added=3, cap_drops=5)
 
 
+# (status, basis length, considered, chain skips, zero reductions, added,
+# cap drops) of the quartic A-hypergeometric system at beta (1/2, 1/3),
+# taken with the chain criterion tested against a set of popped pairs
+QUARTIC_DECISIONS = {
+    4: ("capped", 14, 91, 19, 60, 6, 6),
+    5: ("capped", 20, 190, 46, 98, 12, 34),
+    6: ("capped", 24, 276, 107, 112, 16, 41),
+    7: ("capped", 29, 406, 149, 204, 21, 32),
+    8: ("capped", 30, 435, 266, 130, 22, 17),
+    9: ("complete", 31, 465, 329, 113, 23, 0),
+    10: ("complete", 31, 465, 329, 113, 23, 0),
+}
+
+
+@pytest.mark.parametrize("cap", sorted(QUARTIC_DECISIONS))
+def test_chain_criterion_decisions_are_pinned_on_the_quartic(cap):
+    status, size, considered, chain, zero, added, drops = QUARTIC_DECISIONS[cap]
+    gb = groebner_weyl(quartic_gens(), cap=cap)
+    assert (gb.status, len(gb.basis)) == (status, size)
+    assert gb.stats == PairStats(
+        considered=considered, chain_skips=chain, zero_reductions=zero, added=added, cap_drops=drops
+    )
+
+
 # ---------------------------------------------------------------------------
 # The heap-led division kernel against the max-led reference loop
 
@@ -740,6 +764,93 @@ def test_packing_width_comes_from_the_inputs():
     with pytest.raises(weyl._Overflow):
         pk.pack((), (pk.mask + 1,))
     assert pk.wider().width == 2 * pk.width
+
+
+def recursive_lmul(acc, coeff, a, g, pk, entered=None):
+    """weyl._lmul as it was written before its reordering terms were added
+    in place: each one is a recursive call on the packed operator 1."""
+    guard, ones, mu_guard, low = pk.guard, pk.ones, pk.mu_guard, (1 << pk.nshift) - 1
+    nu = (a >> pk.nshift) + ones
+    for t, c in g.items():
+        k = a + t
+        if k & guard:
+            raise weyl._Overflow
+        if nu & (t + ones) & mu_guard:
+            for off, w in weyl._reorderings(pk, (a >> pk.nshift) & low, t & low):
+                recursive_lmul(acc, coeff * c * w, k - off, {0: 1}, pk, entered)
+            continue
+        v = acc.get(k)
+        if v is None:
+            acc[k] = coeff * c
+            if entered is not None:
+                entered.append(k)
+        elif v + coeff * c:
+            acc[k] = v + coeff * c
+        else:
+            del acc[k]
+
+
+@st.composite
+def lmul_problems(draw):
+    """A Weyl packing with narrow fields, an accumulator, a left monomial
+    and operators to multiply, with exponents that overlap nu of the left
+    factor with mu of the right and may overflow the fields.  Half of the
+    accumulators hold the negated product of some of the operators, so
+    their terms cancel."""
+    n = draw(st.integers(1, 3))
+    pk = weyl._packing(n, DegRevLex(2 * n).rows, True, draw(st.integers(2, 3)))
+    expo = st.tuples(*[st.integers(0, 3)] * (2 * n))
+    coeff = st.sampled_from([-3, -2, -1, 1, 2, 5])
+
+    def op():
+        terms = draw(st.dictionaries(expo, coeff, min_size=1, max_size=4))
+        return {pk.pack(e[:n], e[n:]): c for e, c in terms.items()}
+
+    a = draw(expo)
+    left = pk.pack(a[:n], a[n:])
+    gs = [(draw(coeff), op()) for _ in range(draw(st.integers(1, 3)))]
+    acc = op() if draw(st.booleans()) else {}
+    if draw(st.booleans()):
+        for c, g in gs[: draw(st.integers(1, len(gs)))]:
+            try:
+                recursive_lmul(acc, -c, left, g, pk)
+            except weyl._Overflow:
+                pass
+    return pk, left, gs, acc
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(lmul_problems())
+def test_lmul_matches_the_recursive_formulation(case):
+    # the same accumulator, term for term and in insertion order, the same
+    # new monomials in the same order, and _Overflow at the same product
+    pk, left, gs, start = case
+    got, want = dict(start), dict(start)
+    got_entered, want_entered = [], []
+    for c, g in gs:
+        try:
+            recursive_lmul(want, c, left, g, pk, want_entered)
+        except weyl._Overflow:
+            with pytest.raises(weyl._Overflow):
+                weyl._lmul(got, c, left, g, pk, got_entered)
+            break
+        weyl._lmul(got, c, left, g, pk, got_entered)
+    assert list(got.items()) == list(want.items())
+    assert got_entered == want_entered
+
+
+def test_lmul_adds_reorderings_in_place_and_keeps_overflowing():
+    # d1 . (x1 d1 + x1) = x1 d1^2 + d1 + x1 d1 + 1: the reorderings of the
+    # two terms, d1 cancelled by the accumulator; d1^3 . x1^3 d1 leaves the
+    # two-bit field of d1 before it is reordered
+    pk = weyl._packing(1, DegRevLex(2).rows, True, 2)
+    x1d1, x1, d1 = pk.pack((1,), (1,)), pk.pack((1,), (0,)), pk.pack((0,), (1,))
+    acc, entered = {d1: -1}, []
+    weyl._lmul(acc, 1, d1, {x1d1: 1, x1: 1}, pk, entered)
+    assert acc == {pk.pack((1,), (2,)): 1, x1d1: 1, 0: 1}
+    assert entered == [pk.pack((1,), (2,)), x1d1, 0]
+    with pytest.raises(weyl._Overflow):
+        weyl._lmul({}, 1, pk.pack((0,), (3,)), {pk.pack((3,), (1,)): 1}, pk)
 
 
 @lru_cache(maxsize=None)

@@ -32,6 +32,7 @@ from dhyper.errors import (
     ZeroFactorialError,
 )
 import dhyper
+from dhyper import cli
 from dhyper.exact import (
     IntMatrix,
     RatVector,
@@ -456,10 +457,97 @@ def test_substitution_demo_exponents():
 
 
 def test_substitution_collision_rejected():
+    # the rank check is the one collision check: once B is injective on the
+    # lattice, distinct support points have distinct images
     g = recurrence_series(demo_ratios(), window=2)
     collapse = IntMatrix.from_rows([[1, 1]])
     with pytest.raises(LatticeCollisionError):
         monomial_substitution(g, collapse, RatVector.make([0]))
+
+
+def assert_same_as_make(f: PuiseuxSeries, coeffs) -> None:
+    """f is the series make builds from coeffs, keyed by ambient points in
+    the order the constructor visits them, in f's frame: one Smith-form
+    solve per point gives the same coordinates in the same order."""
+    g = PuiseuxSeries.make(
+        f.nvars, f.base, f.lattice, coeffs, f.window, f.reliable, f.window_exhausted
+    )
+    assert list(f.coeffs.items()) == list(g.coeffs.items())
+    assert list(f._index.items()) == list(g._index.items())
+    assert (f.window, f.reliable, f.window_exhausted) == (g.window, g.reliable, g.window_exhausted)
+
+
+def assert_recurrence_is_make(g: PuiseuxSeries) -> None:
+    # the fill visits the grid by total degree, then lexicographically
+    assert_same_as_make(g, {k: g.coeffs[k] for k in sorted(g.coeffs, key=lambda k: (sum(k), k))})
+
+
+def assert_substitution_is_make(g: PuiseuxSeries, b: IntMatrix, vprime) -> PuiseuxSeries:
+    f = monomial_substitution(g, b, RatVector.make(vprime))
+    assert_same_as_make(f, {b.mul_int_vector(u): c for u, c in g.coeffs.items()})
+    return f
+
+
+EXAMPLE_PARAMETERS = [
+    (A_HALF, A_THIRD),
+    (Fraction(3, 7), Fraction(2, 5)),
+    (Fraction(-1, 2), Fraction(-3, 2)),
+    (Fraction(5, 4), Fraction(1, 9)),
+]
+
+
+@pytest.mark.parametrize("a,ap", EXAMPLE_PARAMETERS)
+def test_coordinate_built_series_match_a_make_rebuild(a, ap):
+    # recurrence_series keys its points by themselves, monomial_substitution
+    # by the coordinates of its input; make solves for each coordinate
+    g = recurrence_series(cli._example_ratios(a, ap), window=5)
+    assert_recurrence_is_make(g)
+    assert_substitution_is_make(g, B_DEMO, [0, ap - 1, a - 1, 0])
+    assert_recurrence_is_make(recurrence_series([lambda k: Fraction(1, k[0] + 1)], window=4))
+
+
+def test_substitution_keeps_coordinates_on_any_lattice():
+    # a lattice other than the identity, a rank-0 lattice, and an exhausted
+    # window
+    two = PuiseuxSeries.make(
+        1, (Fraction(1),), IntMatrix.from_rows([[2]]),
+        {(-2,): Fraction(3), (0,): Fraction(1), (4,): Fraction(-1, 2)}, window=3, reliable=2,
+    )
+    exhausted = PuiseuxSeries.make(
+        1, (Fraction(0),), IntMatrix.identity(1), {(1,): Fraction(2)}, window=2, reliable=-1,
+        window_exhausted=True,
+    )
+    cases = [
+        (two, IntMatrix.from_rows([[1], [3]]), [Fraction(1, 2), 0]),
+        (PuiseuxSeries.monomial((2, -1), 5), IntMatrix.from_rows([[1, 0], [1, 1], [0, 2]]), [0, 0, 1]),
+        (exhausted, IntMatrix.from_rows([[-1], [2]]), [0, Fraction(1, 3)]),
+    ]
+    for g, b, vprime in cases:
+        f = assert_substitution_is_make(g, b, vprime)
+        assert list(f._index) == list(g._index)
+
+
+@pytest.mark.parametrize("a,ap", EXAMPLE_PARAMETERS + [(Fraction(0), A_THIRD), (Fraction(1), A_THIRD)])
+def test_example_ratios_are_the_fraction_formula(a, ap):
+    # one Fraction of integers per ratio, equal to the Fraction arithmetic
+    # of the formula, and undefined at the same grid points
+    for (i, ratio), want in zip(enumerate(cli._example_ratios(a, ap)), demo_ratios(a, ap)):
+        for k in product(range(-3, 7), repeat=2):
+            try:
+                expected = want(k)
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    ratio(k)
+                continue
+            got = ratio(k)
+            assert type(got) is Fraction and got == expected, (i, k)
+
+
+@pytest.mark.parametrize("a,point", [(Fraction(0), "(0, 0)"), (Fraction(1), "(1, 1)")])
+def test_example_ratio_denominator_vanishes_at_a_pinned_point(a, point):
+    with pytest.raises(DenominatorVanishedError) as exc:
+        recurrence_series(cli._example_ratios(a, A_THIRD), window=8)
+    assert str(exc.value) == f"ratio 0 undefined at grid point {point}"
 
 
 def test_demo_pipeline_annihilated():
