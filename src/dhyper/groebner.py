@@ -1,19 +1,23 @@
 """Exact Groebner engines.
 
-One Buchberger core serves two callers: ideals in the commutative
-d-variables (toric ideals) and left ideals in the Weyl algebra.
-Following Kandri-Rody and Weispfenning (algebras of solvable type), the
-left-ideal algorithm is the commutative one with a different monomial
+Two Buchberger cores.  The general one serves left ideals in the Weyl
+algebra and commutative ideals with arbitrary coefficients.  Following
+Kandri-Rody and Weispfenning (algebras of solvable type), the left-ideal
+algorithm is the commutative one with a different monomial
 multiplication, so the core works on operators in normal order and the
 commutative engine feeds it x-free operators, for which left
-multiplication is a plain shift.  Both callers skip S-pairs by
-Buchberger's chain criterion (Gebauer and Moeller), which stays sound for
-left ideals in algebras of solvable type.  Only the commutative caller
-also turns on the product criterion: it is unsound in the Weyl algebra
-(d1 and x1 have disjoint leading monomials yet their S-pair reduces to a
-unit).  Every completion reports its pair counts as PairStats.
-Membership answers always carry cofactors that re-multiply to the
-queried operator.
+multiplication is a plain shift.  It skips S-pairs by Buchberger's chain
+criterion (Gebauer and Moeller), which stays sound for left ideals in
+algebras of solvable type.  The binomial core completes commutative
+ideals generated by pure differences x^p - x^q, as every step of a toric
+ideal is (Sturmfels, Groebner Bases and Convex Polytopes, ch. 4 and 12):
+an element is a pair of monomials, an S-pair and a reduction step are
+lattice moves, and no coefficient is ever formed.  It skips by the chain
+criterion and also by the product criterion, which is sound only
+commutatively (d1 and x1 have disjoint leading monomials yet their Weyl
+S-pair reduces to a unit).  Every completion reports its pair counts as
+PairStats.  Membership answers always carry cofactors that re-multiply to
+the queried operator.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import gcd, lcm
+from operator import itemgetter, mul
 from typing import Iterable, Mapping
 
 from .errors import DimensionMismatchError, InputFormatError, InvariantError
@@ -319,9 +324,9 @@ class PairStats:
     """What one Buchberger completion did with its S-pairs.
 
     considered counts every pair taken off the queue; each is then skipped
-    by the product criterion, skipped by the chain criterion, reduced to
-    zero, added to the basis as a nonzero remainder, or dropped by the
-    degree cap.
+    by the product criterion (binomial core only), skipped by the chain
+    criterion, reduced to zero, added to the basis as a nonzero remainder,
+    or dropped by the degree cap (general core only).
     """
 
     considered: int = 0
@@ -332,24 +337,37 @@ class PairStats:
     cap_drops: int = 0
 
 
-def _buchberger(gens, pk, cap: int | None = None, coprime_skip: bool = False, chain: bool = True):
+def _chained(rows: list[int], elements, i: int, j: int, l: int, pk) -> bool:
+    """The chain criterion for the pair (i, j) of lead lcm l: bit k of
+    rows[i] is set once the pair of i and k has been taken off the queue,
+    and elements[k][0] is the lead of element k."""
+    # the set bits are the k with (i, k) and (k, j) popped before; k is
+    # neither i nor j, as no row has its own bit and (i, j) is popped now
+    both = rows[i] & rows[j]
+    while both:
+        low = both & -both
+        if pk.divides(elements[low.bit_length() - 1][0], l):
+            return True
+        both ^= low
+    return False
+
+
+def _buchberger(gens, pk, cap: int | None = None, chain: bool = True):
     """Complete nonzero (integer operator, integer cofactors) pairs, the
     cofactors over denominator 1, to a Groebner basis.
 
-    Pairs are processed in order of (lcm L of the leads, i, j).
-    coprime_skip turns on the product criterion, which is sound only
-    commutatively: it skips a pair whose leads share no variable, that is
-    whose lcm is their product.  The chain criterion skips (i, j) when
-    another element k has a lead dividing L and the pairs (i, k) and (k, j)
-    were taken off the queue before: each then has a representation below
-    its lcm, hence below L.  A nonzero remainder of total degree above cap
-    is dropped, and from then on the chain criterion is off: a dropped
-    remainder leaves pairs without such a representation, and skipping past
-    it can lose basis elements the cap would have kept.  chain=False is the
-    criterion-off reference for tests.  An S-pair whose products overflow
-    is retried alone, on the basis and pair queue repacked wider.  Returns
-    (packing, basis, PairStats): the packing it finished at, and the basis
-    as primitive (operator, cofactors, denominator) triples.
+    Pairs are processed in order of (lcm L of the leads, i, j).  The chain
+    criterion skips (i, j) when another element k has a lead dividing L and
+    the pairs (i, k) and (k, j) were taken off the queue before: each then
+    has a representation below its lcm, hence below L.  A nonzero remainder
+    of total degree above cap is dropped, and from then on the chain
+    criterion is off: a dropped remainder leaves pairs without such a
+    representation, and skipping past it can lose basis elements the cap
+    would have kept.  chain=False is the criterion-off reference for tests.
+    An S-pair whose products overflow is retried alone, on the basis and
+    pair queue repacked wider.  Returns (packing, basis, PairStats): the
+    packing it finished at, and the basis as primitive (operator,
+    cofactors, denominator) triples.
     """
     basis: list[tuple] = []
     divisors: list[tuple] = []
@@ -366,17 +384,6 @@ def _buchberger(gens, pk, cap: int | None = None, coprime_skip: bool = False, ch
         divisors.append((lead, g[lead], g))
         basis.append((g, rep, den))
         rows.append(0)
-
-    def chained(i, j, l) -> bool:
-        # the set bits are the k with (i, k) and (k, j) popped before; k is
-        # neither i nor j, as no row has its own bit and (i, j) is popped now
-        both = rows[i] & rows[j]
-        while both:
-            low = both & -both
-            if pk.divides(divisors[low.bit_length() - 1][0], l):
-                return True
-            both ^= low
-        return False
 
     def reduced(wide, i, j) -> tuple:
         """(remainder, cofactors, denominator) of the S-pair (i, j) at wide,
@@ -411,9 +418,7 @@ def _buchberger(gens, pk, cap: int | None = None, coprime_skip: bool = False, ch
     while heap:
         l, i, j = heappop(heap)
         counts["considered"] += 1
-        if coprime_skip and l == divisors[i][0] + divisors[j][0]:
-            counts["product_skips"] += 1
-        elif chain and not counts["cap_drops"] and chained(i, j, l):
+        if chain and not counts["cap_drops"] and _chained(rows, divisors, i, j, l, pk):
             counts["chain_skips"] += 1
         else:
             rem, srep, den = _widening(lambda wide: reduced(wide, i, j), pk)
@@ -468,6 +473,158 @@ def _interreduce(basis, pk) -> tuple:
     return _widening(run, pk)
 
 
+# ---------------------------------------------------------------------------
+# Binomial core
+#
+# A pure difference x^p - x^q is kept as the pair (lead, tail) of its
+# packed monomials, lead above tail in the order, and stands for the
+# lattice move p -> q.  The S-pair of two elements is the pair of monomials
+# L - l_i + t_i and L - l_j + t_j, L the lcm of their leads, and a
+# reduction step takes a monomial u that a lead l divides to u - l + t.
+# Each remainder is the primitive one the general core's division makes
+# from the same pair and divisors, lead coefficient 1, so the two cores
+# give equal reduced bases.
+# A move that leaves the packing's fields raises _Overflow, and the
+# completion widens by the rule of the general core.
+
+
+def _repack_moves(moves, pk, wide) -> list[tuple[int, int]]:
+    """The (lead, tail) pairs moves, moved from pk's fields to wide's."""
+    return [(wide.flat(pk.exps(a)), wide.flat(pk.exps(b))) for a, b in moves]
+
+
+def _binomial_step(u: int, divisors, guard: int) -> int | None:
+    """u moved by the first divisor whose lead divides it, or None."""
+    up = u + guard
+    for lead, tail in divisors:
+        if (up - lead) & guard == guard:
+            u += tail - lead
+            if u & guard:
+                raise _Overflow
+            return u
+    return None
+
+
+def _binomial_divide(a: int, b: int, divisors, pk) -> tuple[int, int] | None:
+    """The remainder of x^a - x^b on division by the (lead, tail) divisors:
+    None when it is zero, else its (lead, tail).
+
+    As in _divide, the greater monomial is reduced first, by the first
+    divisor whose lead divides it.  The two monomials cancel once they
+    meet.  Once the greater one is irreducible, the other only moves
+    further below it, so it is reduced to its normal form alone.
+    """
+    guard = pk.guard
+    while a != b:
+        if a < b:
+            a, b = b, a
+        moved = _binomial_step(a, divisors, guard)
+        if moved is None:
+            while (moved := _binomial_step(b, divisors, guard)) is not None:
+                b = moved
+            return a, b
+        a = moved
+    return None
+
+
+def _binomial_spair(l: int, di: tuple[int, int], dj: tuple[int, int], pk) -> tuple[int, int]:
+    """The monomials l - l_i + t_i and l - l_j + t_j of the S-pair of two
+    (lead, tail) elements, l the lcm of their leads."""
+    a, b = l - di[0] + di[1], l - dj[0] + dj[1]
+    if (a | b) & pk.guard:
+        raise _Overflow
+    return a, b
+
+
+def _binomial_buchberger(gens, pk, chain: bool = True):
+    """Complete (lead, tail) pure differences packed by pk to a Groebner
+    basis: _buchberger's pair order and chain criterion, with no cap, and
+    the product criterion, which skips a pair whose leads share no
+    variable, that is whose lcm is their product.  Returns (packing,
+    basis, PairStats), the basis as (lead, tail) pairs.  chain=False is
+    the criterion-off reference for tests."""
+    basis: list[tuple[int, int]] = []
+    # the exponents of each lead, the same at every width: the lcm of two
+    # leads packs their field-wise max
+    exps: list[Expo] = []
+    heap: list[tuple] = []
+    rows: list[int] = []
+    counts: Counter = Counter()
+
+    def admit(lead, tail):
+        e, units, k = pk.exps(lead), pk.units, len(basis)
+        for i, ei in enumerate(exps):
+            heappush(heap, (sum(map(mul, map(max, ei, e), units)), i, k))
+        basis.append((lead, tail))
+        exps.append(e)
+        rows.append(0)
+
+    def reduced(wide, l, i, j):
+        nonlocal pk
+        if wide is not pk:
+            basis[:] = _repack_moves(basis, pk, wide)
+            # the order is the same at every width, so the heap stays a heap
+            heap[:] = [(wide.flat(pk.exps(m)), a, b) for m, a, b in heap]
+            l = wide.flat(pk.exps(l))
+            pk = wide
+        return _binomial_divide(*_binomial_spair(l, basis[i], basis[j], pk), basis, pk)
+
+    for lead, tail in gens:
+        admit(lead, tail)
+    while heap:
+        l, i, j = heappop(heap)
+        counts["considered"] += 1
+        if l == basis[i][0] + basis[j][0]:
+            counts["product_skips"] += 1
+        elif chain and _chained(rows, basis, i, j, l, pk):
+            counts["chain_skips"] += 1
+        else:
+            rem = _widening(lambda wide: reduced(wide, l, i, j), pk)
+            if rem is None:
+                counts["zero_reductions"] += 1
+            else:
+                admit(*rem)
+                counts["added"] += 1
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    return pk, basis, PairStats(**counts)
+
+
+def _binomial_interreduce(basis, pk) -> tuple:
+    """(packing, reduced basis) of (lead, tail) pairs: keep the minimal
+    leads, the first of equal ones, move each tail to its normal form by
+    the others and sort by lead.  A move that overflows starts the
+    reduction again on the input repacked wider."""
+
+    def run(wide):
+        held = basis if wide is pk else _repack_moves(basis, pk, wide)
+        # a lead's divisors sort before it, and the sort is stable
+        kept: list[tuple[int, int]] = []
+        for lead, tail in sorted(held, key=itemgetter(0)):
+            if not any(wide.divides(k, lead) for k, _ in kept):
+                kept.append((lead, tail))
+        # no kept lead divides another, so only the tail moves, and its
+        # normal form by a Groebner basis does not depend on the moves
+        return wide, [_binomial_divide(*d, kept[:i] + kept[i + 1 :], wide) for i, d in enumerate(kept)]
+
+    return _widening(run, pk)
+
+
+def _binomial_gens(polys, pk) -> list[tuple[int, int]] | None:
+    """The (lead, tail) pairs packed by pk of nonzero polynomials that are
+    all c (x^p - x^q), or None if one is not."""
+    out = []
+    for g in polys:
+        if len(g.terms) != 2:
+            return None
+        (p, c), (q, d) = g.terms
+        if c.numerator != -d.numerator or c.denominator != d.denominator:
+            return None
+        a, b = pk.flat(p), pk.flat(q)
+        out.append((a, b) if a > b else (b, a))
+    return out
+
+
 @dataclass(frozen=True)
 class CommIdeal:
     """Ideal in the commutative polynomial ring, given by generators."""
@@ -505,16 +662,31 @@ class CommIdeal:
         return self.normal_form(p).is_zero()
 
 
+_ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
+
+
 @lru_cache(maxsize=256)
 def _groebner_cached(ideal: CommIdeal, order) -> tuple[CommPoly, ...]:
+    """The reduced basis, monic, sorted by lead: by the binomial core when
+    every generator is a pure difference, else by the general one."""
     polys = [g for g in ideal.gens if not g.is_zero()]
-    pk = _fit(ideal.nvars, order.rows, False, _top(e for g in polys for e, _ in g.terms))
-    pk, basis, _ = _buchberger([(_integral(pk, _xterms(g))[0], []) for g in polys], pk, coprime_skip=True)
+    n = ideal.nvars
+    pk = _fit(n, order.rows, False, _top(e for g in polys for e, _ in g.terms))
+    moves = _binomial_gens(polys, pk)
+    if moves is not None:
+        pk, basis, _ = _binomial_buchberger(moves, pk)
+        pk, basis = _binomial_interreduce(basis, pk)
+        out = []
+        for lead, tail in basis:
+            le, te = pk.exps(lead), pk.exps(tail)
+            out.append(CommPoly(n, ((le, _ONE), (te, _MINUS_ONE)) if le < te else ((te, _MINUS_ONE), (le, _ONE))))
+        return tuple(out)
+    pk, basis, _ = _buchberger([(_integral(pk, _xterms(g))[0], []) for g in polys], pk)
     pk, basis = _interreduce(basis, pk)
     out = []
     for g, _, _ in basis:
         lc = g[max(g)]
-        out.append(CommPoly.make(ideal.nvars, {pk.unpack(k)[1]: Fraction(c, lc) for k, c in g.items()}))
+        out.append(CommPoly.make(n, {pk.unpack(k)[1]: Fraction(c, lc) for k, c in g.items()}))
     return tuple(out)
 
 

@@ -21,7 +21,7 @@ from dhyper.groebner import (
     WeightedRevLexLast,
     groebner_weyl,
 )
-from dhyper.systems import hypergeometric_system, toric_ideal
+from dhyper.systems import hypergeometric_system, lattice_basis_ideal, toric_ideal
 from dhyper.weyl import WeylOperator, normal_product
 
 
@@ -42,10 +42,25 @@ def BlockElim(nfirst, nvars):
     )
 
 
+def general_groebner(nvars, polys, order) -> tuple[CommPoly, ...]:
+    """The reduced basis by the general integer-coefficient core, called
+    directly, monic and sorted by lead as CommIdeal.groebner returns it."""
+    polys = [g for g in polys if not g.is_zero()]
+    pk = groebner._fit(nvars, order.rows, False, weyl._top(e for g in polys for e, _ in g.terms))
+    seeds = [(groebner._integral(pk, groebner._xterms(g))[0], []) for g in polys]
+    pk, basis, _ = groebner._buchberger(seeds, pk)
+    pk, basis = groebner._interreduce(basis, pk)
+    return tuple(
+        dpoly(nvars, {pk.unpack(k)[1]: Fraction(c, g[max(g)]) for k, c in g.items()}) for g, _, _ in basis
+    )
+
+
 def saturate(ideal: CommIdeal, f: CommPoly) -> CommIdeal:
     """(ideal : f^infinity): adjoin t as a new first variable, add 1 - t f,
     compute a Groebner basis for an order eliminating t, and keep the
-    t-free elements."""
+    t-free elements.  The basis comes from the general core even when
+    1 - t f and the generators are pure differences, so the reference does
+    not run the binomial core it checks."""
     if f.is_zero():
         raise InputFormatError("cannot saturate by zero")
     n = ideal.nvars
@@ -53,7 +68,7 @@ def saturate(ideal: CommIdeal, f: CommPoly) -> CommIdeal:
     tf = {(1,) + e: -c for e, c in f.terms}
     tf[(0,) * (n + 1)] = tf.get((0,) * (n + 1), 0) + 1
     lifted.append(CommPoly.make(n + 1, tf))
-    gb = CommIdeal.make(n + 1, lifted).groebner(BlockElim(1, n + 1))
+    gb = general_groebner(n + 1, lifted, BlockElim(1, n + 1))
     kept = [CommPoly.make(n, {e[1:]: c for e, c in g.terms}) for g in gb if all(e[0] == 0 for e, _ in g.terms)]
     return CommIdeal.make(n, kept)
 
@@ -319,8 +334,9 @@ def d_only_ideals(draw):
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(d_only_ideals())
 def test_engines_agree_on_d_only_ideals(case):
-    # the commutative engine (product criterion on) and the Weyl engine
-    # (criterion off) run the same core on x-free input: same reduced basis
+    # the commutative engine (the binomial core when every generator is a
+    # pure difference, else the general one) and the Weyl engine (the
+    # general core) give the same reduced basis on x-free input
     n, gens = case
     cgb = CommIdeal.make(n, gens).groebner()
     wgb = groebner_weyl([dop(n, {((0,) * n, e): c for e, c in g.terms}) for g in gens], cap=30)
@@ -393,10 +409,11 @@ def test_membership_certificate_cofactors_replay_by_hand():
 
 @contextmanager
 def criterion_off():
-    """Run the Buchberger core with the chain criterion off, past the
+    """Run both Buchberger cores with the chain criterion off, past the
     commutative cache, so every basis is computed the unoptimised way."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(groebner, "_buchberger", partial(groebner._buchberger, chain=False))
+        mp.setattr(groebner, "_binomial_buchberger", partial(groebner._binomial_buchberger, chain=False))
         mp.setattr(groebner, "_groebner_cached", groebner._groebner_cached.__wrapped__)
         yield
 
@@ -520,6 +537,102 @@ def test_chain_criterion_decisions_are_pinned_on_the_quartic(cap):
     assert gb.stats == PairStats(
         considered=considered, chain_skips=chain, zero_reductions=zero, added=added, cap_drops=drops
     )
+
+
+# ---------------------------------------------------------------------------
+# The binomial core against the general core
+
+
+@st.composite
+def lattice_ideals(draw):
+    """Generators of a lattice basis ideal of a random integer matrix with
+    no zero column, with random pure differences, scaled by a constant,
+    that need not be homogeneous, and a weighted order for them."""
+    n = draw(st.integers(2, 4))
+    col = st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any)
+    cols = draw(st.lists(col, min_size=1, max_size=3))
+    gens = list(lattice_basis_ideal(IntMatrix.from_rows([list(r) for r in zip(*cols)])).gens)
+    expo = st.tuples(*[st.integers(0, 2)] * n)
+    for p, q in draw(st.lists(st.tuples(expo, expo).filter(lambda pq: pq[0] != pq[1]), max_size=2)):
+        c = draw(st.sampled_from([1, -1, 2, Fraction(-1, 3)]))
+        gens.append(dpoly(n, {p: c, q: -c}))
+    weights = draw(st.tuples(*[st.integers(1, 3)] * n))
+    return n, gens, WeightedRevLexLast(weights, draw(st.integers(0, n - 1)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(lattice_ideals())
+def test_binomial_core_matches_the_general_core(case):
+    n, gens, weighted = case
+    ran = []
+    binomial = groebner._binomial_buchberger
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groebner, "_binomial_buchberger", lambda *args: ran.append(1) or binomial(*args))
+        for order in (DegRevLex(n), weighted):
+            got = groebner._groebner_cached.__wrapped__(CommIdeal.make(n, gens), order)
+            assert got == general_groebner(n, gens, order)
+    assert len(ran) == 2
+
+
+# PairStats of the binomial core in the six completions of the rational
+# normal quintic's toric_ideal(...).groebner(): the five saturation steps,
+# then the degrevlex basis
+QUINTIC_TORIC_STATS = [
+    PairStats(considered=78, product_skips=24, chain_skips=31, zero_reductions=14, added=9),
+    PairStats(considered=45, product_skips=21, chain_skips=4, zero_reductions=20),
+    PairStats(considered=66, product_skips=29, chain_skips=15, zero_reductions=20, added=2),
+    PairStats(considered=66, product_skips=32, chain_skips=12, zero_reductions=20, added=2),
+    PairStats(considered=66, product_skips=30, chain_skips=14, zero_reductions=20, added=2),
+    PairStats(considered=45, product_skips=21, chain_skips=4, zero_reductions=20),
+]
+
+
+def test_binomial_pair_stats_are_pinned_on_the_quintic(monkeypatch):
+    stats = []
+    binomial = groebner._binomial_buchberger
+
+    def noted(*args):
+        pk, basis, pairs = binomial(*args)
+        stats.append(pairs)
+        return pk, basis, pairs
+
+    monkeypatch.setattr(groebner, "_binomial_buchberger", noted)
+    monkeypatch.setattr(groebner, "_groebner_cached", groebner._groebner_cached.__wrapped__)
+    toric_ideal(IntMatrix.from_rows([[1] * 6, [0, 1, 2, 3, 4, 5]])).groebner()
+    assert stats == QUINTIC_TORIC_STATS
+
+
+def test_binomial_core_widens_from_one_bit_fields(monkeypatch):
+    # every exponent of the generators fits one bit and some of the basis
+    # do not: started at width 1, the completion widens twice through
+    # _widening and ends at the basis of the run at the fitted width
+    ideal = CommIdeal.make(
+        3,
+        [
+            dpoly(3, {(1, 0, 0): -1, (0, 1, 0): 1}),
+            dpoly(3, {(1, 1, 1): 1, (1, 0, 1): -1}),
+            dpoly(3, {(0, 0, 1): 1, (1, 1, 0): -1}),
+        ],
+    )
+    want = groebner._groebner_cached.__wrapped__(ideal, DegRevLex(3))
+    assert [str(g) for g in want] == ["d1 - d2", "d2 d3 - d3^2", "d2^2 - d3", "d3^3 - d3^2"]
+    tried = []
+    widening = groebner._widening
+    monkeypatch.setattr(groebner, "_widening", lambda run, pk: widening(lambda w: tried.append(w.width) or run(w), pk))
+    monkeypatch.setattr(groebner, "_fit", lambda n, rows, w, top: weyl._packing(n, rows, w, 1))
+    assert groebner._groebner_cached.__wrapped__(ideal, DegRevLex(3)) == want
+    assert tried[0] == 1 and max(tried) == 4
+
+
+def test_commutative_cache_exposes_its_counts():
+    # the benchmark's tracer counts commutative cache hits through
+    # groebner._groebner_cached.cache_info(), the one cache CommIdeal.groebner calls
+    ideal = CommIdeal.make(4, LATTICE_GENS)
+    groebner._groebner_cached.cache_clear()
+    ideal.groebner()
+    ideal.groebner()
+    info = groebner._groebner_cached.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -1011,15 +1124,22 @@ def widening_toric():
     return toric_ideal(IntMatrix.from_rows([[1, 1, 1, 1, 1], [3, 5, 6, 0, 1]])).groebner()
 
 
-OVERFLOWING_COMPLETIONS = {"weyl": widening_completion, "toric": widening_toric}
+# the division, S-pair and interreduction steps of the core each one runs:
+# the Weyl completion the general core, the toric one the binomial core
+OVERFLOWING_COMPLETIONS = {
+    "weyl": (widening_completion, ("_divide", "_spair", "_interreduce")),
+    "toric": (widening_toric, ("_binomial_divide", "_binomial_spair", "_binomial_interreduce")),
+}
 
 
 def counted_run(completion, monkeypatch, fail_at=None):
-    """Run completion, counting _divide calls (raising _Overflow instead of
-    the call numbered fail_at), S-pairs and widenings, and noting the call
-    number at which each interreduction starts."""
+    """Run completion, counting the calls of its division step (raising
+    _Overflow instead of the call numbered fail_at), S-pairs and widenings,
+    and noting the call number at which each interreduction starts."""
+    completion, steps = completion
     seen = {"divide": 0, "spair": 0, "starts": [], "widened": []}
-    divide, spair, interreduce, wider = groebner._divide, groebner._spair, groebner._interreduce, weyl.Packing.wider
+    divide, spair, interreduce = (getattr(groebner, name) for name in steps)
+    wider = weyl.Packing.wider
 
     def counted_divide(*args):
         seen["divide"] += 1
@@ -1036,9 +1156,8 @@ def counted_run(completion, monkeypatch, fail_at=None):
         return interreduce(*args)
 
     with monkeypatch.context() as mp:
-        mp.setattr(groebner, "_divide", counted_divide)
-        mp.setattr(groebner, "_spair", counted_spair)
-        mp.setattr(groebner, "_interreduce", noted_interreduce)
+        for name, step in zip(steps, (counted_divide, counted_spair, noted_interreduce)):
+            mp.setattr(groebner, name, step)
         mp.setattr(weyl.Packing, "wider", lambda pk: seen["widened"].append(pk.width) or wider(pk))
         return completion(), seen
 

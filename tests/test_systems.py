@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -111,6 +112,39 @@ def small_matrices(draw):
 def test_toric_ideal_matches_saturation_reference_on_random_matrices(rows):
     a = IntMatrix.from_rows(rows)
     assert toric_ideal(a).groebner() == _saturation_reference(a)
+
+
+def _catalogue_curves():
+    """The projective monomial curves [[1]*5, [0, a, b, c, d]], d in (5, 6),
+    then the rational normal quartic and quintic."""
+    curves = [
+        [[1] * 5, [0, a, b, c, d]]
+        for d in (5, 6)
+        for a in range(1, d)
+        for b in range(a + 1, d)
+        for c in range(b + 1, d)
+    ]
+    return curves + [[[1] * 5, [0, 1, 2, 3, 4]], [[1] * 6, [0, 1, 2, 3, 4, 5]]]
+
+
+# The catalogue curves with their columns rotated by 0 .. 4, then three
+# matrices reaching a single row, a non-curve and the homogenized path.
+PINNED_TORIC_MATRICES = [[r[p:] + r[:p] for r in curve] for p in range(5) for curve in _catalogue_curves()] + [
+    [[4, 6, 7, 9]],
+    [[7, 6, 4, 1, 0], [0, 1, 3, 6, 7]],
+    [[1, -1]],
+]
+# The printed reduced degrevlex bases, one matrix a line, taken while every
+# toric completion ran on the general integer-coefficient core.
+TORIC_BASES_SHA256 = "6137e8e45ce21788045b3b054526097f28f2bbf21a794b02504a2f2dbccf612c"
+
+
+def test_reduced_toric_bases_are_pinned():
+    lines = []
+    for rows in PINNED_TORIC_MATRICES:
+        gb = toric_ideal(IntMatrix.from_rows(rows)).groebner()
+        lines.append(f"{rows}: {', '.join(map(str, gb))}")
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == TORIC_BASES_SHA256
 
 
 def test_toric_ideal_zero_column():
