@@ -560,13 +560,16 @@ def _binomial_buchberger(gens, pk, chain: bool = True):
         rows.append(0)
 
     def reduced(wide, l, i, j):
+        """The remainder of the S-pair (i, j) at wide, all held moved there
+        first; l is its lead lcm as popped, at the width it was popped at."""
         nonlocal pk
         if wide is not pk:
             basis[:] = _repack_moves(basis, pk, wide)
             # the order is the same at every width, so the heap stays a heap
             heap[:] = [(wide.flat(pk.exps(m)), a, b) for m, a, b in heap]
-            l = wide.flat(pk.exps(l))
             pk = wide
+            # every retry comes here, so the lcm is always packed at wide
+            l = sum(map(mul, map(max, exps[i], exps[j]), pk.units))
         return _binomial_divide(*_binomial_spair(l, basis[i], basis[j], pk), basis, pk)
 
     for lead, tail in gens:
@@ -618,7 +621,7 @@ def _binomial_gens(polys, pk) -> list[tuple[int, int]] | None:
         if len(g.terms) != 2:
             return None
         (p, c), (q, d) = g.terms
-        if c.numerator != -d.numerator or c.denominator != d.denominator:
+        if c != -d:
             return None
         a, b = pk.flat(p), pk.flat(q)
         out.append((a, b) if a > b else (b, a))
@@ -662,6 +665,21 @@ class CommIdeal:
         return self.normal_form(p).is_zero()
 
 
+def _general_basis(n: int, polys, order) -> tuple[CommPoly, ...]:
+    """The reduced basis of polys by the general core, monic, sorted by
+    lead: the path of every ideal with a generator that is not a pure
+    difference, and the oracle the binomial core is tested against."""
+    polys = [g for g in polys if not g.is_zero()]
+    pk = _fit(n, order.rows, False, _top(e for g in polys for e, _ in g.terms))
+    pk, basis, _ = _buchberger([(_integral(pk, _xterms(g))[0], []) for g in polys], pk)
+    pk, basis = _interreduce(basis, pk)
+    out = []
+    for g, _, _ in basis:
+        lc = g[max(g)]
+        out.append(CommPoly.make(n, {pk.unpack(k)[1]: Fraction(c, lc) for k, c in g.items()}))
+    return tuple(out)
+
+
 _ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
 
 
@@ -673,21 +691,13 @@ def _groebner_cached(ideal: CommIdeal, order) -> tuple[CommPoly, ...]:
     n = ideal.nvars
     pk = _fit(n, order.rows, False, _top(e for g in polys for e, _ in g.terms))
     moves = _binomial_gens(polys, pk)
-    if moves is not None:
-        pk, basis, _ = _binomial_buchberger(moves, pk)
-        pk, basis = _binomial_interreduce(basis, pk)
-        out = []
-        for lead, tail in basis:
-            le, te = pk.exps(lead), pk.exps(tail)
-            out.append(CommPoly(n, ((le, _ONE), (te, _MINUS_ONE)) if le < te else ((te, _MINUS_ONE), (le, _ONE))))
-        return tuple(out)
-    pk, basis, _ = _buchberger([(_integral(pk, _xterms(g))[0], []) for g in polys], pk)
-    pk, basis = _interreduce(basis, pk)
-    out = []
-    for g, _, _ in basis:
-        lc = g[max(g)]
-        out.append(CommPoly.make(n, {pk.unpack(k)[1]: Fraction(c, lc) for k, c in g.items()}))
-    return tuple(out)
+    if moves is None:
+        return _general_basis(n, polys, order)
+    pk, basis, _ = _binomial_buchberger(moves, pk)
+    pk, basis = _binomial_interreduce(basis, pk)
+    # built directly: CommPoly.make's checks would cost about a tenth of a
+    # catalogue pass, and lead and tail are distinct valid exponents
+    return tuple(CommPoly(n, tuple(sorted([(pk.exps(a), _ONE), (pk.exps(b), _MINUS_ONE)]))) for a, b in basis)
 
 
 def _over(pk, g: dict, den: int) -> WeylOperator:

@@ -42,19 +42,6 @@ def BlockElim(nfirst, nvars):
     )
 
 
-def general_groebner(nvars, polys, order) -> tuple[CommPoly, ...]:
-    """The reduced basis by the general integer-coefficient core, called
-    directly, monic and sorted by lead as CommIdeal.groebner returns it."""
-    polys = [g for g in polys if not g.is_zero()]
-    pk = groebner._fit(nvars, order.rows, False, weyl._top(e for g in polys for e, _ in g.terms))
-    seeds = [(groebner._integral(pk, groebner._xterms(g))[0], []) for g in polys]
-    pk, basis, _ = groebner._buchberger(seeds, pk)
-    pk, basis = groebner._interreduce(basis, pk)
-    return tuple(
-        dpoly(nvars, {pk.unpack(k)[1]: Fraction(c, g[max(g)]) for k, c in g.items()}) for g, _, _ in basis
-    )
-
-
 def saturate(ideal: CommIdeal, f: CommPoly) -> CommIdeal:
     """(ideal : f^infinity): adjoin t as a new first variable, add 1 - t f,
     compute a Groebner basis for an order eliminating t, and keep the
@@ -68,7 +55,7 @@ def saturate(ideal: CommIdeal, f: CommPoly) -> CommIdeal:
     tf = {(1,) + e: -c for e, c in f.terms}
     tf[(0,) * (n + 1)] = tf.get((0,) * (n + 1), 0) + 1
     lifted.append(CommPoly.make(n + 1, tf))
-    gb = general_groebner(n + 1, lifted, BlockElim(1, n + 1))
+    gb = groebner._general_basis(n + 1, lifted, BlockElim(1, n + 1))
     kept = [CommPoly.make(n, {e[1:]: c for e, c in g.terms}) for g in gb if all(e[0] == 0 for e, _ in g.terms)]
     return CommIdeal.make(n, kept)
 
@@ -570,7 +557,7 @@ def test_binomial_core_matches_the_general_core(case):
         mp.setattr(groebner, "_binomial_buchberger", lambda *args: ran.append(1) or binomial(*args))
         for order in (DegRevLex(n), weighted):
             got = groebner._groebner_cached.__wrapped__(CommIdeal.make(n, gens), order)
-            assert got == general_groebner(n, gens, order)
+            assert got == groebner._general_basis(n, gens, order)
     assert len(ran) == 2
 
 
@@ -1132,10 +1119,11 @@ OVERFLOWING_COMPLETIONS = {
 }
 
 
-def counted_run(completion, monkeypatch, fail_at=None):
+def counted_run(completion, monkeypatch, fail_at=()):
     """Run completion, counting the calls of its division step (raising
-    _Overflow instead of the call numbered fail_at), S-pairs and widenings,
-    and noting the call number at which each interreduction starts."""
+    _Overflow instead of the calls numbered in fail_at), S-pairs and
+    widenings, and noting the call number at which each interreduction
+    starts."""
     completion, steps = completion
     seen = {"divide": 0, "spair": 0, "starts": [], "widened": []}
     divide, spair, interreduce = (getattr(groebner, name) for name in steps)
@@ -1143,7 +1131,7 @@ def counted_run(completion, monkeypatch, fail_at=None):
 
     def counted_divide(*args):
         seen["divide"] += 1
-        if seen["divide"] == fail_at:
+        if seen["divide"] in fail_at:
             raise weyl._Overflow
         return divide(*args)
 
@@ -1171,8 +1159,22 @@ def test_injected_overflow_resumes_to_the_same_completion(monkeypatch, name):
     # pair loop: the first division and the last before an interreduction;
     # interreduction: its first division, and the very last one
     for k in sorted({1, first - 1, first, last - 1, last, total}):
-        got, faulted = counted_run(completion, monkeypatch, fail_at=k)
+        got, faulted = counted_run(completion, monkeypatch, fail_at=(k,))
         assert faulted["divide"] > k  # the fault fired, and the call was retried
+        assert got == want, k
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWING_COMPLETIONS))
+def test_overflow_twice_in_one_step_resumes_to_the_same_completion(monkeypatch, name):
+    # a fault at call k is retried as call k + 1 on the same S-pair (or the
+    # same interreduction), so faults at both widen twice within one step
+    completion = OVERFLOWING_COMPLETIONS[name]
+    want, seen = counted_run(completion, monkeypatch)
+    first, total = seen["starts"][0], seen["divide"]
+    for k in sorted({1, first // 2, first - 1, first, total}):
+        got, faulted = counted_run(completion, monkeypatch, fail_at=(k, k + 1))
+        assert faulted["divide"] > k + 1
+        assert len(faulted["widened"]) >= 2
         assert got == want, k
 
 
