@@ -158,10 +158,6 @@ class RatVector:
     def make(cls, xs) -> "RatVector":
         return cls(tuple(Fraction(x) for x in xs))
 
-    @classmethod
-    def from_strings(cls, xs) -> "RatVector":
-        return cls(tuple(parse_fraction(x) for x in xs))
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -380,13 +376,6 @@ def hermite_column_basis(m: IntMatrix) -> IntMatrix:
     zero lattice keeps its ambient space as m.rows empty rows."""
     h = hermite_row_basis(m.transpose())
     return h.transpose() if h.rows else IntMatrix.from_rows([[] for _ in range(m.rows)])
-
-
-def lattices_equal(m1: IntMatrix, m2: IntMatrix) -> bool:
-    """Do the columns of m1 and m2 generate the same sublattice of Z^n?"""
-    if m1.rows != m2.rows:
-        raise DimensionMismatchError("lattices live in different ambient spaces")
-    return hermite_column_basis(m1) == hermite_column_basis(m2)
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:

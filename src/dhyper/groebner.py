@@ -613,9 +613,19 @@ def _binomial_interreduce(basis, pk) -> tuple:
     return _widening(run, pk)
 
 
-def _binomial_gens(polys, pk) -> list[tuple[int, int]] | None:
-    """The (lead, tail) pairs packed by pk of nonzero polynomials that are
-    all c (x^p - x^q), or None if one is not."""
+def _binomial_basis(n: int, moves, order) -> list[tuple[Expo, Expo]]:
+    """The reduced basis of the pure differences x^p - x^q, given as
+    exponent pairs (p, q), as (lead, tail) exponent pairs sorted by lead."""
+    pk = _fit(n, order.rows, False, _top(e for move in moves for e in move))
+    packed = [(pk.flat(p), pk.flat(q)) for p, q in moves]
+    pk, basis, _ = _binomial_buchberger([(a, b) if a > b else (b, a) for a, b in packed], pk)
+    pk, basis = _binomial_interreduce(basis, pk)
+    return [(pk.exps(a), pk.exps(b)) for a, b in basis]
+
+
+def _binomial_gens(polys) -> list[tuple[Expo, Expo]] | None:
+    """The exponent pairs (p, q) of nonzero polynomials that are all
+    c (x^p - x^q), or None if one is not."""
     out = []
     for g in polys:
         if len(g.terms) != 2:
@@ -623,8 +633,7 @@ def _binomial_gens(polys, pk) -> list[tuple[int, int]] | None:
         (p, c), (q, d) = g.terms
         if c != -d:
             return None
-        a, b = pk.flat(p), pk.flat(q)
-        out.append((a, b) if a > b else (b, a))
+        out.append((p, q))
     return out
 
 
@@ -688,16 +697,17 @@ def _groebner_cached(ideal: CommIdeal, order) -> tuple[CommPoly, ...]:
     """The reduced basis, monic, sorted by lead: by the binomial core when
     every generator is a pure difference, else by the general one."""
     polys = [g for g in ideal.gens if not g.is_zero()]
-    n = ideal.nvars
-    pk = _fit(n, order.rows, False, _top(e for g in polys for e, _ in g.terms))
-    moves = _binomial_gens(polys, pk)
+    moves = _binomial_gens(polys)
     if moves is None:
-        return _general_basis(n, polys, order)
-    pk, basis, _ = _binomial_buchberger(moves, pk)
-    pk, basis = _binomial_interreduce(basis, pk)
+        return _general_basis(ideal.nvars, polys, order)
+    return _binomial_polys(ideal.nvars, _binomial_basis(ideal.nvars, moves, order))
+
+
+def _binomial_polys(n: int, basis) -> tuple[CommPoly, ...]:
+    """The (lead, tail) exponent pairs of basis as monic CommPolys."""
     # built directly: CommPoly.make's checks would cost about a tenth of a
     # catalogue pass, and lead and tail are distinct valid exponents
-    return tuple(CommPoly(n, tuple(sorted([(pk.exps(a), _ONE), (pk.exps(b), _MINUS_ONE)]))) for a, b in basis)
+    return tuple(CommPoly(n, tuple(sorted([(a, _ONE), (b, _MINUS_ONE)]))) for a, b in basis)
 
 
 def _over(pk, g: dict, den: int) -> WeylOperator:

@@ -24,7 +24,7 @@ from .errors import (
     InvariantError,
 )
 from .exact import IntMatrix
-from .weyl import _binomial_fill, _lattice_packing
+from .weyl import _binomial_fill, _lattice_packing, _split_move
 
 Point = tuple[int, ...]
 
@@ -177,10 +177,7 @@ def lattice_polynomial_solutions(m: IntMatrix, comp: MGraphComponent) -> dict[Po
         return origin + sum(map(mul, w, pk.units))
 
     vertex = {pack(w): w for w in comp.vertices}
-    moves = [
-        (pack(b) - origin, tuple(max(x, 0) for x in b), tuple(max(-x, 0) for x in b))
-        for b in cols
-    ]
+    moves = [(pack(b) - origin, *_split_move(b)) for b in cols]
     coeffs, unfilled, failing = _binomial_fill(
         list(vertex), pack(comp.representative), moves, vertex.__getitem__, (Fraction(0),) * m.rows
     )

@@ -59,7 +59,7 @@ from .exact import (
 )
 from .mgraph import bounded_representatives, lattice_polynomial_solutions
 from .systems import _submatrix, _toral_degree_matrix
-from .weyl import Expo, WeylOperator, _binomial_fill, _Falling, _lattice_packing, _sub
+from .weyl import Expo, WeylOperator, _binomial_fill, _Falling, _lattice_packing, _split_move, _sub
 
 _smith = lru_cache(maxsize=256)(smith_form)
 
@@ -849,10 +849,7 @@ def _gamma_fill(
     keys = [origin + sum(map(mul, z, pk.units)) for z in order]
     back = dict(zip(keys, order))
     points = {k: amb[z] for k, z in back.items()}
-    moves = [
-        (pk.units[i], tuple(max(x, 0) for x in b), tuple(max(-x, 0) for x in b))
-        for i, b in enumerate(lat.columns())
-    ]
+    moves = [(pk.units[i], *_split_move(b)) for i, b in enumerate(lat.columns())]
     lam, unfilled, failing = _binomial_fill(keys, origin, moves, points.__getitem__, v)
     if unfilled is not None:
         raise DenominatorVanishedError(
@@ -945,8 +942,7 @@ def toral_solution_basis(b, dec, beta, window: int = 8, a=None, graph_cap=None):
                 raise InvariantError(f"vertex {w} is not an integer move away from {u}")
             nv = dec.n_block.mul_int_vector(v_int)
             g = f
-            down = tuple(max(-x, 0) for x in nv)
-            up = tuple(max(x, 0) for x in nv)
+            up, down = _split_move(nv)
             if any(down):
                 g = shift(g, down, DERIVE)
             if any(up):

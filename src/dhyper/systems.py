@@ -33,9 +33,9 @@ from .exact import (
     smith_form,
     span_mixedness,
 )
-from .groebner import CommIdeal, CommPoly, WeightedRevLexLast
+from .groebner import CommIdeal, CommPoly, WeightedRevLexLast, _binomial_basis, _binomial_polys
 from .mgraph import UNBOUNDED_CERTIFIED, _components_in_box
-from .weyl import WeylOperator, euler_generators
+from .weyl import Expo, WeylOperator, _split_move, euler_generators
 
 A_HYPERGEOMETRIC = "A_HYPERGEOMETRIC"
 HORN = "HORN"
@@ -79,13 +79,7 @@ def lattice_basis_ideal(b: IntMatrix) -> CommIdeal:
     """One binomial d^{u+} - d^{u-} per column u of b."""
     _check_no_zero_column(b)
     n = b.rows
-    gens = []
-    for j in range(b.cols):
-        col = [b.entries[i][j] for i in range(n)]
-        pos = tuple(max(x, 0) for x in col)
-        neg = tuple(max(-x, 0) for x in col)
-        gens.append(CommPoly.make(n, {pos: 1, neg: -1}))
-    return CommIdeal.make(n, gens)
+    return CommIdeal.make(n, [CommPoly.make(n, {p: 1, q: -1}) for p, q in map(_split_move, b.columns())])
 
 
 def toric_ideal(a: IntMatrix) -> CommIdeal:
@@ -104,38 +98,39 @@ def toric_ideal(a: IntMatrix) -> CommIdeal:
     lattice ideal, and if there is no such u, d_{n-1} appears in no
     generator; either way saturating by d_{n-1} changes nothing.  With no
     such c (for instance A = [[1, -1]]) there is no positive grading, and
-    the ideal comes from the homogenized matrix [[A, 0], [1 ... 1, 1]],
-    graded by its last row: its kernel is {(u, -|u|) : u in ker A}, so
-    setting the new variable h to 1 in its toric ideal gives I_A.
+    the steps run on the homogenized matrix [[A, 0], [1 ... 1, 1]] instead,
+    graded by its last row, every weight 1: its kernel is
+    {(u, -|u|) : u in ker A}, so setting the new variable h to 1 in its
+    toric ideal gives I_A.  Each binomial stays the exponent pair (p, q) of
+    d^p - d^q from the kernel to the returned generators.
     """
     _check_no_zero_column(a)
     n = a.cols
-    kernel = integer_kernel(a)
-    if kernel.cols == 0:
+    kernel = integer_kernel(a).columns()
+    if not kernel:
         return CommIdeal.make(n, [])
     c = positive_functional(a.columns(), a.rows)
     if c is None:
-        # the homogenized matrix always has a positive grading: one level deep
-        ah = IntMatrix.from_rows([row + (0,) for row in a.entries] + [(1,) * (n + 1)])
-        hgens = toric_ideal(ah).gens
-        return CommIdeal.make(n, [CommPoly.make(n, {e[:n]: q for e, q in g.terms}) for g in hgens])
-    ideal = lattice_basis_ideal(kernel)
-    w = [sum(ci * x for ci, x in zip(c, col)) for col in a.columns()]
-    den = lcm(*(q.denominator for q in w))
-    num = gcd(*(q.numerator for q in w))
-    weights = tuple(int(q * den) // num for q in w)
-    for i in range(n - 1):
-        gb = ideal.groebner(WeightedRevLexLast(weights, i))
-        ideal = CommIdeal.make(n, [_divide_out(g, i) for g in gb])
-    return ideal
+        kernel = [u + (-sum(u),) for u in kernel]
+        weights = (1,) * (n + 1)
+    else:
+        w = [sum(ci * x for ci, x in zip(c, col)) for col in a.columns()]
+        den = lcm(*(q.denominator for q in w))
+        num = gcd(*(q.numerator for q in w))
+        weights = tuple(int(q * den) // num for q in w)
+    moves = [_split_move(u) for u in kernel]
+    for i in range(len(weights) - 1):
+        moves = [_divide_out(m, i) for m in _binomial_basis(len(weights), moves, WeightedRevLexLast(weights, i))]
+    return CommIdeal.make(n, _binomial_polys(n, [(p[:n], q[:n]) for p, q in moves]))
 
 
-def _divide_out(g: CommPoly, i: int) -> CommPoly:
-    """g divided by the largest power of d_i dividing it."""
-    k = min(e[i] for e, _ in g.terms)
+def _divide_out(move: tuple[Expo, Expo], i: int) -> tuple[Expo, Expo]:
+    """The exponent pair of d^p - d^q divided by the largest power of d_i
+    dividing it."""
+    k = min(move[0][i], move[1][i])
     if not k:
-        return g
-    return CommPoly.make(g.nvars, {e[:i] + (e[i] - k,) + e[i + 1 :]: q for e, q in g.terms})
+        return move
+    return tuple(e[:i] + (e[i] - k,) + e[i + 1 :] for e in move)
 
 
 def _d_operators(nvars: int, polys) -> list[WeylOperator]:

@@ -503,6 +503,12 @@ def _product(rows, u: Expo) -> int:
     return v
 
 
+def _split_move(u) -> tuple[Expo, Expo]:
+    """(u+, u-), the positive and negative parts of the integer vector u:
+    the exponents of the binomial d^u+ - d^u- that the move u stands for."""
+    return tuple(max(x, 0) for x in u), tuple(max(-x, 0) for x in u)
+
+
 def _binomial_fill(keys, root, moves, point, base: tuple[Fraction, ...]):
     """Solve the binomial recurrence on keys, from c[root] = 1.
 

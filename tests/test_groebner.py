@@ -622,6 +622,18 @@ def test_commutative_cache_exposes_its_counts():
     assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
 
+def test_toric_ideal_saturates_past_the_commutative_cache():
+    # the saturation steps complete exponent pairs directly: only the
+    # returned ideal's own .groebner() reaches the cache
+    groebner._groebner_cached.cache_clear()
+    ideal = toric_ideal(IntMatrix.from_rows([[1] * 6, [0, 1, 2, 3, 4, 5]]))
+    info = groebner._groebner_cached.cache_info()
+    assert (info.hits, info.misses) == (0, 0)
+    ideal.groebner()
+    info = groebner._groebner_cached.cache_info()
+    assert (info.hits, info.misses) == (0, 1)
+
+
 # ---------------------------------------------------------------------------
 # The heap-led division kernel against the max-led reference loop
 

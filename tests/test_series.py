@@ -73,7 +73,7 @@ from test_weyl import term_action_factor
 
 A_DEMO = IntMatrix.from_rows([[3, 2, 1, 0], [0, 1, 2, 3]])
 B_DEMO = IntMatrix.from_rows([[1, 0], [-2, 1], [1, -2], [0, 1]])
-BETA_DEMO = RatVector.from_strings(["-11/6", "-5/3"])
+BETA_DEMO = RatVector.make(["-11/6", "-5/3"])
 A_HALF = Fraction(1, 2)
 A_THIRD = Fraction(1, 3)
 
@@ -572,7 +572,7 @@ def test_gamma_demo_fully_supported():
 
 
 def test_gamma_explicit_generic_v():
-    v = RatVector.from_strings(["2/3", "-4/3", "-7/6", "2/3"])
+    v = RatVector.make(["2/3", "-4/3", "-7/6", "2/3"])
     f = gamma_series(A_DEMO, BETA_DEMO, v=v, window=4)
     assert density(f) == 1
     assert f.base == tuple(v.entries)
@@ -581,14 +581,14 @@ def test_gamma_explicit_generic_v():
 def test_gamma_takes_plain_sequences():
     beta = (Fraction(-11, 6), Fraction(-5, 3))
     assert gamma_series(A_DEMO, beta, window=4) == gamma_series(A_DEMO, BETA_DEMO, window=4)
-    v = RatVector.from_strings(["2/3", "-4/3", "-7/6", "2/3"])
+    v = RatVector.make(["2/3", "-4/3", "-7/6", "2/3"])
     assert gamma_series(A_DEMO, list(beta), v=tuple(v), window=4) == gamma_series(
         A_DEMO, BETA_DEMO, v=v, window=4
     )
 
 
 def test_gamma_explicit_degenerate_v_fails():
-    v = RatVector.from_strings(["-11/18", "0", "0", "-5/9"])
+    v = RatVector.make(["-11/18", "0", "0", "-5/9"])
     with pytest.raises(DenominatorVanishedError):
         gamma_series(A_DEMO, BETA_DEMO, v=v, window=5)
 
@@ -600,15 +600,15 @@ def test_gamma_rejects_a_negative_window():
 
 
 def test_gamma_rejects_non_solution_v():
-    v = RatVector.from_strings(["1", "0", "0", "0"])
+    v = RatVector.make(["1", "0", "0", "0"])
     with pytest.raises(InputFormatError):
         gamma_series(A_DEMO, BETA_DEMO, v=v, window=3)
 
 
 def test_gamma_binomial_example():
     a = IntMatrix.from_rows([[1, 1]])
-    beta = RatVector.from_strings(["-1/2"])
-    v = RatVector.from_strings(["-1/2", "0"])
+    beta = RatVector.make(["-1/2"])
+    v = RatVector.make(["-1/2", "0"])
     g = gamma_series(a, beta, v=v, window=6)
     # one-sided binomial expansion: coefficients C(-1/2, k)
     expect = {}
@@ -628,7 +628,7 @@ def test_gamma_binomial_example():
 def test_gamma_monomial_case_warns_when_resonant():
     a = IntMatrix.from_rows([[1]])
     with pytest.warns(RuntimeWarning):
-        g = gamma_series(a, RatVector.from_strings(["5"]), window=3)
+        g = gamma_series(a, RatVector.make(["5"]), window=3)
     assert g.coeffs == {(0,): Fraction(1)}
     assert g.base == (Fraction(5),)
     p = WeylOperator.make(1, {((1,), (1,)): 1, ((0,), (0,)): -5})
@@ -1473,7 +1473,7 @@ def eager_candidates(a, lat, v0):
     ],
 )
 def test_lazy_candidates_keep_the_eager_order(a, beta):
-    beta = RatVector.from_strings(list(beta))
+    beta = RatVector.make(list(beta))
     lat = kernel_basis(a) if a.rows < a.cols else IntMatrix.from_rows([[] for _ in range(a.cols)])
     v0 = solve_rational(a, beta)
     want = eager_candidates(a, lat, v0)

@@ -13,7 +13,7 @@ from dhyper.errors import (
     UnsupportedCharacterError,
     ZeroColumnError,
 )
-from dhyper.exact import IntMatrix, integer_kernel
+from dhyper.exact import IntMatrix, integer_kernel, positive_functional
 from dhyper.groebner import CommIdeal, CommPoly, groebner_weyl
 from dhyper.systems import (
     ANDEAN,
@@ -145,6 +145,28 @@ def test_reduced_toric_bases_are_pinned():
         gb = toric_ideal(IntMatrix.from_rows(rows)).groebner()
         lines.append(f"{rows}: {', '.join(map(str, gb))}")
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == TORIC_BASES_SHA256
+
+
+# Matrices with no positive grading, whose toric ideals come from the
+# homogenized matrix [[A, 0], [1 ... 1, 1]]; their printed reduced degrevlex
+# bases, taken while toric_ideal recursed into the homogenized matrix.
+HOMOGENIZED_TORIC_MATRICES = [
+    [[2, -3]],
+    [[1, -1, 2]],
+    [[1, -1, 0], [0, 1, -1]],
+    [[3, -2, 1, -1]],
+    [[1, 1, -1, -1], [0, 1, 2, -3]],
+]
+HOMOGENIZED_BASES_SHA256 = "7399c0b36faa19f28fa0e4b31884c1488657a0742d5d09252b96c5b127593468"
+
+
+def test_reduced_toric_bases_through_the_homogenized_matrix_are_pinned():
+    lines = []
+    for rows in HOMOGENIZED_TORIC_MATRICES:
+        a = IntMatrix.from_rows(rows)
+        assert positive_functional(a.columns(), a.rows) is None
+        lines.append(f"{rows}: {', '.join(map(str, toric_ideal(a).groebner()))}")
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == HOMOGENIZED_BASES_SHA256
 
 
 def test_toric_ideal_zero_column():

@@ -28,7 +28,7 @@ from dhyper.weyl import (
 )
 
 A_DEMO = IntMatrix.from_rows([[3, 2, 1, 0], [0, 1, 2, 3]])
-BETA_DEMO = RatVector.from_strings(["-11/6", "-5/3"])
+BETA_DEMO = RatVector.make(["-11/6", "-5/3"])
 
 
 def dop(nu):
