@@ -85,9 +85,6 @@ class IntMatrix:
     def cols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
     def col(self, j: int) -> tuple[int, ...]:
         return tuple(r[j] for r in self.entries)
 
@@ -600,6 +597,12 @@ class ConeFacet:
         }
 
 
+def _check_no_zero_column(a: IntMatrix) -> None:
+    for j, col in enumerate(a.columns()):
+        if not any(col):
+            raise ZeroColumnError(f"column {j + 1} is zero")
+
+
 def facets(a: IntMatrix) -> list[ConeFacet]:
     """All facets of the cone spanned by the columns of a.
 
@@ -609,11 +612,9 @@ def facets(a: IntMatrix) -> list[ConeFacet]:
     divided by the gcd of its values on the columns, which generate the
     column lattice, so its value set there is exactly Z.
     """
+    _check_no_zero_column(a)
     d, n = a.rows, a.cols
     cols = a.columns()
-    for j, col in enumerate(cols):
-        if all(x == 0 for x in col):
-            raise ZeroColumnError(f"column {j + 1} is zero")
     if a.rank() != d:
         raise NotFullRankError("matrix is not of full row rank")
     if positive_functional(cols, d) is None:

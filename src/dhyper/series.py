@@ -8,8 +8,8 @@ window edge shrink the reliable radius instead of inventing zeros.
 Coordinates z in the lattice basis (u = L z) are the internal key: the
 gamma recurrence, the window tests and the operator action all work on
 them.  Ambient points u appear only at the boundary: the public coeffs
-dict, JSON, and the ambient input that PuiseuxSeries.make validates with
-one Smith-form solve per point.
+dict, JSON, and the ambient input that the PuiseuxSeries constructor
+validates with one Smith-form solve per point.
 
 The two hot walks go one level lower and pack each coordinate tuple into
 one int (weyl._lattice_packing): the gamma fill keys its recurrence by
@@ -58,8 +58,10 @@ from .exact import (
     solve_rational,
 )
 from .mgraph import bounded_representatives, lattice_polynomial_solutions
-from .systems import _submatrix, _toral_degree_matrix
-from .weyl import Expo, WeylOperator, _binomial_fill, _Falling, _lattice_packing, _split_move, _sub
+from .systems import _as_beta, _embed, _submatrix, _toral_degree_matrix
+from .weyl import (
+    Expo, WeylOperator, _add, _binomial_fill, _Falling, _lattice_packing, _split_move, _sub,
+)
 
 _smith = lru_cache(maxsize=256)(smith_form)
 
@@ -135,7 +137,8 @@ class PuiseuxSeries:
     points that the operator action reads, built on first use (_packed).
     Neither takes part in equality or repr.
     Build series with make (ambient points, each validated by a Smith-form
-    solve) or, inside the package, _from_coords (coordinates, no solve).
+    solve in the constructor) or, inside the package, _from_coords
+    (coordinates, no solve).
     """
 
     nvars: int
@@ -151,8 +154,9 @@ class PuiseuxSeries:
     _frame: "_Frame | None" = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        # a series built by the plain constructor is checked and indexes its
-        # points here, as make would; _from_coords hands over a checked index
+        # the one ambient check: a series built by make or the plain
+        # constructor indexes its points here; _from_coords hands over a
+        # checked index
         if self._index is None:
             _check_frame(
                 self.nvars, self.base, self.lattice, self.window, self.reliable,
@@ -173,21 +177,11 @@ class PuiseuxSeries:
         reliable: int | None = None,
         window_exhausted: bool = False,
     ) -> "PuiseuxSeries":
-        """Series from coefficients keyed by ambient points u; a Smith-form
-        solve checks that each u lies in the lattice and gives its coordinates."""
-        base_t, _ = _check_frame(nvars, base, lattice, window, reliable, window_exhausted)
-        coords: dict[tuple[int, ...], Fraction] = {}
-        for u, c in coeffs.items():
-            q = Fraction(c)
-            if not q:
-                continue
-            co = lattice_coordinates(lattice, tuple(int(x) for x in u))
-            if co is None:
-                raise InputFormatError("support point outside the series lattice")
-            coords[co] = q
-        return PuiseuxSeries._from_coords(
-            nvars, base_t, lattice, coords, window, reliable, window_exhausted
-        )
+        """Series from coefficients keyed by ambient points u, zeros dropped;
+        the constructor checks that each u lies in the lattice."""
+        base_t, reliable = _check_frame(nvars, base, lattice, window, reliable, window_exhausted)
+        clean = {tuple(int(x) for x in u): q for u, c in coeffs.items() if (q := Fraction(c))}
+        return PuiseuxSeries(nvars, base_t, lattice, clean, window, reliable, window_exhausted)
 
     @staticmethod
     def _from_coords(
@@ -203,7 +197,8 @@ class PuiseuxSeries:
         """make for coefficients keyed by lattice coordinates z.
 
         The ambient point L z lies in the lattice by construction, so no
-        Smith-form solve is needed; the frame and window checks are make's.
+        Smith-form solve is needed; the frame and window checks are the
+        constructor's.
         A caller that already holds L z for every key passes that map as
         points, and it is read instead of recomputed.
         """
@@ -245,7 +240,7 @@ class PuiseuxSeries:
     def coord(self, u: tuple[int, ...]) -> tuple[int, ...]:
         co = lattice_coordinates(self.lattice, u)
         if co is None:
-            raise InputFormatError("point not in the series lattice")
+            raise InputFormatError("support point outside the series lattice")
         return co
 
     def exponent(self, u: tuple[int, ...]) -> tuple[Fraction, ...]:
@@ -869,15 +864,7 @@ def _gamma_fill(
 # Solution bases attached to a toral block decomposition
 
 
-def _embed_rows(mat: IntMatrix, rows: tuple[int, ...], nvars: int) -> IntMatrix:
-    out = [[0] * mat.cols for _ in range(nvars)]
-    for i, r in enumerate(rows):
-        for j in range(mat.cols):
-            out[r][j] = mat.entries[i][j]
-    return IntMatrix.from_rows(out)
-
-
-def toral_solution_basis(b, dec, beta, window: int = 8, a=None, graph_cap=None):
+def toral_solution_basis(b, dec, beta, window: int = 8, a=None):
     """Series solutions attached to one toral block of the kernel matrix.
 
     For the empty block the answer is a plain lattice series.  Otherwise
@@ -889,60 +876,40 @@ def toral_solution_basis(b, dec, beta, window: int = 8, a=None, graph_cap=None):
     where f solves the column-restricted system with parameter shifted by
     the zrow columns at u and the c_w come from the class polynomial.  Term
     supports land in pairwise disjoint lattice cosets, so the sum is a
-    single series on the joint lattice.
+    single series on the joint lattice.  The move-graph survey is capped at
+    max(window, 6).
     """
     a = _toral_degree_matrix(b, dec, a)
-    beta = RatVector.make(beta)
-    if len(beta) != a.rows:
-        raise DimensionMismatchError("beta length does not match the degree matrix")
+    beta = RatVector.make(_as_beta(beta, a.rows))
     if dec.q == 0:
         return [gamma_series(a, beta, window=window)]
 
     n = b.rows
-    jrows = dec.j
-    zrows = dec.jbar
-    a_j = _submatrix(a, range(a.rows), jrows)
-    a_zbar = _submatrix(a, range(a.rows), zrows)
+    a_j = _submatrix(a, range(a.rows), dec.j)
+    a_zbar = _submatrix(a, range(a.rows), dec.jbar)
     bc = _submatrix(b, range(b.rows), dec.m_columns)
-    if graph_cap is None:
-        graph_cap = max(window, 6)
-    survey = bounded_representatives(dec.m, graph_cap)
     basis = []
-    for comp in survey.bounded:
+    for comp in bounded_representatives(dec.m, max(window, 6)).bounded:
         u = comp.representative
-        shifted = RatVector.make(
-            [
-                q - sum(Fraction(a_zbar.entries[i][k]) * u[k] for k in range(dec.q))
-                for i, q in enumerate(beta.entries)
-            ]
-        )
-        f = gamma_series(a_j, shifted, window=window)
+        f = gamma_series(a_j, beta.sub(RatVector.make(a_zbar.mul_int_vector(u))), window=window)
         graph_coeffs = lattice_polynomial_solutions(dec.m, comp)
-        lat_f = _embed_rows(f.lattice, jrows, n)
+        lat_f = _embed(f.lattice.entries, dec.j, n, zero=(0,) * f.lattice.cols)
         if len(comp.vertices) == 1:
-            lattice = lat_f
+            lattice = IntMatrix.from_rows(lat_f)
         else:
-            joint = [
-                [lat_f.entries[i][j] for j in range(lat_f.cols)]
-                + [bc.entries[i][j] for j in range(bc.cols)]
-                for i in range(n)
-            ]
-            lattice = hermite_column_basis(IntMatrix.from_rows(joint))
-        base = [Fraction(0)] * n
-        for i, r in enumerate(jrows):
-            base[r] = f.base[i]
-        for k, r in enumerate(zrows):
-            base[r] = Fraction(u[k])
+            lattice = hermite_column_basis(
+                IntMatrix.from_rows([r + s for r, s in zip(lat_f, bc.entries)])
+            )
+        base = _add(_embed(f.base, dec.j, n), _embed(u, dec.jbar, n))
         coeffs: dict[tuple[int, ...], Fraction] = {}
         exact = f.lattice.cols == 0 and not f.window_exhausted
         for w in comp.vertices:
             # dec.m is square and nonsingular, so the moves are unique
-            v_int = lattice_coordinates(dec.m, tuple(x - y for x, y in zip(w, u)))
+            v_int = lattice_coordinates(dec.m, _sub(w, u))
             if v_int is None:
                 raise InvariantError(f"vertex {w} is not an integer move away from {u}")
-            nv = dec.n_block.mul_int_vector(v_int)
             g = f
-            up, down = _split_move(nv)
+            up, down = _split_move(dec.n_block.mul_int_vector(v_int))
             if any(down):
                 g = shift(g, down, DERIVE)
             if any(up):
@@ -950,11 +917,7 @@ def toral_solution_basis(b, dec, beta, window: int = 8, a=None, graph_cap=None):
             offset = bc.mul_int_vector(v_int)
             cw = graph_coeffs[w]
             for key, c in g.coeffs.items():
-                amb = [0] * n
-                for i, r in enumerate(jrows):
-                    amb[r] = key[i]
-                point = tuple(x + o for x, o in zip(amb, offset))
-                coeffs[point] = cw * c
+                coeffs[_add(_embed(key, dec.j, n), offset)] = cw * c
         coords: dict[tuple[int, ...], Fraction] = {}
         for point, c in coeffs.items():
             z = lattice_coordinates(lattice, point)

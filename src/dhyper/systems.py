@@ -22,11 +22,11 @@ from .errors import (
     InputFormatError,
     NotMixedError,
     UnsupportedCharacterError,
-    ZeroColumnError,
 )
 from .exact import (
     IntMatrix,
     RatVector,
+    _check_no_zero_column,
     complement_matrix,
     integer_kernel,
     positive_functional,
@@ -67,12 +67,6 @@ class SystemSpec:
         if self.b is not None:
             data["b"] = self.b.to_json()
         return data
-
-
-def _check_no_zero_column(a: IntMatrix) -> None:
-    for j in range(a.cols):
-        if all(a.entries[i][j] == 0 for i in range(a.rows)):
-            raise ZeroColumnError(f"column {j + 1} is zero")
 
 
 def lattice_basis_ideal(b: IntMatrix) -> CommIdeal:
@@ -121,7 +115,8 @@ def toric_ideal(a: IntMatrix) -> CommIdeal:
     moves = [_split_move(u) for u in kernel]
     for i in range(len(weights) - 1):
         moves = [_divide_out(m, i) for m in _binomial_basis(len(weights), moves, WeightedRevLexLast(weights, i))]
-    return CommIdeal.make(n, _binomial_polys(n, [(p[:n], q[:n]) for p, q in moves]))
+    # dropping the homogenizing coordinate can make two pairs one
+    return CommIdeal.make(n, _binomial_polys(n, dict.fromkeys((p[:n], q[:n]) for p, q in moves)))
 
 
 def _divide_out(move: tuple[Expo, Expo], i: int) -> tuple[Expo, Expo]:
@@ -211,7 +206,6 @@ class BlockDecomposition:
     b_j: IntMatrix
     m_columns: tuple[int, ...]
     z_columns: tuple[int, ...]
-    irreducibility: str = "unverified"
 
     @property
     def q(self) -> int:
@@ -232,7 +226,7 @@ class BlockDecomposition:
             "b_j": self.b_j.to_json(),
             "m_columns": [i + 1 for i in self.m_columns],
             "z_columns": [i + 1 for i in self.z_columns],
-            "irreducibility": self.irreducibility,
+            "irreducibility": "unverified",
         }
 
 
@@ -315,6 +309,14 @@ def block_decompositions(b: IntMatrix) -> list[tuple[BlockDecomposition, Compone
     return out
 
 
+def _embed(values, at, n: int, zero=0) -> tuple:
+    """The n entries that hold values at the positions at and zero elsewhere."""
+    out = [zero] * n
+    for i, x in zip(at, values):
+        out[i] = x
+    return tuple(out)
+
+
 def _character_is_trivial(b_j: IntMatrix) -> bool:
     if b_j.cols == 0:
         return True
@@ -358,25 +360,16 @@ def toral_component_ideal(
     a = _toral_degree_matrix(b, dec, a)
     beta = _as_beta(beta, a.rows)
     n = b.rows
+    zero = (0,) * n
     gens = _d_operators(n, lattice_basis_ideal(b).gens)
 
     if dec.j:
         a_j = _submatrix(a, range(a.rows), dec.j)
-        for g in toric_ideal(a_j).groebner():
-            lifted = {}
-            for e, c in g.terms:
-                full = [0] * n
-                for local, jcol in enumerate(dec.j):
-                    full[jcol] = e[local]
-                lifted[((0,) * n, tuple(full))] = c
-            gens.append(WeylOperator.make(n, lifted))
-
-    for jcol in dec.jbar:
-        gens.append(
-            WeylOperator.monomial(
-                n, (0,) * n, tuple(1 if t == jcol else 0 for t in range(n))
-            )
-        )
+        gens += [
+            WeylOperator.make(n, {(zero, _embed(e, dec.j, n)): c for e, c in g.terms})
+            for g in toric_ideal(a_j).groebner()
+        ]
+    gens += [WeylOperator.monomial(n, zero, _embed((1,), (jcol,), n)) for jcol in dec.jbar]
 
     unbounded = unbounded_monomial_exponents(dec.m, monomial_cap)
     if dec.q > 0 and not unbounded:
@@ -392,10 +385,7 @@ def toral_component_ideal(
         )
     ]
     for u in minimal:
-        full = [0] * n
-        for local, jcol in enumerate(dec.jbar):
-            full[jcol] = u[local]
-        op = WeylOperator.monomial(n, (0,) * n, tuple(full))
+        op = WeylOperator.monomial(n, zero, _embed(u, dec.jbar, n))
         if op not in gens:
             gens.append(op)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, prod
 from operator import add, mul, sub
 from typing import Iterable, Mapping
 
@@ -377,24 +377,6 @@ class ThetaPoly:
             total += v
         return total
 
-    def __add__(self, other: "ThetaPoly") -> "ThetaPoly":
-        if self.nvars != other.nvars:
-            raise DimensionMismatchError("theta variable counts differ")
-        acc: dict[Expo, Fraction] = {}
-        for e, c in self.terms + other.terms:
-            acc[e] = acc.get(e, Fraction(0)) + c
-        return ThetaPoly.make(self.nvars, acc)
-
-    def __mul__(self, other: "ThetaPoly") -> "ThetaPoly":
-        if self.nvars != other.nvars:
-            raise DimensionMismatchError("theta variable counts differ")
-        acc: dict[Expo, Fraction] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = _add(e1, e2)
-                acc[e] = acc.get(e, Fraction(0)) + c1 * c2
-        return ThetaPoly.make(self.nvars, acc)
-
     def to_weyl(self) -> WeylOperator:
         """Expand back into normal order via theta_i = x_i d_i."""
         out = WeylOperator.zero(self.nvars)
@@ -409,25 +391,28 @@ class ThetaPoly:
         return out
 
 
+def _stirling1(k: int) -> tuple[int, ...]:
+    """The signed Stirling numbers of the first kind s(k, i), i = 0 .. k:
+    [t]_k = sum_i s(k, i) t^i, by [t]_{m+1} = [t]_m (t - m)."""
+    row = (1,)
+    for m in range(k):
+        row = tuple(a - m * b for a, b in zip((0,) + row, row + (0,)))
+    return row
+
+
 def theta_form(p: WeylOperator) -> ThetaPoly:
     """Rewrite an operator whose terms all have mu = nu as a polynomial in theta.
 
-    Uses x^mu d^mu = prod_j prod_{k < mu_j} (theta_j - k).
+    Uses x^mu d^mu = prod_j [theta_j]_{mu_j}, each falling factor expanded
+    by _stirling1.
     """
     acc: dict[Expo, Fraction] = {}
     for mu, nu, c in p.terms:
         if mu != nu:
             raise DhyperError("not a theta operator")
-        poly = ThetaPoly.make(p.nvars, {(0,) * p.nvars: Fraction(1)})
-        for j, e in enumerate(mu):
-            unit = tuple(1 if i == j else 0 for i in range(p.nvars))
-            for k in range(e):
-                factor = ThetaPoly.make(
-                    p.nvars, {unit: Fraction(1), (0,) * p.nvars: Fraction(-k)}
-                )
-                poly = poly * factor
-        for ee, cc in poly.terms:
-            acc[ee] = acc.get(ee, Fraction(0)) + c * cc
+        rows = [_stirling1(k) for k in mu]
+        for e in product(*(range(k + 1) for k in mu)):
+            acc[e] = acc.get(e, 0) + c * prod(r[i] for r, i in zip(rows, e))
     return ThetaPoly.make(p.nvars, acc)
 
 

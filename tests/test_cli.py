@@ -688,6 +688,29 @@ def test_exact_layer_report_bytes_are_pinned(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# SHA-256 of two components reports with --beta, so each toral split carries
+# its component ideal: lifted toric generators, the d_j of the block rows,
+# the minimal unbounded monomials and the Euler operators.  Recorded while
+# toral_component_ideal still placed block vectors with hand-written loops;
+# the ideals are unique, so a change of embedding leaves these bytes alone.
+COMPONENTS_REPORT_SHA256 = {
+    ("--b", B_JSON, "--beta", '["-11/6","-5/3"]', "--a", A_JSON): (
+        "545b2766aba04397815697337c29fb13f025fc8f3a3278fa49eee5ba2a76e952"
+    ),
+    (
+        "--b", "[[1,0],[0,1],[1,3],[-1,-2]]", "--beta", '["1/5","1/7"]',
+        "--a", "[[-1,-3,1,0],[1,2,0,1]]", "--monomial-cap", "4",
+    ): "941f2904e997b006849ce746a6281325af735e4d3369987a27c3f2f7a906a37b",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(COMPONENTS_REPORT_SHA256))
+def test_components_report_with_beta_is_pinned(capsys, argv):
+    assert cli.main(["components", *argv]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == COMPONENTS_REPORT_SHA256[argv]
+
+
 def test_toric_without_positive_grading(capsys):
     # [[1, -1]] has no positive grading: toric_ideal goes through the
     # homogenized matrix [[1, -1, 0], [1, 1, 1]] instead

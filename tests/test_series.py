@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import ast
 import copy
+import hashlib
 import json
 import os
 import pickle
@@ -801,6 +802,34 @@ def test_toral_basis_rejects_bad_blocks():
         toral_solution_basis(torsion, dec, (Fraction(1),), window=3)
 
 
+# SHA-256 of the sorted JSON of the toral solution bases: every toral split
+# of the demo at windows 4 and 6, and the two-vertex class of
+# test_toral_basis_multi_vertex_class at window 5, the one case that reaches
+# the Hermite basis of the joint lattice.  Recorded while toral_solution_basis
+# still placed block vectors with hand-written loops; the bases are unique,
+# so a change of embedding leaves these bytes alone.
+TORAL_BASES_SHA256 = "31f7548ab04caee3e2470b1baea99a24fd1e0e12cffa45da4befa38aae4e2e46"
+
+
+def test_toral_solution_bases_are_pinned():
+    from dhyper.series import toral_solution_basis
+    from dhyper.systems import TORAL, block_decompositions
+
+    out = []
+    for window in (4, 6):
+        for dec, cls in block_decompositions(B_DEMO):
+            if cls.verdict == TORAL:
+                basis = toral_solution_basis(B_DEMO, dec, BETA_DEMO, window=window, a=A_DEMO)
+                out.append([list(dec.jbar), window, [f.to_json() for f in basis]])
+    b = IntMatrix.from_rows([[1, 0], [0, 1], [1, 3], [-1, -2]])
+    a = IntMatrix.from_rows([[-1, -3, 1, 0], [1, 2, 0, 1]])
+    dec = [d for d, _ in block_decompositions(b) if d.jbar == (2, 3)][0]
+    basis = toral_solution_basis(b, dec, ["1/5", "1/7"], window=5, a=a)
+    out.append([[2, 3], 5, [f.to_json() for f in basis]])
+    text = json.dumps(out, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == TORAL_BASES_SHA256
+
+
 # ---------------------------------------------------------------------------
 # Coordinate path against a naive ambient reference
 
@@ -1238,6 +1267,56 @@ def test_imports_sit_at_module_level_in_layer_order():
                     layer = target.removeprefix("dhyper.")
                     assert LAYERS.index(layer) < LAYERS.index(stem), (name, target)
     assert stems == set(LAYERS) | {"__init__"}
+
+
+# methods that a framework calls by name: argparse calls error on a parse failure
+CALLED_BY_FRAMEWORK = {"cli._Parser.error"}
+
+
+def _parsed(directory):
+    for name in sorted(os.listdir(directory)):
+        if name.endswith(".py"):
+            with open(os.path.join(directory, name), encoding="utf-8") as fh:
+                yield name[:-3], ast.parse(fh.read())
+
+
+def test_every_definition_is_named_again():
+    # a definition nothing names is code with no caller: every module-level
+    # def and class of the package is named somewhere in src/, tests/ or
+    # bench/, and every method as .name or as a quoted (dotted) name, which
+    # is how bench/tracing.py names the methods it wraps
+    tests = os.path.dirname(os.path.abspath(__file__))
+    bench = os.path.join(os.path.dirname(os.path.dirname(SRC_PACKAGE)), "bench")
+    trees = [tree for directory in (SRC_PACKAGE, tests, bench) for _, tree in _parsed(directory)]
+    names, attrs, quoted = set(), set(), set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rsplit(".", 1)[-1])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if re.fullmatch(r"[\w.]+", node.value):
+                    quoted.update(node.value.split("."))
+    unnamed = []
+    for stem, tree in _parsed(SRC_PACKAGE):
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name not in names | attrs | quoted:
+                unnamed.append(f"{stem}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                unnamed += [
+                    f"{stem}.{node.name}.{m.name}"
+                    for m in node.body
+                    if isinstance(m, ast.FunctionDef)
+                    and not (m.name.startswith("__") and m.name.endswith("__"))
+                    and m.name not in attrs | quoted
+                    and f"{stem}.{node.name}.{m.name}" not in CALLED_BY_FRAMEWORK
+                ]
+    assert unnamed == []
 
 
 def overflow_catchers(node, where=()):

@@ -1,4 +1,5 @@
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -167,6 +168,18 @@ def test_reduced_toric_bases_through_the_homogenized_matrix_are_pinned():
         assert positive_functional(a.columns(), a.rows) is None
         lines.append(f"{rows}: {', '.join(map(str, toric_ideal(a).groebner()))}")
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == HOMOGENIZED_BASES_SHA256
+
+
+def test_toric_generators_without_positive_grading_are_distinct():
+    # dropping the homogenizing coordinate can send two pairs of the last
+    # saturation step to one binomial; it is returned once
+    gens = toric_ideal(IntMatrix.from_rows([[-3, -2, 3, -1]])).gens
+    assert len(gens) == len(set(gens))
+    rng = random.Random(23)
+    for _ in range(60):
+        rows = [[rng.randint(-3, 3) or 1 for _ in range(4)] for _ in range(rng.randint(1, 2))]
+        gens = toric_ideal(IntMatrix.from_rows(rows)).gens
+        assert len(gens) == len(set(gens)), rows
 
 
 def test_toric_ideal_zero_column():

@@ -188,6 +188,38 @@ def test_theta_round_trip_random():
     assert theta_form(w).to_weyl() == w
 
 
+def theta_form_by_linear_factors(p: WeylOperator) -> ThetaPoly:
+    """Reference for theta_form: x^mu d^mu = prod_j prod_{k < mu_j}
+    (theta_j - k), multiplied out one linear factor at a time."""
+    acc: dict = {}
+    for mu, nu, c in p.terms:
+        assert mu == nu
+        poly = {(0,) * p.nvars: Fraction(1)}
+        for j, e in enumerate(mu):
+            for k in range(e):
+                out: dict = {}
+                for t, a in poly.items():
+                    up = t[:j] + (t[j] + 1,) + t[j + 1 :]
+                    out[up] = out.get(up, 0) + a
+                    out[t] = out.get(t, 0) - k * a
+                poly = out
+        for t, a in poly.items():
+            acc[t] = acc.get(t, 0) + c * a
+    return ThetaPoly.make(p.nvars, acc)
+
+
+def test_theta_form_matches_the_product_of_linear_factors():
+    rng = random.Random(23)
+    for _ in range(200):
+        n = rng.randint(1, 3)
+        mapping = {}
+        for _ in range(rng.randint(1, 4)):
+            mu = tuple(rng.randint(0, 4) for _ in range(n))
+            mapping[(mu, mu)] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        p = WeylOperator.make(n, mapping)
+        assert theta_form(p) == theta_form_by_linear_factors(p)
+
+
 def test_theta_evaluate_matches_action_on_monomials():
     # p(theta) x^w = p(w) x^w
     p = theta_form(WeylOperator.make(2, {((2, 0), (2, 0)): 1, ((1, 1), (1, 1)): 2}))
