@@ -69,26 +69,6 @@ class Verdict:
         return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
-@dataclass(frozen=True)
-class CommandReport:
-    command: str
-    inputs_digest: str
-    verdicts: tuple[Verdict, ...]
-    artifacts: tuple[str, ...]
-    exit_code: int
-    results: dict
-
-    def to_json(self) -> dict:
-        return {
-            "command": self.command,
-            "inputs_digest": self.inputs_digest,
-            "verdicts": [v.to_json() for v in self.verdicts],
-            "artifacts": list(self.artifacts),
-            "exit_code": self.exit_code,
-            "results": self.results,
-        }
-
-
 # ---------------------------------------------------------------------------
 # Input decoding
 
@@ -580,15 +560,14 @@ def _digest(args: argparse.Namespace) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def run(argv=None) -> CommandReport:
+def run(argv=None) -> dict:
+    """The report of one command, as main prints it."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     for flag in ("cap", "monomial_cap"):
         if getattr(args, flag, 0) < 0:
             raise InputFormatError(f"--{flag.replace('_', '-')} must be nonnegative")
-    handler = _HANDLERS[args.command]
-    digest = _digest(args)
-    verdicts, payload = handler(args)
+    verdicts, payload = _HANDLERS[args.command](args)
     artifacts = []
     if args.emit:
         os.makedirs(args.emit, exist_ok=True)
@@ -598,15 +577,14 @@ def run(argv=None) -> CommandReport:
                 json.dump(payload[key], fh, indent=2, sort_keys=True)
                 fh.write("\n")
             artifacts.append(path)
-    exit_code = EXIT_OK if all(v.passed for v in verdicts) else EXIT_CHECK_FAILED
-    return CommandReport(
-        command=args.command,
-        inputs_digest=digest,
-        verdicts=tuple(verdicts),
-        artifacts=tuple(artifacts),
-        exit_code=exit_code,
-        results=payload,
-    )
+    return {
+        "command": args.command,
+        "inputs_digest": _digest(args),
+        "verdicts": [v.to_json() for v in verdicts],
+        "artifacts": artifacts,
+        "exit_code": EXIT_OK if all(v.passed for v in verdicts) else EXIT_CHECK_FAILED,
+        "results": payload,
+    }
 
 
 def main(argv=None) -> int:
@@ -620,8 +598,8 @@ def main(argv=None) -> int:
         error = f"internal error: {type(exc).__name__}: {exc}"
         print(json.dumps({"error": error, "exit_code": EXIT_INTERNAL}))
         return EXIT_INTERNAL
-    print(json.dumps(report.to_json(), indent=2, sort_keys=True))
-    return report.exit_code
+    print(json.dumps(report, indent=2, sort_keys=True))
+    return report["exit_code"]
 
 
 if __name__ == "__main__":

@@ -434,40 +434,41 @@ def _buchberger(gens, pk, cap: int | None = None, chain: bool = True):
     return pk, basis, PairStats(**counts)
 
 
+def _minimal(pairs, pk) -> list:
+    """The (lead, item) pairs whose lead no other lead divides, the first of
+    equal leads kept, sorted by lead."""
+    # a lead's divisors sort before it, and the sort is stable
+    kept: list = []
+    for pair in sorted(pairs, key=itemgetter(0)):
+        if not any(pk.divides(k, pair[0]) for k, _ in kept):
+            kept.append(pair)
+    return kept
+
+
 def _interreduce(basis, pk) -> tuple:
     """(packing, reduced basis): drop elements whose lead another lead
-    divides, reduce each tail by the rest until nothing changes, keeping
-    every element primitive, and sort by lead.  A product that overflows
-    starts the reduction again on the input repacked wider."""
+    divides, reduce each tail once by the rest, in index order, keeping
+    every element primitive, and sort by lead.  One pass is enough (Cox,
+    Little and O'Shea, 2.7): no kept lead divides another and a reduction
+    keeps its element's lead, so a tail left irreducible stays so.  A
+    product that overflows starts the reduction again on the input
+    repacked wider."""
 
     def run(wide):
         held = basis if wide is pk else _repack(basis, pk, wide)
-        leads = [max(g) for g, _, _ in held]
-        kept = [
-            held[i]
-            for i, lead in enumerate(leads)
-            if not any(
-                j != i and wide.divides(lj, lead) and (lj != lead or j < i)
-                for j, lj in enumerate(leads)
-            )
-        ]
-        # no kept lead divides another, so reduction keeps every lead term
+        leads = [(max(g), i) for i, (g, _, _) in enumerate(held)]
+        kept = [held[i] for i in sorted(i for _, i in _minimal(leads, wide))]
         divisors = [_divisor(g) for g, _, _ in kept]
-        changed = True
-        while changed:
-            changed = False
-            for i, (g, rep, den) in enumerate(kept):
-                others = divisors[:i] + divisors[i + 1 :]
-                quots, rem, m = _divide(g, others, wide)
-                if any(quots):
-                    changed = True
-                    rest = kept[:i] + kept[i + 1 :]
-                    new_den = _used_lcm(quots, rest, den)
-                    s = m * (new_den // den)
-                    acc = [{k: c * s for k, c in r.items()} for r in rep]
-                    _add_cofactors(acc, quots, rest, new_den, -1, wide)
-                    kept[i] = _primitive(rem, acc, new_den, divisors[i][0])
-                    divisors[i] = _divisor(kept[i][0])
+        for i, (g, rep, den) in enumerate(kept):
+            quots, rem, m = _divide(g, divisors[:i] + divisors[i + 1 :], wide)
+            if any(quots):
+                rest = kept[:i] + kept[i + 1 :]
+                new_den = _used_lcm(quots, rest, den)
+                s = m * (new_den // den)
+                acc = [{k: c * s for k, c in r.items()} for r in rep]
+                _add_cofactors(acc, quots, rest, new_den, -1, wide)
+                kept[i] = _primitive(rem, acc, new_den, divisors[i][0])
+                divisors[i] = _divisor(kept[i][0])
         return wide, sorted(kept, key=lambda t: max(t[0]))
 
     return _widening(run, pk)
@@ -600,12 +601,7 @@ def _binomial_interreduce(basis, pk) -> tuple:
     reduction again on the input repacked wider."""
 
     def run(wide):
-        held = basis if wide is pk else _repack_moves(basis, pk, wide)
-        # a lead's divisors sort before it, and the sort is stable
-        kept: list[tuple[int, int]] = []
-        for lead, tail in sorted(held, key=itemgetter(0)):
-            if not any(wide.divides(k, lead) for k, _ in kept):
-                kept.append((lead, tail))
+        kept = _minimal(basis if wide is pk else _repack_moves(basis, pk, wide), wide)
         # no kept lead divides another, so only the tail moves, and its
         # normal form by a Groebner basis does not depend on the moves
         return wide, [_binomial_divide(*d, kept[:i] + kept[i + 1 :], wide) for i, d in enumerate(kept)]
@@ -856,35 +852,28 @@ class WeylGroebner:
         _, rep, den = basis[idx]
         return tuple(_over(pk, r, den) for r in rep)
 
-    def _divided(self, p: WeylOperator, pk, basis, divisors) -> tuple:
-        """(f, d, m, rem, cof, den): f = d p packed by pk, and
-        den m f = sum_i cof_i . g_i + den rem over the generators g_i."""
-        if p.nvars != self.nvars:
-            raise DimensionMismatchError("query variable count mismatch")
-        f, d = _integral(pk, p.terms)
-        quots, rem, m = _divide(f, divisors, pk)
-        # m f = sum quots . basis + rem
-        den = _used_lcm(quots, basis)
-        cof: list[dict] = [{} for _ in self.gens]
-        _add_cofactors(cof, quots, basis, den, 1, pk)
-        return f, d, m, rem, cof, den
-
     def normal_form(self, p: WeylOperator):
-        """(normal form, cofactors): p = sum cofactor_i . g_i + normal form
-        over the generators g_i."""
-
-        def run(pk, basis, divisors, _):
-            _, d, m, rem, cof, den = self._divided(p, pk, basis, divisors)
-            return _over(pk, rem, m * d), tuple(_over(pk, c, den * m * d) for c in cof)
-
-        return self._at_width(run)
+        """membership(p)'s (normal form, cofactors), replayed:
+        p = sum cofactor_i . g_i + normal form over the generators g_i."""
+        cert = self.membership(p)
+        return cert.normal_form, cert.cofactors
 
     def membership(self, p: WeylOperator) -> MembershipCertificate:
-        """normal_form's answer, its cofactors replayed against the
-        generators on the division's integers before they are converted."""
+        """The normal form of p by the basis, and cofactors over the
+        generators g_i with p = sum cofactor_i . g_i + normal form, replayed
+        against the generators on the division's integers before they are
+        converted."""
+        if p.nvars != self.nvars:
+            raise DimensionMismatchError("query variable count mismatch")
 
         def run(pk, basis, divisors, gens):
-            f, d, m, rem, cof, den = self._divided(p, pk, basis, divisors)
+            # f = d p, m f = sum quots . basis + rem, and then
+            # den m f = sum cof . gens + den rem
+            f, d = _integral(pk, p.terms)
+            quots, rem, m = _divide(f, divisors, pk)
+            den = _used_lcm(quots, basis)
+            cof: list[dict] = [{} for _ in self.gens]
+            _add_cofactors(cof, quots, basis, den, 1, pk)
             if not _division_replays(f, m, rem, cof, den, gens, pk):
                 raise InvariantError("internal cofactor replay failed")
             return _over(pk, rem, m * d), tuple(_over(pk, c, den * m * d) for c in cof)

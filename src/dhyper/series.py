@@ -13,15 +13,15 @@ validates with one Smith-form solve per point.
 
 The two hot walks go one level lower and pack each coordinate tuple into
 one int (weyl._lattice_packing): the gamma fill keys its recurrence by
-packed points, and both cases of the operator action scatter a _Frame
-(_scatter), which holds every point packed with its coefficient scaled
-to an integer over one common denominator: the series' own frame, kept
-with it, or one packed in the coordinates of the refined lattice.  So a
-lattice step is one int addition and a window-box test two subtractions
-under a mask.  The packed ints never leave the fill and the frame:
-_index, the constructors and every signature stay keyed by coordinate
-tuples.  Every falling factor, in the fill, the action and shift, comes
-from a weyl._Falling.
+packed points, and both cases of the operator action, d^alpha in shift
+among them, scatter a _Frame (_scatter), which holds every point packed
+with its coefficient scaled to an integer over one common denominator:
+the series' own frame, kept with it, or one packed in the coordinates of
+the refined lattice.  So a lattice step is one int addition and a
+window-box test two subtractions under a mask.  The packed ints never
+leave the fill and the frame: _index, the constructors and every
+signature stay keyed by coordinate tuples.  Every falling factor, in the
+fill, the action and shift, comes from a weyl._Falling.
 """
 
 from __future__ import annotations
@@ -93,8 +93,6 @@ def lattice_coordinates(lat: IntMatrix, vec: tuple[int, ...]) -> tuple[int, ...]
     """Coordinates of vec in the column lattice of lat, or None if outside."""
     if len(vec) != lat.rows:
         raise DimensionMismatchError("vector length does not match lattice ambient dimension")
-    if lat.cols == 0:
-        return () if all(x == 0 for x in vec) else None
     sf = _smith(lat)
     diag = sf.diagonal
     y = sf.u.mul_int_vector(vec)
@@ -108,6 +106,18 @@ def lattice_coordinates(lat: IntMatrix, vec: tuple[int, ...]) -> tuple[int, ...]
         elif y[i]:
             return None
     return sf.v.mul_int_vector(tuple(t))
+
+
+def _coordinate_map(lat: IntMatrix, sub: IntMatrix) -> IntMatrix:
+    """The integer matrix T with sub = lat T: column j holds the coordinates
+    of column j of sub in lat."""
+    cols = []
+    for col in sub.columns():
+        z = lattice_coordinates(lat, col)
+        if z is None:
+            raise InvariantError(f"column {col} is outside the lattice")
+        cols.append(z)
+    return IntMatrix.from_rows([[z[i] for z in cols] for i in range(lat.cols)])
 
 
 def _check_frame(nvars, base, lattice, window, reliable, window_exhausted):
@@ -226,7 +236,7 @@ class PuiseuxSeries:
     def monomial(exponent: Iterable[Fraction], coeff=1) -> "PuiseuxSeries":
         expo = tuple(Fraction(q) for q in exponent)
         n = len(expo)
-        lat = IntMatrix.from_rows([[] for _ in range(n)]) if n else IntMatrix.from_rows([])
+        lat = IntMatrix.from_rows([[] for _ in range(n)])
         c = Fraction(coeff)
         coeffs = {(0,) * n: c} if c else {}
         return PuiseuxSeries.make(n, expo, lat, coeffs, window=0)
@@ -317,15 +327,11 @@ def shift(f: PuiseuxSeries, alpha: tuple[int, ...], direction: str) -> PuiseuxSe
         raise InputFormatError("shift exponent must be nonnegative")
     if direction == DERIVE:
         base_out = tuple(b - a for b, a in zip(f.base, alpha))
-        # factor [v + u]_alpha = I / D^|alpha| with I the integer falling factor
-        falling = _Falling(f.base)
-        d_pow = falling.d ** sum(alpha)
-        coeffs = {}
-        for z, u in f._index.items():
-            factor = falling.action(alpha, u)
-            if factor:
-                c = f.coeffs[u]
-                coeffs[z] = Fraction(c.numerator * factor, c.denominator * d_pow)
+        # the action of d^alpha: its one shift -alpha moves no point off
+        # its coordinates, and the window keeps them all
+        d_alpha = WeylOperator.monomial(f.nvars, (0,) * f.nvars, alpha)
+        stencil = {d_alpha.shifts()[0]: (0,) * f.lattice.cols}
+        coeffs = _scatter(d_alpha, f._packed(), stencil, f.window)
     elif direction == ANTIDERIVE:
         base_out = tuple(b + a for b, a in zip(f.base, alpha))
         falling = _Falling(base_out)
@@ -512,9 +518,7 @@ def _apply_refined(p: WeylOperator, f, delta0: Expo):
     )
     coords = {s: lattice_coordinates(lat, _sub(s, delta0)) for s in p.shifts()}
     stencil = max(map(_sup, coords.values()))
-    cols = [lattice_coordinates(lat, col) for col in f.lattice.columns()]
-    t = IntMatrix.from_rows([[col[i] for col in cols] for i in range(lat.cols)])
-    frame = _Frame(f, t, stencil)
+    frame = _Frame(f, _coordinate_map(lat, f.lattice), stencil)
     # an input with no reliable radius certifies no ring
     reliable = -1
     if f.reliable >= 0:
@@ -722,9 +726,7 @@ def monomial_substitution(g: PuiseuxSeries, b: IntMatrix, vprime: RatVector) -> 
         raise DimensionMismatchError("vprime length must match substitution matrix height")
     if any(q.denominator != 1 for q in g.base):
         raise InputFormatError("monomial substitution needs an integer base exponent")
-    lat_out = b @ g.lattice if g.lattice.cols else IntMatrix.from_rows(
-        [[] for _ in range(b.rows)]
-    )
+    lat_out = b @ g.lattice
     if lat_out.cols and lat_out.rank() != lat_out.cols:
         raise LatticeCollisionError("substitution matrix is not injective on the lattice")
     shift_base = b.mul_int_vector(tuple(int(q) for q in g.base))
@@ -767,9 +769,7 @@ def gamma_series(
         raise InputFormatError("bad window bounds")
     if not is_nonresonant(a, beta).nonresonant:
         warnings.warn("resonant parameter: series construction may fail", RuntimeWarning)
-    lat = kernel_basis(a) if a.rows < a.cols else IntMatrix.from_rows(
-        [[] for _ in range(a.cols)]
-    )
+    lat = kernel_basis(a)
     if v is not None:
         v = RatVector.make(v)
         got = a.mul_vector(v)
@@ -894,14 +894,17 @@ def toral_solution_basis(b, dec, beta, window: int = 8, a=None):
         f = gamma_series(a_j, beta.sub(RatVector.make(a_zbar.mul_int_vector(u))), window=window)
         graph_coeffs = lattice_polynomial_solutions(dec.m, comp)
         lat_f = _embed(f.lattice.entries, dec.j, n, zero=(0,) * f.lattice.cols)
+        t = None
         if len(comp.vertices) == 1:
             lattice = IntMatrix.from_rows(lat_f)
         else:
-            lattice = hermite_column_basis(
-                IntMatrix.from_rows([r + s for r, s in zip(lat_f, bc.entries)])
-            )
+            joint = IntMatrix.from_rows([r + s for r, s in zip(lat_f, bc.entries)])
+            lattice = hermite_column_basis(joint)
+            # embed(L_f z) + B_c v = joint (z, v) = lattice T (z, v)
+            t = _coordinate_map(lattice, joint)
         base = _add(_embed(f.base, dec.j, n), _embed(u, dec.jbar, n))
-        coeffs: dict[tuple[int, ...], Fraction] = {}
+        coords: dict[tuple[int, ...], Fraction] = {}
+        points: dict[tuple[int, ...], tuple[int, ...]] = {}
         exact = f.lattice.cols == 0 and not f.window_exhausted
         for w in comp.vertices:
             # dec.m is square and nonsingular, so the moves are unique
@@ -916,14 +919,11 @@ def toral_solution_basis(b, dec, beta, window: int = 8, a=None):
                 g = shift(g, up, ANTIDERIVE)
             offset = bc.mul_int_vector(v_int)
             cw = graph_coeffs[w]
-            for key, c in g.coeffs.items():
-                coeffs[_add(_embed(key, dec.j, n), offset)] = cw * c
-        coords: dict[tuple[int, ...], Fraction] = {}
-        for point, c in coeffs.items():
-            z = lattice_coordinates(lattice, point)
-            if z is None:
-                raise InvariantError(f"point {point} is outside the joint lattice")
-            coords[z] = c
+            # a single vertex keeps f's coordinates
+            for z, key in g._index.items():
+                y = z if t is None else t.mul_int_vector(z + v_int)
+                coords[y] = cw * g.coeffs[key]
+                points[y] = _add(_embed(key, dec.j, n), offset)
         window_out = max([window] + [_sup(z) for z in coords])
         if exact:
             reliable = window_out
@@ -941,7 +941,7 @@ def toral_solution_basis(b, dec, beta, window: int = 8, a=None):
             PuiseuxSeries._from_coords(
                 n, base, lattice, coords,
                 window=window_out, reliable=reliable,
-                window_exhausted=exhausted,
+                window_exhausted=exhausted, points=points,
             )
         )
     return basis

@@ -33,7 +33,9 @@ from .exact import (
     smith_form,
     span_mixedness,
 )
-from .groebner import CommIdeal, CommPoly, WeightedRevLexLast, _binomial_basis, _binomial_polys
+from .groebner import (
+    CommIdeal, CommPoly, DegRevLex, WeightedRevLexLast, _binomial_basis, _binomial_polys,
+)
 from .mgraph import UNBOUNDED_CERTIFIED, _components_in_box
 from .weyl import Expo, WeylOperator, _split_move, euler_generators
 
@@ -115,8 +117,11 @@ def toric_ideal(a: IntMatrix) -> CommIdeal:
     moves = [_split_move(u) for u in kernel]
     for i in range(len(weights) - 1):
         moves = [_divide_out(m, i) for m in _binomial_basis(len(weights), moves, WeightedRevLexLast(weights, i))]
-    # dropping the homogenizing coordinate can make two pairs one
-    return CommIdeal.make(n, _binomial_polys(n, dict.fromkeys((p[:n], q[:n]) for p, q in moves)))
+    if c is None:
+        # with the homogenizing coordinate dropped, the pairs generate I_A
+        # but need not be a reduced basis of it
+        moves = _binomial_basis(n, [(p[:n], q[:n]) for p, q in moves], DegRevLex(n))
+    return CommIdeal.make(n, _binomial_polys(n, moves))
 
 
 def _divide_out(move: tuple[Expo, Expo], i: int) -> tuple[Expo, Expo]:

@@ -1204,3 +1204,101 @@ def test_overflowing_completion_keeps_its_work(monkeypatch, name):
     got, wide = counted_run(completion, monkeypatch)
     assert got == want and not wide["widened"]
     assert seen["spair"] <= wide["spair"] + len(seen["widened"])
+
+
+# ---------------------------------------------------------------------------
+# One-pass interreduction against the fixpoint loop it replaced
+
+
+def interreduce_to_fixpoint(basis, pk):
+    """_interreduce as it was before it ran one pass: the minimal leads by a
+    scan of every pair of leads, then passes of tail reduction, each
+    element by the rest in index order, until a pass changes nothing."""
+
+    def run(wide):
+        held = basis if wide is pk else groebner._repack(basis, pk, wide)
+        leads = [max(g) for g, _, _ in held]
+        kept = [
+            held[i]
+            for i, lead in enumerate(leads)
+            if not any(
+                j != i and wide.divides(lj, lead) and (lj != lead or j < i)
+                for j, lj in enumerate(leads)
+            )
+        ]
+        divisors = [groebner._divisor(g) for g, _, _ in kept]
+        changed = True
+        while changed:
+            changed = False
+            for i, (g, rep, den) in enumerate(kept):
+                others = divisors[:i] + divisors[i + 1 :]
+                quots, rem, m = groebner._divide(g, others, wide)
+                if any(quots):
+                    changed = True
+                    rest = kept[:i] + kept[i + 1 :]
+                    new_den = groebner._used_lcm(quots, rest, den)
+                    s = m * (new_den // den)
+                    acc = [{k: c * s for k, c in r.items()} for r in rep]
+                    groebner._add_cofactors(acc, quots, rest, new_den, -1, wide)
+                    kept[i] = groebner._primitive(rem, acc, new_den, divisors[i][0])
+                    divisors[i] = groebner._divisor(kept[i][0])
+        return wide, sorted(kept, key=lambda t: max(t[0]))
+
+    return groebner._widening(run, pk)
+
+
+def assert_one_pass_matches_the_fixpoint(build):
+    """Every interreduction that build() runs gives the fixpoint loop's
+    basis, cofactors and denominators, at the same packing width."""
+    inputs = []
+    real = groebner._interreduce
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groebner, "_interreduce", lambda basis, pk: inputs.append((basis, pk)) or real(basis, pk))
+        build()
+    assert inputs
+    for basis, pk in inputs:
+        (got_pk, got), (ref_pk, ref) = real(basis, pk), interreduce_to_fixpoint(basis, pk)
+        assert got_pk.width == ref_pk.width
+        assert got == ref
+
+
+@pytest.mark.parametrize(
+    "name,cap",
+    [("horn", 10), ("ahyp", 10), ("quartic", 4)]
+    + [("horn", c) for c in (3, 6, 8)]
+    + [("ahyp", c) for c in (3, 6, 8)],
+)
+def test_one_pass_interreduction_matches_the_fixpoint_on_demos(name, cap):
+    # the three membership bases first, then capped Horn and A-hyp ones
+    assert_one_pass_matches_the_fixpoint(lambda: groebner_weyl(DEMO_SYSTEMS[name](), cap=cap))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(small_weyl_systems())
+def test_one_pass_interreduction_matches_the_fixpoint_on_weyl_ideals(case):
+    gens, cap = case
+    assert_one_pass_matches_the_fixpoint(lambda: groebner_weyl(gens, cap=cap))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(d_only_ideals())
+def test_one_pass_interreduction_matches_the_fixpoint_on_x_free_ideals(case):
+    n, gens = case
+    assert_one_pass_matches_the_fixpoint(lambda: groebner._general_basis(n, gens, DegRevLex(n)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(st.tuples(*[st.integers(0, 2)] * n), max_size=12)))
+def test_minimal_leads_match_the_pairwise_scan(exps):
+    # few small exponents, so leads repeat and divide each other often
+    n = len(exps[0]) if exps else 1
+    pk = groebner._fit(n, DegRevLex(n).rows, False, 2)
+    leads = [pk.flat(e) for e in exps]
+    scan = [
+        i
+        for i, lead in enumerate(leads)
+        if not any(j != i and pk.divides(lj, lead) and (lj != lead or j < i) for j, lj in enumerate(leads))
+    ]
+    got = groebner._minimal([(lead, i) for i, lead in enumerate(leads)], pk)
+    assert [i for _, i in got] == sorted(scan, key=leads.__getitem__)
+    assert [lead for lead, _ in got] == sorted(leads[i] for i in scan)

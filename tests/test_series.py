@@ -29,6 +29,7 @@ from dhyper.errors import (
     DimensionMismatchError,
     IncompatibleRecurrencesError,
     InputFormatError,
+    InvariantError,
     LatticeCollisionError,
     ZeroFactorialError,
 )
@@ -51,6 +52,7 @@ from dhyper.series import (
     AnnihilationReport,
     PuiseuxSeries,
     _candidates,
+    _coordinate_map,
     _ring,
     annihilation_check,
     apply_to_series,
@@ -1283,12 +1285,14 @@ def _parsed(directory):
 def test_every_definition_is_named_again():
     # a definition nothing names is code with no caller: every module-level
     # def and class of the package is named somewhere in src/, tests/ or
-    # bench/, and every method as .name or as a quoted (dotted) name, which
-    # is how bench/tracing.py names the methods it wraps
+    # bench/, and every method as .name, in a dotted "Class.method" string
+    # or as a ("Class", "method") tuple, which is how bench/tracing.py names
+    # the methods it wraps; a string that is only the method's own name
+    # does not count, as a JSON key or a flag would pass by coincidence
     tests = os.path.dirname(os.path.abspath(__file__))
     bench = os.path.join(os.path.dirname(os.path.dirname(SRC_PACKAGE)), "bench")
     trees = [tree for directory in (SRC_PACKAGE, tests, bench) for _, tree in _parsed(directory)]
-    names, attrs, quoted = set(), set(), set()
+    names, attrs, quoted, methods = set(), set(), set(), set()
     for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
@@ -1299,7 +1303,12 @@ def test_every_definition_is_named_again():
                 names.add(node.name.rsplit(".", 1)[-1])
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 if re.fullmatch(r"[\w.]+", node.value):
-                    quoted.update(node.value.split("."))
+                    parts = node.value.split(".")
+                    quoted.update(parts)
+                    methods.update(zip(parts, parts[1:]))
+            elif isinstance(node, ast.Tuple) and len(node.elts) == 2:
+                if all(isinstance(e, ast.Constant) and isinstance(e.value, str) for e in node.elts):
+                    methods.add(tuple(e.value for e in node.elts))
     unnamed = []
     for stem, tree in _parsed(SRC_PACKAGE):
         for node in tree.body:
@@ -1313,7 +1322,8 @@ def test_every_definition_is_named_again():
                     for m in node.body
                     if isinstance(m, ast.FunctionDef)
                     and not (m.name.startswith("__") and m.name.endswith("__"))
-                    and m.name not in attrs | quoted
+                    and m.name not in attrs
+                    and (node.name, m.name) not in methods
                     and f"{stem}.{node.name}.{m.name}" not in CALLED_BY_FRAMEWORK
                 ]
     assert unnamed == []
@@ -1568,3 +1578,83 @@ def test_lazy_candidates_keep_the_eager_order(a, beta):
     if lat.cols:
         # v0 is not generic here: a later candidate is the one used
         assert f.base != tuple(v0.entries)
+
+
+# ---------------------------------------------------------------------------
+# d^alpha through the operator action, and the one sublattice coordinate map
+
+
+def reference_derive(f, alpha):
+    """shift(f, alpha, DERIVE) as it was before it went through _scatter:
+    one falling factor [v + u]_alpha per point, from a _Falling."""
+    falling = _Falling(f.base)
+    d_pow = falling.d ** sum(alpha)
+    coeffs = {}
+    for z, u in f._index.items():
+        factor = falling.action(alpha, u)
+        if factor:
+            c = f.coeffs[u]
+            coeffs[z] = Fraction(c.numerator * factor, c.denominator * d_pow)
+    return PuiseuxSeries._from_coords(
+        f.nvars, tuple(b - a for b, a in zip(f.base, alpha)), f.lattice, coeffs,
+        window=f.window, reliable=f.reliable,
+        window_exhausted=f.window_exhausted, points=f._index,
+    )
+
+
+DERIVE_LATTICES = [
+    B_DEMO,
+    kernel_basis(A_QUARTIC),
+    IntMatrix.from_rows([[2, 0], [0, 3], [1, 1]]),
+    IntMatrix.from_rows([[1], [-1]]),
+    IntMatrix.from_rows([[], [], []]),
+]
+
+
+@st.composite
+def derive_cases(draw):
+    """A series on one of DERIVE_LATTICES, rank 0 included, whose base has
+    integral entries, so some falling factors vanish, with a reliable
+    radius below its window or an exhausted window, and an alpha."""
+    lat = draw(st.sampled_from(DERIVE_LATTICES))
+    window = draw(st.integers(0, 3))
+    frac = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3]))
+    base = draw(st.lists(frac, min_size=lat.rows, max_size=lat.rows))
+    box = list(product(range(-window, window + 1), repeat=lat.cols))
+    coeff = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7))
+    coeffs = {_ambient(lat, z): draw(coeff) for z in draw(st.lists(st.sampled_from(box), max_size=8))}
+    exhausted = draw(st.booleans())
+    reliable = -1 if exhausted else draw(st.integers(-1, window))
+    f = PuiseuxSeries.make(
+        lat.rows, base, lat, coeffs, window=window, reliable=reliable, window_exhausted=exhausted
+    )
+    return f, draw(st.tuples(*[st.integers(0, 2)] * lat.rows))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(derive_cases())
+def test_derive_through_the_operator_action_matches_the_falling_factor_loop(case):
+    f, alpha = case
+    got, want = shift(f, alpha, DERIVE), reference_derive(f, alpha)
+    assert got == want
+    assert list(got._index.items()) == list(want._index.items())
+    assert list(got.coeffs) == list(want.coeffs)
+
+
+def test_derive_on_a_gamma_series_matches_the_falling_factor_loop():
+    f = gamma_series(A_DEMO, BETA_DEMO, window=4)
+    for alpha in product(range(3), repeat=4):
+        got, want = shift(f, alpha, DERIVE), reference_derive(f, alpha)
+        assert got == want and list(got._index.items()) == list(want._index.items())
+
+
+def test_coordinate_map_writes_columns_in_the_lattice_basis():
+    joint = IntMatrix.from_rows([r + (x,) for r, x in zip(B_DEMO.entries, (1, 0, 0, 0))])
+    lat = hermite_column_basis(joint)
+    assert lat @ _coordinate_map(lat, B_DEMO) == B_DEMO
+    assert lat @ _coordinate_map(lat, joint) == joint
+    # outside the rational span, and inside it but off the lattice
+    with pytest.raises(InvariantError):
+        _coordinate_map(B_DEMO, IntMatrix.from_rows([[1], [0], [0], [0]]))
+    with pytest.raises(InvariantError):
+        _coordinate_map(IntMatrix.from_rows([[2]]), IntMatrix.from_rows([[1]]))

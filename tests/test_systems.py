@@ -182,6 +182,15 @@ def test_toric_generators_without_positive_grading_are_distinct():
         assert len(gens) == len(set(gens)), rows
 
 
+def test_toric_generators_without_positive_grading_are_the_reduced_basis():
+    # with the homogenizing coordinate dropped, the last step's pairs are
+    # completed once more, so the generators are the reduced degrevlex basis
+    for rows in [[[-3, -2, 3, -1]], *HOMOGENIZED_TORIC_MATRICES]:
+        ideal = toric_ideal(IntMatrix.from_rows(rows))
+        assert ideal.gens == ideal.groebner(), rows
+    assert len(toric_ideal(IntMatrix.from_rows([[-3, -2, 3, -1]])).gens) == 4
+
+
 def test_toric_ideal_zero_column():
     with pytest.raises(ZeroColumnError):
         toric_ideal(IntMatrix.from_rows([[1, 0], [1, 0]]))
