@@ -101,7 +101,8 @@ def _load_json(text: str):
     try:
         obj = json.loads(text)
         _no_floats(obj)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # a JSONDecodeError, or an integer literal past the int-string limit
         raise InputFormatError(f"malformed JSON: {exc}") from exc
     except RecursionError as exc:
         raise InputFormatError("malformed JSON: nested too deeply") from exc
@@ -570,13 +571,17 @@ def run(argv=None) -> dict:
     verdicts, payload = _HANDLERS[args.command](args)
     artifacts = []
     if args.emit:
-        os.makedirs(args.emit, exist_ok=True)
-        for key in sorted(payload):
-            path = os.path.join(args.emit, f"{key}.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(payload[key], fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            artifacts.append(path)
+        path = args.emit
+        try:
+            os.makedirs(path, exist_ok=True)
+            for key in sorted(payload):
+                path = os.path.join(args.emit, f"{key}.json")
+                with open(path, "w", encoding="utf-8") as fh:
+                    json.dump(payload[key], fh, indent=2, sort_keys=True)
+                    fh.write("\n")
+                artifacts.append(path)
+        except OSError as exc:
+            raise InputFormatError(f"cannot write {path}: {exc}") from exc
     return {
         "command": args.command,
         "inputs_digest": _digest(args),

@@ -8,19 +8,21 @@ with their primitive support functions.
 
 Rank, determinant, kernels (and the facet normals and extreme rays read off
 one-dimensional kernels), complements, lattice indices and rational
-solutions all come from one elimination, the Smith normal form; nothing
-here eliminates over Q.  The Hermite form gives canonical lattice bases, and
-Fourier-Motzkin decides linear inequalities.  Pivoting is deterministic
-(smallest nonzero absolute value, then lowest index) so the recorded
-transforms are reproducible run to run.
+solutions all come from one elimination per matrix, the memoized Smith
+normal form; nothing here eliminates over Q.  The Hermite form gives
+canonical lattice bases, and Fourier-Motzkin decides linear inequalities.
+Pivoting is deterministic (smallest nonzero absolute value, then lowest
+index) so the recorded transforms are reproducible run to run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
+from operator import mul
 
 from .errors import (
     DimensionMismatchError,
@@ -128,11 +130,8 @@ class IntMatrix:
     def det(self) -> int:
         if self.rows != self.cols:
             raise DimensionMismatchError("determinant of a non-square matrix")
-        w = _reduce(self)
-        det = w.sign
-        for i in range(self.rows):
-            det *= w.m[i][i]
-        return det
+        sf = smith_form(self)
+        return sf.sign * prod(sf.diagonal)
 
     def to_json(self) -> dict:
         return {
@@ -192,11 +191,12 @@ class RatVector:
 
 @dataclass(frozen=True)
 class SmithForm:
-    """s == u @ a @ v with u, v unimodular."""
+    """s == u @ a @ v with u, v unimodular, and sign == det(u) det(v)."""
 
     s: IntMatrix
     u: IntMatrix
     v: IntMatrix
+    sign: int
 
     @property
     def diagonal(self) -> tuple[int, ...]:
@@ -299,8 +299,9 @@ def _diagonalize(w: _Workspace):
         k += 1
 
 
-def _reduce(a: IntMatrix) -> _Workspace:
-    """The workspace of a, brought to Smith normal form."""
+@lru_cache(maxsize=256)
+def _smith(a: IntMatrix) -> SmithForm:
+    """The elimination behind smith_form, once per distinct matrix."""
     w = _Workspace(a)
     while True:
         _diagonalize(w)
@@ -312,19 +313,21 @@ def _reduce(a: IntMatrix) -> _Workspace:
                 bad = i
                 break
         if bad is None:
-            return w
+            break
         # fold the offending entry back into the block and re-eliminate
         w.add_row(bad, bad + 1, 1)
-
-
-def smith_form(a: IntMatrix) -> SmithForm:
-    """Smith normal form with both transforms recorded."""
-    w = _reduce(a)
     return SmithForm(
         s=IntMatrix.from_rows(w.m),
         u=IntMatrix.from_rows(w.u),
         v=IntMatrix.from_rows(w.v),
+        sign=w.sign,
     )
+
+
+def smith_form(a: IntMatrix) -> SmithForm:
+    """Smith normal form with both transforms recorded, memoized: every
+    lattice question asked of one matrix reads the same immutable form."""
+    return _smith(a)
 
 
 # ---------------------------------------------------------------------------
@@ -391,22 +394,33 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
 def integer_kernel(a: IntMatrix) -> IntMatrix:
     """Like kernel_basis but with no rank precondition."""
     sf = smith_form(a)
-    n = a.cols
-    r = sf.rank
-    cols = [sf.v.col(j) for j in range(r, n)]
-    if not cols:
-        return IntMatrix.from_rows([[] for _ in range(n)])
-    return IntMatrix.from_rows(list(zip(*cols)))
+    # the trailing columns of v, an n x (n - rank) matrix
+    return IntMatrix.from_rows([row[sf.rank:] for row in sf.v.entries])
 
 
-def _kernel_line(rows: list[tuple[int, ...]], dim: int) -> tuple[int, ...] | None:
+def _kernel_line(rows: tuple[tuple[int, ...], ...], dim: int) -> tuple[int, ...] | None:
     """A basis vector of the kernel of the integer rows in Z^dim when that
     kernel is a line, else None.  It is a column of the unimodular Smith
     transform, so it is primitive, and unique up to sign."""
     if not rows:
         return (1,) if dim == 1 else None
-    k = integer_kernel(IntMatrix(tuple(rows)))
+    k = integer_kernel(IntMatrix(rows))
     return k.col(0) if k.cols == 1 else None
+
+
+def _one_signed_lines(vectors: list[tuple[int, ...]], dim: int):
+    """(x, values) for each (dim-1)-subset of the vectors in Z^dim, in
+    combinations order, whose kernel is a line x (see _kernel_line) with
+    values = (x . v for every vector v) all >= 0 or all <= 0: the
+    candidate extreme rays and facet normals of a cone."""
+    for subset in combinations(vectors, dim - 1):
+        x = _kernel_line(subset, dim)
+        if x is None:
+            continue
+        values = tuple(sum(map(mul, x, v)) for v in vectors)
+        if any(t > 0 for t in values) and any(t < 0 for t in values):
+            continue
+        yield x, values
 
 
 def lattice_index(a: IntMatrix) -> int:
@@ -414,12 +428,7 @@ def lattice_index(a: IntMatrix) -> int:
 
     Equals the product of the nonzero invariant factors.
     """
-    sf = smith_form(a)
-    idx = 1
-    for d in sf.diagonal:
-        if d != 0:
-            idx *= d
-    return idx
+    return prod(d for d in smith_form(a).diagonal if d)
 
 
 def solve_rational(a: IntMatrix, beta: RatVector) -> RatVector:
@@ -549,17 +558,12 @@ def span_mixedness(b: IntMatrix) -> MixednessCertificate:
     witness; otherwise Fourier-Motzkin finds a strictly positive
     functional on the complement's row span.
     """
-    n, m = b.rows, b.cols
+    m = b.cols
     if b.rank() != m:
         raise NotFullRankError("matrix is not of full column rank")
-    for subset in combinations(range(n), m - 1):
-        x = _kernel_line([b.entries[i] for i in subset], m)
-        if x is None:
-            continue
-        t = b.mul_int_vector(x)
-        for cand in (t, tuple(-a for a in t)):
-            if all(a >= 0 for a in cand) and any(a > 0 for a in cand):
-                return MixednessCertificate(False, None, cand)
+    for _, t in _one_signed_lines(b.entries, m):
+        if any(t):
+            return MixednessCertificate(False, None, t if max(t) > 0 else tuple(-a for a in t))
     # no nonzero nonnegative vector in the span: find the dual witness
     a = complement_matrix(b)
     w = positive_functional(a.columns(), a.rows)
@@ -613,20 +617,14 @@ def facets(a: IntMatrix) -> list[ConeFacet]:
     column lattice, so its value set there is exactly Z.
     """
     _check_no_zero_column(a)
-    d, n = a.rows, a.cols
+    d = a.rows
     cols = a.columns()
     if a.rank() != d:
         raise NotFullRankError("matrix is not of full row rank")
     if positive_functional(cols, d) is None:
         raise NotFullRankError("columns do not lie in an open half-space")
     found: dict[tuple[Fraction, ...], tuple[int, ...]] = {}
-    for subset in combinations(range(n), d - 1):
-        nu = _kernel_line([cols[j] for j in subset], d)
-        if nu is None:
-            continue
-        vals = [sum(q * x for q, x in zip(nu, col)) for col in cols]
-        if any(v > 0 for v in vals) and any(v < 0 for v in vals):
-            continue
+    for nu, vals in _one_signed_lines(cols, d):
         # a has full rank, so some value is nonzero; the sign makes all >= 0
         g = gcd(*vals) if any(v > 0 for v in vals) else -gcd(*vals)
         sigma = tuple(j for j, v in enumerate(vals) if v == 0)

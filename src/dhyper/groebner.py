@@ -397,7 +397,9 @@ def _buchberger(gens, pk, cap: int | None = None, chain: bool = True):
             pk = wide
         s, (ci, ai), (cj, aj) = _spair(divisors[i], divisors[j], pk)
         quots, rem, m = _divide(s, divisors, pk, cap)
-        if not rem or cap is not None and max(map(pk.degree, rem)) > cap:
+        # a capped _divide returns a remainder above the cap as its one
+        # monomial, and every other remainder lies within the cap
+        if not rem or cap is not None and pk.degree(max(rem)) > cap:
             return rem, None, 0
         # rem = m s - sum quots . divisors, over one denominator
         (_, repi, di), (_, repj, dj) = basis[i], basis[j]

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, product
-from operator import mul
+from itertools import product
 
 from .errors import (
     DhyperError,
@@ -24,7 +23,7 @@ from .errors import (
     InvariantError,
 )
 from .exact import IntMatrix
-from .weyl import _binomial_fill, _lattice_packing, _split_move
+from .weyl import _binomial_fill, _split_move
 
 Point = tuple[int, ...]
 
@@ -163,28 +162,18 @@ def lattice_polynomial_solutions(m: IntMatrix, comp: MGraphComponent) -> dict[Po
     Each column b of m, read as the binomial operator d^{b+} - d^{b-},
     forces c_w [w]_{b+} = c_{w-b} [w-b]_{b-} along edges.  Coefficients are
     propagated from the representative (normalized to 1) through the
-    vertices, then every in-component edge is rechecked exactly.  The fill
-    keys vertices and moves by packed ints (weyl._lattice_packing).
+    vertices, then every in-component edge is rechecked exactly.  A vertex
+    is its own coordinates and ambient point, the representative the root.
     """
     if comp.verdict != BOUNDED:
         raise DhyperError("component is not certified bounded")
-    cols = [b for b in m.columns() if any(b)]
-    # a vertex plus a move stays within twice the largest entry of either
-    top = max(map(abs, chain(*comp.vertices, *cols)), default=0)
-    pk, origin = _lattice_packing(m.rows, 2 * top)
-
-    def pack(w: Point) -> int:
-        return origin + sum(map(mul, w, pk.units))
-
-    vertex = {pack(w): w for w in comp.vertices}
-    moves = [(pack(b) - origin, *_split_move(b)) for b in cols]
-    coeffs, unfilled, failing = _binomial_fill(
-        list(vertex), pack(comp.representative), moves, vertex.__getitem__, (Fraction(0),) * m.rows
-    )
+    points = {w: w for w in (comp.representative, *comp.vertices)}
+    steps = [(b, *_split_move(b)) for b in m.columns() if any(b)]
+    coeffs, unfilled, failing = _binomial_fill(points, steps, (Fraction(0),) * m.rows)
     if unfilled is not None:
-        raise InvariantError(f"propagation did not reach vertex {vertex[unfilled]} of the component")
+        raise InvariantError(f"propagation did not reach vertex {unfilled} of the component")
     if failing is not None:
         raise InconsistentCoefficientsError(
-            f"edge {vertex[failing[0]]} -> {vertex[failing[1]]} fails the binomial relation"
+            f"edge {failing[0]} -> {failing[1]} fails the binomial relation"
         )
-    return {vertex[k]: q for k, q in coeffs.items()}
+    return coeffs

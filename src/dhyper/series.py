@@ -12,16 +12,17 @@ dict, JSON, and the ambient input that the PuiseuxSeries constructor
 validates with one Smith-form solve per point.
 
 The two hot walks go one level lower and pack each coordinate tuple into
-one int (weyl._lattice_packing): the gamma fill keys its recurrence by
-packed points, and both cases of the operator action, d^alpha in shift
-among them, scatter a _Frame (_scatter), which holds every point packed
-with its coefficient scaled to an integer over one common denominator:
-the series' own frame, kept with it, or one packed in the coordinates of
-the refined lattice.  So a lattice step is one int addition and a
-window-box test two subtractions under a mask.  The packed ints never
-leave the fill and the frame: _index, the constructors and every
-signature stay keyed by coordinate tuples.  Every falling factor, in the
-fill, the action and shift, comes from a weyl._Falling.
+one int (weyl._lattice_packing): the gamma fill hands its coordinate
+tuples to weyl._binomial_fill, which packs its own keys, and both cases of
+the operator action, d^alpha in shift among them, scatter a _Frame
+(_scatter), which holds every point packed with its coefficient scaled to
+an integer over one common denominator: the series' own frame, kept with
+it, or one packed in the coordinates of the refined lattice.  So a lattice
+step is one int addition and a window-box test two subtractions under a
+mask.  The packed ints never leave the fill and the frame: _index, the
+constructors and every signature stay keyed by coordinate tuples.  Every
+falling factor, in the fill, the action and shift, comes from a
+weyl._Falling.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain, islice, product
 from math import lcm
 from operator import mul
@@ -63,8 +63,6 @@ from .weyl import (
     Expo, WeylOperator, _add, _binomial_fill, _Falling, _lattice_packing, _split_move, _sub,
 )
 
-_smith = lru_cache(maxsize=256)(smith_form)
-
 DERIVE = "DERIVE"
 ANTIDERIVE = "ANTIDERIVE"
 
@@ -93,7 +91,7 @@ def lattice_coordinates(lat: IntMatrix, vec: tuple[int, ...]) -> tuple[int, ...]
     """Coordinates of vec in the column lattice of lat, or None if outside."""
     if len(vec) != lat.rows:
         raise DimensionMismatchError("vector length does not match lattice ambient dimension")
-    sf = _smith(lat)
+    sf = smith_form(lat)
     diag = sf.diagonal
     y = sf.u.mul_int_vector(vec)
     t = [0] * lat.cols
@@ -547,7 +545,7 @@ def _refined_radius(p: WeylOperator, f, lat: IntMatrix, delta0: Expo, cap: int, 
     source and are not visited; with P = 0 (rank 0, or every d_k zero) none
     is.
     """
-    sf = _smith(f.lattice)
+    sf = smith_form(f.lattice)
     diag = sf.diagonal
     big_d = lcm(*(dk for dk in diag if dk))
     # |U_k|_1 D / d_k, and 0 where d_k is
@@ -836,27 +834,19 @@ def _gamma_fill(
     the unit step e_i carries the binomial recurrence of kernel column i.
     """
     m = lat.cols
-    order = [z for r in range(window + 1) for z in _ring(m, r)]
-    amb = {z: _ambient(lat, z) for z in order}
-    # the fill keys points by packed ints; a unit step leaves the window by
-    # at most 1
-    pk, origin = _lattice_packing(m, window + 1)
-    keys = [origin + sum(map(mul, z, pk.units)) for z in order]
-    back = dict(zip(keys, order))
-    points = {k: amb[z] for k, z in back.items()}
-    moves = [(pk.units[i], *_split_move(b)) for i, b in enumerate(lat.columns())]
-    lam, unfilled, failing = _binomial_fill(keys, origin, moves, points.__getitem__, v)
+    points = {z: _ambient(lat, z) for r in range(window + 1) for z in _ring(m, r)}
+    steps = [(_embed((1,), (i,), m), *_split_move(b)) for i, b in enumerate(lat.columns())]
+    lam, unfilled, failing = _binomial_fill(points, steps, v)
     if unfilled is not None:
         raise DenominatorVanishedError(
-            f"window point {back[unfilled]} unreachable through nonvanishing factorials"
+            f"window point {unfilled} unreachable through nonvanishing factorials"
         )
     if failing is not None:
         raise CycleInconsistentError(
-            f"edge {back[failing[0]]} -> {back[failing[1]]} violates the recurrence"
+            f"edge {failing[0]} -> {failing[1]} violates the recurrence"
         )
     return PuiseuxSeries._from_coords(
-        a.cols, v, lat, {back[k]: q for k, q in lam.items()},
-        window=window, reliable=window, points=amb,
+        a.cols, v, lat, lam, window=window, reliable=window, points=points
     )
 
 

@@ -29,8 +29,8 @@ from .exact import (
     _check_no_zero_column,
     complement_matrix,
     integer_kernel,
+    lattice_index,
     positive_functional,
-    smith_form,
     span_mixedness,
 )
 from .groebner import (
@@ -322,13 +322,6 @@ def _embed(values, at, n: int, zero=0) -> tuple:
     return tuple(out)
 
 
-def _character_is_trivial(b_j: IntMatrix) -> bool:
-    if b_j.cols == 0:
-        return True
-    sf = smith_form(b_j)
-    return all(d == 1 for d in sf.diagonal[: sf.rank])
-
-
 def unbounded_monomial_exponents(m: IntMatrix, cap: int) -> list[tuple[int, ...]]:
     """Box points whose move-graph component is certified unbounded."""
     return sorted(
@@ -347,7 +340,8 @@ def _toral_degree_matrix(
     trivial character: the cases the component constructions support."""
     if dec.q != dec.p or (dec.q > 0 and dec.m.det() == 0):
         raise DhyperError("decomposition is not toral")
-    if not _character_is_trivial(dec.b_j):
+    # trivial when every nonzero invariant factor of b_j, so their product, is 1
+    if lattice_index(dec.b_j) != 1:
         raise UnsupportedCharacterError(
             "saturation of the column lattice is strictly larger; "
             "only the trivial character is supported"

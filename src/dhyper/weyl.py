@@ -5,8 +5,8 @@ written to the left of all d factors.  The module also provides the
 A-grading, Euler operators, the theta-polynomial rewriting used for
 operators built from x_i d_i, and what the series layer and the move graph
 share: lattice points packed into ints (_lattice_packing), the one owner of
-the integer falling factors (_Falling), and the binomial-recurrence fill on
-packed keys (_binomial_fill).
+the integer falling factors (_Falling), and the binomial-recurrence fill
+(_binomial_fill), which takes coordinate tuples and packs its own keys.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 from math import comb, factorial, lcm, prod
 from operator import add, mul, sub
 from typing import Iterable, Mapping
@@ -494,49 +494,59 @@ def _split_move(u) -> tuple[Expo, Expo]:
     return tuple(max(x, 0) for x in u), tuple(max(-x, 0) for x in u)
 
 
-def _binomial_fill(keys, root, moves, point, base: tuple[Fraction, ...]):
-    """Solve the binomial recurrence on keys, from c[root] = 1.
+def _binomial_fill(points, steps, base: tuple[Fraction, ...]):
+    """Solve the binomial recurrence on points, from c = 1 at the first.
 
-    Keys are packed points and move steps packed offsets (see
-    _lattice_packing), so a step is one int addition; point(z) is the
-    lattice point of the key z.  Each move (s, pos, neg) reads the operator
-    d^pos - d^neg along the edges z -> z + s between keys, and asks
+    points maps each coordinate tuple z to its ambient point, in sweep
+    order.  Each step (s, pos, neg) reads the operator d^pos - d^neg along
+    the edges z -> z + s between points, and asks
     c[z + s] [base + point(z + s)]_pos = c[z] [base + point(z)]_neg.
-    Sweeps over keys, in their order, fill each key from the first known
-    neighbour whose multiplier does not vanish, as one Fraction built from
-    integer falling factors.  Once every key is filled, every edge is
-    checked by an integer cross-multiplication.  The factors come from one
-    _Falling over the keys' points, each move reading its rows for [.]_pos
-    and [.]_neg, so every factor is computed once.
+    The fill packs the coordinates (see _lattice_packing), reaching the
+    largest |coordinate| plus the largest |step entry|, so a step is one
+    int addition.  Sweeps over the points, in their order, fill each from
+    the first known neighbour whose multiplier does not vanish, as one
+    Fraction built from integer falling factors.  Once every point is
+    filled, every edge is checked by an integer cross-multiplication.  The
+    factors come from one _Falling over the ambient points.
 
-    Returns (c, unfilled, failing): the first key no sweep reached, or
-    None; then the first edge (z, z + s) that fails the recurrence, or None.
+    Returns (c, unfilled, failing), keyed by coordinate tuples: the first
+    point no sweep reached, or None; then the first edge (z, z + s) that
+    fails the recurrence, or None.
     """
-    falling = _Falling(base, map(point, keys))
+    root = next(iter(points))
+    reach = max(map(abs, chain.from_iterable(points)), default=0) + max(
+        (abs(x) for s, _, _ in steps for x in s), default=0
+    )
+    pk, origin = _lattice_packing(len(root), reach)
+    back = {origin + sum(map(mul, z, pk.units)): z for z in points}
+    keys = list(back)
+    point = {k: points[z] for k, z in back.items()}
+    falling = _Falling(base, points.values())
     d = falling.d
-    # the rows give D^|nu| [base + u]_nu; along a move only the ratio
+    # the rows give D^|nu| [base + u]_nu; along a step only the ratio
     # up / down = D^(|pos| - |neg|) of the two scalings survives (it is 1
     # when the recurrence is homogeneous)
-    steps = []
+    edges = []
     ways = []
-    for s, pos, neg in moves:
+    for step, pos, neg in steps:
+        s = sum(map(mul, step, pk.units))
         k = sum(pos) - sum(neg)
         up, down = d ** max(k, 0), d ** max(-k, 0)
         pos_rows = [(j, falling.table(j, e)) for j, e in enumerate(pos) if e]
         neg_rows = [(j, falling.table(j, e)) for j, e in enumerate(neg) if e]
-        steps.append((s, pos_rows, neg_rows, up, down))
+        edges.append((s, pos_rows, neg_rows, up, down))
         # z is reached from z - s through [.]_pos at z, or from z + s
         # through [.]_neg at z
         ways.append((-s, pos_rows, neg_rows, up, down))
         ways.append((s, neg_rows, pos_rows, down, up))
-    c = {root: Fraction(1)}
-    pending = [z for z in keys if z != root]
+    c = {keys[0]: Fraction(1)}
+    pending = keys[1:]
     progress = True
     while pending and progress:
         progress = False
         still = []
         for z in pending:
-            u = point(z)
+            u = point[z]
             for t, into, outof, num_pow, den_pow in ways:
                 src = z + t
                 if src in c:
@@ -544,7 +554,7 @@ def _binomial_fill(keys, root, moves, point, base: tuple[Fraction, ...]):
                     if mult:
                         prev = c[src]
                         c[z] = Fraction(
-                            prev.numerator * _product(outof, point(src)) * num_pow,
+                            prev.numerator * _product(outof, point[src]) * num_pow,
                             prev.denominator * mult * den_pow,
                         )
                         progress = True
@@ -552,16 +562,17 @@ def _binomial_fill(keys, root, moves, point, base: tuple[Fraction, ...]):
             else:
                 still.append(z)
         pending = still
+    coeffs = {back[z]: q for z, q in c.items()}
     if pending:
-        return c, pending[0], None
+        return coeffs, back[pending[0]], None
     for z in keys:
-        u = point(z)
+        u = point[z]
         n0, d0 = c[z].numerator, c[z].denominator
-        for s, pos_rows, neg_rows, up, down in steps:
+        for s, pos_rows, neg_rows, up, down in edges:
             w = z + s
             if w in c:
                 n1, d1 = c[w].numerator, c[w].denominator
-                lhs = n1 * _product(pos_rows, point(w)) * d0 * down
+                lhs = n1 * _product(pos_rows, point[w]) * d0 * down
                 if lhs != n0 * _product(neg_rows, u) * d1 * up:
-                    return c, None, (z, w)
-    return c, None, None
+                    return coeffs, None, (back[z], back[w])
+    return coeffs, None, None

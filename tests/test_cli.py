@@ -159,6 +159,40 @@ def test_emit_writes_artifacts(tmp_path, capsys):
             json.load(fh)
 
 
+def _unwritable_emit_target(tmp_path, case):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    if case == "existing file":
+        return blocker
+    if case == "below a file":
+        return blocker / "sub"
+    (tmp_path / "art" / "facets.json").mkdir(parents=True)
+    return tmp_path / "art"
+
+
+@pytest.mark.parametrize("case", ["existing file", "below a file", "directory at artifact"])
+def test_emit_to_unwritable_target_exits_bad_input(tmp_path, capsys, case):
+    out = _unwritable_emit_target(tmp_path, case)
+    code, rep = run_main(capsys, ["--emit", str(out), "facets", "--a", A_JSON])
+    assert code == rep["exit_code"] == 2
+    assert rep["error"].startswith(f"cannot write {out}")
+
+
+@pytest.mark.parametrize("via_file", [False, True])
+def test_integer_literal_past_the_string_limit_exits_bad_input(tmp_path, capsys, via_file):
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python has no int-string conversion limit")
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    flag = f"[[{digits},1],[0,1]]"
+    if via_file:
+        path = tmp_path / "a.json"
+        path.write_text(flag)
+        flag = f"@{path}"
+    code, rep = run_main(capsys, ["facets", "--a", flag])
+    assert code == rep["exit_code"] == 2
+    assert rep["error"].startswith("malformed JSON: ")
+
+
 def test_gamma_subcommand_full_density(capsys):
     code, rep = run_main(
         capsys, ["gamma", "--a", A_JSON, "--beta", BETA_JSON, "--window", "3"]

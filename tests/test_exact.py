@@ -9,8 +9,10 @@ from itertools import combinations
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+
+from dhyper import exact
 
 from dhyper.errors import (
     DhyperError,
@@ -24,6 +26,9 @@ from dhyper.exact import (
     IntMatrix,
     MixednessCertificate,
     RatVector,
+    _diagonalize,
+    _kernel_line,
+    _Workspace,
     complement_matrix,
     facets,
     hermite_column_basis,
@@ -585,6 +590,108 @@ def test_smith_form_agrees_with_rational_gauss(a):
     assert outcome(facets, a) == outcome(reference_facets, a)
     b = a.transpose()
     assert outcome(span_mixedness, b) == outcome(reference_span_mixedness, b)
+
+
+# ---------------------------------------------------------------------------
+# Replaced code, kept as references: the determinant's own elimination, and
+# the subset loops facets and span_mixedness each ran before they shared one
+# cone-ray enumeration
+
+
+def own_elimination_det(a: IntMatrix) -> int:
+    w = _Workspace(a)
+    while True:
+        _diagonalize(w)
+        n = min(w.r, w.c)
+        diag = [w.m[i][i] for i in range(n)]
+        bad = None
+        for i in range(n - 1):
+            if diag[i] != 0 and diag[i + 1] % diag[i] != 0:
+                bad = i
+                break
+        if bad is None:
+            break
+        w.add_row(bad, bad + 1, 1)
+    det = w.sign
+    for i in range(a.rows):
+        det *= w.m[i][i]
+    return det
+
+
+def own_loop_span_mixedness(b: IntMatrix) -> MixednessCertificate:
+    n, m = b.rows, b.cols
+    if b.rank() != m:
+        raise NotFullRankError("matrix is not of full column rank")
+    for subset in combinations(range(n), m - 1):
+        x = _kernel_line(tuple(b.entries[i] for i in subset), m)
+        if x is None:
+            continue
+        t = b.mul_int_vector(x)
+        for cand in (t, tuple(-a for a in t)):
+            if all(a >= 0 for a in cand) and any(a > 0 for a in cand):
+                return MixednessCertificate(False, None, cand)
+    a = complement_matrix(b)
+    return MixednessCertificate(True, RatVector(tuple(positive_functional(a.columns(), a.rows))), None)
+
+
+def own_loop_facets(a: IntMatrix) -> list[ConeFacet]:
+    d, n = a.rows, a.cols
+    cols = a.columns()
+    if any(not any(col) for col in cols):
+        raise ZeroColumnError("zero column")
+    if a.rank() != d:
+        raise NotFullRankError("matrix is not of full row rank")
+    if positive_functional(cols, d) is None:
+        raise NotFullRankError("columns do not lie in an open half-space")
+    found: dict[tuple[Fraction, ...], tuple[int, ...]] = {}
+    for subset in combinations(range(n), d - 1):
+        nu = _kernel_line(tuple(cols[j] for j in subset), d)
+        if nu is None:
+            continue
+        vals = [sum(q * x for q, x in zip(nu, col)) for col in cols]
+        if any(v > 0 for v in vals) and any(v < 0 for v in vals):
+            continue
+        g = gcd(*vals) if any(v > 0 for v in vals) else -gcd(*vals)
+        sigma = tuple(j for j, v in enumerate(vals) if v == 0)
+        found.setdefault(tuple(Fraction(q, g) for q in nu), sigma)
+    out = [ConeFacet(sigma, RatVector(tuple(key))) for key, sigma in found.items()]
+    out.sort(key=lambda f: (f.sigma, f.nu.entries))
+    return out
+
+
+def test_det_from_the_memoized_form_matches_its_own_elimination():
+    rng = random.Random(11)
+    singular = 0
+    for k in range(200):
+        n = rng.randint(1, 4)
+        a = _random_matrix(rng, n, n, -3, 3)
+        if k % 4 == 0 and n > 1:
+            # a repeated row
+            a = IntMatrix.from_rows([*a.entries[:-1], a.entries[0]])
+        sf = smith_form(a)
+        assert sf.sign == reference_det(sf.u) * reference_det(sf.v)
+        assert a.det() == own_elimination_det(a)
+        singular += a.det() == 0
+    assert singular >= 50
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(small_matrices())
+def test_cone_ray_loops_match_their_own_subset_loops(a):
+    assume(a.rank() == a.rows)
+    b = a.transpose()
+    assert outcome(span_mixedness, b) == outcome(own_loop_span_mixedness, b)
+    assert outcome(facets, a) == outcome(own_loop_facets, a)
+
+
+def test_repeated_lattice_questions_hit_the_memoized_form():
+    a = IntMatrix.from_rows([[7, 3, 5], [2, 9, 4], [6, 1, 8]])
+    a.rank()
+    for ask in (IntMatrix.rank, IntMatrix.det, kernel_basis, lattice_index):
+        before = exact._smith.cache_info()
+        ask(a)
+        after = exact._smith.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 # ---------------------------------------------------------------------------

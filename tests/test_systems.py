@@ -14,7 +14,7 @@ from dhyper.errors import (
     UnsupportedCharacterError,
     ZeroColumnError,
 )
-from dhyper.exact import IntMatrix, integer_kernel, positive_functional
+from dhyper.exact import IntMatrix, integer_kernel, lattice_index, positive_functional, smith_form
 from dhyper.groebner import CommIdeal, CommPoly, groebner_weyl
 from dhyper.systems import (
     ANDEAN,
@@ -404,6 +404,28 @@ def test_toral_component_rejects_non_toral():
     )
     with pytest.raises(DhyperError, match="not toral"):
         toral_component_ideal(B_DEMO, fake, BETA_DEMO)
+
+
+def character_is_trivial(b_j: IntMatrix) -> bool:
+    """The replaced check, kept as a reference: every nonzero invariant
+    factor of b_j is 1."""
+    if b_j.cols == 0:
+        return True
+    sf = smith_form(b_j)
+    return all(d == 1 for d in sf.diagonal[: sf.rank])
+
+
+def test_trivial_character_is_lattice_index_one():
+    rng = random.Random(5)
+    seen = set()
+    for _ in range(300):
+        # zero rows or zero columns give a b_j with no columns
+        r, c = rng.randint(0, 4), rng.randint(0, 3)
+        b_j = IntMatrix.from_rows([[rng.randint(-3, 3) for _ in range(c)] for _ in range(r)])
+        trivial = character_is_trivial(b_j)
+        assert trivial == (lattice_index(b_j) == 1)
+        seen.add((b_j.cols == 0, trivial))
+    assert seen == {(True, True), (False, True), (False, False)}
 
 
 def test_toral_component_rejects_torsion_character():
