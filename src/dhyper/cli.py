@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .errors import DhyperError, InputFormatError
+from .errors import DhyperError, InputFormatError, ResultTooLargeError
 from .exact import (
     IntMatrix,
     RatVector,
@@ -592,9 +592,28 @@ def run(argv=None) -> dict:
     }
 
 
-def main(argv=None) -> int:
+def _printed(argv) -> tuple[dict, str]:
+    """The report of run(argv) and the JSON text that main prints.
+
+    Parsing refuses an input literal past Python's int-string limit (exit
+    2), so an integer that meets the limit here, while the report is built
+    or printed, is one the computation made: a ResultTooLargeError.
+    """
     try:
         report = run(argv)
+        return report, json.dumps(report, indent=2, sort_keys=True)
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):
+            raise
+        raise ResultTooLargeError(
+            f"a result integer has more than {sys.get_int_max_str_digits()} digits, "
+            "past Python's int-string limit"
+        ) from exc
+
+
+def main(argv=None) -> int:
+    try:
+        report, text = _printed(argv)
     except DhyperError as exc:
         print(json.dumps({"error": str(exc), "exit_code": exc.exit_code}))
         return exc.exit_code
@@ -603,7 +622,7 @@ def main(argv=None) -> int:
         error = f"internal error: {type(exc).__name__}: {exc}"
         print(json.dumps({"error": error, "exit_code": EXIT_INTERNAL}))
         return EXIT_INTERNAL
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(text)
     return report["exit_code"]
 
 

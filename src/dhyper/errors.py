@@ -70,6 +70,11 @@ class InconsistentCoefficientsError(DhyperError):
     """Polynomial-solution propagation met contradictory cycle constraints."""
 
 
+class ResultTooLargeError(DhyperError):
+    """A result holds an integer with more digits than Python's int-string
+    limit lets it print; the input was valid."""
+
+
 class InvariantError(DhyperError):
     """An internal consistency check failed: a bug, not a property of the
     input.  An explicit raise, so the check also runs under python -O."""

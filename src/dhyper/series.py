@@ -6,22 +6,28 @@ lattice-basis coordinates; operations that consume coefficients near the
 window edge shrink the reliable radius instead of inventing zeros.
 
 Coordinates z in the lattice basis (u = L z) are the internal key: the
-gamma recurrence, the window tests and the operator action all work on
-them.  Ambient points u appear only at the boundary: the public coeffs
-dict, JSON, and the ambient input that the PuiseuxSeries constructor
-validates with one Smith-form solve per point.
+gamma fill, the window tests and the operator action all work on them.
+Ambient points u appear only at the boundary: the public coeffs dict,
+JSON, and the ambient input that the PuiseuxSeries constructor validates
+with one Smith-form solve per point.
 
-The two hot walks go one level lower and pack each coordinate tuple into
-one int (weyl._lattice_packing): the gamma fill hands its coordinate
-tuples to weyl._binomial_fill, which packs its own keys, and both cases of
-the operator action, d^alpha in shift among them, scatter a _Frame
-(_scatter), which holds every point packed with its coefficient scaled to
-an integer over one common denominator: the series' own frame, kept with
-it, or one packed in the coordinates of the refined lattice.  So a lattice
-step is one int addition and a window-box test two subtractions under a
-mask.  The packed ints never leave the fill and the frame: _index, the
+The gamma series of a fully generic base (every coordinate that a kernel
+move touches is non-integral) is the product
+prod_j Gamma(v_j + 1) / Gamma(v_j + u_j + 1), so _tree_fill builds it
+along one spanning tree of the window box, one Fraction per point, and
+_certify_tables proves every window edge one coordinate at a time, on
+the falling-factor tables, before any point is filled.  Any other base is
+swept by weyl._binomial_fill, which checks every edge after the fill.
+
+The operator action, d^alpha in shift among it, scatters a _Frame
+(_scatter), which holds every point packed into one int
+(weyl._lattice_packing) with its coefficient scaled to an integer over
+one common denominator: the series' own frame, kept with it, or one
+packed in the coordinates of the refined lattice.  So a lattice step is
+one int addition and a window-box test two subtractions under a mask.
+The packed ints never leave the frame and the sweep fill: _index, the
 constructors and every signature stay keyed by coordinate tuples.  Every
-falling factor, in the fill, the action and shift, comes from a
+falling factor, in the fills, the action and shift, comes from a
 weyl._Falling.
 """
 
@@ -30,9 +36,9 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, islice, product
+from itertools import chain, combinations, islice, product
 from math import lcm
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -387,7 +393,7 @@ class _Frame:
             self.points.append(
                 (origin + sum(map(mul, w, units)), u, q.numerator * (common // q.denominator))
             )
-        self.falling = _Falling(f.base, f._index.values())
+        self.falling = _Falling(f.base, zip(*f._index.values()))
 
     def coords(self, w: int) -> tuple[int, ...]:
         """The coordinate tuple of the packed point w."""
@@ -751,14 +757,17 @@ def gamma_series(
     """Series solution on a translate of the integer kernel of a.
 
     The base exponent solves a.v = beta; coefficients obey the binomial
-    recurrence lam_{u+b} [v+u+b]_{b+} = lam_u [v+u]_{b-} for kernel moves b
-    and are produced outward from the origin, then every window edge is
-    re-verified so path independence is a checked fact, not an assumption.
+    recurrence lam_{u+b} [v+u+b]_{b+} = lam_u [v+u]_{b-} for kernel moves b,
+    with lam = 1 at the origin, on the whole window box.  For a fully
+    generic base they are built along one spanning tree, and a
+    per-coordinate certificate on the falling-factor tables proves that
+    every window edge holds (_tree_fill, _certify_tables); any other base
+    is swept from the origin and every window edge is checked after.
+    Either way path independence is a checked fact, not an assumption.
 
     With v omitted, candidates are tried in a deterministic order (the
-    direct solution, then integer lattice shifts, then small non-integer
-    kernel perturbations) until one supports the whole window.  beta and
-    v may be any sequences of rationals.
+    fully generic ones first; see _candidates) until one supports the
+    whole window.  beta and v may be any sequences of rationals.
     """
     beta = RatVector.make(beta)
     if len(beta) != a.rows:
@@ -797,7 +806,6 @@ def _candidates(lat: IntMatrix, v0: tuple[Fraction, ...]):
     the others after them, in the same order.
     """
     m = lat.cols
-    touched = [i for i, row in enumerate(lat.entries) if any(row)]
 
     def built():
         yield v0
@@ -818,21 +826,33 @@ def _candidates(lat: IntMatrix, v0: tuple[Fraction, ...]):
 
     later = []
     for cand in built():
-        if all(cand[i].denominator != 1 for i in touched):
+        if _fully_generic(lat, cand):
             yield cand
         else:
             later.append(cand)
     yield from later
 
 
+def _fully_generic(lat: IntMatrix, v: tuple[Fraction, ...]) -> bool:
+    """Every coordinate that a kernel move touches has a non-integral base
+    entry, so no falling factor [v_j + x]_k with x integral vanishes."""
+    return all(q.denominator != 1 for q, row in zip(v, lat.entries) if any(row))
+
+
 def _gamma_fill(
     a: IntMatrix, lat: IntMatrix, v: tuple[Fraction, ...], window: int
 ) -> PuiseuxSeries:
-    """Propagate coefficients outward from the origin and verify every edge.
+    """The gamma series with base v on the window box of lattice coordinates,
+    where the unit step e_i carries the recurrence of kernel column i.
 
-    The window box in lattice coordinates is swept in order of sup norm;
-    the unit step e_i carries the binomial recurrence of kernel column i.
+    A fully generic v takes the tree fill (_tree_fill), certified one
+    coordinate at a time.  Any other v is swept by weyl._binomial_fill,
+    which fills each point from the first neighbour whose multiplier does
+    not vanish and then checks every window edge.
     """
+    if _fully_generic(lat, v):
+        coeffs, index = _tree_fill(lat, v, window)
+        return PuiseuxSeries(a.cols, v, lat, coeffs, window, window, False, index)
     m = lat.cols
     points = {z: _ambient(lat, z) for r in range(window + 1) for z in _ring(m, r)}
     steps = [(_embed((1,), (i,), m), *_split_move(b)) for i, b in enumerate(lat.columns())]
@@ -848,6 +868,104 @@ def _gamma_fill(
     return PuiseuxSeries._from_coords(
         a.cols, v, lat, lam, window=window, reliable=window, points=points
     )
+
+
+def _tree_fill(lat: IntMatrix, v: tuple[Fraction, ...], window: int):
+    """(coeffs, index) of the gamma series with fully generic base v on the
+    window box, both in ring order (sup norm, then lexicographic).
+
+    The coefficient at u is prod_j Gamma(v_j + 1) / Gamma(v_j + u_j + 1),
+    so a step that raises u_j by e divides it by [v_j + u_j]_e at the new
+    u_j, and one that lowers u_j by e multiplies it by [v_j + u_j]_e at the
+    old u_j.  Each point z != 0 takes its coefficient from one neighbour, z
+    with its first nonzero coordinate moved one step toward 0: the tree
+    grows axis by axis from the last, each point so far extended both ways
+    along the axis, and its ambient point by adding the column.  The step
+    is one Fraction of integers D^e [v_j + x]_e read from a weyl._Falling
+    whose tables hold every value x that u_j takes on the box, with the
+    powers of D netted over the step.  _certify_tables proves first that
+    these steps satisfy every window edge.
+    """
+    moves = lat.columns()
+    values = []
+    for row in lat.entries:
+        xs = {0}
+        for c in row:
+            if c:
+                xs = {x + c * t for x in xs for t in range(-window, window + 1)}
+        values.append(xs)
+    falling = _Falling(v, values)
+    _certify_tables(moves, falling)
+    d = falling.d
+    m = lat.cols
+    # (sup norm, z, u, coefficient): sorted, the tree is in ring order
+    tree = [(0, (0,) * m, (0,) * lat.rows, Fraction(1))]
+    for i in reversed(range(m)):
+        grown = []
+        for sign in (1, -1):
+            step = tuple(sign * x for x in moves[i])
+            raised = [(j, falling.table(j, e)) for j, e in enumerate(step) if e > 0]
+            lowered = [(j, falling.table(j, -e)) for j, e in enumerate(step) if e < 0]
+            up, down = d ** max(sum(step), 0), d ** max(-sum(step), 0)
+            for r, z, u, q in tree:
+                head, tail = z[:i], z[i + 1 :]
+                # out along the axis, each point from the one before it
+                for t in range(1, window + 1):
+                    w = tuple(map(add, u, step))
+                    num, den = up, down
+                    for j, table in lowered:
+                        num *= table[u[j]]
+                    for j, table in raised:
+                        den *= table[w[j]]
+                    q = Fraction(q.numerator * num, q.denominator * den)
+                    u = w
+                    grown.append((max(r, t), head + (sign * t,) + tail, u, q))
+        tree += grown
+    tree.sort()
+    coeffs, index = {}, {}
+    for _, z, u, q in tree:
+        coeffs[u] = q
+        index[z] = u
+    return coeffs, index
+
+
+def _certify_tables(moves, falling: _Falling) -> None:
+    """Prove that the tree fill's steps satisfy every window edge, or raise
+    CycleInconsistentError.
+
+    Along a kernel column b the coefficient is multiplied by the product
+    over j of r_{b_j}(u_j), with r_a(x) = D^a / D^a [v_j + x + a]_a for
+    a > 0 and D^-a [v_j + x]_-a / D^-a for a < 0, read from falling's
+    tables, which hold every value x of u_j on the window box.  The cycles
+    of the box are generated by its unit squares, so every window edge
+    holds once no multiplier vanishes and every square holds; a square
+    spanned by columns b and c does when, on every coordinate j,
+    r_{b_j}(x) r_{c_j}(x + b_j) = r_{c_j}(x) r_{b_j}(x + c_j) for every x
+    whose four corners x, x + b_j, x + c_j, x + b_j + c_j are values of
+    u_j.  Each is an integer check on one coordinate, so the cost is
+    n x values x moves^2, not points x moves.
+    """
+    d = falling.d
+    for j, xs in enumerate(falling.values):
+        # r_a as (numerator, denominator) at each x with x and x + a on the box
+        ratios = {}
+        for a in sorted({b[j] for b in moves if b[j]}):
+            t, p = falling.table(j, abs(a)), d ** abs(a)
+            ratios[a] = {x: (p, t[x + a]) if a > 0 else (t[x], p) for x in xs if x + a in xs}
+            if not all(num and den for num, den in ratios[a].values()):
+                raise CycleInconsistentError(
+                    f"a multiplier of step {a} vanishes on coordinate {j}"
+                )
+        for a, c in sorted({(b[j], e[j]) for b, e in combinations(moves, 2) if b[j] and e[j]}):
+            ra, rc = ratios[a], ratios[c]
+            for x in sorted(xs):
+                if x in ra and x in rc and x + a in rc and x + c in ra:
+                    (n1, d1), (n2, d2) = ra[x], rc[x + a]
+                    (n3, d3), (n4, d4) = rc[x], ra[x + c]
+                    if n1 * n2 * d3 * d4 != n3 * n4 * d1 * d2:
+                        raise CycleInconsistentError(
+                            f"steps {a} and {c} of coordinate {j} disagree at {x}"
+                        )
 
 
 # ---------------------------------------------------------------------------

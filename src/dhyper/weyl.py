@@ -5,8 +5,12 @@ written to the left of all d factors.  The module also provides the
 A-grading, Euler operators, the theta-polynomial rewriting used for
 operators built from x_i d_i, and what the series layer and the move graph
 share: lattice points packed into ints (_lattice_packing), the one owner of
-the integer falling factors (_Falling), and the binomial-recurrence fill
-(_binomial_fill), which takes coordinate tuples and packs its own keys.
+the integer falling factors (_Falling), whose tables the series layer's
+tree fill and its per-coordinate certificate read, and the sweep fill of a
+binomial recurrence (_binomial_fill), which takes coordinate tuples, packs
+its own keys and checks every edge after the fill.  The sweep serves the
+move-graph polynomial solutions and the gamma series whose base is not
+fully generic.
 """
 
 from __future__ import annotations
@@ -439,17 +443,18 @@ class _Falling:
 
     D is the lcm of the denominators of b, so D^k [b_j + x]_k is the integer
     prod_{t < k} (D b_j + D x - D t).  There is one table per (coordinate j,
-    order k), keyed by x and made on first request for the x_j of every
-    point given here; action reads the same tables and adds any other x
-    once.  No other code computes a falling factor.
+    order k), keyed by x and made on first request for every x in values[j]
+    (zip(*points) gives them for a collection of points); action reads the
+    same tables and adds any other x once.  No other code computes a falling
+    factor.
     """
 
     __slots__ = ("d", "scaled", "values", "tables")
 
-    def __init__(self, base: tuple[Fraction, ...], points: Iterable[Expo] = ()):
+    def __init__(self, base: tuple[Fraction, ...], values: Iterable[Iterable[int]] = ()):
         self.d = d = lcm(*(q.denominator for q in base))
         self.scaled = [q.numerator * (d // q.denominator) for q in base]
-        self.values = [set(xs) for xs in zip(*points)] or [()] * len(base)
+        self.values = [set(xs) for xs in values] or [()] * len(base)
         self.tables: dict[tuple[int, int], dict[int, int]] = {}
 
     def _factor(self, j: int, k: int, x: int) -> int:
@@ -521,7 +526,7 @@ def _binomial_fill(points, steps, base: tuple[Fraction, ...]):
     back = {origin + sum(map(mul, z, pk.units)): z for z in points}
     keys = list(back)
     point = {k: points[z] for k, z in back.items()}
-    falling = _Falling(base, points.values())
+    falling = _Falling(base, zip(*points.values()))
     d = falling.d
     # the rows give D^|nu| [base + u]_nu; along a step only the ratio
     # up / down = D^(|pos| - |neg|) of the two scalings survives (it is 1

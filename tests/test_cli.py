@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dhyper import cli, errors, weyl
+from dhyper import cli, errors, series, weyl
 from dhyper.exact import IntMatrix
 from dhyper.series import PuiseuxSeries
 from dhyper.systems import horn_system, hypergeometric_system
@@ -191,6 +191,65 @@ def test_integer_literal_past_the_string_limit_exits_bad_input(tmp_path, capsys,
     code, rep = run_main(capsys, ["facets", "--a", flag])
     assert code == rep["exit_code"] == 2
     assert rep["error"].startswith("malformed JSON: ")
+
+
+def _limit_cases():
+    """Two valid inputs whose results hold integers past the int-string
+    limit: each result multiplies two input literals just below it."""
+    digits = "7" * (sys.get_int_max_str_digits() - 300)
+    return [
+        ["facets", "--a", f"[[{digits},1],[0,{digits}]]"],
+        ["nonresonant", "--a", f"[[1,1],[0,{digits}]]", "--beta", f'["{digits}/3","1/{digits}"]'],
+    ]
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this Python prints integers of any length",
+)
+@pytest.mark.parametrize("case", [0, 1, "printing"])
+def test_a_result_past_the_int_string_limit_exits_with_a_domain_error(capsys, monkeypatch, case):
+    limit = sys.get_int_max_str_digits()
+    if case == "printing":
+        # an integer that reaches json.dumps itself, after run returned
+        monkeypatch.setattr(cli, "run", lambda argv: {"exit_code": 0, "n": 10 ** (limit + 1)})
+        argv = ["facets", "--a", A_JSON]
+    else:
+        argv = _limit_cases()[case]
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err
+    [line] = out.splitlines()
+    rep = json.loads(line)
+    assert code == rep["exit_code"] == 5
+    assert rep["error"] == (
+        f"a result integer has more than {limit} digits, past Python's int-string limit"
+    )
+
+
+# gamma --v with an integral entry on a coordinate that a kernel move
+# touches goes through the sweep fill: the bytes and the error text are
+# those the sweep gave before fully generic bases took the tree fill
+SWEPT_GAMMA_SHA256 = "4a3cfb577891c3f06969b1827d836af1e750cdc0a7bca8e593c08afec4ca1b0b"
+
+
+def test_gamma_with_an_integral_touched_entry_keeps_the_sweep(capsys, monkeypatch):
+    calls = []
+    fill = series._binomial_fill
+    monkeypatch.setattr(series, "_binomial_fill", lambda *args: calls.append(args) or fill(*args))
+    argv = ["gamma", "--a", "[[1,1]]", "--beta", '["-1/2"]', "--v", '["-1/2","0"]', "--window", "5"]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SWEPT_GAMMA_SHA256
+    v = '["-11/18","0","0","-5/9"]'
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code, rep = run_main(
+            capsys, ["gamma", "--a", A_JSON, "--beta", BETA_JSON, "--v", v, "--window", "3"]
+        )
+    assert code == rep["exit_code"] == 5
+    assert rep["error"] == "window point (-1, -1) unreachable through nonvanishing factorials"
+    assert len(calls) == 2
 
 
 def test_gamma_subcommand_full_density(capsys):

@@ -19,12 +19,14 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 from operator import le
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dhyper.errors import (
+    CycleInconsistentError,
     DenominatorVanishedError,
     DimensionMismatchError,
     IncompatibleRecurrencesError,
@@ -34,7 +36,7 @@ from dhyper.errors import (
     ZeroFactorialError,
 )
 import dhyper
-from dhyper import cli
+from dhyper import cli, series
 from dhyper.exact import (
     IntMatrix,
     RatVector,
@@ -297,9 +299,9 @@ def test_integer_action_is_scaled_falling_factorial(base, box):
             assert got == d ** sum(nu) * term_action_factor(nu, exponent)
             zeros += not got
     assert zeros > 0
-    # table(j, k) holds one entry per x_j of the points given; action reads
-    # the same table and adds any other x to it
-    over = _Falling(base, product(box, repeat=len(base)))
+    # table(j, k) holds one entry per value given for coordinate j; action
+    # reads the same table and adds any other x to it
+    over = _Falling(base, [box] * len(base))
     far = box[-1] + 1
     for j, b in enumerate(base):
         for k in range(1, 4):
@@ -1514,6 +1516,91 @@ def test_gamma_fill_names_coordinate_tuples_in_errors():
         assert str(exc.value) == (
             f"window point {point} unreachable through nonvanishing factorials"
         )
+
+
+# fully generic bases of lattices of rank 1, 2 and 3; [[2, 3]] and [[1, 2, 3]]
+# are not homogeneous, so the D-scalings of a step's two sides differ
+TREE_MATRICES = [
+    IntMatrix.from_rows([[2, 3]]),
+    IntMatrix.from_rows([[1, 1]]),
+    A_DEMO,
+    A_WEIGHTED,
+    A_QUARTIC,
+]
+
+
+@st.composite
+def generic_bases(draw):
+    a = draw(st.sampled_from(TREE_MATRICES))
+    frac = st.builds(Fraction, st.integers(-30, 30), st.sampled_from([2, 3, 5, 7, 9]))
+    v = tuple(draw(frac.filter(lambda q: q.denominator != 1)) for _ in range(a.cols))
+    return a, v, draw(st.integers(0, 6))
+
+
+@given(generic_bases())
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+def test_tree_fill_matches_the_sweep(case):
+    a, v, window = case
+    beta = a.mul_vector(RatVector.make(v))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        tree = gamma_series(a, beta, v=v, window=window)
+        with mock.patch.object(series, "_fully_generic", return_value=False):
+            swept = gamma_series(a, beta, v=v, window=window)
+    assert tree.coeffs == swept.coeffs
+    assert dict(tree._index) == dict(swept._index)
+    assert tree == swept
+    zs = list(tree._index)
+    assert zs == sorted(zs, key=lambda z: (_sup(z), z))
+
+
+def test_fully_generic_bases_never_reach_the_sweep(monkeypatch):
+    from dhyper.series import toral_solution_basis
+
+    def sweep(*args):
+        raise AssertionError("the sweep ran for a fully generic base")
+
+    monkeypatch.setattr(series, "_binomial_fill", sweep)
+    for a in TREE_MATRICES:
+        v = tuple(Fraction(1, 2 * j + 3) for j in range(a.cols))
+        f = gamma_series(a, a.mul_vector(RatVector.make(v)), v=v, window=4)
+        assert density(f) == 1
+    # the demo's direct solution is not fully generic: a later candidate is
+    assert gamma_series(A_DEMO, BETA_DEMO, window=5).base[1] == Fraction(-4, 3)
+    for dec in (_demo_dec(()), _demo_dec((1, 2))):
+        toral_solution_basis(B_DEMO, dec, BETA_DEMO, window=4, a=A_DEMO)
+
+
+@pytest.mark.parametrize(
+    "a, entry, change",
+    [
+        # coordinate 1 of the demo kernel steps by -2 and 1: tables 2 and 1
+        (A_DEMO, (1, 1, 0), 1),
+        # coordinate 0 of the kernel of [[1, 2, 3]] steps by -2 and -3
+        (A_WEIGHTED, (0, 3, -2), 5),
+        # a vanishing multiplier
+        (A_DEMO, (2, 1, 1), None),
+    ],
+)
+def test_a_corrupt_falling_factor_fails_the_certificate(monkeypatch, a, entry, change):
+    v = tuple(Fraction(1, 2 * j + 3) for j in range(a.cols))
+    beta = a.mul_vector(RatVector.make(v))
+    assert gamma_series(a, beta, v=v, window=3).coeffs
+    factor = _Falling._factor
+
+    def corrupt(self, j, k, x):
+        value = factor(self, j, k, x)
+        if (j, k, x) != entry:
+            return value
+        return 0 if change is None else value + change
+
+    monkeypatch.setattr(_Falling, "_factor", corrupt)
+    with pytest.raises(CycleInconsistentError) as exc:
+        gamma_series(a, beta, v=v, window=3)
+    if change is None:
+        assert str(exc.value) == "a multiplier of step 1 vanishes on coordinate 2"
+    else:
+        assert "disagree" in str(exc.value)
 
 
 def eager_candidates(a, lat, v0):
