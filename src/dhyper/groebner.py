@@ -17,7 +17,11 @@ criterion and also by the product criterion, which is sound only
 commutatively (d1 and x1 have disjoint leading monomials yet their Weyl
 S-pair reduces to a unit).  Every completion reports its pair counts as
 PairStats.  Membership answers always carry cofactors that re-multiply to
-the queried operator.
+the queried operator.  The general core works on integer operators over
+monomials packed into one int (weyl.Packing): it packs a WeylOperator's
+integer numerators as they are, divides fraction-free, and replays each
+membership answer on the division's own integers before it unpacks it
+into numerators over one denominator; no Fraction is built on the way.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from operator import itemgetter, mul
 from typing import Iterable, Mapping
 
 from .errors import DimensionMismatchError, InputFormatError, InvariantError
-from .weyl import WeylOperator, _format_terms, _lmul, _Overflow, _fit, _top
+from .weyl import WeylOperator, _format_terms, _lmul, _Overflow, _fit, _reduced, _top
 
 Expo = tuple[int, ...]
 
@@ -154,9 +158,10 @@ class CommPoly:
 # coefficients, each monomial x^mu d^nu packed into one int by a Packing
 # (weyl.Packing), paired with its cofactor list over the original
 # generators: integer dicts over one positive denominator.  A divisor is the
-# triple (lead monomial, lead coefficient, operator).  Rational input
-# becomes integer and packed once, on the way in (_integral), and Fractions
-# and exponent tuples are built again only at the public boundary.  A
+# triple (lead monomial, lead coefficient, operator).  A WeylOperator
+# enters as its integer numerators, packed (_weyl_packed), and leaves as
+# integers over one denominator with unpacked keys (_over); a CommPoly's
+# Fractions become integer on the way in (_integral).  A
 # product that leaves the packing's fields raises _Overflow, and there is
 # one rule for it, _widening: whoever holds packed operators repacks them at
 # double width (_repack) and retries only the step that overflowed, an
@@ -709,13 +714,21 @@ def _binomial_polys(n: int, basis) -> tuple[CommPoly, ...]:
 
 
 def _over(pk, g: dict, den: int) -> WeylOperator:
-    """The packed integer operator g divided by den, as a WeylOperator; g
-    comes from the core, so its exponents and coefficients need no checks."""
-    return WeylOperator(pk.nvars, tuple(sorted((*pk.unpack(k), Fraction(c, den)) for k, c in g.items())))
+    """The packed integer operator g divided by den > 0, as a WeylOperator;
+    g comes from the core, so its exponents and coefficients need no
+    checks."""
+    unpack = pk.unpack
+    return _reduced(pk.nvars, {unpack(k): c for k, c in g.items()}, den)
+
+
+def _weyl_packed(pk, p: WeylOperator) -> tuple[dict, int]:
+    """(den p, den) with den p, the numerators of p, packed by pk."""
+    flat = pk.flat
+    return {flat(mu + nu): c for (mu, nu), c in p.nums.items()}, p.den
 
 
 def _weyl_top(ops) -> int:
-    return _top(mu + nu for op in ops for mu, nu, _ in op.terms)
+    return _top(mu + nu for op in ops for mu, nu in op.nums)
 
 
 def _division_replays(f: dict, m: int, rem: dict, cof: list[dict], den: int, gens: list, pk) -> bool:
@@ -740,7 +753,7 @@ def _division_replays(f: dict, m: int, rem: dict, cof: list[dict], den: int, gen
 
 
 def _packed_gens(gens, pk) -> list:
-    return [_integral(pk, g.terms) if g.terms else None for g in gens]
+    return [_weyl_packed(pk, g) if g.nums else None for g in gens]
 
 
 @dataclass(frozen=True)
@@ -769,9 +782,9 @@ class MembershipCertificate:
 
         def run(pk):
             # cofactors Q_i / a_i, normal form N / c, query P / e: L = lcm(a_i, c, e)
-            query, e = _integral(pk, self.query.terms)
-            nf, c = _integral(pk, self.normal_form.terms)
-            cofs = [_integral(pk, q.terms) for q in self.cofactors]
+            query, e = _weyl_packed(pk, self.query)
+            nf, c = _weyl_packed(pk, self.normal_form)
+            cofs = [_weyl_packed(pk, q) for q in self.cofactors]
             big = lcm(c, e, *(a for _, a in cofs))
             cof = [{t: v * (big // a) for t, v in q.items()} for q, a in cofs]
             rem = {t: v * (big // c) for t, v in nf.items()}
@@ -871,7 +884,7 @@ class WeylGroebner:
         def run(pk, basis, divisors, gens):
             # f = d p, m f = sum quots . basis + rem, and then
             # den m f = sum cof . gens + den rem
-            f, d = _integral(pk, p.terms)
+            f, d = _weyl_packed(pk, p)
             quots, rem, m = _divide(f, divisors, pk)
             den = _used_lcm(quots, basis)
             cof: list[dict] = [{} for _ in self.gens]

@@ -450,15 +450,16 @@ def _scatter(p: WeylOperator, frame: _Frame, coords: Mapping[Expo, Expo], radius
     coordinate tuple in the order first reached.
     """
     # term c x^mu d^nu weighs c [base + u]_nu; with K = max |nu| and E the
-    # lcm of the term coefficients' denominators it is stored as the
-    # integer c E D^(K - |nu|), so that the product of its factors
-    # D^k [b_j + u_j]_k is E D^K times the rational weight
+    # operator's denominator it is stored as the integer c E D^(K - |nu|),
+    # so that the product of its factors D^k [b_j + u_j]_k is E D^K times
+    # the rational weight
     d = frame.falling.d
-    k_max = max(sum(nu) for _, nu, _ in p.terms)
-    e = lcm(*(c.denominator for _, _, c in p.terms))
+    k_max = max(sum(nu) for _, nu in p.nums)
+    e = p.den
     groups: dict[Expo, list[tuple[int, list[tuple[int, dict[int, int]]]]]] = {}
-    for mu, nu, c in p.terms:
-        scaled = c.numerator * (e // c.denominator) * d ** (k_max - sum(nu))
+    # in term order, which fixes the order of the outputs
+    for (mu, nu), c in sorted(p.nums.items()):
+        scaled = c * d ** (k_max - sum(nu))
         factors = [(j, frame.falling.table(j, k)) for j, k in enumerate(nu) if k]
         groups.setdefault(coords[_sub(mu, nu)], []).append((scaled, factors))
     units, guard = frame.pk.units, frame.pk.guard
@@ -561,7 +562,7 @@ def _refined_radius(p: WeylOperator, f, lat: IntMatrix, delta0: Expo, cap: int, 
     big_p = max((sum(map(mul, map(abs, row), norms)) for row in sf.v.entries), default=0)
     if not big_p:
         return cap
-    offsets = [(_sub(_sub(mu, nu), delta0), nu) for mu, nu, _ in p.terms]
+    offsets = [(_sub(_sub(mu, nu), delta0), nu) for mu, nu in p.nums]
     # r0 is the first ring with P (|lat|_inf r0 + omax) >= D (f.reliable + 1)
     omax = max(_sup(o) for o, _ in offsets)
     per_ring = big_p * max(sum(map(abs, row)) for row in lat.entries)

@@ -1,7 +1,12 @@
 """Normal-ordered arithmetic in the Weyl algebra.
 
 Operators are finite rational combinations of x^mu d^nu with all x factors
-written to the left of all d factors.  The module also provides the
+written to the left of all d factors, held as integer numerators keyed by
+(mu, nu) over one positive denominator, with no common factor: sums and
+products work on the integers, with one lcm or product of denominators
+and one gcd per result, and the Groebner engine packs the numerators as
+they are.  A Fraction per term is built only for the terms view
+(printing, JSON, callers).  The module also provides the
 A-grading, Euler operators, the theta-polynomial rewriting used for
 operators built from x_i d_i, and what the series layer and the move graph
 share: lattice points packed into ints (_lattice_packing), the one owner of
@@ -17,9 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, product
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 from operator import add, mul, sub
 from typing import Iterable, Mapping
 
@@ -41,13 +46,18 @@ def _sub(u: Expo, v: Expo) -> Expo:
 class WeylOperator:
     """Element of the Weyl algebra in normal order.
 
-    terms maps (mu, nu) to a nonzero rational coefficient; the pair
-    represents x^mu d^nu.  Stored as a sorted tuple so equality and
-    hashing are structural.
+    nums maps (mu, nu), the pair standing for x^mu d^nu, to a nonzero
+    integer numerator over the one positive denominator den, and the gcd of
+    den and every numerator is 1, so equality and hashing are structural.
+    nums is never mutated.  terms is the sorted (mu, nu, Fraction) view,
+    built on first request, or by make from the Fractions it was given.
+    make and from_json validate; the arithmetic works on the integers and
+    builds its results directly (_reduced).
     """
 
     nvars: int
-    terms: tuple[tuple[Expo, Expo, Fraction], ...]
+    nums: dict[tuple[Expo, Expo], int]
+    den: int = 1
 
     @staticmethod
     def make(nvars: int, mapping: Mapping[tuple[Expo, Expo], Fraction | int]) -> "WeylOperator":
@@ -60,17 +70,24 @@ class WeylOperator:
             q = c if type(c) is Fraction else Fraction(c)
             if q:
                 clean[(tuple(mu), tuple(nu))] = q
-        items = tuple((mu, nu, clean[(mu, nu)]) for mu, nu in sorted(clean))
-        return WeylOperator(nvars, items)
+        # over the lcm of the denominators in lowest terms, the numerators
+        # and the lcm share no prime
+        d = lcm(*(q.denominator for q in clean.values()))
+        op = WeylOperator(nvars, {k: q.numerator * (d // q.denominator) for k, q in clean.items()}, d)
+        # the Fractions are in hand, so keeping them as the terms view costs
+        # only the sort, where a view built when the operator is printed
+        # costs a Fraction per term
+        op.__dict__["terms"] = tuple((mu, nu, clean[(mu, nu)]) for mu, nu in sorted(clean))
+        return op
 
     @staticmethod
     def zero(nvars: int) -> "WeylOperator":
-        return WeylOperator(nvars, ())
+        return WeylOperator(nvars, {})
 
     @staticmethod
     def one(nvars: int) -> "WeylOperator":
         z = (0,) * nvars
-        return WeylOperator(nvars, ((z, z, Fraction(1)),))
+        return WeylOperator(nvars, {(z, z): 1})
 
     @staticmethod
     def monomial(nvars: int, mu: Iterable[int], nu: Iterable[int], coeff=1) -> "WeylOperator":
@@ -86,8 +103,17 @@ class WeylOperator:
         nu = tuple(1 if j == i else 0 for j in range(nvars))
         return WeylOperator.monomial(nvars, (0,) * nvars, nu)
 
+    @cached_property
+    def terms(self) -> tuple[tuple[Expo, Expo, Fraction], ...]:
+        """The (mu, nu, coefficient) triples, sorted by (mu, nu)."""
+        d = self.den
+        return tuple((mu, nu, Fraction(c, d)) for (mu, nu), c in sorted(self.nums.items()))
+
+    def __hash__(self) -> int:
+        return hash((self.nvars, self.den, frozenset(self.nums.items())))
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def _check(self, other: "WeylOperator") -> None:
         if self.nvars != other.nvars:
@@ -95,13 +121,20 @@ class WeylOperator:
 
     def __add__(self, other: "WeylOperator") -> "WeylOperator":
         self._check(other)
-        acc: dict[tuple[Expo, Expo], Fraction] = {}
-        for mu, nu, c in self.terms + other.terms:
-            acc[(mu, nu)] = acc.get((mu, nu), Fraction(0)) + c
-        return WeylOperator.make(self.nvars, acc)
+        a, b = self.den, other.den
+        g = gcd(a, b)
+        sa, sb = b // g, a // g
+        acc = {k: c * sa for k, c in self.nums.items()}
+        for k, c in other.nums.items():
+            v = acc.get(k, 0) + c * sb
+            if v:
+                acc[k] = v
+            else:
+                del acc[k]
+        return _reduced(self.nvars, acc, a * sa)
 
     def __neg__(self) -> "WeylOperator":
-        return WeylOperator(self.nvars, tuple((mu, nu, -c) for mu, nu, c in self.terms))
+        return WeylOperator(self.nvars, {k: -c for k, c in self.nums.items()}, self.den)
 
     def __sub__(self, other: "WeylOperator") -> "WeylOperator":
         return self + (-other)
@@ -110,14 +143,15 @@ class WeylOperator:
         q = Fraction(q)
         if not q:
             return WeylOperator.zero(self.nvars)
-        return WeylOperator(self.nvars, tuple((mu, nu, c * q) for mu, nu, c in self.terms))
+        n = q.numerator
+        return _reduced(self.nvars, {k: c * n for k, c in self.nums.items()}, self.den * q.denominator)
 
     def __mul__(self, other: "WeylOperator") -> "WeylOperator":
         return normal_product(self, other)
 
     def shifts(self) -> list[Expo]:
         """Exponent shifts mu - nu contributed by each term, deduplicated."""
-        return sorted({_sub(mu, nu) for mu, nu, _ in self.terms})
+        return sorted({_sub(mu, nu) for mu, nu in self.nums})
 
     def to_json(self) -> dict:
         return {
@@ -144,6 +178,16 @@ class WeylOperator:
 
     def __str__(self) -> str:
         return _format_terms(self.terms)
+
+
+def _reduced(nvars: int, nums: dict, den: int) -> WeylOperator:
+    """The operator nums / den, for nonzero integer numerators and den > 0,
+    with the common factor of den and the numerators divided out."""
+    g = gcd(den, *nums.values())
+    if g != 1:
+        nums = {k: c // g for k, c in nums.items()}
+        den //= g
+    return WeylOperator(nvars, nums, den)
 
 
 def _format_terms(terms) -> str:
@@ -197,9 +241,12 @@ class Packing:
         self.guard = sum(1 << (s + width) for s in self.shifts)
         digit = (max((sum(map(abs, r)) for r in rows), default=0) * mask).bit_length()
         top = self.guard.bit_length() + (len(rows) - 1) * digit
+        # unit j adds column j of W to the digits: only its nonzero entries,
+        # two per column of DegRevLex
+        cols = list(zip(*rows)) or [()] * len(self.shifts)
         self.units = tuple(
-            (1 << s) + sum(r[j] << (top - i * digit) for i, r in enumerate(rows))
-            for j, s in enumerate(self.shifts)
+            (1 << s) + sum(w << (top - i * digit) for i, w in enumerate(col) if w)
+            for s, col in zip(self.shifts, cols)
         )
         # (a >> nshift) + ones and b + ones share a set mu guard bit exactly
         # when nu of a and mu of b share a nonzero index
@@ -270,12 +317,12 @@ def _top(exps) -> int:
 def normal_product(p: WeylOperator, q: WeylOperator) -> WeylOperator:
     """Product in the Weyl algebra, renormal-ordered."""
     p._check(q)
-    pk = _fit(p.nvars, (), True, _top(mu + nu for mu, nu, _ in p.terms + q.terms))
-    acc: dict[int, Fraction] = {}
-    g = {pk.pack(mu, nu): c for mu, nu, c in q.terms}
-    for mu, nu, c in p.terms:
+    pk = _fit(p.nvars, (), True, _top(mu + nu for mu, nu in chain(p.nums, q.nums)))
+    acc: dict[int, int] = {}
+    g = {pk.pack(mu, nu): c for (mu, nu), c in q.nums.items()}
+    for (mu, nu), c in p.nums.items():
         _lmul(acc, c, pk.pack(mu, nu), g, pk)
-    return WeylOperator(p.nvars, tuple(sorted((*pk.unpack(k), c) for k, c in acc.items())))
+    return _reduced(p.nvars, {pk.unpack(k): c for k, c in acc.items()}, p.den * q.den)
 
 
 @lru_cache(maxsize=4096)
@@ -347,11 +394,11 @@ def a_degree_components(a: IntMatrix, p: WeylOperator) -> list[tuple[Expo, WeylO
     """Split p into homogeneous pieces for the grading deg(x^mu d^nu) = A(nu - mu)."""
     if a.cols != p.nvars:
         raise DimensionMismatchError("matrix width does not match operator variables")
-    buckets: dict[Expo, dict[tuple[Expo, Expo], Fraction]] = {}
-    for mu, nu, c in p.terms:
+    buckets: dict[Expo, dict[tuple[Expo, Expo], int]] = {}
+    for (mu, nu), c in p.nums.items():
         deg = a.mul_int_vector(_sub(nu, mu))
         buckets.setdefault(deg, {})[(mu, nu)] = c
-    return [(deg, WeylOperator.make(p.nvars, buckets[deg])) for deg in sorted(buckets)]
+    return [(deg, _reduced(p.nvars, buckets[deg], p.den)) for deg in sorted(buckets)]
 
 
 @dataclass(frozen=True)

@@ -1010,6 +1010,34 @@ def test_replay_rejects_generator_count_mismatch():
         cert.verify([WeylOperator.one(3)] * len(gens))
 
 
+def test_membership_builds_no_fraction_and_no_terms_view(monkeypatch):
+    # the query, the generators and the certificate are read as integer
+    # numerators over one denominator, and the answer is built as one
+    gens = horn_demo_gens()
+    planted = normal_product(WeylOperator.monomial(4, (1, 0, 0, 0), (0, 1, 0, 0), Fraction(2, 5)), gens[0])
+    queries = [planted + gens[3].scale(Fraction(-1, 7)), planted + WeylOperator.d(1, 4), WeylOperator.zero(4)]
+    made = []
+
+    def counting(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    terms = WeylOperator.__dict__["terms"].func
+
+    def viewed(op):
+        made.append(op)
+        return terms(op)
+
+    for module in (groebner, weyl):
+        monkeypatch.setattr(module, "Fraction", counting)
+    monkeypatch.setattr(WeylOperator, "terms", property(viewed))
+    gb = groebner_weyl(gens, cap=10)
+    certs = [gb.membership(q) for q in queries]
+    assert [c.member for c in certs] == [True, False, True]
+    assert all(c.verify(gens) for c in certs)
+    assert made == []
+
+
 # ---------------------------------------------------------------------------
 # The integer replay against the Fraction replay by normal products
 

@@ -4,11 +4,17 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
+from math import comb, factorial, gcd, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dhyper import weyl
 from dhyper.errors import DhyperError, DimensionMismatchError, InputFormatError
 from dhyper.exact import IntMatrix, RatVector
+from dhyper.groebner import DegRevLex
 from dhyper.series import (
     INCONCLUSIVE,
     PuiseuxSeries,
@@ -255,6 +261,134 @@ def test_operator_json_rejects_float_coefficients(coeff):
 def test_nvars_mismatch_rejected():
     with pytest.raises(DimensionMismatchError):
         normal_product(WeylOperator.d(0, 2), WeylOperator.d(0, 3))
+
+
+# ---------------------------------------------------------------------------
+# Integer numerators over one denominator, against a Fraction reference
+#
+# The reference holds an operator as a plain dict (mu, nu) -> nonzero
+# Fraction, with the semantics of one Fraction per term.
+
+
+def ref_make(mapping):
+    return {k: Fraction(c) for k, c in mapping.items() if Fraction(c)}
+
+
+def ref_add(p, q):
+    acc = dict(p)
+    for k, c in q.items():
+        acc[k] = acc.get(k, Fraction(0)) + c
+    return {k: c for k, c in acc.items() if c}
+
+
+def ref_scale(p, q):
+    return {k: c * q for k, c in p.items() if c * q}
+
+
+def ref_product(p, q):
+    """x^mu d^nu . x^mu' d^nu' as the sum over k <= min(nu, mu') of
+    prod_j C(nu_j, k_j) C(mu'_j, k_j) k_j! x^(mu + mu' - k) d^(nu + nu' - k)."""
+    acc = {}
+    for (mu, nu), c in p.items():
+        for (mu2, nu2), c2 in q.items():
+            for k in product(*(range(min(a, b) + 1) for a, b in zip(nu, mu2))):
+                w = prod(comb(a, t) * comb(b, t) * factorial(t) for a, b, t in zip(nu, mu2, k))
+                key = (
+                    tuple(a + b - t for a, b, t in zip(mu, mu2, k)),
+                    tuple(a + b - t for a, b, t in zip(nu, nu2, k)),
+                )
+                acc[key] = acc.get(key, Fraction(0)) + c * c2 * w
+    return {k: c for k, c in acc.items() if c}
+
+
+def assert_is(op, ref):
+    """op is ref in canonical form, its terms view and its equality."""
+    assert op.den > 0
+    assert all(op.nums.values())
+    assert gcd(op.den, *op.nums.values()) == 1
+    assert {k: Fraction(c, op.den) for k, c in op.nums.items()} == ref
+    assert op.terms == tuple((mu, nu, ref[(mu, nu)]) for mu, nu in sorted(ref))
+    again = WeylOperator.make(op.nvars, ref)
+    assert op == again and hash(op) == hash(again)
+    assert op.is_zero() is (not ref)
+
+
+@st.composite
+def operator_cases(draw):
+    n = draw(st.integers(1, 2))
+    expo = st.tuples(*[st.integers(0, 2)] * n)
+    coeff = st.one_of(
+        st.integers(-4, 4), st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 4, 6, 9]))
+    )
+    mappings = st.dictionaries(st.tuples(expo, expo), coeff, max_size=4)
+    # a scale factor as a literal not in lowest terms, zero among them
+    scale = st.tuples(st.integers(-6, 6), st.integers(1, 6)).map(lambda t: f"{t[0] * 2}/{t[1] * 2}")
+    return n, draw(mappings), draw(mappings), draw(scale)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(operator_cases())
+def test_integer_operators_match_the_fraction_reference(case):
+    n, pm, qm, q = case
+    p, r = WeylOperator.make(n, pm), WeylOperator.make(n, qm)
+    rp, rr = ref_make(pm), ref_make(qm)
+    assert_is(p, rp)
+    assert_is(r, rr)
+    assert_is(p + r, ref_add(rp, rr))
+    assert_is(p - r, ref_add(rp, ref_scale(rr, Fraction(-1))))
+    assert_is(-p, ref_scale(rp, Fraction(-1)))
+    assert_is(p.scale(q), ref_scale(rp, Fraction(q)))
+    assert_is(p.scale(0), {})
+    assert_is(normal_product(p, r), ref_product(rp, rr))
+    back = WeylOperator.from_json(p.to_json())
+    assert_is(back, rp)
+    assert back.to_json() == p.to_json()
+    # cancellation to zero, and equal operators along different paths
+    for zero in (p - p, p + (-p), p.scale(-1) + p, p.scale(q) - p.scale(Fraction(q))):
+        assert_is(zero, {})
+        assert zero == WeylOperator.zero(n) and zero.den == 1
+    for same in ((p + r) - r, r + p - r, p.scale(3).scale(Fraction(1, 3)), normal_product(p, WeylOperator.one(n))):
+        assert same == p and hash(same) == hash(p)
+    assert p + r == r + p and hash(p + r) == hash(r + p)
+
+
+def test_sums_and_products_never_reach_make(monkeypatch):
+    rng = random.Random(8)
+    p, q = _random_operator(rng, 2), _random_operator(rng, 2)
+
+    def make(*args):
+        raise AssertionError("make reached from operator arithmetic")
+
+    monkeypatch.setattr(WeylOperator, "make", staticmethod(make))
+    for r in (p + q, p - q, -p, p.scale(Fraction(-4, 6)), normal_product(p, q), p * q, p - p):
+        assert r.den > 0 and gcd(r.den, *r.nums.values()) == 1
+
+
+def dense_units(pk):
+    """Packing.units by the dense formula: every row's entry of each
+    column, zero or not, shifted into its digit."""
+    mask = (1 << pk.width) - 1
+    digit = (max((sum(map(abs, r)) for r in pk.rows), default=0) * mask).bit_length()
+    top = pk.guard.bit_length() + (len(pk.rows) - 1) * digit
+    return tuple(
+        (1 << s) + sum(r[j] << (top - i * digit) for i, r in enumerate(pk.rows))
+        for j, s in enumerate(pk.shifts)
+    )
+
+
+def test_packing_units_are_the_dense_formula():
+    rng = random.Random(9)
+    cases = [(3, DegRevLex(6).rows, True, 4), (2, (), True, 3), (3, (), False, 2)]
+    for _ in range(60):
+        n, weyl_ = rng.randint(1, 4), rng.random() < 0.5
+        cols = 2 * n if weyl_ else n
+        rows = tuple(
+            tuple(rng.choice((0, 0, 0, -2, -1, 1, 3)) for _ in range(cols)) for _ in range(rng.randint(1, 5))
+        )
+        cases.append((n, rows, weyl_, rng.randint(1, 9)))
+    for n, rows, weyl_, width in cases:
+        pk = weyl.Packing(n, rows, weyl_, width)
+        assert pk.units == dense_units(pk)
 
 
 # ---------------------------------------------------------------------------
