@@ -2,8 +2,12 @@
 
 Matrix and vector flags take JSON inline or @path to read a file.  All
 rational literals are integers or "p/q" strings; floats are rejected so
-every computation downstream stays exact.  Reports are emitted with
-sorted keys, making identical invocations byte-identical.
+every computation downstream stays exact.  Reports and --emit artifacts
+are written by one writer, _json_text, whose bytes are those of
+json.dumps(obj, indent=2, sort_keys=True): sorted keys, so identical
+invocations are byte-identical.  With indent set the standard library
+encodes in pure Python; the writer escapes strings with json's C
+encode_basestring_ascii and prints ints with int.__repr__, as json does.
 
 Exit codes: 0 every check passed, 1 at least one check failed, 2 to 5
 the exit_code of the DhyperError raised (errors.py: 2 malformed input, 3
@@ -23,6 +27,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from json.encoder import encode_basestring_ascii
 
 from .errors import DhyperError, InputFormatError, ResultTooLargeError
 from .exact import (
@@ -453,6 +458,77 @@ def _cmd_example(args):
 
 
 # ---------------------------------------------------------------------------
+# Output
+
+
+def _json_text(obj) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True), byte for byte.
+
+    Values of exact type str, int, list, tuple and dict take the first
+    branches; their subclasses are found by isinstance, in json's order.
+    A non-str key and any other value (a float, or a type json refuses) go
+    to json.dumps, so they are written, or refused, as json writes them.
+    An int past the int-string limit raises int.__repr__'s ValueError, as
+    in json.
+    """
+    out: list[str] = []
+    put = out.append
+
+    def write(obj, pad: str) -> None:
+        # pad is the newline and indentation of obj's own line
+        t = type(obj)
+        if t is str:
+            put(encode_basestring_ascii(obj))
+        elif t is int:
+            put(int.__repr__(obj))
+        elif t is list or t is tuple:
+            if not obj:
+                put("[]")
+                return
+            inner = pad + "  "
+            sep, comma = "[" + inner, "," + inner
+            for v in obj:
+                put(sep)
+                write(v, inner)
+                sep = comma
+            put(pad + "]")
+        elif t is dict:
+            if not obj:
+                put("{}")
+                return
+            inner = pad + "  "
+            sep, comma = "{" + inner, "," + inner
+            for k, v in sorted(obj.items()):
+                if type(k) is str:
+                    put(sep + encode_basestring_ascii(k) + ": ")
+                else:
+                    # json.dumps({k: None}) is "{", the key as json quotes it, ": null}"
+                    put(sep + json.dumps({k: None})[1:-7] + ": ")
+                write(v, inner)
+                sep = comma
+            put(pad + "}")
+        elif obj is None:
+            put("null")
+        elif obj is True:
+            put("true")
+        elif obj is False:
+            put("false")
+        elif isinstance(obj, str):
+            put(encode_basestring_ascii(obj))
+        elif isinstance(obj, int):
+            put(int.__repr__(obj))
+        elif isinstance(obj, (list, tuple)):
+            write(list(obj), pad)
+        elif isinstance(obj, dict):
+            write(dict(obj.items()), pad)
+        else:
+            put(json.dumps(obj))
+
+    write(obj, "\n")
+    return "".join(out)
+
+
+# ---------------------------------------------------------------------------
 # Dispatch
 
 
@@ -576,9 +652,10 @@ def run(argv=None) -> dict:
             os.makedirs(path, exist_ok=True)
             for key in sorted(payload):
                 path = os.path.join(args.emit, f"{key}.json")
+                # written whole, so a refused value leaves no partial file
+                text = _json_text(payload[key]) + "\n"
                 with open(path, "w", encoding="utf-8") as fh:
-                    json.dump(payload[key], fh, indent=2, sort_keys=True)
-                    fh.write("\n")
+                    fh.write(text)
                 artifacts.append(path)
         except OSError as exc:
             raise InputFormatError(f"cannot write {path}: {exc}") from exc
@@ -601,7 +678,7 @@ def _printed(argv) -> tuple[dict, str]:
     """
     try:
         report = run(argv)
-        return report, json.dumps(report, indent=2, sort_keys=True)
+        return report, _json_text(report)
     except ValueError as exc:
         if "integer string conversion" not in str(exc):
             raise

@@ -15,19 +15,23 @@ an element is a pair of monomials, an S-pair and a reduction step are
 lattice moves, and no coefficient is ever formed.  It skips by the chain
 criterion and also by the product criterion, which is sound only
 commutatively (d1 and x1 have disjoint leading monomials yet their Weyl
-S-pair reduces to a unit).  Every completion reports its pair counts as
-PairStats.  Membership answers always carry cofactors that re-multiply to
-the queried operator.  The general core works on integer operators over
-monomials packed into one int (weyl.Packing): it packs a WeylOperator's
-integer numerators as they are, divides fraction-free, and replays each
-membership answer on the division's own integers before it unpacks it
-into numerators over one denominator; no Fraction is built on the way.
+S-pair reduces to a unit).  Both cores keep each element's lead
+exponents beside it, so the lead lcm that orders a pair is packed once,
+from their field-wise max, when the pair is queued, and again only when
+a widening repacks the queue.  Every completion reports its pair counts
+as PairStats.  Membership answers always carry cofactors that
+re-multiply to the queried operator.  The general core works on integer
+operators over monomials packed into one int (weyl.Packing): it packs a
+WeylOperator's integer numerators as they are, divides fraction-free,
+and replays each membership answer on the division's own integers before
+it unpacks it into numerators over one denominator; no Fraction is built
+on the way.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
@@ -289,12 +293,11 @@ def _divide(f: dict, divisors, pk, cap: int | None = None) -> tuple[list[dict], 
     return quots, rem, m
 
 
-def _spair(di, dj, pk) -> tuple[dict, tuple, tuple]:
+def _spair(l: int, di, dj, pk) -> tuple[dict, tuple, tuple]:
     """Integer S-operator (c_j/k) a g_i - (c_i/k) a' g_j of two divisors,
-    k = gcd(c_i, c_j), with the left multipliers (coeff, packed monomial)
-    applied to each."""
+    k = gcd(c_i, c_j), l the lcm of their leads, with the left multipliers
+    (coeff, packed monomial) applied to each."""
     (li, ci, gi), (lj, cj, gj) = di, dj
-    l = pk.lcm(li, lj)
     k = gcd(ci, cj)
     mi = (cj // k, l - li)
     mj = (-(ci // k), l - lj)
@@ -361,7 +364,11 @@ def _buchberger(gens, pk, cap: int | None = None, chain: bool = True):
     """Complete nonzero (integer operator, integer cofactors) pairs, the
     cofactors over denominator 1, to a Groebner basis.
 
-    Pairs are processed in order of (lcm L of the leads, i, j).  The chain
+    Pairs are processed in order of (lcm L of the leads, i, j).  Each
+    element's lead exponents are kept beside it, as in
+    _binomial_buchberger: a new element queues each pair with L packed
+    from their field-wise max, the popped L is the one its S-pair is formed
+    at, and a widening packs every queued L again from them.  The chain
     criterion skips (i, j) when another element k has a lead dividing L and
     the pairs (i, k) and (k, j) were taken off the queue before: each then
     has a representation below its lcm, hence below L.  A nonzero remainder
@@ -376,6 +383,8 @@ def _buchberger(gens, pk, cap: int | None = None, chain: bool = True):
     """
     basis: list[tuple] = []
     divisors: list[tuple] = []
+    # the exponents of each lead, the same at every width
+    exps: list[Expo] = []
     heap: list[tuple] = []
     # bit k of rows[i] is set once the pair of i and k has been popped
     rows: list[int] = []
@@ -384,23 +393,28 @@ def _buchberger(gens, pk, cap: int | None = None, chain: bool = True):
     def admit(g, rep, den):
         lead = max(g)
         g, rep, den = _primitive(g, rep, den, lead)
-        for i, (li, _, _) in enumerate(divisors):
-            heappush(heap, (pk.lcm(li, lead), i, len(divisors)))
+        e, flat, k = pk.exps(lead), pk.flat, len(divisors)
+        for i, ei in enumerate(exps):
+            heappush(heap, (flat(tuple(map(max, ei, e))), i, k))
         divisors.append((lead, g[lead], g))
         basis.append((g, rep, den))
+        exps.append(e)
         rows.append(0)
 
-    def reduced(wide, i, j) -> tuple:
+    def reduced(wide, l, i, j) -> tuple:
         """(remainder, cofactors, denominator) of the S-pair (i, j) at wide,
-        all held moved there first; cofactors None unless it is admitted."""
+        all held moved there first; cofactors None unless it is admitted.
+        l is its lead lcm as popped, at the width it was popped at."""
         nonlocal pk
         if wide is not pk:
             basis[:] = _repack(basis, pk, wide)
             divisors[:] = [_divisor(g) for g, _, _ in basis]
             # the order is the same at every width, so the heap stays a heap
-            heap[:] = [(wide.lcm(divisors[a][0], divisors[b][0]), a, b) for _, a, b in heap]
+            heap[:] = [(wide.flat(tuple(map(max, exps[a], exps[b]))), a, b) for _, a, b in heap]
             pk = wide
-        s, (ci, ai), (cj, aj) = _spair(divisors[i], divisors[j], pk)
+            # every retry comes here, so the lcm is always packed at wide
+            l = pk.flat(tuple(map(max, exps[i], exps[j])))
+        s, (ci, ai), (cj, aj) = _spair(l, divisors[i], divisors[j], pk)
         quots, rem, m = _divide(s, divisors, pk, cap)
         # a capped _divide returns a remainder above the cap as its one
         # monomial, and every other remainder lies within the cap
@@ -428,7 +442,7 @@ def _buchberger(gens, pk, cap: int | None = None, chain: bool = True):
         if chain and not counts["cap_drops"] and _chained(rows, divisors, i, j, l, pk):
             counts["chain_skips"] += 1
         else:
-            rem, srep, den = _widening(lambda wide: reduced(wide, i, j), pk)
+            rem, srep, den = _widening(lambda wide: reduced(wide, l, i, j), pk)
             if not rem:
                 counts["zero_reductions"] += 1
             elif srep is None:
@@ -642,21 +656,29 @@ def _binomial_gens(polys) -> list[tuple[Expo, Expo]] | None:
 
 @dataclass(frozen=True)
 class CommIdeal:
-    """Ideal in the commutative polynomial ring, given by generators."""
+    """Ideal in the commutative polynomial ring, given by generators.
+
+    basis_order, when set, is an order in which gens already is the
+    reduced basis, monic and sorted by lead, as groebner returns it; it
+    takes no part in equality, since equal generators have equal bases.
+    """
 
     nvars: int
     gens: tuple[CommPoly, ...]
+    basis_order: MatrixOrder | None = field(default=None, compare=False)
 
     @staticmethod
-    def make(nvars: int, gens: Iterable[CommPoly]) -> "CommIdeal":
+    def make(nvars: int, gens: Iterable[CommPoly], basis_order: MatrixOrder | None = None) -> "CommIdeal":
         gens = tuple(gens)
         for g in gens:
             if g.nvars != nvars:
                 raise DimensionMismatchError("generator variable count mismatch")
-        return CommIdeal(nvars, gens)
+        return CommIdeal(nvars, gens, basis_order)
 
     def groebner(self, order=None) -> tuple[CommPoly, ...]:
         order = order or DegRevLex(self.nvars)
+        if order == self.basis_order:
+            return self.gens
         return _groebner_cached(self, order)
 
     def normal_form(self, p: CommPoly) -> CommPoly:
@@ -912,8 +934,10 @@ class WeylGroebner:
         """Recheck the Buchberger criterion on the finished basis."""
 
         def run(pk, _, divisors, __):
-            pairs = combinations(divisors, 2)
-            return all(not _divide(_spair(di, dj, pk)[0], divisors, pk)[1] for di, dj in pairs)
+            def remainder(di, dj):
+                return _divide(_spair(pk.lcm(di[0], dj[0]), di, dj, pk)[0], divisors, pk)[1]
+
+            return not any(remainder(di, dj) for di, dj in combinations(divisors, 2))
 
         return self._at_width(run)
 

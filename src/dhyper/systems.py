@@ -97,8 +97,10 @@ def toric_ideal(a: IntMatrix) -> CommIdeal:
     the steps run on the homogenized matrix [[A, 0], [1 ... 1, 1]] instead,
     graded by its last row, every weight 1: its kernel is
     {(u, -|u|) : u in ker A}, so setting the new variable h to 1 in its
-    toric ideal gives I_A.  Each binomial stays the exponent pair (p, q) of
-    d^p - d^q from the kernel to the returned generators.
+    toric ideal gives I_A, and the generators returned are its reduced
+    degrevlex basis, which the ideal carries as such (basis_order).  Each
+    binomial stays the exponent pair (p, q) of d^p - d^q from the kernel to
+    the returned generators.
     """
     _check_no_zero_column(a)
     n = a.cols
@@ -119,8 +121,11 @@ def toric_ideal(a: IntMatrix) -> CommIdeal:
         moves = [_divide_out(m, i) for m in _binomial_basis(len(weights), moves, WeightedRevLexLast(weights, i))]
     if c is None:
         # with the homogenizing coordinate dropped, the pairs generate I_A
-        # but need not be a reduced basis of it
-        moves = _binomial_basis(n, [(p[:n], q[:n]) for p, q in moves], DegRevLex(n))
+        # but need not be a reduced basis of it; the one completed here is
+        # the ideal's degrevlex basis, so groebner() does not complete it again
+        order = DegRevLex(n)
+        moves = _binomial_basis(n, [(p[:n], q[:n]) for p, q in moves], order)
+        return CommIdeal.make(n, _binomial_polys(n, moves), basis_order=order)
     return CommIdeal.make(n, _binomial_polys(n, moves))
 
 

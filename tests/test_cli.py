@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import hashlib
 import io
@@ -7,6 +8,8 @@ import subprocess
 import sys
 import time
 import warnings
+from collections import OrderedDict, namedtuple
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -395,6 +398,122 @@ def test_example_erdelyi_report_bytes_are_pinned(capsys):
     assert cli.main(["example-erdelyi"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == ERDELYI_REPORT_SHA256
+
+
+def test_example_erdelyi_emit_artifacts_are_json_dumps_bytes(tmp_path):
+    out = tmp_path / "art"
+    report = cli.run(["--emit", str(out), "example-erdelyi"])
+    payload = report["results"]
+    assert report["artifacts"] == [str(out / f"{key}.json") for key in sorted(payload)]
+    for key, value in payload.items():
+        want = json.dumps(value, indent=2, sort_keys=True) + "\n"
+        assert (out / f"{key}.json").read_bytes() == want.encode()
+
+
+# ---------------------------------------------------------------------------
+# The report writer against json.dumps(indent=2, sort_keys=True)
+
+TRICKY_TEXT = st.text(
+    alphabet=st.one_of(st.sampled_from('"\\/\x00\x1f\n\t\x7f\u00e9\u20ac\u2028\U0001f600'), st.characters()),
+    max_size=8,
+)
+JSON_LEAF = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(10**4000), 10**4000),
+    st.floats(),
+    TRICKY_TEXT,
+)
+JSON_TREE = st.recursive(
+    JSON_LEAF,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(TRICKY_TEXT, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(JSON_TREE)
+def test_report_writer_is_json_dumps_byte_for_byte(obj):
+    assert cli._json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+Pair = namedtuple("Pair", "a b")
+
+
+class Level(IntEnum):
+    HIGH = 7
+
+
+class Label(str):
+    def __str__(self):
+        return "not the text"
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {},
+        [],
+        (),
+        {"a": {}, "b": [], "c": [[], {}]},
+        -(10**3999),
+        {1: "a", 10: "b", 2: "c"},
+        {True: 1, False: 0},
+        {None: [1.5, float("inf"), float("nan")]},
+        {2.5: -0.0},
+        [Pair(1, [2]), Level.HIGH, Label("x\"y"), OrderedDict([("b", 1), ("a", 2)])],
+    ],
+)
+def test_report_writer_matches_json_dumps_on_edge_values(obj):
+    assert cli._json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("obj", [{"a": object()}, {(1, 2): 0}, {1: 0, "a": 1}])
+def test_report_writer_refuses_what_json_dumps_refuses(obj):
+    with pytest.raises(TypeError) as want:
+        json.dumps(obj, indent=2, sort_keys=True)
+    with pytest.raises(TypeError) as got:
+        cli._json_text(obj)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this Python prints integers of any length",
+)
+def test_report_writer_raises_json_dumps_error_past_the_int_string_limit():
+    obj = {"n": [1, -(10 ** sys.get_int_max_str_digits())]}
+    with pytest.raises(ValueError) as want:
+        json.dumps(obj, indent=2, sort_keys=True)
+    with pytest.raises(ValueError) as got:
+        cli._json_text(obj)
+    assert str(got.value) == str(want.value)
+    assert "integer string conversion" in str(got.value)
+
+
+def test_no_indented_json_dump_in_the_package():
+    # one report writer: an indented json.dump or json.dumps in dhyper would
+    # print a second way, and with the standard library's pure-Python encoder
+    src = os.path.dirname(cli.__file__)
+    found = []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if called in ("dump", "dumps") and any(k.arg == "indent" for k in node.keywords):
+                found.append(f"{name}:{node.lineno}")
+    assert found == []
 
 
 @pytest.mark.parametrize(

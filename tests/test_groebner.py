@@ -634,6 +634,22 @@ def test_toric_ideal_saturates_past_the_commutative_cache():
     assert (info.hits, info.misses) == (0, 1)
 
 
+def test_toric_ideal_without_grading_is_completed_once(monkeypatch):
+    # with no positive grading, toric_ideal's last completion is the
+    # degrevlex basis: four saturation steps and that one, then groebner()
+    # returns it without a sixth
+    calls = []
+    binomial = groebner._binomial_buchberger
+    monkeypatch.setattr(groebner, "_binomial_buchberger", lambda *args: calls.append(1) or binomial(*args))
+    groebner._groebner_cached.cache_clear()
+    ideal = toric_ideal(IntMatrix.from_rows([[-3, -2, 3, -1]]))
+    assert len(calls) == 5
+    basis = ideal.groebner()
+    assert len(calls) == 5
+    assert groebner._groebner_cached.cache_info().misses == 0
+    assert basis == groebner._groebner_cached.__wrapped__(ideal, DegRevLex(4))
+
+
 # ---------------------------------------------------------------------------
 # The heap-led division kernel against the max-led reference loop
 
@@ -1133,14 +1149,17 @@ def test_wide_query_repacks_the_basis_without_changing_answers(monkeypatch):
 # retries only the step in flight, so it ends as a run started wide enough
 
 
-def widening_completion():
-    # d2 + x1^2 and d1^3 + x2 at cap 3, the generators of the pinned CLI
-    # report whose completion overflows the fields sized from them and cap
-    gens = [
+def widening_completion_gens():
+    # d2 + x1^2 and d1^3 + x2, the generators of the pinned CLI report whose
+    # completion at cap 3 overflows the fields sized from them and cap
+    return [
         WeylOperator.make(2, {((0, 0), (0, 1)): 1, ((2, 0), (0, 0)): 1}),
         WeylOperator.make(2, {((0, 0), (3, 0)): 1, ((0, 1), (0, 0)): 1}),
     ]
-    gb = groebner_weyl(gens, cap=3)
+
+
+def widening_completion():
+    gb = groebner_weyl(widening_completion_gens(), cap=3)
     reps = [gb.basis_representation(i) for i in range(len(gb.basis))]
     return gb.status, gb.basis, reps, gb.stats
 
@@ -1232,6 +1251,50 @@ def test_overflowing_completion_keeps_its_work(monkeypatch, name):
     got, wide = counted_run(completion, monkeypatch)
     assert got == want and not wide["widened"]
     assert seen["spair"] <= wide["spair"] + len(seen["widened"])
+
+
+def lcm_checked_completion(gens, cap, monkeypatch, width=None):
+    """(status, basis, cofactors, PairStats, widths widened from) of
+    groebner_weyl(gens, cap), started at width when given, with every lcm
+    that a popped pair hands to the chain criterion or the S-pair checked
+    against pk.lcm of the two leads at the packing of the call."""
+    widened = []
+    spair, chained, wider = groebner._spair, groebner._chained, weyl.Packing.wider
+
+    def checked_spair(l, di, dj, pk):
+        assert l == pk.lcm(di[0], dj[0])
+        return spair(l, di, dj, pk)
+
+    def checked_chained(rows, elements, i, j, l, pk):
+        assert l == pk.lcm(elements[i][0], elements[j][0])
+        return chained(rows, elements, i, j, l, pk)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(groebner, "_spair", checked_spair)
+        mp.setattr(groebner, "_chained", checked_chained)
+        mp.setattr(weyl.Packing, "wider", lambda pk: widened.append(pk.width) or wider(pk))
+        if width is not None:
+            mp.setattr(groebner, "_fit", lambda n, rows, w, top: weyl._packing(n, rows, w, width))
+        gb = groebner_weyl(gens, cap=cap)
+        reps = [gb.basis_representation(i) for i in range(len(gb.basis))]
+    return gb.status, gb.basis, reps, gb.stats, widened
+
+
+@pytest.mark.parametrize("name,cap", [("widening", 3), ("horn", 10), ("quartic", 4)])
+def test_queued_lcms_survive_a_widening(monkeypatch, name, cap):
+    # the lead lcms are packed from stored exponents when a pair is queued
+    # and again at each widening: a completion that widens mid-run, from the
+    # fitted width or from the narrowest fields that hold the generators,
+    # ends as one started at its final width, basis, cofactors and
+    # PairStats alike
+    gens = {"widening": widening_completion_gens, "horn": horn_demo_gens, "quartic": quartic_gens}[name]()
+    narrow = groebner._weyl_top(gens).bit_length()
+    runs = [lcm_checked_completion(gens, cap, monkeypatch, width) for width in (None, narrow)]
+    final = 2 * max(w for run in runs for w in run[4])
+    want = lcm_checked_completion(gens, cap, monkeypatch, final)
+    assert runs[1][4] and not want[4]
+    for run in runs:
+        assert run[:4] == want[:4]
 
 
 # ---------------------------------------------------------------------------
