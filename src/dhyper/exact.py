@@ -540,13 +540,6 @@ class MixednessCertificate:
     functional: RatVector | None
     lattice_witness: tuple[int, ...] | None
 
-    def to_json(self) -> dict:
-        return {
-            "mixed": self.mixed,
-            "functional": self.functional.to_json() if self.functional else None,
-            "lattice_witness": list(self.lattice_witness) if self.lattice_witness else None,
-        }
-
 
 def span_mixedness(b: IntMatrix) -> MixednessCertificate:
     """Decide mixedness of the column span of b, with a witness either way.

@@ -53,19 +53,22 @@ Expo = tuple[int, ...]
 @dataclass(frozen=True)
 class MatrixOrder:
     """Lex order on W e for an integer matrix W of full column rank
-    (Robbiano 1985), W given by its rows, the first compared first."""
+    (Robbiano 1985), W given by its rows, the first compared first.  Each
+    row is sparse: the (column, entry) pairs of its nonzero entries, by
+    column, so an order on n variables costs what its nonzero entries do
+    (2n for degrevlex), not n^2."""
 
-    rows: tuple[tuple[int, ...], ...]
+    rows: tuple[tuple[tuple[int, int], ...], ...]
 
 
-def _revlex(nvars: int) -> list[tuple[int, ...]]:
+def _revlex(nvars: int) -> list[tuple[tuple[int, int], ...]]:
     """Rows -e_(n-1), ..., -e_0: the lower power of a later variable wins."""
-    return [tuple(-(i == j) for i in range(nvars)) for j in reversed(range(nvars))]
+    return [((j, -1),) for j in reversed(range(nvars))]
 
 
 def DegRevLex(nvars: int) -> MatrixOrder:
     """Degree-reverse-lexicographic order on exponent tuples."""
-    return MatrixOrder(((1,) * nvars, *_revlex(nvars)))
+    return MatrixOrder((tuple((j, 1) for j in range(nvars)), *_revlex(nvars)))
 
 
 def WeightedRevLexLast(weights: Iterable[int], last: int) -> MatrixOrder:
@@ -74,7 +77,7 @@ def WeightedRevLexLast(weights: Iterable[int], last: int) -> MatrixOrder:
     weight, the one with the lower power of it is greater."""
     weights = tuple(weights)
     revlex = _revlex(len(weights))
-    return MatrixOrder((weights, revlex[len(weights) - 1 - last], *revlex))
+    return MatrixOrder((tuple(enumerate(weights)), revlex[len(weights) - 1 - last], *revlex))
 
 
 # ---------------------------------------------------------------------------
@@ -165,11 +168,14 @@ class CommPoly:
 # triple (lead monomial, lead coefficient, operator).  A WeylOperator
 # enters as its integer numerators, packed (_weyl_packed), and leaves as
 # integers over one denominator with unpacked keys (_over); a CommPoly's
-# Fractions become integer on the way in (_integral).  A
-# product that leaves the packing's fields raises _Overflow, and there is
-# one rule for it, _widening: whoever holds packed operators repacks them at
-# double width (_repack) and retries only the step that overflowed, an
-# S-pair in _buchberger, the whole of _interreduce or a WeylGroebner query.
+# Fractions become integer on the way in (_integral).  Each of these packs
+# or unpacks a monomial by two lookups in the packing's own tables, one
+# per half (mu, nu), so queries that never repeat still find the few
+# distinct half exponents already there.  A product that leaves the
+# packing's fields raises _Overflow, and there is one rule for it,
+# _widening: whoever holds packed operators repacks them at double width
+# (_repack) and retries only the step that overflowed, an S-pair in
+# _buchberger, the whole of _interreduce or a WeylGroebner query.
 # Packed ints compare the same at every width, so the result, down to the
 # PairStats, does not depend on it.
 
@@ -188,7 +194,7 @@ def _repack(basis, pk, wide) -> list:
     pk's fields to wide's."""
 
     def move(g):
-        return {wide.flat(pk.exps(k)): c for k, c in g.items()}
+        return {wide.pack(*pk.unpack(k)): c for k, c in g.items()}
 
     return [(move(g), [move(r) for r in rep], den) for g, rep, den in basis]
 
@@ -393,9 +399,9 @@ def _buchberger(gens, pk, cap: int | None = None, chain: bool = True):
     def admit(g, rep, den):
         lead = max(g)
         g, rep, den = _primitive(g, rep, den, lead)
-        e, flat, k = pk.exps(lead), pk.flat, len(divisors)
+        e, units, k = pk.exps(lead), pk.units, len(divisors)
         for i, ei in enumerate(exps):
-            heappush(heap, (flat(tuple(map(max, ei, e))), i, k))
+            heappush(heap, (sum(map(mul, map(max, ei, e), units)), i, k))
         divisors.append((lead, g[lead], g))
         basis.append((g, rep, den))
         exps.append(e)
@@ -410,10 +416,10 @@ def _buchberger(gens, pk, cap: int | None = None, chain: bool = True):
             basis[:] = _repack(basis, pk, wide)
             divisors[:] = [_divisor(g) for g, _, _ in basis]
             # the order is the same at every width, so the heap stays a heap
-            heap[:] = [(wide.flat(tuple(map(max, exps[a], exps[b]))), a, b) for _, a, b in heap]
+            heap[:] = [(sum(map(mul, map(max, exps[a], exps[b]), wide.units)), a, b) for _, a, b in heap]
             pk = wide
             # every retry comes here, so the lcm is always packed at wide
-            l = pk.flat(tuple(map(max, exps[i], exps[j])))
+            l = sum(map(mul, map(max, exps[i], exps[j]), pk.units))
         s, (ci, ai), (cj, aj) = _spair(l, divisors[i], divisors[j], pk)
         quots, rem, m = _divide(s, divisors, pk, cap)
         # a capped _divide returns a remainder above the cap as its one
@@ -512,7 +518,7 @@ def _interreduce(basis, pk) -> tuple:
 
 def _repack_moves(moves, pk, wide) -> list[tuple[int, int]]:
     """The (lead, tail) pairs moves, moved from pk's fields to wide's."""
-    return [(wide.flat(pk.exps(a)), wide.flat(pk.exps(b))) for a, b in moves]
+    return [(wide.pack(*pk.unpack(a)), wide.pack(*pk.unpack(b))) for a, b in moves]
 
 
 def _binomial_step(u: int, divisors, guard: int) -> int | None:
@@ -588,7 +594,7 @@ def _binomial_buchberger(gens, pk, chain: bool = True):
         if wide is not pk:
             basis[:] = _repack_moves(basis, pk, wide)
             # the order is the same at every width, so the heap stays a heap
-            heap[:] = [(wide.flat(pk.exps(m)), a, b) for m, a, b in heap]
+            heap[:] = [(wide.pack(*pk.unpack(m)), a, b) for m, a, b in heap]
             pk = wide
             # every retry comes here, so the lcm is always packed at wide
             l = sum(map(mul, map(max, exps[i], exps[j]), pk.units))
@@ -634,7 +640,7 @@ def _binomial_basis(n: int, moves, order) -> list[tuple[Expo, Expo]]:
     """The reduced basis of the pure differences x^p - x^q, given as
     exponent pairs (p, q), as (lead, tail) exponent pairs sorted by lead."""
     pk = _fit(n, order.rows, False, _top(e for move in moves for e in move))
-    packed = [(pk.flat(p), pk.flat(q)) for p, q in moves]
+    packed = [(pk.pack((), p), pk.pack((), q)) for p, q in moves]
     pk, basis, _ = _binomial_buchberger([(a, b) if a > b else (b, a) for a, b in packed], pk)
     pk, basis = _binomial_interreduce(basis, pk)
     return [(pk.exps(a), pk.exps(b)) for a, b in basis]
@@ -745,8 +751,8 @@ def _over(pk, g: dict, den: int) -> WeylOperator:
 
 def _weyl_packed(pk, p: WeylOperator) -> tuple[dict, int]:
     """(den p, den) with den p, the numerators of p, packed by pk."""
-    flat = pk.flat
-    return {flat(mu + nu): c for (mu, nu), c in p.nums.items()}, p.den
+    pack = pk.pack
+    return {pack(mu, nu): c for (mu, nu), c in p.nums.items()}, p.den
 
 
 def _weyl_top(ops) -> int:

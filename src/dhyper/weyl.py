@@ -219,6 +219,12 @@ class _Overflow(Exception):
     """A packed product left its fields; the caller re-runs wider."""
 
 
+# the most entries one half's table holds: a full table is emptied before
+# its next entry, so a packing's memory stays bounded however many distinct
+# monomials pass through it
+_TABLE_SIZE = 2048
+
+
 class Packing:
     """Monomials x^mu d^nu as one int, ordered by an integer matrix W.
 
@@ -229,8 +235,17 @@ class Packing:
     digit too wide for anything below it to outweigh.  So int comparison is
     lex order on W e (Robbiano), a one-term product is a sum whose overflow
     sets a guard bit, and a divides b exactly when
-    ((b + guard) - a) & guard == guard.  Packings come from _packing();
-    pack and unpack are memoised, for every packing together.
+    ((b + guard) - a) & guard == guard.  W comes as sparse rows, each the
+    (column, entry) pairs of its nonzero entries.  Packings come from
+    _packing().
+
+    A monomial packs as the sum of its halves' shares, mu's and nu's (a
+    commutative packing has no mu fields, so its mu adds nothing and
+    unpacks as zero).  Each packing keeps one table per half, keyed both
+    ways: by the half's exponent tuple, giving its share, and by the
+    half's fields shifted to the bottom, giving the tuple.  So pack and
+    unpack are two lookups each; a miss fills one entry, and a table holds
+    at most _TABLE_SIZE entries.
     """
 
     def __init__(self, nvars: int, rows: tuple, weyl: bool, width: int):
@@ -239,46 +254,80 @@ class Packing:
         self.shifts = tuple(j * (width + 1) for j in range(n + nvars))
         self.mask = mask = (1 << width) - 1
         self.guard = sum(1 << (s + width) for s in self.shifts)
-        digit = (max((sum(map(abs, r)) for r in rows), default=0) * mask).bit_length()
+        digit = (max((sum(abs(w) for _, w in r) for r in rows), default=0) * mask).bit_length()
         top = self.guard.bit_length() + (len(rows) - 1) * digit
-        # unit j adds column j of W to the digits: only its nonzero entries,
-        # two per column of DegRevLex
-        cols = list(zip(*rows)) or [()] * len(self.shifts)
-        self.units = tuple(
-            (1 << s) + sum(w << (top - i * digit) for i, w in enumerate(col) if w)
-            for s, col in zip(self.shifts, cols)
-        )
+        # unit j adds column j of W to the digits, from its nonzero entries
+        units = [1 << s for s in self.shifts]
+        for i, r in enumerate(rows):
+            for j, w in r:
+                units[j] += w << (top - i * digit)
+        self.units = tuple(units)
         # (a >> nshift) + ones and b + ones share a set mu guard bit exactly
         # when nu of a and mu of b share a nonzero index
         self.nshift = n * (width + 1)
         self.ones = sum(mask << s for s in self.shifts[:n])
         self.mu_guard = sum(1 << (s + width) for s in self.shifts[:n])
-        self.thetas = tuple(self.units[j] + self.units[n + j] for j in range(n))
+        # the lowest digit starts at the guard's top bit, so k & fields is
+        # k's raw exponent fields
+        self.fields = (1 << self.guard.bit_length()) - 1
+        self.mu_fields = (1 << self.nshift) - 1
+        self._mus: dict = {}
+        self._nus: dict = {}
 
     def pack(self, mu: Expo, nu: Expo) -> int:
-        return self.flat(mu + nu if self.weyl else nu)
+        try:
+            return self._mus[mu] + self._nus[nu]
+        except KeyError:
+            n = self.nvars if self.weyl else 0
+            return self._share(self._mus, mu, self.units[:n]) + self._share(self._nus, nu, self.units[n:])
 
-    @lru_cache(maxsize=1024)
-    def flat(self, e: Expo) -> int:
-        """The packed int of the flattened exponent e."""
-        if max(e, default=0) > self.mask:
-            raise _Overflow
-        return sum(map(mul, e, self.units))
+    def unpack(self, k: int) -> tuple[Expo, Expo]:
+        k &= self.fields
+        try:
+            return self._mus[k & self.mu_fields], self._nus[k >> self.nshift]
+        except KeyError:
+            return self._half(self._mus, k & self.mu_fields), self._half(self._nus, k >> self.nshift)
+
+    def _share(self, table: dict, e: Expo, units: tuple) -> int:
+        """The share in a packed int of the half exponent e, whose fields
+        have these units: read from the half's table, entered on a miss.  A
+        field past mask raises _Overflow and is never entered."""
+        v = table.get(e)
+        if v is None:
+            if max(e, default=0) > self.mask:
+                raise _Overflow
+            if len(table) >= _TABLE_SIZE:
+                table.clear()
+            v = table[e] = sum(map(mul, e, units))
+        return v
+
+    def _half(self, table: dict, v: int) -> Expo:
+        """The half exponent whose fields, shifted to the bottom, are v:
+        read from the half's table, entered on a miss."""
+        e = table.get(v)
+        if e is None:
+            if len(table) >= _TABLE_SIZE:
+                table.clear()
+            mask = self.mask
+            e = table[v] = tuple([(v >> s) & mask for s in self.shifts[: self.nvars]])
+        return e
+
+    @cached_property
+    def thetas(self) -> tuple[int, ...]:
+        """The packed x_j d_j, built when a product first reorders: on many
+        variables the units are long ints, and most packings never need it."""
+        n = self.nvars if self.weyl else 0
+        return tuple(self.units[j] + self.units[n + j] for j in range(n))
 
     def exps(self, k: int) -> Expo:
         mask = self.mask
         return tuple([(k >> s) & mask for s in self.shifts])
 
-    @lru_cache(maxsize=1024)
-    def unpack(self, k: int) -> tuple[Expo, Expo]:
-        e = self.exps(k)
-        return (e[: self.nvars], e[self.nvars :]) if self.weyl else ((0,) * self.nvars, e)
-
     def divides(self, a: int, b: int) -> bool:
         return ((b + self.guard) - a) & self.guard == self.guard
 
     def lcm(self, a: int, b: int) -> int:
-        return self.flat(tuple(map(max, self.exps(a), self.exps(b))))
+        return sum(map(mul, map(max, self.exps(a), self.exps(b)), self.units))
 
     def degree(self, k: int) -> int:
         return sum(self.exps(k))

@@ -804,6 +804,28 @@ def test_overflowing_completion_widens_to_the_pinned_report(capsys, monkeypatch)
     assert hashlib.sha256(out.encode()).hexdigest() == WIDENED_MEMBERSHIP_REPORT_SHA256
 
 
+# SHA-256 of the report of an empty query against one zero generator on
+# 2000 variables, recorded while every order was kept as dense rows
+EMPTY_WIDE_MEMBERSHIP_SHA256 = "1e7a6628c7b87134a49f87bd7a26be3e8b6e55dbdffdb982305b8c07fd09d3c3"
+
+
+def test_empty_query_on_many_variables_costs_only_its_order():
+    # degrevlex on 4000 columns has 8000 nonzero entries of 16 million:
+    # the order and its packing are built from those alone; each attempt
+    # builds the packing afresh
+    argv = ["membership", "--gens", '[{"nvars":2000,"terms":[]}]', "--query", '{"nvars":2000,"terms":[]}']
+    times = []
+    for _ in range(3):
+        weyl._packing.cache_clear()
+        out = io.StringIO()
+        start = time.process_time()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv) == 0
+        times.append(time.process_time() - start)
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == EMPTY_WIDE_MEMBERSHIP_SHA256
+    assert min(times) < 0.1, times
+
+
 # SHA-256 of membership reports recorded while the membership replay still
 # ran over the certificate's Fraction data: an "inconclusive" answer from
 # the capped basis of the rational normal quartic's A-hypergeometric system

@@ -23,6 +23,7 @@ from dhyper.groebner import (
 )
 from dhyper.systems import hypergeometric_system, lattice_basis_ideal, toric_ideal
 from dhyper.weyl import WeylOperator, normal_product
+from test_weyl import sparse_rows
 
 
 def dpoly(nvars, mapping):
@@ -37,9 +38,7 @@ def BlockElim(nfirst, nvars):
     """Eliminate the first nfirst variables: compare that block first, each
     block by degree reverse lex."""
     head, tail = DegRevLex(nfirst).rows, DegRevLex(nvars - nfirst).rows
-    return MatrixOrder(
-        tuple(r + (0,) * (nvars - nfirst) for r in head) + tuple((0,) * nfirst + r for r in tail)
-    )
+    return MatrixOrder(head + tuple(tuple((j + nfirst, w) for j, w in r) for r in tail))
 
 
 def saturate(ideal: CommIdeal, f: CommPoly) -> CommIdeal:
@@ -820,7 +819,7 @@ def packings(draw):
         # fields, the last most significant
         n = draw(st.integers(1, 3))
         rows = tuple(draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=1, max_size=3)))
-        order = MatrixOrder(rows)
+        order = MatrixOrder(sparse_rows(rows))
         key = lambda e: (tuple(sum(w * x for w, x in zip(r, e)) for r in rows), e[::-1])  # noqa: E731
     elif kind == "weighted":
         w = toric_weights(draw(st.sampled_from(WEIGHT_MATRICES)))
@@ -877,7 +876,7 @@ def test_packed_order_is_exhaustively_lex_on_w_e():
     for n, entries in ((1, range(-2, 3)), (2, range(-1, 2))):
         for rows in product(product(entries, repeat=n), repeat=2):
             for width in (1, 2):
-                pk = weyl._packing(n, rows, False, width)
+                pk = weyl._packing(n, sparse_rows(rows), False, width)
                 exps = list(product(range(pk.mask + 1), repeat=n))
                 ks = [pk.pack((), e) for e in exps]
                 keys = [(tuple(sum(w * x for w, x in zip(r, e)) for r in rows), e[::-1]) for e in exps]
@@ -1384,7 +1383,7 @@ def test_minimal_leads_match_the_pairwise_scan(exps):
     # few small exponents, so leads repeat and divide each other often
     n = len(exps[0]) if exps else 1
     pk = groebner._fit(n, DegRevLex(n).rows, False, 2)
-    leads = [pk.flat(e) for e in exps]
+    leads = [pk.pack((), e) for e in exps]
     scan = [
         i
         for i, lead in enumerate(leads)

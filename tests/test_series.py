@@ -1276,6 +1276,64 @@ def test_imports_sit_at_module_level_in_layer_order():
 # methods that a framework calls by name: argparse calls error on a parse failure
 CALLED_BY_FRAMEWORK = {"cli._Parser.error"}
 
+# methods reached only through instances under other names, each with the
+# receivers (as written) that reach it in src/, tests/ or bench/; a listed
+# method counts as named only where one of them is its receiver
+REACHED_THROUGH = {
+    "cli.Verdict.to_json": ("v",),
+    "exact.IntMatrix.columns": ("a", "lat"),
+    "exact.IntMatrix.transpose": ("h", "m"),
+    "exact.IntMatrix.mul_vector": ("sf.u", "sf.v"),
+    "exact.IntMatrix.mul_int_vector": ("sf.u", "a"),
+    "exact.IntMatrix.to_json": ("self.a", "self.m"),
+    "exact.RatVector.dot": ("self.nu",),
+    "exact.RatVector.sub": ("beta",),
+    "exact.RatVector.scale": ("other",),
+    "exact.RatVector.to_json": ("beta", "self.nu"),
+    "exact.SmithForm.rank": ("sf",),
+    "exact._Workspace.swap_rows": ("w",),
+    "exact._Workspace.add_row": ("w",),
+    "exact._Workspace.negate_row": ("w",),
+    "exact._Workspace.swap_cols": ("w",),
+    "exact._Workspace.add_col": ("w",),
+    "exact.ConeFacet.value": ("verdict.violating",),
+    "exact.ConeFacet.to_json": ("verdict.violating", "self.violating"),
+    "exact.NonresonanceVerdict.to_json": ("verdict",),
+    "groebner.CommPoly.is_zero": ("g",),
+    "groebner.CommPoly.scale": ("p",),
+    "groebner.CommPoly.lead": ("p",),
+    "groebner.CommIdeal.contains": ("sat",),
+    "groebner.MembershipCertificate.to_json": ("cert", "cert_horn"),
+    "groebner.WeylGroebner.basis": ("gb",),
+    "groebner.WeylGroebner.basis_representation": ("gb",),
+    "groebner.WeylGroebner.spair_remainders_vanish": ("gb",),
+    "mgraph.MGraphComponent.to_json": ("comp",),
+    "series.PuiseuxSeries._packed": ("f",),
+    "series.PuiseuxSeries.exponent": ("image", "f"),
+    "series.PuiseuxSeries.to_json": ("f",),
+    "series._Frame.coords": ("frame",),
+    "series.AnnihilationVerdict.to_json": ("v",),
+    "series.AnnihilationReport.any_inconclusive": ("report",),
+    "series.AnnihilationReport.to_json": ("report",),
+    "systems.SystemSpec.to_json": ("spec",),
+    "systems.BlockDecomposition.to_json": ("dec",),
+    "systems.ComponentClass.to_json": ("cls",),
+    "weyl.WeylOperator.is_zero": ("rem", "op"),
+    "weyl.WeylOperator.scale": ("piece", "p"),
+    "weyl.WeylOperator.shifts": ("p",),
+    "weyl.WeylOperator.to_json": ("g", "q"),
+    "weyl.Packing.pack": ("pk", "wide"),
+    "weyl.Packing.unpack": ("pk",),
+    "weyl.Packing.divides": ("pk",),
+    "weyl.Packing.lcm": ("pk",),
+    "weyl.Packing.degree": ("pk",),
+    "weyl.Packing.wider": ("pk",),
+    "weyl.Packing.thetas": ("pk",),
+    "weyl.ThetaPoly.evaluate": ("tp",),
+    "weyl.ThetaPoly.to_weyl": ("p",),
+    "weyl._Falling.action": ("falling",),
+}
+
 
 def _parsed(directory):
     for name in sorted(os.listdir(directory)):
@@ -1284,18 +1342,34 @@ def _parsed(directory):
                 yield name[:-3], ast.parse(fh.read())
 
 
+def _attribute_uses(node, cls=None):
+    """(receiver, attribute) for every attribute access below node, the
+    receiver written out, and "self" or "cls" replaced by the enclosing
+    class's name inside a class."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Attribute):
+            receiver = ast.unparse(child.value)
+            if cls is not None and receiver in ("self", "cls"):
+                receiver = cls
+            yield receiver, child.attr
+        yield from _attribute_uses(child, child.name if isinstance(child, ast.ClassDef) else cls)
+
+
 def test_every_definition_is_named_again():
     # a definition nothing names is code with no caller: every module-level
     # def and class of the package is named somewhere in src/, tests/ or
-    # bench/, and every method as .name, in a dotted "Class.method" string
-    # or as a ("Class", "method") tuple, which is how bench/tracing.py names
-    # the methods it wraps; a string that is only the method's own name
-    # does not count, as a JSON key or a flag would pass by coincidence
+    # bench/, and every method on a receiver that can be its class (the
+    # class's name, or self or cls inside it; REACHED_THROUGH lists the
+    # other receivers), in a dotted "Class.method" string or as a
+    # ("Class", "method") tuple, which is how bench/tracing.py names the
+    # methods it wraps; a string that is only the method's own name does
+    # not count, as a JSON key or a flag would pass by coincidence
     tests = os.path.dirname(os.path.abspath(__file__))
     bench = os.path.join(os.path.dirname(os.path.dirname(SRC_PACKAGE)), "bench")
     trees = [tree for directory in (SRC_PACKAGE, tests, bench) for _, tree in _parsed(directory)]
     names, attrs, quoted, methods = set(), set(), set(), set()
     for tree in trees:
+        methods.update(_attribute_uses(tree))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 names.add(node.id)
@@ -1311,24 +1385,25 @@ def test_every_definition_is_named_again():
             elif isinstance(node, ast.Tuple) and len(node.elts) == 2:
                 if all(isinstance(e, ast.Constant) and isinstance(e.value, str) for e in node.elts):
                     methods.add(tuple(e.value for e in node.elts))
-    unnamed = []
+    unnamed, defined = [], set()
     for stem, tree in _parsed(SRC_PACKAGE):
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             if node.name not in names | attrs | quoted:
                 unnamed.append(f"{stem}.{node.name}")
-            if isinstance(node, ast.ClassDef):
-                unnamed += [
-                    f"{stem}.{node.name}.{m.name}"
-                    for m in node.body
-                    if isinstance(m, ast.FunctionDef)
-                    and not (m.name.startswith("__") and m.name.endswith("__"))
-                    and m.name not in attrs
-                    and (node.name, m.name) not in methods
-                    and f"{stem}.{node.name}.{m.name}" not in CALLED_BY_FRAMEWORK
-                ]
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for m in node.body:
+                if not isinstance(m, ast.FunctionDef) or m.name.startswith("__") and m.name.endswith("__"):
+                    continue
+                qualified = f"{stem}.{node.name}.{m.name}"
+                defined.add(qualified)
+                receivers = (node.name, *REACHED_THROUGH.get(qualified, ()))
+                if qualified not in CALLED_BY_FRAMEWORK and not any((r, m.name) in methods for r in receivers):
+                    unnamed.append(qualified)
     assert unnamed == []
+    assert set(REACHED_THROUGH) <= defined
 
 
 def overflow_catchers(node, where=()):

@@ -6,15 +6,16 @@ import random
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial, gcd, prod
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dhyper import weyl
+from dhyper import groebner, weyl
 from dhyper.errors import DhyperError, DimensionMismatchError, InputFormatError
 from dhyper.exact import IntMatrix, RatVector
-from dhyper.groebner import DegRevLex
+from dhyper.groebner import DegRevLex, WeightedRevLexLast
 from dhyper.series import (
     INCONCLUSIVE,
     PuiseuxSeries,
@@ -364,14 +365,20 @@ def test_sums_and_products_never_reach_make(monkeypatch):
         assert r.den > 0 and gcd(r.den, *r.nums.values()) == 1
 
 
+def sparse_rows(rows):
+    """Dense integer rows as the sparse rows an order and a packing take."""
+    return tuple(tuple((j, w) for j, w in enumerate(r) if w) for r in rows)
+
+
 def dense_units(pk):
     """Packing.units by the dense formula: every row's entry of each
     column, zero or not, shifted into its digit."""
+    rows = [[dict(r).get(j, 0) for j in range(len(pk.shifts))] for r in pk.rows]
     mask = (1 << pk.width) - 1
-    digit = (max((sum(map(abs, r)) for r in pk.rows), default=0) * mask).bit_length()
-    top = pk.guard.bit_length() + (len(pk.rows) - 1) * digit
+    digit = (max((sum(map(abs, r)) for r in rows), default=0) * mask).bit_length()
+    top = pk.guard.bit_length() + (len(rows) - 1) * digit
     return tuple(
-        (1 << s) + sum(r[j] << (top - i * digit) for i, r in enumerate(pk.rows))
+        (1 << s) + sum(r[j] << (top - i * digit) for i, r in enumerate(rows))
         for j, s in enumerate(pk.shifts)
     )
 
@@ -385,10 +392,88 @@ def test_packing_units_are_the_dense_formula():
         rows = tuple(
             tuple(rng.choice((0, 0, 0, -2, -1, 1, 3)) for _ in range(cols)) for _ in range(rng.randint(1, 5))
         )
-        cases.append((n, rows, weyl_, rng.randint(1, 9)))
+        cases.append((n, sparse_rows(rows), weyl_, rng.randint(1, 9)))
     for n, rows, weyl_, width in cases:
         pk = weyl.Packing(n, rows, weyl_, width)
         assert pk.units == dense_units(pk)
+
+
+def dense_pack(pk, mu, nu):
+    """The packed int of x^mu d^nu by the dense formula on the units."""
+    return sum(map(mul, mu + nu if pk.weyl else nu, pk.units))
+
+
+@st.composite
+def fresh_packings(draw):
+    """A packing with empty tables (Weyl or commutative, fields 1 to 9
+    bits wide, degrevlex, weighted revlex or random rows) and monomials
+    that fill its fields, the field limit included, halves repeating."""
+    weyl_, n = draw(st.booleans()), draw(st.integers(1, 3))
+    cols = 2 * n if weyl_ else n
+    kind = draw(st.sampled_from(["degrevlex", "weighted", "random"]))
+    if kind == "degrevlex":
+        rows = DegRevLex(cols).rows
+    elif kind == "weighted":
+        weights = draw(st.lists(st.integers(1, 7), min_size=cols, max_size=cols))
+        rows = WeightedRevLexLast(weights, draw(st.integers(0, cols - 1))).rows
+    else:
+        entries = st.tuples(*[st.integers(-3, 3)] * cols)
+        rows = sparse_rows(draw(st.lists(entries, min_size=1, max_size=4)))
+    pk = weyl.Packing(n, rows, weyl_, draw(st.integers(1, 9)))
+    field = st.one_of(st.integers(0, pk.mask), st.sampled_from([0, pk.mask]))
+    halves = st.lists(st.tuples(*[field] * n), min_size=1, max_size=3)
+    mus = draw(halves) if weyl_ else [(0,) * n]
+    nus = draw(halves)
+    return pk, draw(st.lists(st.tuples(st.sampled_from(mus), st.sampled_from(nus)), min_size=1, max_size=8))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(fresh_packings())
+def test_packing_tables_give_the_dense_formula(case):
+    pk, monomials = case
+    for _ in range(2):
+        # the second pass reads every half from the tables
+        for mu, nu in monomials:
+            k = pk.pack(mu, nu)
+            assert k == dense_pack(pk, mu, nu)
+            assert pk.unpack(k) == (mu, nu)
+    # _repack moves the ints to the double width's dense ints
+    g = {pk.pack(mu, nu): c for c, (mu, nu) in enumerate(monomials, 1)}
+    wide = pk.wider()
+    moved = {dense_pack(wide, *pk.unpack(k)): c for k, c in g.items()}
+    assert groebner._repack([(g, [g, {}], 3)], pk, wide) == [(moved, [moved, {}], 3)]
+    # a field past mask is refused even when the other half is in a table
+    mu, nu = monomials[0]
+    past = (pk.mask + 1,) + nu[1:]
+    for _ in range(2):
+        with pytest.raises(weyl._Overflow):
+            pk.pack(mu, past)
+        if pk.weyl:
+            with pytest.raises(weyl._Overflow):
+                pk.pack(past, nu)
+    assert past not in pk._mus and past not in pk._nus
+
+
+def test_packing_tables_stay_bounded():
+    # more distinct halves than a table holds, each packed and unpacked
+    # three times over, on one Weyl packing with two 7-bit fields per half
+    pk = weyl.Packing(2, DegRevLex(4).rows, True, 7)
+    halves = list(product(range(80), range(40)))
+    assert len(halves) > weyl._TABLE_SIZE
+    for _ in range(3):
+        for mu, nu in zip(halves, reversed(halves)):
+            k = pk.pack(mu, nu)
+            assert k == dense_pack(pk, mu, nu) and pk.unpack(k) == (mu, nu)
+            assert len(pk._mus) <= weyl._TABLE_SIZE and len(pk._nus) <= weyl._TABLE_SIZE
+
+
+def test_packings_share_no_cache():
+    # every packing owns its tables, and no Packing method is memoised
+    # across packings
+    assert not [name for name, f in vars(weyl.Packing).items() if hasattr(f, "cache_info")]
+    a, b = weyl.Packing(1, (), True, 3), weyl.Packing(1, (), True, 3)
+    a.pack((1,), (2,))
+    assert a._mus and not b._mus and a._mus is not b._mus
 
 
 # ---------------------------------------------------------------------------
