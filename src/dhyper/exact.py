@@ -10,7 +10,10 @@ Rank, determinant, kernels (and the facet normals and extreme rays read off
 one-dimensional kernels), complements, lattice indices and rational
 solutions all come from one elimination per matrix, the memoized Smith
 normal form; nothing here eliminates over Q.  The Hermite form gives
-canonical lattice bases, and Fourier-Motzkin decides linear inequalities.
+canonical lattice bases.  One enumeration of kernel lines of column subsets
+(_one_signed_lines) answers every cone question: facets, pointedness and
+the positive functional that grades toric ideals (the sum of the facet
+normals), and the mixedness of a column span.
 Pivoting is deterministic (smallest nonzero absolute value, then lowest
 index) so the recorded transforms are reproducible run to run.
 """
@@ -465,61 +468,41 @@ def complement_matrix(b: IntMatrix) -> IntMatrix:
     return kernel_basis(b.transpose()).transpose()
 
 
-# ---------------------------------------------------------------------------
-# Linear inequality feasibility (exact Fourier-Motzkin with witness)
-
-
-def fourier_motzkin(ineqs: list[tuple[tuple[int, ...], int]], nvars: int):
-    """Find x in Q^nvars with coeffs . x >= rhs for every inequality, or None.
-
-    Classic elimination, fraction-free on integer inequalities, with exact
-    rational back-substitution; fine at the problem sizes this package deals
-    with.
-    """
-    if nvars == 0:
-        return () if all(rhs <= 0 for _, rhs in ineqs) else None
-    pos, neg, zero = [], [], []
-    k = nvars - 1
-    for coeffs, rhs in ineqs:
-        c = coeffs[k]
-        if c > 0:
-            pos.append((coeffs, rhs))
-        elif c < 0:
-            neg.append((coeffs, rhs))
-        else:
-            zero.append((coeffs[:k], rhs))
-    reduced = list(zero)
-    for pc, pr in pos:
-        for nc, nr in neg:
-            a, b = pc[k], -nc[k]
-            coeffs = tuple(b * p + a * nn for p, nn in zip(pc[:k], nc[:k]))
-            reduced.append((coeffs, b * pr + a * nr))
-    inner = fourier_motzkin(reduced, k)
-    if inner is None:
-        return None
-    lo = None
-    hi = None
-    for coeffs, rhs in pos:
-        # x_k >= (rhs - sum coeffs_i x_i) / coeffs_k
-        bound = (rhs - sum((c * x for c, x in zip(coeffs[:k], inner)), Fraction(0))) / coeffs[k]
-        lo = bound if lo is None or bound > lo else lo
-    for coeffs, rhs in neg:
-        bound = (rhs - sum((c * x for c, x in zip(coeffs[:k], inner)), Fraction(0))) / coeffs[k]
-        hi = bound if hi is None or bound < hi else hi
-    if lo is None and hi is None:
-        val = Fraction(0)
-    elif lo is None:
-        val = hi
-    elif hi is None:
-        val = lo
-    else:
-        val = (lo + hi) / 2
-    return inner + (val,)
+def _oriented_sum(lines, dim: int, count: int) -> tuple[list[int], int]:
+    """(w, low): the sum w of the lines from _one_signed_lines, each
+    oriented to be >= 0 on the count vectors, and its smallest value low on
+    one.  For vectors spanning Q^dim the lines are their cone's facet
+    normals, so low > 0 exactly when the cone is pointed (Ziegler, Lectures
+    on Polytopes, 1995, ch. 1)."""
+    w = [0] * dim
+    totals = [0] * count
+    for x, values in lines:
+        s = 1 if max(values) > 0 else -1
+        w = [a + s * b for a, b in zip(w, x)]
+        totals = [a + s * b for a, b in zip(totals, values)]
+    return w, min(totals)
 
 
 def positive_functional(columns: list[tuple[int, ...]], dim: int):
-    """w in Q^dim with w . c >= 1 for every column c, or None."""
-    return fourier_motzkin([(tuple(c), 1) for c in columns], dim)
+    """w in Q^dim with w . c >= 1 for every column c, with equality on one,
+    or None when the cone of the columns is not pointed and there is none.
+
+    w is _oriented_sum's w over its low.  Columns that span less than Q^dim
+    are first mapped to U_r c, U_r the first rank rows of the Smith
+    transform u, which span Q^rank: y found there is U_r^T y here, with the
+    same value on every column.
+    """
+    if not columns:
+        return (Fraction(0),) * dim
+    sf = smith_form(IntMatrix(tuple(zip(*columns))))
+    if not sf.rank:
+        return None
+    if sf.rank < dim:
+        u = sf.u.entries[: sf.rank]
+        y = positive_functional([tuple(sum(map(mul, row, c)) for row in u) for c in columns], sf.rank)
+        return None if y is None else tuple(sum(map(mul, y, col)) for col in zip(*u))
+    w, low = _oriented_sum(_one_signed_lines(columns, dim), dim, len(columns))
+    return tuple(Fraction(x, low) for x in w) if low > 0 else None
 
 
 # ---------------------------------------------------------------------------
@@ -548,8 +531,9 @@ def span_mixedness(b: IntMatrix) -> MixednessCertificate:
     nonzero exactly when it has an extreme ray, and every extreme ray is cut
     out by m-1 linearly independent rows.  Enumerating those (each row
     subset's primitive kernel line, with both signs) gives the non-mixed
-    witness; otherwise Fourier-Motzkin finds a strictly positive
-    functional on the complement's row span.
+    witness; otherwise the cone of the complement's columns is pointed,
+    and positive_functional (the sum of its facet normals, from the same
+    enumeration) is the strictly positive dual witness.
     """
     m = b.cols
     if b.rank() != m:
@@ -604,20 +588,22 @@ def facets(a: IntMatrix) -> list[ConeFacet]:
     """All facets of the cone spanned by the columns of a.
 
     Preconditions: a has full row rank d, no zero column, and all columns lie
-    in an open half-space (the cone is pointed).  Candidate facet normals are
-    the kernel lines of (d-1)-subsets of columns; each surviving normal is
-    divided by the gcd of its values on the columns, which generate the
-    column lattice, so its value set there is exactly Z.
+    in an open half-space (the cone is pointed).  The facet normals are the
+    one-signed kernel lines of (d-1)-subsets of columns, and the one
+    enumeration of them also decides pointedness (see _oriented_sum); each
+    normal is divided by the gcd of its values on the columns, which
+    generate the column lattice, so its value set there is exactly Z.
     """
     _check_no_zero_column(a)
     d = a.rows
     cols = a.columns()
     if a.rank() != d:
         raise NotFullRankError("matrix is not of full row rank")
-    if positive_functional(cols, d) is None:
+    lines = list(_one_signed_lines(cols, d))
+    if _oriented_sum(lines, d, len(cols))[1] <= 0:
         raise NotFullRankError("columns do not lie in an open half-space")
     found: dict[tuple[Fraction, ...], tuple[int, ...]] = {}
-    for nu, vals in _one_signed_lines(cols, d):
+    for nu, vals in lines:
         # a has full rank, so some value is nonzero; the sign makes all >= 0
         g = gcd(*vals) if any(v > 0 for v in vals) else -gcd(*vals)
         sigma = tuple(j for j, v in enumerate(vals) if v == 0)

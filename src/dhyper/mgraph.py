@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import factorial, perm, prod
+from operator import add
 
 from .errors import (
     DhyperError,
@@ -23,7 +25,7 @@ from .errors import (
     InvariantError,
 )
 from .exact import IntMatrix
-from .weyl import _binomial_fill, _split_move
+from .weyl import _split_move
 
 Point = tuple[int, ...]
 
@@ -160,20 +162,19 @@ def lattice_polynomial_solutions(m: IntMatrix, comp: MGraphComponent) -> dict[Po
     """Coefficients of the polynomial solution supported on a bounded component.
 
     Each column b of m, read as the binomial operator d^{b+} - d^{b-},
-    forces c_w [w]_{b+} = c_{w-b} [w-b]_{b-} along edges.  Coefficients are
-    propagated from the representative (normalized to 1) through the
-    vertices, then every in-component edge is rechecked exactly.  A vertex
-    is its own coordinates and ambient point, the representative the root.
+    forces c_w [w]_{b+} = c_{w-b} [w-b]_{b-} along edges.  With the
+    representative r normalized to 1, c_w = prod_j r_j! / w_j! solves every
+    one of them, since [w]_k = w! / (w - k)!, and every in-component edge
+    is checked exactly.
     """
     if comp.verdict != BOUNDED:
         raise DhyperError("component is not certified bounded")
-    points = {w: w for w in (comp.representative, *comp.vertices)}
+    top = prod(map(factorial, comp.representative))
+    coeffs = {w: Fraction(top, prod(map(factorial, w))) for w in (comp.representative, *comp.vertices)}
     steps = [(b, *_split_move(b)) for b in m.columns() if any(b)]
-    coeffs, unfilled, failing = _binomial_fill(points, steps, (Fraction(0),) * m.rows)
-    if unfilled is not None:
-        raise InvariantError(f"propagation did not reach vertex {unfilled} of the component")
-    if failing is not None:
-        raise InconsistentCoefficientsError(
-            f"edge {failing[0]} -> {failing[1]} fails the binomial relation"
-        )
+    for v, c in coeffs.items():
+        for b, pos, neg in steps:
+            w = tuple(map(add, v, b))
+            if w in coeffs and coeffs[w] * prod(map(perm, w, pos)) != c * prod(map(perm, v, neg)):
+                raise InconsistentCoefficientsError(f"edge {v} -> {w} fails the binomial relation")
     return coeffs

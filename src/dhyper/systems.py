@@ -84,8 +84,10 @@ def toric_ideal(a: IntMatrix) -> CommIdeal:
     It is the saturation of the lattice ideal of an integer kernel basis by
     the product of all variables, taken one variable at a time (Bayer and
     Stillman; Sturmfels, Groebner Bases and Convex Polytopes, ch. 12).
-    When some c has c . a_j >= 1 for every column, the lattice ideal is
-    homogeneous for the weights w_j = c . a_j, scaled to coprime integers.
+    When the cone of the columns is pointed, c = positive_functional(...),
+    the sum of its facet normals scaled to be >= 1 on every column (ch. 4),
+    makes the lattice ideal homogeneous for the weights w_j = c . a_j,
+    scaled to coprime integers.
     For a homogeneous ideal, a Groebner basis in w-graded reverse lex with
     d_i last, each element divided by the largest power of d_i dividing
     it, is a Groebner basis of the saturation by d_i.  The steps stop at

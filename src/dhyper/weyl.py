@@ -8,14 +8,15 @@ and one gcd per result, and the Groebner engine packs the numerators as
 they are.  A Fraction per term is built only for the terms view
 (printing, JSON, callers).  The module also provides the
 A-grading, Euler operators, the theta-polynomial rewriting used for
-operators built from x_i d_i, and what the series layer and the move graph
-share: lattice points packed into ints (_lattice_packing), the one owner of
-the integer falling factors (_Falling), whose tables the series layer's
-tree fill and its per-coordinate certificate read, and the sweep fill of a
-binomial recurrence (_binomial_fill), which takes coordinate tuples, packs
-its own keys and checks every edge after the fill.  The sweep serves the
-move-graph polynomial solutions and the gamma series whose base is not
-fully generic.
+operators built from x_i d_i, the split of a move into the exponents of
+its binomial (_split_move), and what the series layer reads: lattice
+points packed into ints (_lattice_packing), the one owner of the integer
+falling factors (_Falling), whose tables the series layer's tree fill and
+its per-coordinate certificate read, and the sweep fill of a binomial
+recurrence (_binomial_fill), which takes coordinate tuples, packs its own
+keys and checks every edge after the fill.  The sweep serves only the
+gamma series whose base is not fully generic; the move graph's polynomial
+solutions are a product of factorials.
 """
 
 from __future__ import annotations

@@ -711,14 +711,17 @@ def test_gamma_with_a_negative_window_exits_bad_input(capsys, a_json):
 # for the weighted curve [[4, 6, 7, 9]], recorded before toric ideals were
 # saturated one variable at a time, and for three matrices with no positive
 # grading, recorded while those were still saturated through an elimination
-# variable.  The reduced basis is unique, so a change of method leaves
-# these bytes alone.
+# variable; and for two pointed matrices of deficient rank, recorded while
+# the positive grading still came from Fourier-Motzkin elimination.  The
+# reduced basis is unique, so a change of method leaves these bytes alone.
 TORIC_REPORT_SHA256 = {
     "[[1,1,1,1,1,1],[0,1,2,3,4,5]]": "532a07eae0493f888144bb5607bcdb54c5c6317aa6a95ab34af18c8e415b820d",
     "[[4,6,7,9]]": "158f5ca411f25b919433a2f4e137f4479bbe1a6a05b4e22ca556627b9de0ee85",
     "[[1,-1]]": "5625e901fd2bc69930c5d98ecc0543cd95cdb57a24b3620fee6f8e1dd494cae9",
     "[[1,-2,3,-1]]": "925afc421cf31bead09bcdf1879b10887b020759f6396abc94e4a29c01267938",
     "[[1,1,-1,-1],[0,1,2,-3]]": "a6579cd866ca6befbe5f487a6224cfacf8e91614f5eda37ebe0cc79826768c1f",
+    "[[1,2,3],[2,4,6]]": "8c57d1cc92f3d0179791a94dd0e708a3de893a2555fb2c50c7ea1fe7c2a9c727",
+    "[[1,1,1,1],[0,1,3,4],[2,3,5,6]]": "6aa4c01d74f01a8eb7f9c4f087bfd7361a0ae4b2e59c56c261757584870c32d9",
 }
 
 
@@ -920,6 +923,34 @@ def test_exact_layer_report_bytes_are_pinned(capsys, argv):
     assert cli.main(list(argv)) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# A 4 x 12 matrix whose cone is not pointed: facets and nonresonant both
+# exit 5.  Recorded while pointedness came from Fourier-Motzkin elimination,
+# which took over 4 s here; the one cone-ray enumeration takes 220 subsets.
+NOT_POINTED_4X12 = (
+    "[[6,-2,0,-2,-3,-3,-3,4,2,3,6,1],[0,3,-1,-1,-3,-3,3,-1,5,-3,6,3],"
+    "[1,-1,-2,4,1,-3,-3,5,-3,5,-1,-3],[1,-2,3,-2,0,-3,4,-1,1,0,4,3]]"
+)
+NOT_POINTED_SHA256 = "228d72229a5d37e3237f61ac920731f02bdf0863bf76b383e80c5704dde507fe"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["facets", "--a", NOT_POINTED_4X12],
+        ["nonresonant", "--a", NOT_POINTED_4X12, "--beta", '["1/2","1/3","1/5","1/7"]'],
+    ],
+    ids=["facets", "nonresonant"],
+)
+def test_a_cone_that_is_not_pointed_exits_5_in_under_a_second(capsys, argv):
+    start = time.perf_counter()
+    code = cli.main(argv)
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr().out
+    assert code == 5
+    assert hashlib.sha256(out.encode()).hexdigest() == NOT_POINTED_SHA256
+    assert elapsed < 1.0
 
 
 # SHA-256 of two components reports with --beta, so each toral split carries

@@ -536,7 +536,7 @@ def reference_facets(a: IntMatrix) -> list[ConeFacet]:
             raise ZeroColumnError(f"column {j + 1} is zero")
     if reference_rank(a) != d:
         raise NotFullRankError("matrix is not of full row rank")
-    if positive_functional(cols, d) is None:
+    if fm_positive_functional(cols, d) is None:
         raise NotFullRankError("columns do not lie in an open half-space")
     lat_cols = hermite_column_basis(a).columns()
     found: dict[tuple[Fraction, ...], tuple[int, ...]] = {}
@@ -571,10 +571,10 @@ def outcome(f, a):
 
 
 @st.composite
-def small_matrices(draw):
+def small_matrices(draw, max_cols=6):
     # in one draw of two the entries are nonnegative, so that pointed cones
     # (the cases facets accepts) come up often
-    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, max_cols))
     entry = st.integers(0, 4) if draw(st.booleans()) else st.integers(-4, 4)
     return IntMatrix.from_rows(draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)))
 
@@ -593,9 +593,63 @@ def test_smith_form_agrees_with_rational_gauss(a):
 
 
 # ---------------------------------------------------------------------------
-# Replaced code, kept as references: the determinant's own elimination, and
-# the subset loops facets and span_mixedness each ran before they shared one
-# cone-ray enumeration
+# Replaced code, kept as references: the determinant's own elimination, the
+# subset loops facets and span_mixedness each ran before they shared one
+# cone-ray enumeration, and the Fourier-Motzkin elimination that decided
+# pointedness before the sum of the facet normals did
+
+
+def fourier_motzkin(ineqs: list[tuple[tuple[int, ...], int]], nvars: int):
+    """Find x in Q^nvars with coeffs . x >= rhs for every inequality, or None.
+
+    Classic elimination, fraction-free on integer inequalities, with exact
+    rational back-substitution; the inequality count can square with each
+    eliminated variable.
+    """
+    if nvars == 0:
+        return () if all(rhs <= 0 for _, rhs in ineqs) else None
+    pos, neg, zero = [], [], []
+    k = nvars - 1
+    for coeffs, rhs in ineqs:
+        c = coeffs[k]
+        if c > 0:
+            pos.append((coeffs, rhs))
+        elif c < 0:
+            neg.append((coeffs, rhs))
+        else:
+            zero.append((coeffs[:k], rhs))
+    reduced = list(zero)
+    for pc, pr in pos:
+        for nc, nr in neg:
+            a, b = pc[k], -nc[k]
+            coeffs = tuple(b * p + a * nn for p, nn in zip(pc[:k], nc[:k]))
+            reduced.append((coeffs, b * pr + a * nr))
+    inner = fourier_motzkin(reduced, k)
+    if inner is None:
+        return None
+    lo = None
+    hi = None
+    for coeffs, rhs in pos:
+        # x_k >= (rhs - sum coeffs_i x_i) / coeffs_k
+        bound = (rhs - sum((c * x for c, x in zip(coeffs[:k], inner)), Fraction(0))) / coeffs[k]
+        lo = bound if lo is None or bound > lo else lo
+    for coeffs, rhs in neg:
+        bound = (rhs - sum((c * x for c, x in zip(coeffs[:k], inner)), Fraction(0))) / coeffs[k]
+        hi = bound if hi is None or bound < hi else hi
+    if lo is None and hi is None:
+        val = Fraction(0)
+    elif lo is None:
+        val = hi
+    elif hi is None:
+        val = lo
+    else:
+        val = (lo + hi) / 2
+    return inner + (val,)
+
+
+def fm_positive_functional(columns, dim):
+    """w with w . c >= 1 for every column c, or None, by Fourier-Motzkin."""
+    return fourier_motzkin([(tuple(c), 1) for c in columns], dim)
 
 
 def own_elimination_det(a: IntMatrix) -> int:
@@ -641,7 +695,7 @@ def own_loop_facets(a: IntMatrix) -> list[ConeFacet]:
         raise ZeroColumnError("zero column")
     if a.rank() != d:
         raise NotFullRankError("matrix is not of full row rank")
-    if positive_functional(cols, d) is None:
+    if fm_positive_functional(cols, d) is None:
         raise NotFullRankError("columns do not lie in an open half-space")
     found: dict[tuple[Fraction, ...], tuple[int, ...]] = {}
     for subset in combinations(range(n), d - 1):
@@ -682,6 +736,43 @@ def test_cone_ray_loops_match_their_own_subset_loops(a):
     b = a.transpose()
     assert outcome(span_mixedness, b) == outcome(own_loop_span_mixedness, b)
     assert outcome(facets, a) == outcome(own_loop_facets, a)
+
+
+def assert_same_verdict_as_fourier_motzkin(columns, dim):
+    w = positive_functional(columns, dim)
+    assert (w is None) == (fm_positive_functional(columns, dim) is None)
+    if w is not None and columns:
+        # >= 1 on every column, with equality on one
+        assert min(sum(q * x for q, x in zip(w, c)) for c in columns) == 1
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(small_matrices(max_cols=7))
+def test_positive_functional_agrees_with_fourier_motzkin(a):
+    assert_same_verdict_as_fourier_motzkin(a.columns(), a.rows)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1, 2, 3], [2, 4, 6]],
+        [[1, 1, 1, 1], [0, 1, 3, 4], [2, 3, 5, 6]],
+        [[0, 0, 0], [1, 2, 5], [0, 0, 0]],
+        [[1, -1, 2], [2, -2, 4]],
+        [[0, 0], [0, 0]],
+    ],
+)
+def test_positive_functional_of_deficient_rank_keeps_the_verdict(rows):
+    # columns that span less than Q^dim: pointed ones must not read as None
+    a = IntMatrix.from_rows(rows)
+    assert a.rank() < a.rows
+    assert_same_verdict_as_fourier_motzkin(a.columns(), a.rows)
+
+
+def test_positive_functional_in_dimension_zero_and_on_no_columns():
+    assert positive_functional([], 0) == fm_positive_functional([], 0) == ()
+    assert positive_functional([(), ()], 0) is fm_positive_functional([(), ()], 0) is None
+    assert positive_functional([], 3) == fm_positive_functional([], 3) == (0, 0, 0)
 
 
 def test_repeated_lattice_questions_hit_the_memoized_form():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dhyper import groebner, weyl
+from dhyper import groebner, systems, weyl
 from dhyper.errors import DimensionMismatchError, InputFormatError, InvariantError
 from dhyper.exact import IntMatrix, positive_functional
 from dhyper.groebner import (
@@ -586,6 +586,41 @@ def test_binomial_pair_stats_are_pinned_on_the_quintic(monkeypatch):
     monkeypatch.setattr(groebner, "_groebner_cached", groebner._groebner_cached.__wrapped__)
     toric_ideal(IntMatrix.from_rows([[1] * 6, [0, 1, 2, 3, 4, 5]])).groebner()
     assert stats == QUINTIC_TORIC_STATS
+
+
+# The monomial curves of the toric benchmark catalogue (bench/workloads.py):
+# five columns of degree 5 and 6, then the rational normal quartic and
+# quintic.
+TORIC_CATALOGUE_CURVES = [
+    [[1] * 5, [0, a, b, c, d]]
+    for d in (5, 6)
+    for a in range(1, d)
+    for b in range(a + 1, d)
+    for c in range(b + 1, d)
+] + [[[1] * 5, [0, 1, 2, 3, 4]], [[1] * 6, [0, 1, 2, 3, 4, 5]]]
+
+
+class _Graded(Exception):
+    pass
+
+
+def test_toric_grading_stays_all_ones_on_every_rotated_catalogue_curve(monkeypatch):
+    # the pairs of a binomial completion, hence QUINTIC_TORIC_STATS, follow
+    # the weights toric_ideal grades by; every rotation of a catalogue curve
+    # is graded by its all-ones row, whichever positive functional is used
+    graded = []
+
+    def first_order(weights, last):
+        graded.append(weights)
+        raise _Graded
+
+    monkeypatch.setattr(systems, "WeightedRevLexLast", first_order)
+    for rows in TORIC_CATALOGUE_CURVES:
+        n = len(rows[0])
+        for p in range(n):
+            with pytest.raises(_Graded):
+                toric_ideal(IntMatrix.from_rows([r[p:] + r[:p] for r in rows]))
+            assert graded.pop() == (1,) * n
 
 
 def test_binomial_core_widens_from_one_bit_fields(monkeypatch):

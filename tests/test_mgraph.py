@@ -1,12 +1,18 @@
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, perm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dhyper.errors import DhyperError, DimensionMismatchError, InputFormatError, InvariantError
+from dhyper import mgraph
+from dhyper.errors import (
+    DhyperError,
+    DimensionMismatchError,
+    InconsistentCoefficientsError,
+    InputFormatError,
+)
 from dhyper.exact import IntMatrix
 from dhyper.mgraph import (
     BOUNDED,
@@ -19,7 +25,7 @@ from dhyper.mgraph import (
 )
 from dhyper.series import PuiseuxSeries, annihilation_check
 from dhyper.systems import lattice_basis_ideal
-from dhyper.weyl import WeylOperator
+from dhyper.weyl import WeylOperator, _binomial_fill, _split_move
 from test_weyl import term_action_factor
 
 M_DEMO = IntMatrix.from_rows([[-2, 1], [1, -2]])
@@ -168,12 +174,13 @@ def test_solutions_require_bounded_verdict():
         lattice_polynomial_solutions(M_DEMO, comp)
 
 
-def test_solutions_name_vertex_tuples_in_errors():
-    # a hand-built component whose vertex (2,) no move of [[1]] reaches: the
-    # fill runs on packed keys, and the message still names the vertex tuple
-    m = IntMatrix.from_rows([[1]])
-    comp = MGraphComponent(m, (0,), ((0,), (2,)), BOUNDED, cap=2)
-    with pytest.raises(InvariantError, match=r"did not reach vertex \(2,\) of the component$"):
+def test_solutions_name_the_failing_edge_by_vertex_tuples(monkeypatch):
+    # the product formula solves every edge, so only wrong falling factors
+    # can break one: the check still runs, and names the edge's vertices
+    m = IntMatrix.from_rows([[2], [-1]])
+    comp = component(m, (1, 1), cap=5)
+    monkeypatch.setattr(mgraph, "perm", lambda n, k: perm(n, k) + (k > 0))
+    with pytest.raises(InconsistentCoefficientsError, match=r"^edge \(1, 1\) -> \(3, 0\) fails"):
         lattice_polynomial_solutions(m, comp)
 
 
@@ -238,3 +245,17 @@ def test_solutions_match_fraction_reference(case):
         sols = lattice_polynomial_solutions(m, comp)
         assert sols == reference_polynomial_solutions(m, comp)
         assert set(sols) == set(comp.vertices)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(small_move_matrices())
+def test_product_formula_matches_the_kept_sweep(case):
+    # the sweep fill that solved these recurrences before the product
+    # formula, from c = 1 at the representative
+    m, cap = case
+    steps = [(b, *_split_move(b)) for b in m.columns() if any(b)]
+    for comp in bounded_representatives(m, cap).bounded:
+        points = {w: w for w in comp.vertices}
+        swept, unfilled, failing = _binomial_fill(points, steps, (Fraction(0),) * m.rows)
+        assert unfilled is None and failing is None
+        assert lattice_polynomial_solutions(m, comp) == swept
