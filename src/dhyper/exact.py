@@ -13,7 +13,9 @@ normal form; nothing here eliminates over Q.  The Hermite form gives
 canonical lattice bases.  One enumeration of kernel lines of column subsets
 (_one_signed_lines) answers every cone question: facets, pointedness and
 the positive functional that grades toric ideals (the sum of the facet
-normals), and the mixedness of a column span.
+normals), and the mixedness of a column span.  The facets and the
+mixedness certificate of a matrix are memoized like its Smith form
+(_facets, _span_mixedness, 256 matrices each, keyed by the matrix alone).
 Pivoting is deterministic (smallest nonzero absolute value, then lowest
 index) so the recorded transforms are reproducible run to run.
 """
@@ -525,7 +527,14 @@ class MixednessCertificate:
 
 
 def span_mixedness(b: IntMatrix) -> MixednessCertificate:
-    """Decide mixedness of the column span of b, with a witness either way.
+    """Decide mixedness of the column span of b, with a witness either way,
+    once per distinct b (_span_mixedness)."""
+    return _span_mixedness(b)
+
+
+@lru_cache(maxsize=256)
+def _span_mixedness(b: IntMatrix) -> MixednessCertificate:
+    """The enumeration behind span_mixedness.
 
     The cone {x : b x >= 0} is pointed when b has full column rank, so it is
     nonzero exactly when it has an extreme ray, and every extreme ray is cut
@@ -585,7 +594,14 @@ def _check_no_zero_column(a: IntMatrix) -> None:
 
 
 def facets(a: IntMatrix) -> list[ConeFacet]:
-    """All facets of the cone spanned by the columns of a.
+    """All facets of the cone spanned by the columns of a, sorted by
+    (sigma, nu), once per distinct a (_facets); the list is the caller's."""
+    return list(_facets(a))
+
+
+@lru_cache(maxsize=256)
+def _facets(a: IntMatrix) -> tuple[ConeFacet, ...]:
+    """The enumeration behind facets.
 
     Preconditions: a has full row rank d, no zero column, and all columns lie
     in an open half-space (the cone is pointed).  The facet normals are the
@@ -609,8 +625,7 @@ def facets(a: IntMatrix) -> list[ConeFacet]:
         sigma = tuple(j for j, v in enumerate(vals) if v == 0)
         found.setdefault(tuple(Fraction(q, g) for q in nu), sigma)
     out = [ConeFacet(sigma, RatVector(tuple(key))) for key, sigma in found.items()]
-    out.sort(key=lambda f: (f.sigma, f.nu.entries))
-    return out
+    return tuple(sorted(out, key=lambda f: (f.sigma, f.nu.entries)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import factorial, perm, prod
 from operator import add
@@ -147,8 +148,17 @@ def _components_in_box(m: IntMatrix, box: int, cap: int):
 
 
 def bounded_representatives(m: IntMatrix, cap: int) -> ComponentSurvey:
+    """The components met by the box [0, cap]^q, each searched with cap,
+    once per distinct (m, cap) (_survey)."""
     if cap < 0:
         raise InputFormatError("cap must be nonnegative")
+    return _survey(m, cap)
+
+
+# typed: a cap of True or 6.0 is another key than 1 or 6, so the survey
+# keeps the cap it was given and a cap that raises still raises
+@lru_cache(maxsize=256, typed=True)
+def _survey(m: IntMatrix, cap: int) -> ComponentSurvey:
     explored = tuple(_components_in_box(m, cap, cap))
     return ComponentSurvey(
         bounded=tuple(c for c in explored if c.verdict == BOUNDED),

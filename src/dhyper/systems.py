@@ -5,7 +5,10 @@ variables (the full toric ideal, or the lattice ideal of a kernel basis)
 plus Euler operators E - beta.  Block decompositions split the rows of a
 kernel matrix B into a mixed part M and a remainder, classifying each
 split as toral or Andean; toral splits produce component ideals whose
-solutions the series layer assembles.
+solutions the series layer assembles.  Only the Euler operators see beta:
+the toric generators of H_A(beta) and the block decompositions of B are
+memoized per matrix (_toric_operators, _block_decompositions, 256
+matrices each).
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
 
@@ -146,11 +150,16 @@ def _d_operators(nvars: int, polys) -> list[WeylOperator]:
     return [WeylOperator.make(nvars, {(zero, e): c for e, c in g.terms}) for g in polys]
 
 
+@lru_cache(maxsize=256)
+def _toric_operators(a: IntMatrix) -> tuple[WeylOperator, ...]:
+    """The reduced degrevlex basis of I_A as x-free Weyl operators, once
+    per distinct a: only the Euler operators of H_A(beta) see beta."""
+    return tuple(_d_operators(a.cols, toric_ideal(a).groebner()))
+
+
 def hypergeometric_system(a: IntMatrix, beta) -> SystemSpec:
     beta = _as_beta(beta, a.rows)
-    gens = _d_operators(a.cols, toric_ideal(a).groebner()) + euler_generators(
-        a, RatVector.make(beta)
-    )
+    gens = [*_toric_operators(a), *euler_generators(a, RatVector.make(beta))]
     return SystemSpec(
         kind=A_HYPERGEOMETRIC,
         a=a,
@@ -272,7 +281,14 @@ def _is_mixed_block(m: IntMatrix) -> bool:
 
 
 def block_decompositions(b: IntMatrix) -> list[tuple[BlockDecomposition, ComponentClass]]:
-    """All row subsets jbar whose rows vanish outside a mixed block.
+    """All row subsets jbar whose rows vanish outside a mixed block, once
+    per distinct b (_block_decompositions); the list is the caller's."""
+    return list(_block_decompositions(b))
+
+
+@lru_cache(maxsize=256)
+def _block_decompositions(b: IntMatrix) -> tuple[tuple[BlockDecomposition, ComponentClass], ...]:
+    """The subsets behind block_decompositions.
 
     For each subset, the columns meeting jbar nontrivially must form a
     mixed q x p block with q <= p; the trivial subset always qualifies.
@@ -317,8 +333,7 @@ def block_decompositions(b: IntMatrix) -> list[tuple[BlockDecomposition, Compone
             else:
                 cls = ComponentClass(ANDEAN, f"block is {q} x {p} with q < p")
             out.append((dec, cls))
-    out.sort(key=lambda t: (t[0].q, t[0].jbar))
-    return out
+    return tuple(sorted(out, key=lambda t: (t[0].q, t[0].jbar)))
 
 
 def _embed(values, at, n: int, zero=0) -> tuple:

@@ -16,11 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dhyper import cli, errors, series, weyl
+from dhyper import cli, errors, exact, groebner, mgraph, series, weyl
 from dhyper.exact import IntMatrix
 from dhyper.series import PuiseuxSeries
 from dhyper.systems import horn_system, hypergeometric_system
 from dhyper.weyl import WeylOperator, normal_product
+from test_systems import MEMO_FILLERS
 
 A_JSON = "[[3,2,1,0],[0,1,2,3]]"
 B_JSON = "[[1,0],[-2,1],[1,-2],[0,1]]"
@@ -556,6 +557,53 @@ def test_one_parser_serves_every_run_of_a_process(capsys):
         fresh.append(report(argv))
     assert [code for code, _ in shared] == [2, 0, 0, 0]
     assert shared == fresh
+
+
+# The per-matrix memos behind the beta-independent answers the worked
+# example reads: cone facets, mixedness, block decompositions, move-graph
+# surveys and the toric generators of H_A(beta).
+MATRIX_MEMOS = [memo for memo, _ in MEMO_FILLERS]
+
+
+def _erdelyi_report(capsys, a, ap) -> str:
+    assert cli.main(["example-erdelyi", "--a-param", a, "--a-prime", ap]) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("a,ap", [("1/3", "2/5"), ("2/7", "-3/11"), ("-5/13", "7/9")])
+def test_example_erdelyi_cold_report_equals_the_warm_one(capsys, a, ap):
+    _erdelyi_report(capsys, a, ap)
+    warm = _erdelyi_report(capsys, a, ap)
+    for memo in MATRIX_MEMOS:
+        memo.cache_clear()
+    assert _erdelyi_report(capsys, a, ap) == warm
+
+
+def test_example_erdelyi_at_new_parameters_recomputes_no_lattice_answer(capsys, monkeypatch):
+    calls = []
+    for module, name in ((exact, "_one_signed_lines"), (groebner, "_binomial_buchberger"), (mgraph, "component")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    _erdelyi_report(capsys, "1/3", "2/5")
+    calls.clear()
+    _erdelyi_report(capsys, "4/17", "6/19")
+    assert calls == []
+    # the counts reach all three: cold, the same call runs each of them
+    for memo in MATRIX_MEMOS:
+        memo.cache_clear()
+    _erdelyi_report(capsys, "4/17", "6/19")
+    assert set(calls) == {"_one_signed_lines", "_binomial_buchberger", "component"}
+
+
+def test_example_erdelyi_decides_the_mixedness_of_b_once(capsys, monkeypatch):
+    # horn_system and block_decompositions both ask span_mixedness(B)
+    enumerated = []
+    real = exact._one_signed_lines
+    monkeypatch.setattr(exact, "_one_signed_lines", lambda vectors, dim: enumerated.append(tuple(vectors)) or real(vectors, dim))
+    for memo in MATRIX_MEMOS:
+        memo.cache_clear()
+    _erdelyi_report(capsys, "1/3", "2/5")
+    assert enumerated.count(IntMatrix.from_rows(cli.EXAMPLE_B).entries) == 1
 
 
 @pytest.mark.parametrize("field,value", [("reliable", True), ("window", "3")])

@@ -94,6 +94,16 @@ def test_survey_rejects_negative_cap():
         bounded_representatives(IntMatrix.from_rows([[1], [-2]]), -1)
 
 
+def test_survey_memo_keys_the_cap_by_its_type():
+    # a survey keeps the cap it was given, and a cap the box cannot take
+    # still raises after the equal int cap was surveyed
+    m = IntMatrix.from_rows([[1], [-2]])
+    assert bounded_representatives(m, 1).cap == 1
+    assert bounded_representatives(m, True).cap is True
+    with pytest.raises(TypeError):
+        bounded_representatives(m, 1.0)
+
+
 def test_survey_partitions_the_box():
     cap = 6
     survey = bounded_representatives(M_DEMO, cap)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dhyper import exact, mgraph, systems
 from dhyper.errors import (
     DhyperError,
     DimensionMismatchError,
@@ -440,3 +441,40 @@ def test_toral_component_warns_on_tiny_cap():
     dec = [d for d, _ in decs if d.jbar == (1, 2)][0]
     with pytest.warns(RuntimeWarning, match="no unbounded"):
         toral_component_ideal(B_DEMO, dec, BETA_DEMO, monomial_cap=0, a=A_DEMO)
+
+
+# ---------------------------------------------------------------------------
+# Per-matrix memos: bounded, and no caller can change what the next one reads
+
+
+def test_returned_lists_are_the_callers():
+    want_facets = exact.facets(A_DEMO)
+    mine = exact.facets(A_DEMO)
+    mine.reverse()
+    mine.append(None)
+    assert exact.facets(A_DEMO) == want_facets
+    want_decs = block_decompositions(B_DEMO)
+    mine = block_decompositions(B_DEMO)
+    mine.clear()
+    assert block_decompositions(B_DEMO) == want_decs
+
+
+# each memo with a call that fills it from the k-th of many distinct cheap
+# matrices, one entry a call
+MEMO_FILLERS = [
+    (exact._facets, lambda k: exact.facets(IntMatrix.from_rows([[k]]))),
+    (exact._span_mixedness, lambda k: exact.span_mixedness(IntMatrix.from_rows([[k], [-1]]))),
+    (systems._block_decompositions, lambda k: block_decompositions(IntMatrix.from_rows([[k], [-1]]))),
+    (mgraph._survey, lambda k: mgraph.bounded_representatives(IntMatrix.from_rows([[k]]), 0)),
+    (systems._toric_operators, lambda k: hypergeometric_system(IntMatrix.from_rows([[1, k]]), [0])),
+]
+
+
+@pytest.mark.parametrize("memo,fill", MEMO_FILLERS, ids=[m.__name__ for m, _ in MEMO_FILLERS])
+def test_every_matrix_memo_is_bounded(memo, fill):
+    size = memo.cache_info().maxsize
+    assert size is not None
+    memo.cache_clear()
+    for k in range(1, size + 9):
+        fill(k)
+        assert memo.cache_info().currsize == min(k, size)
