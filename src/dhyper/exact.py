@@ -13,9 +13,9 @@ normal form; nothing here eliminates over Q.  The Hermite form gives
 canonical lattice bases.  One enumeration of kernel lines of column subsets
 (_one_signed_lines) answers every cone question: facets, pointedness and
 the positive functional that grades toric ideals (the sum of the facet
-normals), and the mixedness of a column span.  The facets and the
-mixedness certificate of a matrix are memoized like its Smith form
-(_facets, _span_mixedness, 256 matrices each, keyed by the matrix alone).
+normals), and the mixedness of a column span.  The mixedness certificate
+of a matrix is memoized like its Smith form (_span_mixedness, 256
+matrices, keyed by the matrix alone).
 Pivoting is deterministic (smallest nonzero absolute value, then lowest
 index) so the recorded transforms are reproducible run to run.
 """
@@ -594,14 +594,7 @@ def _check_no_zero_column(a: IntMatrix) -> None:
 
 
 def facets(a: IntMatrix) -> list[ConeFacet]:
-    """All facets of the cone spanned by the columns of a, sorted by
-    (sigma, nu), once per distinct a (_facets); the list is the caller's."""
-    return list(_facets(a))
-
-
-@lru_cache(maxsize=256)
-def _facets(a: IntMatrix) -> tuple[ConeFacet, ...]:
-    """The enumeration behind facets.
+    """All facets of the cone spanned by the columns of a.
 
     Preconditions: a has full row rank d, no zero column, and all columns lie
     in an open half-space (the cone is pointed).  The facet normals are the
@@ -625,7 +618,8 @@ def _facets(a: IntMatrix) -> tuple[ConeFacet, ...]:
         sigma = tuple(j for j, v in enumerate(vals) if v == 0)
         found.setdefault(tuple(Fraction(q, g) for q in nu), sigma)
     out = [ConeFacet(sigma, RatVector(tuple(key))) for key, sigma in found.items()]
-    return tuple(sorted(out, key=lambda f: (f.sigma, f.nu.entries)))
+    out.sort(key=lambda f: (f.sigma, f.nu.entries))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -548,17 +548,11 @@ def _binomial_divide(a: int, b: int, divisors, pk) -> tuple[int, int] | None:
             a, b = b, a
         moved = _binomial_step(a, divisors, guard)
         if moved is None:
-            return a, _binomial_normal(b, divisors, guard)
+            while (moved := _binomial_step(b, divisors, guard)) is not None:
+                b = moved
+            return a, b
         a = moved
     return None
-
-
-def _binomial_normal(u: int, divisors, guard: int) -> int:
-    """The normal form of the monomial u: moved by _binomial_step until no
-    divisor lead divides it."""
-    while (moved := _binomial_step(u, divisors, guard)) is not None:
-        u = moved
-    return u
 
 
 def _binomial_spair(l: int, di: tuple[int, int], dj: tuple[int, int], pk) -> tuple[int, int]:
@@ -646,15 +640,10 @@ def _binomial_basis(n: int, moves, order) -> list[tuple[Expo, Expo]]:
     """The reduced basis of the pure differences x^p - x^q, given as
     exponent pairs (p, q), as (lead, tail) exponent pairs sorted by lead."""
     pk = _fit(n, order.rows, False, _top(e for move in moves for e in move))
-    pk, basis, _ = _binomial_buchberger(_lead_tail(moves, pk), pk)
+    packed = [(pk.pack((), p), pk.pack((), q)) for p, q in moves]
+    pk, basis, _ = _binomial_buchberger([(a, b) if a > b else (b, a) for a, b in packed], pk)
     pk, basis = _binomial_interreduce(basis, pk)
     return [(pk.exps(a), pk.exps(b)) for a, b in basis]
-
-
-def _lead_tail(moves, pk) -> list[tuple[int, int]]:
-    """The exponent pairs (p, q) of x^p - x^q packed by pk, as (lead, tail)."""
-    packed = [(pk.pack((), p), pk.pack((), q)) for p, q in moves]
-    return [(a, b) if a > b else (b, a) for a, b in packed]
 
 
 def _binomial_gens(polys) -> list[tuple[Expo, Expo]] | None:
@@ -702,20 +691,11 @@ class CommIdeal:
         if p.nvars != self.nvars:
             raise DimensionMismatchError("polynomial variable count mismatch")
         gb = self.groebner()
-        moves = _binomial_gens(gb)
 
         def run(pk):
+            divisors = [_divisor(_integral(pk, _xterms(g))[0]) for g in gb]
             f, d = _integral(pk, _xterms(p))
-            if moves is None:
-                divisors = [_divisor(_integral(pk, _xterms(g))[0]) for g in gb]
-                _, rem, m = _divide(f, divisors, pk)
-            else:
-                # modulo a basis of pure differences each monomial has one
-                # monomial normal form, and the terms sharing one add up
-                divisors = _lead_tail(moves, pk)
-                rem, m = Counter(), 1
-                for u, c in f.items():
-                    rem[_binomial_normal(u, divisors, pk.guard)] += c
+            _, rem, m = _divide(f, divisors, pk)
             return CommPoly.make(self.nvars, {pk.unpack(k)[1]: Fraction(c, m * d) for k, c in rem.items()})
 
         top = _top(e for g in (*gb, p) for e, _ in g.terms)

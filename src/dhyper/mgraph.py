@@ -157,7 +157,7 @@ def bounded_representatives(m: IntMatrix, cap: int) -> ComponentSurvey:
 
 # typed: a cap of True or 6.0 is another key than 1 or 6, so the survey
 # keeps the cap it was given and a cap that raises still raises
-@lru_cache(maxsize=256, typed=True)
+@lru_cache(maxsize=16, typed=True)
 def _survey(m: IntMatrix, cap: int) -> ComponentSurvey:
     explored = tuple(_components_in_box(m, cap, cap))
     return ComponentSurvey(

@@ -6,9 +6,8 @@ plus Euler operators E - beta.  Block decompositions split the rows of a
 kernel matrix B into a mixed part M and a remainder, classifying each
 split as toral or Andean; toral splits produce component ideals whose
 solutions the series layer assembles.  Only the Euler operators see beta:
-the toric generators of H_A(beta) and the block decompositions of B are
-memoized per matrix (_toric_operators, _block_decompositions, 256
-matrices each).
+the toric generators of H_A(beta) are memoized per matrix
+(_toric_operators, 16 matrices).
 """
 
 from __future__ import annotations
@@ -150,7 +149,7 @@ def _d_operators(nvars: int, polys) -> list[WeylOperator]:
     return [WeylOperator.make(nvars, {(zero, e): c for e, c in g.terms}) for g in polys]
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=16)
 def _toric_operators(a: IntMatrix) -> tuple[WeylOperator, ...]:
     """The reduced degrevlex basis of I_A as x-free Weyl operators, once
     per distinct a: only the Euler operators of H_A(beta) see beta."""
@@ -281,14 +280,7 @@ def _is_mixed_block(m: IntMatrix) -> bool:
 
 
 def block_decompositions(b: IntMatrix) -> list[tuple[BlockDecomposition, ComponentClass]]:
-    """All row subsets jbar whose rows vanish outside a mixed block, once
-    per distinct b (_block_decompositions); the list is the caller's."""
-    return list(_block_decompositions(b))
-
-
-@lru_cache(maxsize=256)
-def _block_decompositions(b: IntMatrix) -> tuple[tuple[BlockDecomposition, ComponentClass], ...]:
-    """The subsets behind block_decompositions.
+    """All row subsets jbar whose rows vanish outside a mixed block.
 
     For each subset, the columns meeting jbar nontrivially must form a
     mixed q x p block with q <= p; the trivial subset always qualifies.
@@ -333,7 +325,8 @@ def _block_decompositions(b: IntMatrix) -> tuple[tuple[BlockDecomposition, Compo
             else:
                 cls = ComponentClass(ANDEAN, f"block is {q} x {p} with q < p")
             out.append((dec, cls))
-    return tuple(sorted(out, key=lambda t: (t[0].q, t[0].jbar)))
+    out.sort(key=lambda t: (t[0].q, t[0].jbar))
+    return out
 
 
 def _embed(values, at, n: int, zero=0) -> tuple:

@@ -560,8 +560,8 @@ def test_one_parser_serves_every_run_of_a_process(capsys):
 
 
 # The per-matrix memos behind the beta-independent answers the worked
-# example reads: cone facets, mixedness, block decompositions, move-graph
-# surveys and the toric generators of H_A(beta).
+# example reads: the mixedness of B, move-graph surveys and the toric
+# generators of H_A(beta).
 MATRIX_MEMOS = [memo for memo, _ in MEMO_FILLERS]
 
 
@@ -580,10 +580,17 @@ def test_example_erdelyi_cold_report_equals_the_warm_one(capsys, a, ap):
 
 
 def test_example_erdelyi_at_new_parameters_recomputes_no_lattice_answer(capsys, monkeypatch):
+    # neither the mixedness of B, nor the toric completion, nor a move-graph
+    # search is made again (the facets of the small cone still are)
+    b_rows = IntMatrix.from_rows(cli.EXAMPLE_B).entries
     calls = []
-    for module, name in ((exact, "_one_signed_lines"), (groebner, "_binomial_buchberger"), (mgraph, "component")):
+    for module, name, asks in (
+        (exact, "_one_signed_lines", lambda vectors, dim: vectors == b_rows),
+        (groebner, "_binomial_buchberger", lambda *args: True),
+        (mgraph, "component", lambda *args: True),
+    ):
         real = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+        monkeypatch.setattr(module, name, lambda *args, real=real, name=name, asks=asks: (asks(*args) and calls.append(name)) or real(*args))
     _erdelyi_report(capsys, "1/3", "2/5")
     calls.clear()
     _erdelyi_report(capsys, "4/17", "6/19")

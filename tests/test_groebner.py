@@ -1,4 +1,3 @@
-import random
 from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
@@ -599,44 +598,6 @@ TORIC_CATALOGUE_CURVES = [
     for b in range(a + 1, d)
     for c in range(b + 1, d)
 ] + [[[1] * 5, [0, 1, 2, 3, 4]], [[1] * 6, [0, 1, 2, 3, 4, 5]]]
-
-
-def test_binomial_normal_form_matches_the_general_division(monkeypatch):
-    # a reduced basis of pure differences sends each monomial to one
-    # monomial; on the catalogue's toric ideals, and two with no positive
-    # grading, that normal form is the general division's remainder
-    rng = random.Random(33)
-    matrices = TORIC_CATALOGUE_CURVES + [[[1, -1]], [[-3, -2, 3, -1]]]
-    cases = []
-    for rows in matrices:
-        ideal = toric_ideal(IntMatrix.from_rows(rows))
-        n = ideal.nvars
-        gb = ideal.groebner()
-        for _ in range(4):
-            p = CommPoly.make(n, {
-                tuple(rng.randint(0, 4) for _ in range(n)): Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-                for _ in range(rng.randint(1, 5))
-            })
-            # a multiple of a basis element, so that some terms cancel
-            m = CommPoly.make(n, {tuple(rng.randint(0, 2) for _ in range(n)): rng.choice([-2, 1, 3])})
-            cases.append((ideal, p + rng.choice(gb) * m))
-    divided = []
-    divide = groebner._divide
-    monkeypatch.setattr(groebner, "_divide", lambda *args: divided.append(1) or divide(*args))
-    fast = [ideal.normal_form(p) for ideal, p in cases]
-    assert not divided
-    # from one-bit fields, the binomial steps widen to the same forms
-    widened = []
-    wider = weyl.Packing.wider
-    with monkeypatch.context() as mp:
-        mp.setattr(groebner, "_fit", lambda n, rows, w, top: weyl._packing(n, rows, w, 1))
-        mp.setattr(weyl.Packing, "wider", lambda pk: widened.append(pk.width) or wider(pk))
-        assert [ideal.normal_form(p) for ideal, p in cases] == fast
-    assert widened and not divided
-    monkeypatch.setattr(groebner, "_binomial_gens", lambda polys: None)
-    assert [ideal.normal_form(p) for ideal, p in cases] == fast
-    assert len(divided) >= len(cases)
-    assert any(f.is_zero() for f in fast) and not all(f.is_zero() for f in fast)
 
 
 class _Graded(Exception):

@@ -444,27 +444,12 @@ def test_toral_component_warns_on_tiny_cap():
 
 
 # ---------------------------------------------------------------------------
-# Per-matrix memos: bounded, and no caller can change what the next one reads
+# Per-matrix memos, each with a call that fills it from the k-th of many
+# distinct cheap matrices, one entry a call
 
 
-def test_returned_lists_are_the_callers():
-    want_facets = exact.facets(A_DEMO)
-    mine = exact.facets(A_DEMO)
-    mine.reverse()
-    mine.append(None)
-    assert exact.facets(A_DEMO) == want_facets
-    want_decs = block_decompositions(B_DEMO)
-    mine = block_decompositions(B_DEMO)
-    mine.clear()
-    assert block_decompositions(B_DEMO) == want_decs
-
-
-# each memo with a call that fills it from the k-th of many distinct cheap
-# matrices, one entry a call
 MEMO_FILLERS = [
-    (exact._facets, lambda k: exact.facets(IntMatrix.from_rows([[k]]))),
     (exact._span_mixedness, lambda k: exact.span_mixedness(IntMatrix.from_rows([[k], [-1]]))),
-    (systems._block_decompositions, lambda k: block_decompositions(IntMatrix.from_rows([[k], [-1]]))),
     (mgraph._survey, lambda k: mgraph.bounded_representatives(IntMatrix.from_rows([[k]]), 0)),
     (systems._toric_operators, lambda k: hypergeometric_system(IntMatrix.from_rows([[1, k]]), [0])),
 ]
