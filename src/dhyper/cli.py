@@ -34,7 +34,6 @@ from .exact import (
     IntMatrix,
     RatVector,
     facets,
-    format_fraction,
     is_nonresonant,
     parse_fraction,
 )
@@ -158,7 +157,7 @@ def _comm_to_json(p) -> dict:
     return {
         "poly": str(p),
         "terms": [
-            {"dx": list(e), "coeff": format_fraction(c)}
+            {"dx": list(e), "coeff": str(c)}
             for e, c in sorted(p.as_dict().items())
         ],
     }
@@ -185,7 +184,7 @@ def _cmd_nonresonant(args):
     detail: dict = {"beta": beta.to_json()}
     if verdict.violating is not None:
         detail["violating_facet"] = verdict.violating.to_json()
-        detail["value"] = format_fraction(verdict.violating.value(beta))
+        detail["value"] = str(verdict.violating.value(beta))
     verdicts = [Verdict("nonresonant", verdict.nonresonant, detail)]
     return verdicts, {"nonresonance": verdict.to_json()}
 
@@ -253,7 +252,7 @@ def _cmd_mgraph(args):
         sols = lattice_polynomial_solutions(m, comp)
         entry = comp.to_json()
         entry["coefficients"] = [
-            {"vertex": list(v), "coeff": format_fraction(sols[v])}
+            {"vertex": list(v), "coeff": str(sols[v])}
             for v in sorted(sols)
         ]
         bounded.append(entry)
@@ -290,10 +289,10 @@ def _cmd_gamma(args):
         Verdict(
             "gamma-built",
             True,
-            {"terms": len(f.coeffs), "density": format_fraction(dens)},
+            {"terms": len(f.coeffs), "density": str(dens)},
         )
     ]
-    return verdicts, {"series": f.to_json(), "density": format_fraction(dens)}
+    return verdicts, {"series": f.to_json(), "density": str(dens)}
 
 
 def _cmd_membership(args):
@@ -415,13 +414,13 @@ def _cmd_example(args):
         Verdict(
             "monomial-solves-horn",
             mono_horn.all_zero,
-            {"exponent": [format_fraction(q) for q in mono.base]},
+            {"exponent": [str(q) for q in mono.base]},
         ),
         Verdict(
             "monomial-fails-missing-binomial",
             witness.status == "NONZERO",
             {
-                "witness_coeff": format_fraction(witness.witness_coeff)
+                "witness_coeff": str(witness.witness_coeff)
                 if witness.witness_coeff is not None
                 else None
             },
@@ -441,7 +440,7 @@ def _cmd_example(args):
         ),
     ]
     payload = {
-        "beta": [format_fraction(q) for q in beta],
+        "beta": [str(q) for q in beta],
         "horn_system": horn.to_json(),
         "ahyp_system": ahyp.to_json(),
         "series_g": g.to_json(),

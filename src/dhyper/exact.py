@@ -63,10 +63,6 @@ def json_int(v) -> int:
     return v
 
 
-def format_fraction(q: Fraction) -> str:
-    return str(q)
-
-
 @dataclass(frozen=True)
 class IntMatrix:
     """Immutable integer matrix, row-major tuples."""

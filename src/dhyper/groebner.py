@@ -86,14 +86,16 @@ def WeightedRevLexLast(weights: Iterable[int], last: int) -> MatrixOrder:
 
 @dataclass(frozen=True)
 class CommPoly:
-    """Sparse commutative polynomial over Q, exponents in N^nvars."""
+    """Sparse commutative polynomial over Q, exponents in N^nvars, held as
+    the x-free WeylOperator op: x-free operators commute, so its sums and
+    products are the polynomial ones."""
 
-    nvars: int
-    terms: tuple[tuple[Expo, Fraction], ...]
+    op: WeylOperator
 
     @staticmethod
     def make(nvars: int, mapping: Mapping[Expo, Fraction | int]) -> "CommPoly":
         clean = {}
+        zero = (0,) * nvars
         for e, c in mapping.items():
             q = Fraction(c)
             if not q:
@@ -101,50 +103,46 @@ class CommPoly:
             e = tuple(int(x) for x in e)
             if len(e) != nvars or any(x < 0 for x in e):
                 raise InputFormatError("bad exponent")
-            clean[e] = q
-        return CommPoly(nvars, tuple((e, clean[e]) for e in sorted(clean)))
+            clean[(zero, e)] = q
+        return CommPoly(WeylOperator.make(nvars, clean))
 
     @staticmethod
     def zero(nvars: int) -> "CommPoly":
-        return CommPoly(nvars, ())
+        return CommPoly(WeylOperator.zero(nvars))
 
     @staticmethod
     def variable(i: int, nvars: int) -> "CommPoly":
         return CommPoly.make(nvars, {tuple(1 if j == i else 0 for j in range(nvars)): 1})
 
+    @property
+    def nvars(self) -> int:
+        return self.op.nvars
+
+    @property
+    def terms(self) -> tuple[tuple[Expo, Fraction], ...]:
+        """The (exponent, coefficient) pairs, sorted by exponent."""
+        return tuple((nu, c) for _, nu, c in self.op.terms)
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return self.op.is_zero()
 
     def as_dict(self) -> dict[Expo, Fraction]:
         return dict(self.terms)
 
     def __add__(self, other: "CommPoly") -> "CommPoly":
-        if self.nvars != other.nvars:
-            raise DimensionMismatchError("polynomial variable counts differ")
-        acc = self.as_dict()
-        for e, c in other.terms:
-            acc[e] = acc.get(e, Fraction(0)) + c
-        return CommPoly.make(self.nvars, acc)
+        return CommPoly(self.op + other.op)
 
     def __neg__(self) -> "CommPoly":
-        return CommPoly(self.nvars, tuple((e, -c) for e, c in self.terms))
+        return CommPoly(-self.op)
 
     def __sub__(self, other: "CommPoly") -> "CommPoly":
-        return self + (-other)
+        return CommPoly(self.op - other.op)
 
     def __mul__(self, other: "CommPoly") -> "CommPoly":
-        if self.nvars != other.nvars:
-            raise DimensionMismatchError("polynomial variable counts differ")
-        acc: dict[Expo, Fraction] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = tuple(a + b for a, b in zip(e1, e2))
-                acc[e] = acc.get(e, Fraction(0)) + c1 * c2
-        return CommPoly.make(self.nvars, acc)
+        return CommPoly(self.op * other.op)
 
     def scale(self, q) -> "CommPoly":
-        q = Fraction(q)
-        return CommPoly.make(self.nvars, {e: c * q for e, c in self.terms})
+        return CommPoly(self.op.scale(q))
 
     def _ordered(self, order) -> list[tuple[Expo, Fraction]]:
         """The terms, greatest first in the order."""
@@ -165,10 +163,10 @@ class CommPoly:
 # coefficients, each monomial x^mu d^nu packed into one int by a Packing
 # (weyl.Packing), paired with its cofactor list over the original
 # generators: integer dicts over one positive denominator.  A divisor is the
-# triple (lead monomial, lead coefficient, operator).  A WeylOperator
-# enters as its integer numerators, packed (_weyl_packed), and leaves as
-# integers over one denominator with unpacked keys (_over); a CommPoly's
-# Fractions become integer on the way in (_integral).  Each of these packs
+# triple (lead monomial, lead coefficient, operator).  A WeylOperator,
+# a CommPoly's x-free one included, enters as its integer numerators,
+# packed (_weyl_packed), and leaves as integers over one denominator with
+# unpacked keys (_over).  Each of these packs
 # or unpacks a monomial by two lookups in the packing's own tables, one
 # per half (mu, nu), so queries that never repeat still find the few
 # distinct half exponents already there.  A product that leaves the
@@ -202,17 +200,6 @@ def _repack(basis, pk, wide) -> list:
 def _divisor(g: dict) -> tuple:
     lead = max(g)
     return lead, g[lead], g
-
-
-def _integral(pk, terms) -> tuple[dict, int]:
-    """(d g, d) packed by pk, for g given by (mu, nu, coeff) terms and d the
-    lcm of the denominators of its coefficients."""
-    d = lcm(*(c.denominator for _, _, c in terms))
-    return {pk.pack(mu, nu): c.numerator * (d // c.denominator) for mu, nu, c in terms}, d
-
-
-def _xterms(p: CommPoly) -> list:
-    return [((), e, c) for e, c in p.terms]
 
 
 def _primitive(g: dict, rep: list[dict], den: int, lead) -> tuple[dict, list[dict], int]:
@@ -651,9 +638,9 @@ def _binomial_gens(polys) -> list[tuple[Expo, Expo]] | None:
     c (x^p - x^q), or None if one is not."""
     out = []
     for g in polys:
-        if len(g.terms) != 2:
+        if len(g.op.nums) != 2:
             return None
-        (p, c), (q, d) = g.terms
+        ((_, p), c), ((_, q), d) = g.op.nums.items()
         if c != -d:
             return None
         out.append((p, q))
@@ -693,12 +680,12 @@ class CommIdeal:
         gb = self.groebner()
 
         def run(pk):
-            divisors = [_divisor(_integral(pk, _xterms(g))[0]) for g in gb]
-            f, d = _integral(pk, _xterms(p))
+            divisors = [_divisor(_weyl_packed(pk, g.op)[0]) for g in gb]
+            f, d = _weyl_packed(pk, p.op)
             _, rem, m = _divide(f, divisors, pk)
-            return CommPoly.make(self.nvars, {pk.unpack(k)[1]: Fraction(c, m * d) for k, c in rem.items()})
+            return CommPoly(_over(pk, rem, m * d))
 
-        top = _top(e for g in (*gb, p) for e, _ in g.terms)
+        top = _weyl_top(g.op for g in (*gb, p))
         return _widening(run, _fit(self.nvars, DegRevLex(self.nvars).rows, False, top))
 
     def contains(self, p: CommPoly) -> bool:
@@ -709,18 +696,11 @@ def _general_basis(n: int, polys, order) -> tuple[CommPoly, ...]:
     """The reduced basis of polys by the general core, monic, sorted by
     lead: the path of every ideal with a generator that is not a pure
     difference, and the oracle the binomial core is tested against."""
-    polys = [g for g in polys if not g.is_zero()]
-    pk = _fit(n, order.rows, False, _top(e for g in polys for e, _ in g.terms))
-    pk, basis, _ = _buchberger([(_integral(pk, _xterms(g))[0], []) for g in polys], pk)
+    ops = [g.op for g in polys if not g.is_zero()]
+    pk = _fit(n, order.rows, False, _weyl_top(ops))
+    pk, basis, _ = _buchberger([(_weyl_packed(pk, g)[0], []) for g in ops], pk)
     pk, basis = _interreduce(basis, pk)
-    out = []
-    for g, _, _ in basis:
-        lc = g[max(g)]
-        out.append(CommPoly.make(n, {pk.unpack(k)[1]: Fraction(c, lc) for k, c in g.items()}))
-    return tuple(out)
-
-
-_ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
+    return tuple(CommPoly(_over(pk, g, g[max(g)])) for g, _, _ in basis)
 
 
 @lru_cache(maxsize=256)
@@ -738,7 +718,8 @@ def _binomial_polys(n: int, basis) -> tuple[CommPoly, ...]:
     """The (lead, tail) exponent pairs of basis as monic CommPolys."""
     # built directly: CommPoly.make's checks would cost about a tenth of a
     # catalogue pass, and lead and tail are distinct valid exponents
-    return tuple(CommPoly(n, tuple(sorted([(a, _ONE), (b, _MINUS_ONE)]))) for a, b in basis)
+    zero = (0,) * n
+    return tuple(CommPoly(WeylOperator(n, {(zero, a): 1, (zero, b): -1})) for a, b in basis)
 
 
 def _over(pk, g: dict, den: int) -> WeylOperator:

@@ -54,7 +54,6 @@ from .errors import (
 from .exact import (
     IntMatrix,
     RatVector,
-    format_fraction,
     hermite_column_basis,
     is_nonresonant,
     json_int,
@@ -262,10 +261,10 @@ class PuiseuxSeries:
 
     def to_json(self) -> dict:
         return {
-            "v": [format_fraction(q) for q in self.base],
+            "v": [str(q) for q in self.base],
             "lattice": [list(r) for r in self.lattice.entries],
             "terms": [
-                {"u": list(u), "coeff": format_fraction(self.coeffs[u])}
+                {"u": list(u), "coeff": str(self.coeffs[u])}
                 for u in sorted(self.coeffs)
             ],
             "window": self.window,
@@ -601,8 +600,8 @@ class AnnihilationVerdict:
         if self.witness_point is not None:
             out["witness"] = {
                 "u": list(self.witness_point),
-                "coeff": format_fraction(self.witness_coeff),
-                "exponent": [format_fraction(q) for q in self.witness_exponent],
+                "coeff": str(self.witness_coeff),
+                "exponent": [str(q) for q in self.witness_exponent],
             }
         return out
 

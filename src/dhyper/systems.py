@@ -6,8 +6,8 @@ plus Euler operators E - beta.  Block decompositions split the rows of a
 kernel matrix B into a mixed part M and a remainder, classifying each
 split as toral or Andean; toral splits produce component ideals whose
 solutions the series layer assembles.  Only the Euler operators see beta:
-the toric generators of H_A(beta) are memoized per matrix
-(_toric_operators, 16 matrices).
+the toric generators of H_A(beta), and those of a toral component's
+columns, are memoized per matrix (_toric_operators, 16 matrices).
 """
 
 from __future__ import annotations
@@ -143,17 +143,11 @@ def _divide_out(move: tuple[Expo, Expo], i: int) -> tuple[Expo, Expo]:
     return tuple(e[:i] + (e[i] - k,) + e[i + 1 :] for e in move)
 
 
-def _d_operators(nvars: int, polys) -> list[WeylOperator]:
-    """Polynomials in the d-variables as x-free Weyl operators."""
-    zero = (0,) * nvars
-    return [WeylOperator.make(nvars, {(zero, e): c for e, c in g.terms}) for g in polys]
-
-
 @lru_cache(maxsize=16)
 def _toric_operators(a: IntMatrix) -> tuple[WeylOperator, ...]:
     """The reduced degrevlex basis of I_A as x-free Weyl operators, once
     per distinct a: only the Euler operators of H_A(beta) see beta."""
-    return tuple(_d_operators(a.cols, toric_ideal(a).groebner()))
+    return tuple(g.op for g in toric_ideal(a).groebner())
 
 
 def hypergeometric_system(a: IntMatrix, beta) -> SystemSpec:
@@ -195,9 +189,7 @@ def horn_system(b: IntMatrix, beta, a: IntMatrix | None = None) -> SystemSpec:
         raise NotMixedError("kernel matrix is not mixed")
     a = _dual_matrix(b, a)
     beta = _as_beta(beta, a.rows)
-    gens = _d_operators(b.rows, lattice_basis_ideal(b).gens) + euler_generators(
-        a, RatVector.make(beta)
-    )
+    gens = [g.op for g in lattice_basis_ideal(b).gens] + euler_generators(a, RatVector.make(beta))
     return SystemSpec(
         kind=HORN,
         a=a,
@@ -375,13 +367,13 @@ def toral_component_ideal(
     beta = _as_beta(beta, a.rows)
     n = b.rows
     zero = (0,) * n
-    gens = _d_operators(n, lattice_basis_ideal(b).gens)
+    gens = [g.op for g in lattice_basis_ideal(b).gens]
 
     if dec.j:
         a_j = _submatrix(a, range(a.rows), dec.j)
         gens += [
-            WeylOperator.make(n, {(zero, _embed(e, dec.j, n)): c for e, c in g.terms})
-            for g in toric_ideal(a_j).groebner()
+            WeylOperator.make(n, {(zero, _embed(nu, dec.j, n)): c for _, nu, c in op.terms})
+            for op in _toric_operators(a_j)
         ]
     gens += [WeylOperator.monomial(n, zero, _embed((1,), (jcol,), n)) for jcol in dec.jbar]
 

@@ -30,7 +30,7 @@ from operator import add, mul, sub
 from typing import Iterable, Mapping
 
 from .errors import DhyperError, DimensionMismatchError, InputFormatError
-from .exact import IntMatrix, RatVector, format_fraction, json_int, parse_fraction
+from .exact import IntMatrix, RatVector, json_int, parse_fraction
 
 Expo = tuple[int, ...]
 
@@ -158,7 +158,7 @@ class WeylOperator:
         return {
             "nvars": self.nvars,
             "terms": [
-                {"coeff": format_fraction(c), "x": list(mu), "dx": list(nu)}
+                {"coeff": str(c), "x": list(mu), "dx": list(nu)}
                 for mu, nu, c in self.terms
             ],
         }
@@ -202,11 +202,11 @@ def _format_terms(terms) -> str:
             if e
         )
         if not body:
-            part = format_fraction(c)
+            part = str(c)
         elif abs(c) == 1:
             part = body if c > 0 else f"-{body}"
         else:
-            part = f"{format_fraction(c)} {body}"
+            part = f"{c} {body}"
         if not out:
             out = part
         elif part.startswith("-"):

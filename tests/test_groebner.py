@@ -2,8 +2,10 @@ from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache, partial
+from hashlib import sha256
 from itertools import count, product
 from math import comb, factorial, gcd, isqrt, lcm
+from random import Random
 
 import pytest
 from hypothesis import example, given, settings
@@ -130,6 +132,114 @@ def test_comm_poly_arithmetic_checks_variable_counts():
         for combine in (lambda a, b: a * b, lambda a, b: a + b, lambda a, b: a - b):
             with pytest.raises(DimensionMismatchError):
                 combine(a, b)
+
+
+class ReferencePoly:
+    """CommPoly's own arithmetic before it held an x-free WeylOperator:
+    sorted (exponent, Fraction) terms, sums and products over a dict of
+    Fractions."""
+
+    def __init__(self, nvars, mapping):
+        clean = {}
+        for e, c in mapping.items():
+            q = Fraction(c)
+            if not q:
+                continue
+            e = tuple(int(x) for x in e)
+            if len(e) != nvars or any(x < 0 for x in e):
+                raise InputFormatError("bad exponent")
+            clean[e] = q
+        self.nvars, self.terms = nvars, tuple((e, clean[e]) for e in sorted(clean))
+
+    def as_dict(self):
+        return dict(self.terms)
+
+    def __add__(self, other):
+        acc = self.as_dict()
+        for e, c in other.terms:
+            acc[e] = acc.get(e, Fraction(0)) + c
+        return ReferencePoly(self.nvars, acc)
+
+    def __neg__(self):
+        return ReferencePoly(self.nvars, {e: -c for e, c in self.terms})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        acc = {}
+        for e1, c1 in self.terms:
+            for e2, c2 in other.terms:
+                e = tuple(a + b for a, b in zip(e1, e2))
+                acc[e] = acc.get(e, Fraction(0)) + c1 * c2
+        return ReferencePoly(self.nvars, acc)
+
+    def scale(self, q):
+        return ReferencePoly(self.nvars, {e: c * Fraction(q) for e, c in self.terms})
+
+    def lead(self, key):
+        return max(self.terms, key=lambda t: key(t[0]))
+
+    def __str__(self):
+        return weyl._format_terms(((), e, c) for e, c in sorted(self.terms, key=lambda t: degrevlex_key(t[0]), reverse=True))
+
+
+@st.composite
+def poly_mappings(draw):
+    """nvars, then three term mappings: exponents up to 3, zero coefficients
+    among the rest, and now and then an exponent with a negative entry or
+    the wrong length."""
+    n = draw(st.integers(1, 3))
+    good = st.tuples(*[st.integers(0, 3)] * n)
+    bad = st.one_of(st.tuples(*[st.integers(-1, 0)] * n), st.tuples(*[st.integers(0, 1)] * (n + 1)))
+    expo = st.one_of(good, good, good, good, good, good, good, bad)
+    coeff = st.sampled_from([0, -2, -1, 1, 3, Fraction(1, 2), Fraction(-5, 3)])
+    return n, draw(st.lists(st.dictionaries(expo, coeff, max_size=4), min_size=3, max_size=3))
+
+
+def made(maker, n, mapping):
+    """maker(n, mapping), or the message of the InputFormatError it raises."""
+    try:
+        return maker(n, mapping)
+    except InputFormatError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(poly_mappings(), st.sampled_from([0, 1, -2, Fraction(3, 4), Fraction(-1, 6)]), st.integers(0, 2))
+def test_comm_poly_agrees_with_the_fraction_reference(case, q, last):
+    n, mappings = case
+    polys = [made(CommPoly.make, n, m) for m in mappings]
+    refs = [made(ReferencePoly, n, m) for m in mappings]
+    assert [p if isinstance(p, str) else None for p in polys] == [r if isinstance(r, str) else None for r in refs]
+    pairs = [(p, r) for p, r in zip(polys, refs) if not isinstance(p, str)]
+    weighted = WeightedRevLexLast(range(1, n + 1), last % n)
+    keys = ((DegRevLex(n), degrevlex_key), (weighted, weighted_revlex_last_key(range(1, n + 1), last % n)))
+    results = list(pairs)
+    for (p, r), (p2, r2) in product(pairs, repeat=2):
+        results += [(p + p2, r + r2), (p - p2, r - r2), (p * p2, r * r2)]
+    for p, r in pairs:
+        results += [(-p, -r), (p.scale(q), r.scale(q))]
+    for p, r in results:
+        assert p.nvars == r.nvars
+        assert p.terms == r.terms
+        assert p.as_dict() == r.as_dict()
+        assert str(p) == str(r)
+        assert p.is_zero() == (not r.terms)
+        if r.terms:
+            for order, key in keys:
+                assert p.lead(order) == r.lead(key)
+        same = CommPoly.make(n, r.as_dict())
+        assert p == same and hash(p) == hash(same)
+        if len(r.terms) > 1:
+            # _groebner_cached keys on CommIdeals and toric_ideal dedupes
+            # with a set: a binomial the core builds equals and hashes as made
+            a, b = r.terms[-1][0], r.terms[0][0]
+            (built,) = groebner._binomial_polys(n, [(a, b)])
+            want = CommPoly.make(n, {a: 1, b: -1})
+            assert built == want and hash(built) == hash(want)
+    for (p, r), (p2, r2) in product(results, repeat=2):
+        assert (p == p2) == (r.terms == r2.terms)
 
 
 def test_normal_form_of_generators_is_zero():
@@ -560,6 +670,38 @@ def test_binomial_core_matches_the_general_core(case):
     assert len(ran) == 2
 
 
+def seeded_poly(rng, n, size, top):
+    """size terms at distinct exponents up to top, seeded coefficients."""
+    exps = rng.sample(list(product(range(top + 1), repeat=n)), size)
+    return dpoly(n, {e: rng.choice([-3, -2, -1, 1, 2, Fraction(1, 2), Fraction(-2, 3)]) for e in exps})
+
+
+# The printed answers of the general commutative path on sixty seeded
+# ideals, one line each: the reduced bases in degrevlex and in a weighted
+# order, a normal form, and whether the ideal contains a planted member and
+# the normal form's query.  The first generator has three terms, so no ideal
+# goes to the binomial core.  Recorded while CommPoly held its own Fraction
+# terms and the core took them in through a Fraction-to-integer converter.
+GENERAL_PATH_SHA256 = "ccc13bdc4128a0d7b1f29e5222c35a8f59962550815387d01e199fbc1a2e02b2"
+
+
+def test_general_commutative_path_is_pinned():
+    lines = []
+    for seed in range(60):
+        rng = Random(seed)
+        n = rng.randint(2, 3)
+        gens = [seeded_poly(rng, n, 3, 2)] + [seeded_poly(rng, n, rng.randint(1, 3), 2) for _ in range(rng.randint(1, 2))]
+        ideal = CommIdeal.make(n, gens)
+        weighted = WeightedRevLexLast([rng.randint(1, 3) for _ in range(n)], rng.randint(0, n - 1))
+        query = seeded_poly(rng, n, 4, 3)
+        member = gens[0] * seeded_poly(rng, n, 2, 1) + gens[-1] * seeded_poly(rng, n, 1, 1)
+        lines.append(
+            f"{', '.join(map(str, ideal.groebner()))}; {', '.join(map(str, ideal.groebner(weighted)))}; "
+            f"{ideal.normal_form(query)}; {ideal.contains(member)} {ideal.contains(query)}"
+        )
+    assert sha256("\n".join(lines).encode()).hexdigest() == GENERAL_PATH_SHA256
+
+
 # PairStats of the binomial core in the six completions of the rational
 # normal quintic's toric_ideal(...).groebner(): the five saturation steps,
 # then the degrevlex basis
@@ -779,7 +921,7 @@ def unpacked(g, pk):
 
 def packed(g, pk):
     """The integer operator of the rational operator dict g, packed, and its scale."""
-    return groebner._integral(pk, [(mu, nu, c) for (mu, nu), c in g.items()])
+    return groebner._weyl_packed(pk, WeylOperator.make(pk.nvars, g))
 
 
 def packed_division(f, divisors, pk, cap=None):

@@ -1300,6 +1300,7 @@ REACHED_THROUGH = {
     "exact.ConeFacet.to_json": ("verdict.violating", "self.violating"),
     "exact.NonresonanceVerdict.to_json": ("verdict",),
     "groebner.CommPoly.is_zero": ("g",),
+    "groebner.CommPoly.as_dict": ("p",),
     "groebner.CommPoly.scale": ("p",),
     "groebner.CommPoly.lead": ("p",),
     "groebner.CommIdeal.contains": ("sat",),

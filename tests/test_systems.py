@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dhyper import exact, mgraph, systems
+from dhyper import exact, groebner, mgraph, systems
 from dhyper.errors import (
     DhyperError,
     DimensionMismatchError,
@@ -463,3 +463,26 @@ def test_every_matrix_memo_is_bounded(memo, fill):
     for k in range(1, size + 9):
         fill(k)
         assert memo.cache_info().currsize == min(k, size)
+
+
+def test_warm_toral_component_ideal_completes_no_toric_basis(monkeypatch):
+    # the toric generators of a split's columns J come from the per-matrix
+    # memo, so a call at a new beta completes no binomial basis, and its
+    # generators are those of a cold call
+    calls = []
+    binomial = groebner._binomial_buchberger
+    monkeypatch.setattr(groebner, "_binomial_buchberger", lambda *args: calls.append(1) or binomial(*args))
+    splits = [dec for dec, cls in block_decompositions(B_DEMO) if cls.verdict == TORAL and dec.j]
+
+    def generators(beta):
+        return [toral_component_ideal(B_DEMO, dec, beta, monomial_cap=4, a=A_DEMO).generators for dec in splits]
+
+    systems._toric_operators.cache_clear()
+    generators(BETA_DEMO)
+    assert calls
+    calls.clear()
+    warm = generators((Fraction(1, 5), Fraction(2, 7)))
+    assert calls == []
+    systems._toric_operators.cache_clear()
+    assert generators((Fraction(1, 5), Fraction(2, 7))) == warm
+    assert calls
