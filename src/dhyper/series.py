@@ -17,18 +17,19 @@ prod_j Gamma(v_j + 1) / Gamma(v_j + u_j + 1), so _tree_fill builds it
 along one spanning tree of the window box, one Fraction per point, and
 _certify_tables proves every window edge one coordinate at a time, on
 the falling-factor tables, before any point is filled.  Any other base is
-swept by weyl._binomial_fill, which checks every edge after the fill.
+swept by _binomial_fill, which steps between coordinate tuples and checks
+every edge after the fill.
 
 The operator action, d^alpha in shift among it, scatters a _Frame
-(_scatter), which holds every point packed into one int
-(weyl._lattice_packing) with its coefficient scaled to an integer over
-one common denominator: the series' own frame, kept with it, or one
-packed in the coordinates of the refined lattice.  So a lattice step is
-one int addition and a window-box test two subtractions under a mask.
-The packed ints never leave the frame and the sweep fill: _index, the
+(_scatter), which holds every point packed into one int (a weyl packing
+with no order rows, from weyl._fit) with its coefficient scaled to an
+integer over one common denominator: the series' own frame, kept with
+it, or one packed in the coordinates of the refined lattice.  So a
+lattice step is one int addition and a window-box test two subtractions
+under a mask.  The packed ints never leave the frame: _index, the
 constructors and every signature stay keyed by coordinate tuples.  Every
 falling factor, in the fills, the action and shift, comes from a
-weyl._Falling.
+_Falling, the one owner of the integer falling factors.
 """
 
 from __future__ import annotations
@@ -64,9 +65,7 @@ from .exact import (
 )
 from .mgraph import bounded_representatives, lattice_polynomial_solutions
 from .systems import _as_beta, _embed, _submatrix, _toral_degree_matrix
-from .weyl import (
-    Expo, WeylOperator, _add, _binomial_fill, _Falling, _lattice_packing, _split_move, _sub,
-)
+from .weyl import Expo, WeylOperator, _add, _fit, _split_move, _sub
 
 DERIVE = "DERIVE"
 ANTIDERIVE = "ANTIDERIVE"
@@ -313,6 +312,57 @@ def density(f: PuiseuxSeries) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# Integer falling factors
+
+
+class _Falling:
+    """The integer falling factors of one base exponent b.
+
+    D is the lcm of the denominators of b, so D^k [b_j + x]_k is the integer
+    prod_{t < k} (D b_j + D x - D t).  There is one table per (coordinate j,
+    order k), keyed by x and made on first request for every x in values[j]
+    (zip(*points) gives them for a collection of points); action reads the
+    same tables and adds any other x once.  No other code computes a falling
+    factor.
+    """
+
+    __slots__ = ("d", "scaled", "values", "tables")
+
+    def __init__(self, base: tuple[Fraction, ...], values: Iterable[Iterable[int]] = ()):
+        self.d = d = lcm(*(q.denominator for q in base))
+        self.scaled = [q.numerator * (d // q.denominator) for q in base]
+        self.values = [set(xs) for xs in values] or [()] * len(base)
+        self.tables: dict[tuple[int, int], dict[int, int]] = {}
+
+    def _factor(self, j: int, k: int, x: int) -> int:
+        d = self.d
+        top = self.scaled[j] + d * x
+        v = 1
+        for t in range(k):
+            v *= top - d * t
+        return v
+
+    def table(self, j: int, k: int) -> dict[int, int]:
+        """D^k [b_j + x]_k by x."""
+        t = self.tables.get((j, k))
+        if t is None:
+            t = self.tables[(j, k)] = {x: self._factor(j, k, x) for x in self.values[j]}
+        return t
+
+    def action(self, nu: Expo, u: Expo) -> int:
+        """D^|nu| [b + u]_nu."""
+        v = 1
+        for j, k in enumerate(nu):
+            if k:
+                t = self.table(j, k)
+                f = t.get(u[j])
+                if f is None:
+                    f = t[u[j]] = self._factor(j, k, u[j])
+                v *= f
+        return v
+
+
+# ---------------------------------------------------------------------------
 # Shift isomorphisms
 
 
@@ -383,8 +433,12 @@ class _Frame:
         keys = list(f._index) if t is None else [t.mul_int_vector(z) for z in f._index]
         top = max(map(abs, chain.from_iterable(keys)), default=0)
         self.reach = 2 * max(f.window, f.reliable, stencil, top)
-        self.pk, self.origin = _lattice_packing(f.lattice.cols if t is None else t.rows, self.reach)
-        units, origin = self.pk.units, self.origin
+        # field j holds w_j + reach, at most 2 reach: the origin carries the
+        # bias and an offset co none, so w + co packs as the sum of the two
+        # ints while it stays within reach
+        self.pk = _fit(f.lattice.cols if t is None else t.rows, (), False, self.reach)
+        units = self.pk.units
+        self.origin = origin = self.reach * sum(units)
         self.common = common = lcm(*(q.denominator for q in f.coeffs.values()))
         self.points = []
         for w, u in zip(keys, f._index.values()):
@@ -846,7 +900,7 @@ def _gamma_fill(
     where the unit step e_i carries the recurrence of kernel column i.
 
     A fully generic v takes the tree fill (_tree_fill), certified one
-    coordinate at a time.  Any other v is swept by weyl._binomial_fill,
+    coordinate at a time.  Any other v is swept by _binomial_fill,
     which fills each point from the first neighbour whose multiplier does
     not vanish and then checks every window edge.
     """
@@ -870,6 +924,73 @@ def _gamma_fill(
     )
 
 
+def _binomial_fill(points, steps, base: tuple[Fraction, ...]):
+    """Solve the binomial recurrence on points, from c = 1 at the first.
+
+    points maps each coordinate tuple z to its ambient point, in sweep
+    order.  Each step (s, pos, neg) reads the operator d^pos - d^neg along
+    the edges z -> z + s between points, and asks
+    c[z + s] [base + point(z + s)]_pos = c[z] [base + point(z)]_neg.
+    Sweeps over the points, in their order, fill each from the first known
+    neighbour whose multiplier does not vanish, as one Fraction built from
+    integer falling factors.  Once every point is filled, every edge is
+    checked by an integer cross-multiplication.  The factors come from one
+    _Falling over the ambient points.
+
+    Returns (c, unfilled, failing), c keyed by coordinate tuples in fill
+    order: the first point no sweep reached, or None; then the first edge
+    (z, z + s) that fails the recurrence, or None.
+    """
+    falling = _Falling(base, zip(*points.values()))
+    action, d = falling.action, falling.d
+    # action gives D^|nu| [base + u]_nu; along a step only the ratio
+    # up / down = D^(|pos| - |neg|) of the two scalings survives (it is 1
+    # when the recurrence is homogeneous)
+    edges, ways = [], []
+    for s, pos, neg in steps:
+        k = sum(pos) - sum(neg)
+        up, down = d ** max(k, 0), d ** max(-k, 0)
+        edges.append((s, pos, neg, up, down))
+        # z is reached from z - s through [.]_pos at z, or from z + s
+        # through [.]_neg at z
+        ways.append((tuple(-x for x in s), pos, neg, up, down))
+        ways.append((s, neg, pos, down, up))
+    root, *pending = points
+    c = {root: Fraction(1)}
+    progress = True
+    while pending and progress:
+        progress = False
+        still = []
+        for z in pending:
+            u = points[z]
+            for t, into, outof, num_pow, den_pow in ways:
+                src = _add(z, t)
+                if src in c:
+                    mult = action(into, u)
+                    if mult:
+                        prev = c[src]
+                        c[z] = Fraction(
+                            prev.numerator * action(outof, points[src]) * num_pow,
+                            prev.denominator * mult * den_pow,
+                        )
+                        progress = True
+                        break
+            else:
+                still.append(z)
+        pending = still
+    if pending:
+        return c, pending[0], None
+    for z, u in points.items():
+        n0, d0 = c[z].numerator, c[z].denominator
+        for s, pos, neg, up, down in edges:
+            w = _add(z, s)
+            if w in c:
+                n1, d1 = c[w].numerator, c[w].denominator
+                if n1 * action(pos, points[w]) * d0 * down != n0 * action(neg, u) * d1 * up:
+                    return c, None, (z, w)
+    return c, None, None
+
+
 def _tree_fill(lat: IntMatrix, v: tuple[Fraction, ...], window: int):
     """(coeffs, index) of the gamma series with fully generic base v on the
     window box, both in ring order (sup norm, then lexicographic).
@@ -881,7 +1002,7 @@ def _tree_fill(lat: IntMatrix, v: tuple[Fraction, ...], window: int):
     with its first nonzero coordinate moved one step toward 0: the tree
     grows axis by axis from the last, each point so far extended both ways
     along the axis, and its ambient point by adding the column.  The step
-    is one Fraction of integers D^e [v_j + x]_e read from a weyl._Falling
+    is one Fraction of integers D^e [v_j + x]_e read from a _Falling
     whose tables hold every value x that u_j takes on the box, with the
     powers of D netted over the step.  _certify_tables proves first that
     these steps satisfy every window edge.

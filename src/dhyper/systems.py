@@ -7,7 +7,8 @@ kernel matrix B into a mixed part M and a remainder, classifying each
 split as toral or Andean; toral splits produce component ideals whose
 solutions the series layer assembles.  Only the Euler operators see beta:
 the toric generators of H_A(beta), and those of a toral component's
-columns, are memoized per matrix (_toric_operators, 16 matrices).
+columns, are memoized per matrix (_toric_operators), and a component
+ideal's unbounded monomial exponents per block and cap, 16 entries each.
 """
 
 from __future__ import annotations
@@ -329,15 +330,17 @@ def _embed(values, at, n: int, zero=0) -> tuple:
     return tuple(out)
 
 
-def unbounded_monomial_exponents(m: IntMatrix, cap: int) -> list[tuple[int, ...]]:
-    """Box points whose move-graph component is certified unbounded."""
-    return sorted(
+@lru_cache(maxsize=16)
+def unbounded_monomial_exponents(m: IntMatrix, cap: int) -> tuple[tuple[int, ...], ...]:
+    """Box points whose move-graph component is certified unbounded, once
+    per distinct (m, cap): no toral component ideal's beta changes them."""
+    return tuple(sorted(
         v
         for comp in _components_in_box(m, cap, 2 * cap + 2)
         if comp.verdict == UNBOUNDED_CERTIFIED
         for v in comp.vertices
         if all(x <= cap for x in v)
-    )
+    ))
 
 
 def _toral_degree_matrix(

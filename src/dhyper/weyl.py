@@ -6,17 +6,10 @@ written to the left of all d factors, held as integer numerators keyed by
 products work on the integers, with one lcm or product of denominators
 and one gcd per result, and the Groebner engine packs the numerators as
 they are.  A Fraction per term is built only for the terms view
-(printing, JSON, callers).  The module also provides the
-A-grading, Euler operators, the theta-polynomial rewriting used for
-operators built from x_i d_i, the split of a move into the exponents of
-its binomial (_split_move), and what the series layer reads: lattice
-points packed into ints (_lattice_packing), the one owner of the integer
-falling factors (_Falling), whose tables the series layer's tree fill and
-its per-coordinate certificate read, and the sweep fill of a binomial
-recurrence (_binomial_fill), which takes coordinate tuples, packs its own
-keys and checks every edge after the fill.  The sweep serves only the
-gamma series whose base is not fully generic; the move graph's polynomial
-solutions are a product of factorials.
+(printing, JSON, callers).  The module also provides the A-grading, Euler
+operators, the theta-polynomial rewriting used for operators built from
+x_i d_i, and the split of a move into the exponents of its binomial
+(_split_move).
 """
 
 from __future__ import annotations
@@ -348,18 +341,6 @@ def _fit(nvars: int, rows: tuple, weyl: bool, top: int) -> Packing:
     return _packing(nvars, rows, weyl, max(1, (2 * top).bit_length()))
 
 
-def _lattice_packing(m: int, reach: int):
-    """(packing, origin) for points in Z^m of sup norm at most reach.
-
-    The packing has no order rows: z packs as origin + sum z_j unit_j,
-    field j holding z_j + reach under a zero guard bit.  A packed offset is
-    sum co_j unit_j, with no bias, so z + co packs as the sum of the two
-    ints while z + co stays within reach.
-    """
-    pk = _packing(m, (), False, max(1, (2 * reach).bit_length()))
-    return pk, reach * sum(pk.units)
-
-
 def _top(exps) -> int:
     return max((max(e, default=0) for e in exps), default=0)
 
@@ -535,146 +516,7 @@ def euler_generators(a: IntMatrix, beta: RatVector) -> list[WeylOperator]:
     return out
 
 
-class _Falling:
-    """The integer falling factors of one base exponent b.
-
-    D is the lcm of the denominators of b, so D^k [b_j + x]_k is the integer
-    prod_{t < k} (D b_j + D x - D t).  There is one table per (coordinate j,
-    order k), keyed by x and made on first request for every x in values[j]
-    (zip(*points) gives them for a collection of points); action reads the
-    same tables and adds any other x once.  No other code computes a falling
-    factor.
-    """
-
-    __slots__ = ("d", "scaled", "values", "tables")
-
-    def __init__(self, base: tuple[Fraction, ...], values: Iterable[Iterable[int]] = ()):
-        self.d = d = lcm(*(q.denominator for q in base))
-        self.scaled = [q.numerator * (d // q.denominator) for q in base]
-        self.values = [set(xs) for xs in values] or [()] * len(base)
-        self.tables: dict[tuple[int, int], dict[int, int]] = {}
-
-    def _factor(self, j: int, k: int, x: int) -> int:
-        d = self.d
-        top = self.scaled[j] + d * x
-        v = 1
-        for t in range(k):
-            v *= top - d * t
-        return v
-
-    def table(self, j: int, k: int) -> dict[int, int]:
-        """D^k [b_j + x]_k by x."""
-        t = self.tables.get((j, k))
-        if t is None:
-            t = self.tables[(j, k)] = {x: self._factor(j, k, x) for x in self.values[j]}
-        return t
-
-    def action(self, nu: Expo, u: Expo) -> int:
-        """D^|nu| [b + u]_nu."""
-        v = 1
-        for j, k in enumerate(nu):
-            if k:
-                t = self.table(j, k)
-                f = t.get(u[j])
-                if f is None:
-                    f = t[u[j]] = self._factor(j, k, u[j])
-                v *= f
-        return v
-
-
-def _product(rows, u: Expo) -> int:
-    """D^|nu| [b + u]_nu from the rows (j, table(j, nu_j)) of a _Falling."""
-    v = 1
-    for j, table in rows:
-        v *= table[u[j]]
-    return v
-
-
 def _split_move(u) -> tuple[Expo, Expo]:
     """(u+, u-), the positive and negative parts of the integer vector u:
     the exponents of the binomial d^u+ - d^u- that the move u stands for."""
     return tuple(max(x, 0) for x in u), tuple(max(-x, 0) for x in u)
-
-
-def _binomial_fill(points, steps, base: tuple[Fraction, ...]):
-    """Solve the binomial recurrence on points, from c = 1 at the first.
-
-    points maps each coordinate tuple z to its ambient point, in sweep
-    order.  Each step (s, pos, neg) reads the operator d^pos - d^neg along
-    the edges z -> z + s between points, and asks
-    c[z + s] [base + point(z + s)]_pos = c[z] [base + point(z)]_neg.
-    The fill packs the coordinates (see _lattice_packing), reaching the
-    largest |coordinate| plus the largest |step entry|, so a step is one
-    int addition.  Sweeps over the points, in their order, fill each from
-    the first known neighbour whose multiplier does not vanish, as one
-    Fraction built from integer falling factors.  Once every point is
-    filled, every edge is checked by an integer cross-multiplication.  The
-    factors come from one _Falling over the ambient points.
-
-    Returns (c, unfilled, failing), keyed by coordinate tuples: the first
-    point no sweep reached, or None; then the first edge (z, z + s) that
-    fails the recurrence, or None.
-    """
-    root = next(iter(points))
-    reach = max(map(abs, chain.from_iterable(points)), default=0) + max(
-        (abs(x) for s, _, _ in steps for x in s), default=0
-    )
-    pk, origin = _lattice_packing(len(root), reach)
-    back = {origin + sum(map(mul, z, pk.units)): z for z in points}
-    keys = list(back)
-    point = {k: points[z] for k, z in back.items()}
-    falling = _Falling(base, zip(*points.values()))
-    d = falling.d
-    # the rows give D^|nu| [base + u]_nu; along a step only the ratio
-    # up / down = D^(|pos| - |neg|) of the two scalings survives (it is 1
-    # when the recurrence is homogeneous)
-    edges = []
-    ways = []
-    for step, pos, neg in steps:
-        s = sum(map(mul, step, pk.units))
-        k = sum(pos) - sum(neg)
-        up, down = d ** max(k, 0), d ** max(-k, 0)
-        pos_rows = [(j, falling.table(j, e)) for j, e in enumerate(pos) if e]
-        neg_rows = [(j, falling.table(j, e)) for j, e in enumerate(neg) if e]
-        edges.append((s, pos_rows, neg_rows, up, down))
-        # z is reached from z - s through [.]_pos at z, or from z + s
-        # through [.]_neg at z
-        ways.append((-s, pos_rows, neg_rows, up, down))
-        ways.append((s, neg_rows, pos_rows, down, up))
-    c = {keys[0]: Fraction(1)}
-    pending = keys[1:]
-    progress = True
-    while pending and progress:
-        progress = False
-        still = []
-        for z in pending:
-            u = point[z]
-            for t, into, outof, num_pow, den_pow in ways:
-                src = z + t
-                if src in c:
-                    mult = _product(into, u)
-                    if mult:
-                        prev = c[src]
-                        c[z] = Fraction(
-                            prev.numerator * _product(outof, point[src]) * num_pow,
-                            prev.denominator * mult * den_pow,
-                        )
-                        progress = True
-                        break
-            else:
-                still.append(z)
-        pending = still
-    coeffs = {back[z]: q for z, q in c.items()}
-    if pending:
-        return coeffs, back[pending[0]], None
-    for z in keys:
-        u = point[z]
-        n0, d0 = c[z].numerator, c[z].denominator
-        for s, pos_rows, neg_rows, up, down in edges:
-            w = z + s
-            if w in c:
-                n1, d1 = c[w].numerator, c[w].denominator
-                lhs = n1 * _product(pos_rows, point[w]) * d0 * down
-                if lhs != n0 * _product(neg_rows, u) * d1 * up:
-                    return coeffs, None, (back[z], back[w])
-    return coeffs, None, None

@@ -23,9 +23,9 @@ from dhyper.mgraph import (
     component,
     lattice_polynomial_solutions,
 )
-from dhyper.series import PuiseuxSeries, annihilation_check
+from dhyper.series import PuiseuxSeries, _binomial_fill, annihilation_check
 from dhyper.systems import lattice_basis_ideal
-from dhyper.weyl import WeylOperator, _binomial_fill, _split_move
+from dhyper.weyl import WeylOperator, _split_move
 from test_weyl import term_action_factor
 
 M_DEMO = IntMatrix.from_rows([[-2, 1], [1, -2]])

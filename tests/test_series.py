@@ -54,6 +54,7 @@ from dhyper.series import (
     AnnihilationReport,
     PuiseuxSeries,
     _candidates,
+    _Falling,
     _coordinate_map,
     _ring,
     annihilation_check,
@@ -70,7 +71,6 @@ from dhyper.weyl import (
     Expo,
     WeylOperator,
     _add,
-    _Falling,
     _sub,
     euler_generators,
 )
@@ -228,7 +228,7 @@ def test_exhausted_frame_needs_reliable_minus_one():
 
 
 # _falling_factors and _integer_action are the kernels the series layer used
-# before weyl._Falling owned the falling factors, kept as they were for the
+# before _Falling owned the falling factors, kept as they were for the
 # references below
 
 
@@ -1332,7 +1332,7 @@ REACHED_THROUGH = {
     "weyl.Packing.thetas": ("pk",),
     "weyl.ThetaPoly.evaluate": ("tp",),
     "weyl.ThetaPoly.to_weyl": ("p",),
-    "weyl._Falling.action": ("falling",),
+    "series._Falling.action": ("falling",),
 }
 
 
@@ -1645,6 +1645,92 @@ def test_fully_generic_bases_never_reach_the_sweep(monkeypatch):
     assert gamma_series(A_DEMO, BETA_DEMO, window=5).base[1] == Fraction(-4, 3)
     for dec in (_demo_dec(()), _demo_dec((1, 2))):
         toral_solution_basis(B_DEMO, dec, BETA_DEMO, window=4, a=A_DEMO)
+
+
+def _swept(run):
+    """A sweep's answer as one line: coeffs and _index in their order, or
+    the class and message of the error it raised."""
+    try:
+        f = run()
+    except (DenominatorVanishedError, CycleInconsistentError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return f"{list(f.coeffs.items())} {list(f._index.items())}"
+
+
+def swept_answers():
+    """Seeded answers of the sweep fill, one line each: gamma series whose
+    explicit v has integral entries, generic bases forced onto the sweep,
+    and _binomial_fill on move-graph components and on boxes whose steps
+    may read another move's binomial (so some edges fail)."""
+    from dhyper.mgraph import bounded_representatives
+    from dhyper.weyl import _split_move
+
+    fracs = [Fraction(1, 2), Fraction(-1, 3), Fraction(2, 5), Fraction(-3, 7)]
+    lines = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for seed in range(40):
+            rng = random.Random(seed)
+            a = rng.choice(TREE_MATRICES)
+            v = tuple(
+                Fraction(rng.randint(-3, 3)) if rng.random() < 0.5 else rng.choice(fracs) + rng.randint(-2, 2)
+                for _ in range(a.cols)
+            )
+            beta = a.mul_vector(RatVector.make(v))
+            lines.append(_swept(lambda: gamma_series(a, beta, v=v, window=rng.randint(0, 3))))
+        for seed in range(20):
+            rng = random.Random(seed)
+            a = rng.choice(TREE_MATRICES)
+            v = tuple(rng.choice(fracs) + rng.randint(-2, 2) for _ in range(a.cols))
+            beta = a.mul_vector(RatVector.make(v))
+            with mock.patch.object(series, "_fully_generic", return_value=False):
+                lines.append(_swept(lambda: gamma_series(a, beta, v=v, window=rng.randint(0, 3))))
+    for seed in range(30):
+        rng = random.Random(seed)
+        pairs = [(rng.randint(0, 2), rng.randint(0, 2)) for _ in range(rng.randint(1, 3))]
+        cols = [(x, -y) if rng.random() < 0.5 else (-x, y) for x, y in pairs]
+        m = IntMatrix.from_rows([[c[i] for c in cols] for i in range(2)])
+        steps = [(b, *_split_move(b)) for b in m.columns() if any(b)]
+        base = tuple(Fraction(rng.randint(-2, 2), rng.choice([1, 1, 2, 3])) for _ in range(2))
+        for comp in bounded_representatives(m, rng.randint(1, 4)).bounded:
+            c, unfilled, failing = series._binomial_fill({w: w for w in comp.vertices}, steps, base)
+            lines.append(f"{list(c.items())} {unfilled} {failing}")
+    for seed in range(40):
+        rng = random.Random(seed)
+        moves = [b for b in (tuple(rng.randint(-2, 2) for _ in range(2)) for _ in range(3)) if any(b)] or [(1, -1)]
+        steps = [(b, *_split_move(rng.choice(moves))) for b in moves]
+        base = tuple(Fraction(rng.randint(-2, 2), rng.choice([1, 1, 2, 3])) for _ in range(2))
+        points = {z: tuple(3 * x for x in z) for r in range(rng.randint(1, 3)) for z in _ring(2, r)}
+        c, unfilled, failing = series._binomial_fill(points, steps, base)
+        lines.append(f"{list(c.items())} {unfilled} {failing}")
+    return lines
+
+
+# The sweep's seeded answers (swept_answers), recorded while the sweep
+# packed its coordinate tuples into ints: no fully generic base reaches the
+# sweep, so no other pin covers these
+SWEPT_ANSWERS_SHA256 = "de58f87ea52a878f8602d7b465484d63a0add54ba768b4bd0d8f41499ee57e4d"
+
+
+def test_sweep_answers_are_pinned():
+    lines = swept_answers()
+    assert any(line.startswith("DenominatorVanishedError") for line in lines)
+    # an unreachable point and a failing edge, from the fill itself
+    assert any(line.endswith(") None") for line in lines)
+    assert any(" None ((" in line for line in lines)
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SWEPT_ANSWERS_SHA256
+
+
+def test_the_forced_sweep_answers_the_quartic_in_time():
+    # 11^3 = 1331 window points, each filled and its edges checked
+    v = tuple(Fraction(1, 2 * j + 3) for j in range(A_QUARTIC.cols))
+    beta = A_QUARTIC.mul_vector(RatVector.make(v))
+    with mock.patch.object(series, "_fully_generic", return_value=False):
+        start = time.perf_counter()
+        f = gamma_series(A_QUARTIC, beta, v=v, window=5)
+        elapsed = time.perf_counter() - start
+    assert len(f.coeffs) == 11 ** 3
+    assert elapsed < 2.0
 
 
 @pytest.mark.parametrize(

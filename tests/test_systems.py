@@ -486,3 +486,27 @@ def test_warm_toral_component_ideal_completes_no_toric_basis(monkeypatch):
     systems._toric_operators.cache_clear()
     assert generators((Fraction(1, 5), Fraction(2, 7))) == warm
     assert calls
+
+
+def test_warm_toral_component_ideal_searches_no_component(monkeypatch):
+    # the unbounded monomial exponents of a split depend on its block and
+    # the cap only, so they come from a bounded memo: a call at a new beta
+    # runs no move-graph search, and its generators are those of a cold call
+    assert systems.unbounded_monomial_exponents.cache_info().maxsize is not None
+    calls = []
+    component = mgraph.component
+    monkeypatch.setattr(mgraph, "component", lambda *args: calls.append(1) or component(*args))
+    splits = [dec for dec, cls in block_decompositions(B_DEMO) if cls.verdict == TORAL]
+
+    def generators(beta):
+        return [toral_component_ideal(B_DEMO, dec, beta, monomial_cap=4, a=A_DEMO).generators for dec in splits]
+
+    systems.unbounded_monomial_exponents.cache_clear()
+    generators(BETA_DEMO)
+    assert calls
+    calls.clear()
+    warm = generators((Fraction(1, 5), Fraction(2, 7)))
+    assert calls == []
+    systems.unbounded_monomial_exponents.cache_clear()
+    assert generators((Fraction(1, 5), Fraction(2, 7))) == warm
+    assert calls

@@ -19,6 +19,7 @@ from dhyper.groebner import DegRevLex, WeightedRevLexLast
 from dhyper.series import (
     INCONCLUSIVE,
     PuiseuxSeries,
+    _binomial_fill,
     annihilation_check,
     apply_to_series,
     gamma_series,
@@ -26,7 +27,6 @@ from dhyper.series import (
 from dhyper.weyl import (
     ThetaPoly,
     WeylOperator,
-    _binomial_fill,
     a_degree_components,
     euler_generators,
     normal_product,
