@@ -87,35 +87,23 @@ def _read_flag_text(text: str) -> str:
     return text
 
 
-def _no_floats(obj) -> None:
-    if isinstance(obj, float):
-        raise InputFormatError(
-            'rational literals must be integers or "p/q" strings, not floats'
-        )
-    if isinstance(obj, list):
-        for x in obj:
-            _no_floats(x)
-    if isinstance(obj, dict):
-        for v in obj.values():
-            _no_floats(v)
-
-
 def _load_json(text: str):
     text = _read_flag_text(text)
+    # floats, NaN and Infinity are refused after the parse, so a syntax
+    # error is reported first
+    floats: list[str] = []
     try:
-        obj = json.loads(text)
-        _no_floats(obj)
+        obj = json.loads(text, parse_float=floats.append, parse_constant=floats.append)
     except ValueError as exc:
         # a JSONDecodeError, or an integer literal past the int-string limit
         raise InputFormatError(f"malformed JSON: {exc}") from exc
     except RecursionError as exc:
         raise InputFormatError("malformed JSON: nested too deeply") from exc
+    if floats:
+        raise InputFormatError(
+            'rational literals must be integers or "p/q" strings, not floats'
+        )
     return obj
-
-
-def _is_int(x) -> bool:
-    # JSON true/false decode to bool, a subclass of int
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _as_matrix(obj) -> IntMatrix:
@@ -123,7 +111,8 @@ def _as_matrix(obj) -> IntMatrix:
         raise InputFormatError("matrix must be a JSON array of rows")
     for r in obj:
         for x in r:
-            if not _is_int(x):
+            # JSON true/false decode to bool, a subclass of int
+            if type(x) is not int:
                 raise InputFormatError("matrix entries must be integers")
     m = IntMatrix.from_rows(obj)
     if m.rows == 0 or m.cols == 0:
@@ -136,7 +125,7 @@ def _as_vector(obj) -> RatVector:
         raise InputFormatError("vector must be a JSON array")
     vals = []
     for x in obj:
-        if _is_int(x):
+        if type(x) is int:
             vals.append(Fraction(x))
         elif isinstance(x, str):
             vals.append(parse_fraction(x))

@@ -654,17 +654,3 @@ def is_nonresonant(a: IntMatrix, beta: RatVector) -> NonresonanceVerdict:
             violating = f
             break
     return NonresonanceVerdict(violating is None, vals, violating)
-
-
-def nonresonant_shift_closure(a: IntMatrix, beta: RatVector, gammas) -> bool:
-    """Check that beta + a*gamma stays nonresonant for each integer gamma.
-
-    Nonresonance is invariant under shifts by the column lattice, since the
-    support functions are integral on it; this is the sampled form of that
-    closure property.
-    """
-    for gamma in gammas:
-        shifted = beta.add(RatVector.make(a.mul_int_vector(tuple(gamma))))
-        if not is_nonresonant(a, shifted).nonresonant:
-            return False
-    return True

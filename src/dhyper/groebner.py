@@ -76,8 +76,9 @@ def WeightedRevLexLast(weights: Iterable[int], last: int) -> MatrixOrder:
     variable number last as the smallest variable: among monomials of equal
     weight, the one with the lower power of it is greater."""
     weights = tuple(weights)
-    revlex = _revlex(len(weights))
-    return MatrixOrder((tuple(enumerate(weights)), revlex[len(weights) - 1 - last], *revlex))
+    first = ((last, -1),)
+    rest = [row for row in _revlex(len(weights)) if row != first]
+    return MatrixOrder((tuple(enumerate(weights)), first, *rest))
 
 
 # ---------------------------------------------------------------------------

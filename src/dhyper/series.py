@@ -9,7 +9,8 @@ Coordinates z in the lattice basis (u = L z) are the internal key: the
 gamma fill, the window tests and the operator action all work on them.
 Ambient points u appear only at the boundary: the public coeffs dict,
 JSON, and the ambient input that the PuiseuxSeries constructor validates
-with one Smith-form solve per point.
+with one Smith-form solve per point.  The constructor is also the one
+frame check, run for every series however it is built.
 
 The gamma series of a fully generic base (every coordinate that a kernel
 move touches is non-integral) is the product
@@ -122,23 +123,6 @@ def _coordinate_map(lat: IntMatrix, sub: IntMatrix) -> IntMatrix:
     return IntMatrix.from_rows([[z[i] for z in cols] for i in range(lat.cols)])
 
 
-def _check_frame(nvars, base, lattice, window, reliable, window_exhausted):
-    """Validated (base, reliable) for a series frame; reliable defaults to window.
-
-    An exhausted window certifies no radius, so it needs reliable == -1.
-    """
-    base_t = tuple(Fraction(q) for q in base)
-    if len(base_t) != nvars or lattice.rows != nvars:
-        raise DimensionMismatchError("base exponent or lattice does not match nvars")
-    if reliable is None:
-        reliable = window
-    if window < 0 or reliable > window or reliable < -1:
-        raise InputFormatError("bad window bounds")
-    if window_exhausted and reliable != -1:
-        raise InputFormatError(f"an exhausted window has reliable -1, not {reliable}")
-    return base_t, reliable
-
-
 @dataclass(frozen=True)
 class PuiseuxSeries:
     """Window-truncated series supported on base + (column lattice).
@@ -166,14 +150,17 @@ class PuiseuxSeries:
     _frame: "_Frame | None" = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        # the one ambient check: a series built by make or the plain
-        # constructor indexes its points here; _from_coords hands over a
-        # checked index
+        # the one frame check, run for every series; an exhausted window
+        # certifies no radius, so it needs reliable == -1.  A series built
+        # by make or the plain constructor also indexes its points here
+        # (the one ambient check); _from_coords hands over a checked index
+        if len(self.base) != self.nvars or self.lattice.rows != self.nvars:
+            raise DimensionMismatchError("base exponent or lattice does not match nvars")
+        if self.window < 0 or self.reliable > self.window or self.reliable < -1:
+            raise InputFormatError("bad window bounds")
+        if self.window_exhausted and self.reliable != -1:
+            raise InputFormatError(f"an exhausted window has reliable -1, not {self.reliable}")
         if self._index is None:
-            _check_frame(
-                self.nvars, self.base, self.lattice, self.window, self.reliable,
-                self.window_exhausted,
-            )
             index = {self.coord(u): u for u in self.coeffs}
             if any(_sup(z) > self.window for z in index):
                 raise InputFormatError("support point outside the window")
@@ -190,8 +177,10 @@ class PuiseuxSeries:
         window_exhausted: bool = False,
     ) -> "PuiseuxSeries":
         """Series from coefficients keyed by ambient points u, zeros dropped;
-        the constructor checks that each u lies in the lattice."""
-        base_t, reliable = _check_frame(nvars, base, lattice, window, reliable, window_exhausted)
+        the constructor checks the frame and that each u lies in the lattice."""
+        base_t = tuple(Fraction(q) for q in base)
+        if reliable is None:
+            reliable = window
         clean = {tuple(int(x) for x in u): q for u, c in coeffs.items() if (q := Fraction(c))}
         return PuiseuxSeries(nvars, base_t, lattice, clean, window, reliable, window_exhausted)
 
@@ -209,14 +198,14 @@ class PuiseuxSeries:
         """make for coefficients keyed by lattice coordinates z.
 
         The ambient point L z lies in the lattice by construction, so no
-        Smith-form solve is needed; the frame and window checks are the
-        constructor's.
+        Smith-form solve is needed; each point's length and window are
+        checked here, the frame in the constructor.
         A caller that already holds L z for every key passes that map as
         points, and it is read instead of recomputed.
         """
-        base_t, reliable = _check_frame(
-            nvars, base, lattice, window, reliable, window_exhausted
-        )
+        base_t = tuple(Fraction(q) for q in base)
+        if reliable is None:
+            reliable = window
         clean: dict[tuple[int, ...], Fraction] = {}
         index: dict[tuple[int, ...], tuple[int, ...]] = {}
         for z, c in coeffs.items():
@@ -552,7 +541,7 @@ def _apply_single_class(p: WeylOperator, f, delta0: Expo, coords: Mapping[Expo, 
     base_out = tuple(b + s for b, s in zip(f.base, delta0))
     reliable = f.reliable - max(map(_sup, coords.values()))
     if reliable < 0:
-        return PuiseuxSeries.make(
+        return PuiseuxSeries._from_coords(
             f.nvars, base_out, f.lattice, {}, window=0, reliable=-1,
             window_exhausted=True,
         )

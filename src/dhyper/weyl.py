@@ -6,10 +6,9 @@ written to the left of all d factors, held as integer numerators keyed by
 products work on the integers, with one lcm or product of denominators
 and one gcd per result, and the Groebner engine packs the numerators as
 they are.  A Fraction per term is built only for the terms view
-(printing, JSON, callers).  The module also provides the A-grading, Euler
-operators, the theta-polynomial rewriting used for operators built from
-x_i d_i, and the split of a move into the exponents of its binomial
-(_split_move).
+(printing, JSON, callers).  The module also provides Euler operators,
+the theta-polynomial rewriting used for operators built from x_i d_i,
+and the split of a move into the exponents of its binomial (_split_move).
 """
 
 from __future__ import annotations
@@ -419,17 +418,6 @@ def _lmul(acc: dict, coeff, a: int, g: dict, pk: Packing, entered: list | None =
                 acc[k] = v
             else:
                 del acc[k]
-
-
-def a_degree_components(a: IntMatrix, p: WeylOperator) -> list[tuple[Expo, WeylOperator]]:
-    """Split p into homogeneous pieces for the grading deg(x^mu d^nu) = A(nu - mu)."""
-    if a.cols != p.nvars:
-        raise DimensionMismatchError("matrix width does not match operator variables")
-    buckets: dict[Expo, dict[tuple[Expo, Expo], int]] = {}
-    for (mu, nu), c in p.nums.items():
-        deg = a.mul_int_vector(_sub(nu, mu))
-        buckets.setdefault(deg, {})[(mu, nu)] = c
-    return [(deg, _reduced(p.nvars, buckets[deg], p.den)) for deg in sorted(buckets)]
 
 
 @dataclass(frozen=True)

@@ -86,6 +86,36 @@ def test_float_literal_rejected(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("value", ["1e5", "NaN", "-Infinity"])
+def test_floats_are_refused_anywhere_in_a_flag(capsys, value):
+    # the operator reader ignores the key, so only the float screen sees it
+    gens = f'[{{"nvars": 1, "terms": [], "ignored": {value}}}]'
+    argv = ["membership", "--gens", gens, "--query", '{"nvars": 1, "terms": []}']
+    code, rep = run_main(capsys, argv)
+    assert code == rep["exit_code"] == 2
+    assert rep["error"] == 'rational literals must be integers or "p/q" strings, not floats'
+
+
+def test_malformed_json_is_reported_before_its_floats(capsys):
+    code, rep = run_main(capsys, ["facets", "--a", "[1.5,"])
+    assert code == rep["exit_code"] == 2
+    assert rep["error"].startswith("malformed JSON: ")
+
+
+def test_unreadable_flag_file_exits_bad_input(tmp_path, capsys):
+    path = tmp_path / "missing.json"
+    code, rep = run_main(capsys, ["facets", "--a", f"@{path}"])
+    assert code == rep["exit_code"] == 2
+    assert rep["error"].startswith(f"cannot read {path}: ")
+
+
+def test_membership_query_must_be_one_operator(capsys):
+    op = '{"nvars": 1, "terms": [{"coeff": "1", "x": [0], "dx": [1]}]}'
+    code, rep = run_main(capsys, ["membership", "--gens", f"[{op}]", "--query", f"[{op}, {op}]"])
+    assert code == rep["exit_code"] == 2
+    assert rep["error"] == "query must be a single operator"
+
+
 def test_dimension_mismatch_exit(capsys):
     code, rep = run_main(capsys, ["ahyp", "--a", A_JSON, "--beta", "[0]"])
     assert code == 3
@@ -151,6 +181,14 @@ def test_components_subcommand(capsys):
     assert [i["decomposition"]["jbar"] for i in items] == [[], [2, 3]]
     assert all(i["class"]["verdict"] == "TORAL" for i in items)
     assert len(items[1]["ideal"]["generators"]) == 6
+
+
+def test_components_classifies_a_wide_block_andean(capsys):
+    b = "[[-1,-1,2],[-1,-2,-1],[2,2,-1],[1,2,0],[2,0,1]]"
+    code, rep = run_main(capsys, ["components", "--b", b])
+    assert code == 0
+    classes = {tuple(i["decomposition"]["jbar"]): i["class"] for i in rep["results"]["components"]}
+    assert classes[(1, 3)] == {"verdict": "ANDEAN", "justification": "block is 2 x 3 with q < p"}
 
 
 def test_emit_writes_artifacts(tmp_path, capsys):

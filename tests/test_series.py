@@ -783,6 +783,30 @@ def test_toral_basis_multi_vertex_class():
         assert annihilation_check(list(horn.generators), f).all_zero
 
 
+def test_toral_basis_lattice_block_keeps_inexact_windows(monkeypatch):
+    # the column series has a lattice, so no class is exact: a single-vertex
+    # class keeps the series' window and radius, and the multi-vertex class,
+    # one of whose moves derives, is a multi-coset sum with no certified
+    # radius, so Horn(beta) is inconclusive on it
+    from dhyper.series import toral_solution_basis
+    from dhyper.systems import block_decompositions, horn_system
+
+    b = IntMatrix.from_rows([[-3, -2, 0], [2, 1, 0], [1, -2, 0], [-2, 1, -1], [-2, 0, 1]])
+    beta = (Fraction(4, 3), Fraction(-8, 7))
+    dec = [d for d, _ in block_decompositions(b) if d.jbar == (0, 1)][0]
+    directions = []
+    real = series.shift
+    monkeypatch.setattr(series, "shift", lambda f, e, d: directions.append(d) or real(f, e, d))
+    basis = toral_solution_basis(b, dec, beta, window=3)
+    assert directions.count(DERIVE) == 1
+    frames = sorted((f.window, f.reliable, f.window_exhausted) for f in basis)
+    assert frames == [(3, 3, False), (3, 3, False), (4, -1, True)]
+    horn = list(horn_system(b, beta).generators)
+    for f in basis:
+        expected = INCONCLUSIVE if f.window_exhausted else ZERO_ON_WINDOW
+        assert {v.status for v in annihilation_check(horn, f).verdicts} == {expected}
+
+
 def test_toral_basis_rejects_bad_blocks():
     from dhyper.series import toral_solution_basis
     from dhyper.systems import BlockDecomposition, block_decompositions
@@ -1027,6 +1051,19 @@ def test_plain_constructor_checks_frame_and_window():
     assert f._index == {(2,): (4,)}
     assert f == PuiseuxSeries.make(1, half, f.lattice, f.coeffs, window=2, reliable=1)
     assert PuiseuxSeries.from_json(f.to_json()) == f
+
+
+def test_a_handed_over_index_is_frame_checked():
+    # the tree fill and _from_coords hand the constructor a checked index;
+    # it still checks the frame
+    lat = IntMatrix.from_rows([[1]])
+    half = (Fraction(1, 2),)
+    with pytest.raises(InputFormatError, match="window bounds"):
+        PuiseuxSeries(1, half, lat, {}, window=1, reliable=3, _index={})
+    with pytest.raises(InputFormatError, match="exhausted"):
+        PuiseuxSeries(1, half, lat, {}, window=1, reliable=1, window_exhausted=True, _index={})
+    with pytest.raises(DimensionMismatchError):
+        PuiseuxSeries(2, half, lat, {}, window=1, reliable=1, _index={})
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from dhyper.series import (
 from dhyper.weyl import (
     ThetaPoly,
     WeylOperator,
-    a_degree_components,
     euler_generators,
     normal_product,
     theta_form,
@@ -138,31 +137,6 @@ def test_euler_generators_demo_values():
     )
     assert e1 == expected1
     assert e2 == expected2
-
-
-def test_a_degree_single_component():
-    p = dop((1, 0, 1, 0)) - dop((0, 2, 0, 0))
-    comps = a_degree_components(A_DEMO, p)
-    assert len(comps) == 1
-    assert comps[0][0] == (4, 2)
-
-
-def test_a_degree_euler_is_degree_zero():
-    e1, _ = euler_generators(A_DEMO, BETA_DEMO)
-    comps = a_degree_components(A_DEMO, e1)
-    assert len(comps) == 1
-    assert comps[0][0] == (0, 0)
-
-
-def test_a_degree_splits_mixed():
-    a = IntMatrix.from_rows([[1]])
-    p = WeylOperator.x(0, 1) + WeylOperator.d(0, 1)
-    comps = a_degree_components(a, p)
-    assert [c[0] for c in comps] == [(-1,), (1,)]
-    total = WeylOperator.zero(1)
-    for _, c in comps:
-        total = total + c
-    assert total == p
 
 
 def test_theta_form_basics():
